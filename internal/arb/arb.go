@@ -52,9 +52,11 @@ func (k Kind) String() string {
 // are per-router and stateful (they hold the fairness counters).
 type Policy interface {
 	// Pick chooses one of candidates (input-port indices whose head
-	// packet is eligible for this output). head returns the head packet
-	// of a candidate. candidates is non-empty and sorted ascending.
-	Pick(out int, vc packet.VC, candidates []int, head func(int) *packet.Packet) int
+	// packet is eligible for this output). heads[k] is the head packet of
+	// candidates[k]; the two slices have equal length. candidates is
+	// non-empty and sorted ascending. Both slices are the caller's
+	// scratch: Pick must not retain them past the call.
+	Pick(out int, vc packet.VC, candidates []int, heads []*packet.Packet) int
 }
 
 // WeightFunc computes the arbitration weight of a head packet. Weights
@@ -121,56 +123,54 @@ func New(kind Kind, cfg Config) Policy {
 // estimated-oldest packet outright, which is what makes the naive scheme
 // misfire on NVM-F placements (§5.1).
 // State is kept per (output port, VC) so request and response streams do
-// not perturb each other's fairness.
+// not perturb each other's fairness. Both tables are flat slices indexed
+// by out*NumVCs+vc (and, for the smooth counters, by input port within
+// that row); they grow on first use of an output or port, so steady-state
+// picks never allocate.
 type wrr struct {
 	weight WeightFunc
 	strict bool
-	state  map[arbKey]map[int]int64
-	rot    map[arbKey]int
+	state  [][]int64
+	rot    []int
 }
 
-type arbKey struct {
-	out int
-	vc  packet.VC
-}
-
-func (a *wrr) Pick(out int, vc packet.VC, candidates []int, head func(int) *packet.Packet) int {
+func (a *wrr) Pick(out int, vc packet.VC, candidates []int, heads []*packet.Packet) int {
 	if len(candidates) == 1 {
 		return candidates[0]
 	}
-	key := arbKey{out: out, vc: vc}
+	key := out*int(packet.NumVCs) + int(vc)
 	if a.strict {
-		if a.rot == nil {
-			a.rot = make(map[arbKey]int)
+		if key >= len(a.rot) {
+			a.rot = append(a.rot, make([]int, key+1-len(a.rot))...)
 		}
 		rot := a.rot[key]
 		best := -1
 		var bestVal int64
 		for k := 0; k < len(candidates); k++ {
-			c := candidates[(rot+k)%len(candidates)]
-			w := a.weight(head(c))
+			j := (rot + k) % len(candidates)
+			w := a.weight(heads[j])
 			if best == -1 || w > bestVal {
-				best = c
+				best = candidates[j]
 				bestVal = w
 			}
 		}
 		a.rot[key] = rot + 1
 		return best
 	}
-	if a.state == nil {
-		a.state = make(map[arbKey]map[int]int64)
+	if key >= len(a.state) {
+		a.state = append(a.state, make([][]int64, key+1-len(a.state))...)
 	}
 	cur := a.state[key]
-	if cur == nil {
-		cur = make(map[int]int64)
+	if last := candidates[len(candidates)-1]; last >= len(cur) {
+		cur = append(cur, make([]int64, last+1-len(cur))...)
 		a.state[key] = cur
 	}
 
 	var total int64
 	best := -1
 	var bestVal int64
-	for _, c := range candidates {
-		w := a.weight(head(c))
+	for k, c := range candidates {
+		w := a.weight(heads[k])
 		if w < 1 {
 			w = 1
 		}

@@ -7,9 +7,8 @@ import (
 	"memnet/internal/packet"
 )
 
-func heads(ps ...*packet.Packet) func(int) *packet.Packet {
-	return func(i int) *packet.Packet { return ps[i] }
-}
+// heads lists the head packets of the candidates, in candidate order.
+func heads(ps ...*packet.Packet) []*packet.Packet { return ps }
 
 func TestRoundRobinFairness(t *testing.T) {
 	p := New(RoundRobin, Config{})
@@ -109,7 +108,7 @@ func TestSingleCandidateShortCircuit(t *testing.T) {
 	for _, k := range []Kind{RoundRobin, Distance, DistanceAugmented} {
 		p := New(k, Config{})
 		pk := &packet.Packet{Kind: packet.ReadReq}
-		if got := p.Pick(0, packet.VCRequest, []int{3}, heads(nil, nil, nil, pk)); got != 3 {
+		if got := p.Pick(0, packet.VCRequest, []int{3}, heads(pk)); got != 3 {
 			t.Fatalf("%v: single candidate not returned", k)
 		}
 	}
@@ -179,11 +178,33 @@ func TestRoundRobinShareBound(t *testing.T) {
 	pk := &packet.Packet{Kind: packet.ReadResp}
 	counts := make([]int, 3)
 	for i := 0; i < 3001; i++ {
-		counts[p.Pick(0, packet.VCResponse, []int{0, 1, 2}, func(int) *packet.Packet { return pk })]++
+		counts[p.Pick(0, packet.VCResponse, []int{0, 1, 2}, heads(pk, pk, pk))]++
 	}
 	for i := 0; i < 3; i++ {
 		if counts[i] < 1000 || counts[i] > 1001 {
 			t.Fatalf("share skew: %v", counts)
+		}
+	}
+}
+
+// TestPickAllocationFree: once an arbiter has seen an output and its
+// inputs, further picks allocate nothing, for every policy kind.
+func TestPickAllocationFree(t *testing.T) {
+	cands := []int{0, 2, 5, 7}
+	hs := []*packet.Packet{
+		{Kind: packet.ReadResp, Distance: 1, Src: 2},
+		{Kind: packet.WriteAck, Distance: 4, Src: 3},
+		{Kind: packet.ReadResp, Distance: 4, Src: 4},
+		{Kind: packet.ReadResp, Distance: 2, Src: 5},
+	}
+	cfg := Config{WriteDemotion: 2, Bias: func(n packet.NodeID) int64 { return int64(n % 2) }}
+	for _, k := range []Kind{RoundRobin, Distance, DistanceAugmented} {
+		p := New(k, cfg)
+		p.Pick(3, packet.VCResponse, cands, hs) // warm-up sizes the state
+		if n := testing.AllocsPerRun(100, func() {
+			p.Pick(3, packet.VCResponse, cands, hs)
+		}); n != 0 {
+			t.Errorf("%v: %v allocations per Pick, want 0", k, n)
 		}
 	}
 }

@@ -72,9 +72,13 @@ func (b *Buffer) Pop(vc packet.VC, now sim.Time) *packet.Packet {
 	if len(b.fifo[vc]) == 0 {
 		panic("link: pop from empty input buffer")
 	}
-	a := b.fifo[vc][0]
-	copy(b.fifo[vc], b.fifo[vc][1:])
-	b.fifo[vc] = b.fifo[vc][:len(b.fifo[vc])-1]
+	q := b.fifo[vc]
+	a := q[0]
+	copy(q, q[1:])
+	// Zero the vacated slot so the backing array does not keep a packet
+	// that may since have been recycled into a pool.
+	q[len(q)-1] = arrival{}
+	b.fifo[vc] = q[:len(q)-1]
 	b.waitTotal += now - a.at
 	b.popped++
 	if b.credit != nil {

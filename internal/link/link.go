@@ -461,9 +461,11 @@ func (d *Direction) pickVC() (packet.VC, bool) {
 // transmit pops the head of vc and occupies the wire for its
 // serialization time; delivery fires after the additional SerDes latency.
 func (d *Direction) transmit(vc packet.VC) {
-	e := d.queue[vc][0]
-	copy(d.queue[vc], d.queue[vc][1:])
-	d.queue[vc] = d.queue[vc][:len(d.queue[vc])-1]
+	q := d.queue[vc]
+	e := q[0]
+	copy(q, q[1:])
+	q[len(q)-1] = entry{} // drop the vacated slot's packet reference
+	d.queue[vc] = q[:len(q)-1]
 	d.credits[vc]--
 	d.stalled[vc] = false
 
@@ -533,7 +535,10 @@ func (d *Direction) sendRetry(now sim.Time) bool {
 		if r.readyAt > now {
 			continue
 		}
-		d.retryQ = append(d.retryQ[:i], d.retryQ[i+1:]...)
+		n := len(d.retryQ)
+		copy(d.retryQ[i:], d.retryQ[i+1:])
+		d.retryQ[n-1] = retryEntry{} // drop the vacated slot's packet reference
+		d.retryQ = d.retryQ[:n-1]
 		ser := sim.BitTime(r.bits, d.cfg.BandwidthBps)
 		_, end := d.wire.Reserve(now, ser)
 		d.stats.BusyTime += end - now

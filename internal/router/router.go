@@ -13,6 +13,7 @@ package router
 
 import (
 	"fmt"
+	"math/bits"
 
 	"memnet/internal/arb"
 	"memnet/internal/link"
@@ -63,6 +64,11 @@ type Router struct {
 	// (link.Direction.Fail drains into Reinject); they re-enter the
 	// network through the recomputed route tables at the next sweep.
 	reroutes []*packet.Packet
+
+	// sc is the forwarding sweep's scratch, allocated at the first sweep
+	// (so building a router allocates no more than before) and reused by
+	// every later one.
+	sc *sweepScratch
 
 	// Forwarded counts packets moved input->output, per VC.
 	Forwarded [packet.NumVCs]uint64
@@ -162,6 +168,35 @@ func (r *Router) Kick() {
 	r.eng.Schedule(0, r.sweepFn)
 }
 
+// sweepScratch is the state that lets a sweep route each input head at
+// most once and forward without allocating. routes[vc] holds one
+// candidate bitmask of words uint64s per output: bit i of output o's
+// mask is set when input i's vc head routes to o; live[vc] counts the
+// set bits. A sweep builds routes[vc] at its first candidate scan of vc
+// (routed[vc]); after that only an input popped since the last scan
+// that still holds a vc packet (repoll[vc], -1 when none) is routed
+// again. cand and heads carry one output's candidates to the arbiter.
+type sweepScratch struct {
+	words  int
+	routes [packet.NumVCs][]uint64
+	live   [packet.NumVCs]int
+	routed [packet.NumVCs]bool
+	repoll [packet.NumVCs]int
+	cand   []int
+	heads  []*packet.Packet
+}
+
+// newSweepScratch sizes the sweep scratch for n ports.
+func newSweepScratch(n int) *sweepScratch {
+	words := (n + 63) / 64
+	sc := &sweepScratch{words: words, cand: make([]int, n), heads: make([]*packet.Packet, n)}
+	flat := make([]uint64, int(packet.NumVCs)*n*words)
+	for vc := range sc.routes {
+		sc.routes[vc] = flat[vc*n*words : (vc+1)*n*words]
+	}
+	return sc
+}
+
 // sweep moves as many packets as buffers, credits, crossbar bandwidth,
 // and arbitration allow. All outputs' response traffic is considered
 // before any request traffic, matching the deadlock-avoidance priority:
@@ -173,55 +208,66 @@ func (r *Router) sweep() {
 		panic(fmt.Sprintf("router %d: no route function", r.node))
 	}
 	r.drainReroutes()
+	if r.sc == nil || len(r.sc.cand) != len(r.in) {
+		r.sc = newSweepScratch(len(r.in))
+	}
+	r.sc.routed = [packet.NumVCs]bool{}
 	n := len(r.out)
-	for _, vc := range []packet.VC{packet.VCResponse, packet.VCRequest} {
+	for _, vc := range [...]packet.VC{packet.VCResponse, packet.VCRequest} {
+		o := r.sweepStart % n
 		for k := 0; k < n; k++ {
-			if !r.drain((r.sweepStart+k)%n, vc) {
+			if !r.drain(o, vc) {
 				return // crossbar busy; retry armed
+			}
+			if r.exhausted(vc) {
+				break
+			}
+			if o++; o == n {
+				o = 0
 			}
 		}
 	}
 	r.sweepStart++
 }
 
+// exhausted reports that the rest of a vc pass can forward nothing and
+// change nothing: every routed vc head has been granted, no popped input
+// awaits routing, and the crossbar is idle — so no later output of the
+// pass could find a candidate or abort on a busy crossbar.
+func (r *Router) exhausted(vc packet.VC) bool {
+	sc := r.sc
+	return sc.routed[vc] && sc.live[vc] == 0 && sc.repoll[vc] < 0 &&
+		(r.switchBps == 0 || r.crossbar.Idle(r.eng.Now()))
+}
+
 // drain forwards packets from eligible input heads to output o, vc,
 // until space, candidates, credits, or switch bandwidth run out. It
 // returns false when the crossbar is busy (a retry has been armed).
 func (r *Router) drain(o int, vc packet.VC) bool {
-	var candidates []int
 	for r.out[o].CanAccept(vc) {
 		if r.switchBps > 0 && !r.crossbar.Idle(r.eng.Now()) {
 			r.armRetry()
 			return false
 		}
-		candidates = candidates[:0]
-		for i, buf := range r.in {
-			// The entry port is a legal candidate: shortest-path tables
-			// never route a packet back out the port it entered, but after
-			// a mid-run fault swap a packet caught traveling toward a dead
-			// link must U-turn.
-			head := buf.Head(vc)
-			if head == nil {
-				continue
-			}
-			if r.route(head) == o {
-				candidates = append(candidates, i)
-			}
-		}
+		candidates := r.candidates(o, vc)
 		if len(candidates) == 0 {
 			return true
 		}
 		if len(candidates) > 1 {
 			r.Contended++
 		}
-		pick := r.policy.Pick(o, vc, candidates, func(i int) *packet.Packet {
-			return r.in[i].Head(vc)
-		})
+		pick := r.policy.Pick(o, vc, candidates, r.sc.heads[:len(candidates)])
 		var since sim.Time
 		if r.OnForward != nil {
 			since = r.in[pick].HeadSince(vc)
 		}
 		p := r.in[pick].Pop(vc, r.eng.Now())
+		sc := r.sc
+		sc.routes[vc][o*sc.words+pick/64] &^= 1 << (pick % 64)
+		sc.live[vc]--
+		if r.in[pick].Len(vc) > 0 {
+			sc.repoll[vc] = pick
+		}
 		r.Forwarded[vc]++
 		if r.GrantCounts != nil {
 			r.GrantCounts[pick]++
@@ -235,6 +281,52 @@ func (r *Router) drain(o int, vc packet.VC) bool {
 		r.out[o].Send(p)
 	}
 	return true
+}
+
+// candidates lists, in ascending order, the inputs whose vc head routes
+// to output o, filling r.heads to match. Heads are routed lazily, at the
+// same scan where a full rescan would first route them, and at most once
+// per sweep: a route function may rewrite the packet it routes (core's
+// rehome bounce), so routing a head earlier than that would be visible.
+// The entry port is a legal candidate: shortest-path tables never route
+// a packet back out the port it entered, but after a mid-run fault swap
+// a packet caught traveling toward a dead link must U-turn.
+func (r *Router) candidates(o int, vc packet.VC) []int {
+	sc := r.sc
+	if !sc.routed[vc] {
+		clear(sc.routes[vc])
+		sc.live[vc] = 0
+		for i := range r.in {
+			r.routeHead(i, vc)
+		}
+		sc.routed[vc] = true
+	} else if i := sc.repoll[vc]; i >= 0 {
+		r.routeHead(i, vc)
+	}
+	sc.repoll[vc] = -1
+	cand := sc.cand[:0]
+	for w, mask := range sc.routes[vc][o*sc.words : (o+1)*sc.words] {
+		for ; mask != 0; mask &= mask - 1 {
+			i := w*64 + bits.TrailingZeros64(mask)
+			sc.heads[len(cand)] = r.in[i].Head(vc)
+			cand = append(cand, i)
+		}
+	}
+	return cand
+}
+
+// routeHead routes input i's vc head, if any, into the candidate mask of
+// its output. A route outside the port range matches no output.
+func (r *Router) routeHead(i int, vc packet.VC) {
+	head := r.in[i].Head(vc)
+	if head == nil {
+		return
+	}
+	if o := r.route(head); o >= 0 && o < len(r.out) {
+		sc := r.sc
+		sc.routes[vc][o*sc.words+i/64] |= 1 << (i % 64)
+		sc.live[vc]++
+	}
 }
 
 // drainReroutes re-sends salvaged packets through the current route

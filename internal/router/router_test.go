@@ -214,3 +214,262 @@ func TestReinjectWaitsForSpace(t *testing.T) {
 		t.Fatalf("packet not released after table swap: %v", h.sunk)
 	}
 }
+
+// checkingPolicy wraps a policy and verifies the Pick contract on every
+// call: candidates strictly ascending, heads[k] the current vc head of
+// candidates[k].
+type checkingPolicy struct {
+	t     *testing.T
+	r     *Router
+	inner arb.Policy
+	calls int
+	maxIn int
+}
+
+func (c *checkingPolicy) Pick(out int, vc packet.VC, candidates []int, heads []*packet.Packet) int {
+	c.calls++
+	if len(candidates) == 0 || len(candidates) != len(heads) {
+		c.t.Fatalf("Pick got %d candidates and %d heads", len(candidates), len(heads))
+	}
+	for k, i := range candidates {
+		if k > 0 && i <= candidates[k-1] {
+			c.t.Fatalf("candidates not ascending: %v", candidates)
+		}
+		if heads[k] != c.r.InputBuffer(i).Head(vc) {
+			c.t.Fatalf("heads[%d] is not the head of input %d", k, i)
+		}
+		c.maxIn = max(c.maxIn, i)
+	}
+	return c.inner.Pick(out, vc, candidates, heads)
+}
+
+// fanIn builds a router with inputs input ports and one output port
+// (the last index), all routed to the output. The output link is slow
+// and shallow so inputs contend; its sink counts deliveries.
+func fanIn(t *testing.T, inputs int, policy arb.Policy, switchBps int64) (*sim.Engine, *Router, *int) {
+	t.Helper()
+	eng := sim.NewEngine()
+	r := New(eng, 1, policy, switchBps)
+	cfg := link.Config{BandwidthBps: 24e9, SerDesLatency: sim.Nanosecond,
+		QueueDepth: 1, Credits: 4, CountHop: true}
+	for i := 0; i < inputs; i++ {
+		r.AttachPort(link.NewBuffer(4, nil), link.New(eng, cfg, nil))
+	}
+	out := link.New(eng, cfg, nil)
+	sunk := new(int)
+	out.SetDeliver(func(p *packet.Packet) {
+		*sunk++
+		out.ReturnCredit(packet.VCOf(p.Kind))
+	})
+	outPort := r.AttachPort(link.NewBuffer(4, nil), out)
+	r.SetRoute(func(*packet.Packet) int { return outPort })
+	return eng, r, sunk
+}
+
+// TestManyPortsDrainAscending: a router wider than one 64-bit candidate
+// mask word, every input routed to one output, drains every input, and
+// the arbiter always sees its candidates in ascending input order.
+func TestManyPortsDrainAscending(t *testing.T) {
+	const inputs = 130
+	pol := &checkingPolicy{t: t, inner: arb.New(arb.RoundRobin, arb.Config{})}
+	eng, r, sunk := fanIn(t, inputs, pol, 0)
+	pol.r = r
+	id := uint64(0)
+	for i := 0; i < inputs; i++ {
+		for _, kind := range []packet.Kind{packet.ReadReq, packet.ReadResp} {
+			id++
+			r.Deliver(i)(&packet.Packet{ID: id, Kind: kind})
+		}
+	}
+	eng.Run()
+	if *sunk != 2*inputs {
+		t.Fatalf("delivered %d of %d packets", *sunk, 2*inputs)
+	}
+	for i := 0; i < inputs; i++ {
+		if n := r.InputBuffer(i).Len(packet.VCRequest) + r.InputBuffer(i).Len(packet.VCResponse); n != 0 {
+			t.Fatalf("input %d still holds %d packets", i, n)
+		}
+	}
+	if pol.maxIn < 128 {
+		t.Fatalf("highest candidate %d never reached the third mask word", pol.maxIn)
+	}
+	if r.Contended == 0 {
+		t.Fatal("no contended arbitration across 130 inputs")
+	}
+}
+
+// countRoutes wraps r's route function and both sweep handlers so that
+// each sweep starts with a fresh per-packet route count; check runs after
+// every sweep.
+func countRoutes(r *Router, check func(calls map[*packet.Packet]int)) {
+	calls := map[*packet.Packet]int{}
+	route := r.route
+	r.SetRoute(func(p *packet.Packet) int {
+		calls[p]++
+		return route(p)
+	})
+	wrap := func(h sim.Handler) sim.Handler {
+		return func() {
+			clear(calls)
+			h()
+			check(calls)
+		}
+	}
+	r.sweepFn, r.retryFn = wrap(r.sweepFn), wrap(r.retryFn)
+}
+
+// TestRouteOncePerSweep: however many outputs a sweep scans, each head
+// is routed at most once in it — with and without crossbar modeling.
+func TestRouteOncePerSweep(t *testing.T) {
+	for _, bps := range []int64{0, 100e9} {
+		eng := sim.NewEngine()
+		r := New(eng, 1, arb.New(arb.Distance, arb.Config{}), bps)
+		cfg := link.Config{BandwidthBps: 24e9, SerDesLatency: sim.Nanosecond,
+			QueueDepth: 2, Credits: 4, CountHop: true}
+		const ports = 6
+		sunk := 0
+		for i := 0; i < ports; i++ {
+			out := link.New(eng, cfg, nil)
+			out.SetDeliver(func(p *packet.Packet) {
+				sunk++
+				out.ReturnCredit(packet.VCOf(p.Kind))
+			})
+			r.AttachPort(link.NewBuffer(4, nil), out)
+		}
+		// Inputs 0-2 send to outputs 3-5 and back, by packet ID.
+		r.SetRoute(func(p *packet.Packet) int { return 3 + int(p.ID%3) })
+		sweeps := 0
+		countRoutes(r, func(calls map[*packet.Packet]int) {
+			sweeps++
+			for p, n := range calls {
+				if n > 1 {
+					t.Fatalf("bps=%d: packet %d routed %d times in one sweep", bps, p.ID, n)
+				}
+			}
+		})
+		id := uint64(0)
+		for i := 0; i < 3; i++ {
+			for n := 0; n < 4; n++ {
+				for _, kind := range []packet.Kind{packet.WriteReq, packet.ReadResp} {
+					id++
+					r.Deliver(i)(&packet.Packet{ID: id, Kind: kind, Distance: int(id % 5)})
+				}
+			}
+		}
+		eng.Run()
+		if sunk != int(id) || sweeps == 0 {
+			t.Fatalf("bps=%d: delivered %d of %d in %d sweeps", bps, sunk, id, sweeps)
+		}
+	}
+}
+
+// TestBusyCrossbarAbortRoutesNothing: a sweep that finds the crossbar
+// busy at its first accepting output arms a retry and aborts before any
+// candidate scan, so it routes no head and does not rotate the scan.
+func TestBusyCrossbarAbortRoutesNothing(t *testing.T) {
+	eng, r, _ := fanIn(t, 2, arb.New(arb.RoundRobin, arb.Config{}), 1e9)
+	routes := 0
+	route := r.route
+	r.SetRoute(func(p *packet.Packet) int {
+		routes++
+		return route(p)
+	})
+	for id := uint64(1); id <= 3; id++ {
+		r.InputBuffer(0).Push(&packet.Packet{ID: id, Kind: packet.ReadReq}, eng.Now())
+	}
+	r.sweep() // forwards packet 1, then meets its own crossbar reservation
+	if routes != 1 || r.Forwarded[packet.VCRequest] != 1 || !r.retryArmed {
+		t.Fatalf("first sweep: routes=%d forwarded=%d retryArmed=%v, want 1/1/true",
+			routes, r.Forwarded[packet.VCRequest], r.retryArmed)
+	}
+	start := r.sweepStart
+	routes = 0
+	r.sweep()
+	if routes != 0 {
+		t.Fatalf("aborted sweep routed %d heads, want 0", routes)
+	}
+	if r.sweepStart != start || r.Forwarded[packet.VCRequest] != 1 {
+		t.Fatalf("aborted sweep moved state: sweepStart %d->%d, forwarded %d",
+			start, r.sweepStart, r.Forwarded[packet.VCRequest])
+	}
+}
+
+// TestSaturatedForwardAllocationFree: a 4-input/1-output router whose
+// inputs refill from a pool on every credit return forwards without
+// allocating once warm.
+func TestSaturatedForwardAllocationFree(t *testing.T) {
+	eng := sim.NewEngine()
+	r := New(eng, 1, arb.New(arb.DistanceAugmented, arb.Config{
+		WriteDemotion: 2,
+		Bias:          func(n packet.NodeID) int64 { return int64(n % 2) },
+	}), 100e9)
+	cfg := link.Config{BandwidthBps: 240e9, SerDesLatency: sim.Nanosecond,
+		QueueDepth: 4, Credits: 4, CountHop: true}
+	var pool packet.Pool
+	forwarded := 0
+	out := link.New(eng, cfg, nil)
+	out.SetDeliver(func(p *packet.Packet) {
+		vc := packet.VCOf(p.Kind)
+		pool.Put(p)
+		forwarded++
+		out.ReturnCredit(vc)
+	})
+	const inputs = 4
+	kinds := [packet.NumVCs]packet.Kind{packet.VCRequest: packet.WriteReq, packet.VCResponse: packet.ReadResp}
+	deliver := make([]func(*packet.Packet), inputs)
+	next := uint64(0)
+	feed := func(i int, vc packet.VC) {
+		next++
+		p := pool.Get()
+		*p = packet.Packet{ID: next, Kind: kinds[vc], Src: packet.NodeID(next % 7), Distance: int(next % 5)}
+		deliver[i](p)
+	}
+	for i := 0; i < inputs; i++ {
+		i := i
+		in := link.NewBuffer(4, func(vc packet.VC) { feed(i, vc) })
+		deliver[i] = r.Deliver(r.AttachPort(in, link.New(eng, cfg, nil)))
+	}
+	outPort := r.AttachPort(link.NewBuffer(4, nil), out)
+	r.SetRoute(func(*packet.Packet) int { return outPort })
+	for i := 0; i < inputs; i++ {
+		for n := 0; n < 4; n++ {
+			feed(i, packet.VCRequest)
+			feed(i, packet.VCResponse)
+		}
+	}
+	forward := func(n int) {
+		for stop := forwarded + n; forwarded < stop; {
+			if !eng.Step() {
+				t.Fatal("event queue drained")
+			}
+		}
+	}
+	forward(2000) // warm-up: pool, event queue and scratch reach size
+	if n := testing.AllocsPerRun(20, func() { forward(200) }); n != 0 {
+		t.Fatalf("%v allocations per 200 forwards, want 0", n)
+	}
+	if r.Contended == 0 {
+		t.Fatal("inputs never contended")
+	}
+}
+
+// TestLastGrantStillAbortsOnBusyCrossbar: a pass whose last candidate
+// was just granted is cut short only while the crossbar is idle. Here
+// the grant fills its output and reserves the crossbar, so the next
+// accepting output must still arm a retry and abort the sweep, leaving
+// the scan rotation where it was.
+func TestLastGrantStillAbortsOnBusyCrossbar(t *testing.T) {
+	eng, r, _ := fanIn(t, 2, arb.New(arb.RoundRobin, arb.Config{}), 1e9)
+	out := r.Output(2)
+	out.Send(&packet.Packet{ID: 1, Kind: packet.ReadReq}) // occupies the wire
+	r.InputBuffer(0).Push(&packet.Packet{ID: 2, Kind: packet.ReadReq}, eng.Now())
+	r.sweepStart = 2 // the request pass scans output 2 first
+	r.sweep()
+	if r.Forwarded[packet.VCRequest] != 1 || out.CanAccept(packet.VCRequest) {
+		t.Fatalf("forwarded %d, output accepting %v; want 1 forward filling the output",
+			r.Forwarded[packet.VCRequest], out.CanAccept(packet.VCRequest))
+	}
+	if !r.retryArmed || r.sweepStart != 2 {
+		t.Fatalf("retryArmed=%v sweepStart=%d, want an aborted sweep (true, 2)", r.retryArmed, r.sweepStart)
+	}
+}

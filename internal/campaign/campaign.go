@@ -2,13 +2,13 @@ package campaign
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"memnet/internal/core"
 	"memnet/internal/experiments"
+	"memnet/internal/fanout"
 	"memnet/internal/sim"
 )
 
@@ -219,14 +219,16 @@ type RunStats struct {
 
 // RunShard executes this campaign shard: it enumerates the grid,
 // selects the shard's partition, and runs every unit not already in the
-// store through a worker pool, writing each result to the store as it
-// completes. Already-cached units are skipped (this is what makes an
-// interrupted campaign resumable: re-running a shard only simulates
-// what is missing). The first simulation error aborts dispatch and is
-// returned — including watchdog trips, which arrive as ordinary errors
-// from core.Simulate with the wedge diagnosis attached.
+// store on opts.Parallel workers, writing results to the store in grid
+// order as they become available. Already-cached units are skipped
+// (this is what makes an interrupted campaign resumable: re-running a
+// shard only simulates what is missing). The first failing unit in grid
+// order aborts dispatch and its error is returned — including watchdog
+// trips, which arrive as ordinary errors from core.Simulate with the
+// wedge diagnosis attached. Units before it are stored; units after it
+// are not.
 //
-// progress, when non-nil, is called after every unit from the merging
+// progress, when non-nil, is called after every unit on the calling
 // goroutine (never concurrently).
 func RunShard(opts experiments.Options, store *Store, shard Shard, progress func(Progress)) (RunStats, error) {
 	if (shard == Shard{}) {
@@ -253,74 +255,23 @@ func RunShard(opts experiments.Options, store *Store, shard Shard, progress func
 		}
 		todo = append(todo, u)
 	}
-	if len(todo) == 0 {
-		return stats, nil
-	}
-
-	workers := opts.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-	type outcome struct {
-		unit Unit
-		res  core.Results
-		err  error
-	}
-	jobs := make(chan Unit)
-	results := make(chan outcome)
-	abort := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for u := range jobs {
-				res, err := core.Simulate(u.Params)
-				if err != nil {
-					err = fmt.Errorf("%s/%s: %w", u.Key.Label, u.Key.Workload, err)
-				}
-				results <- outcome{unit: u, res: res, err: err}
-			}
-		}()
-	}
-	go func() {
-		defer close(jobs)
-		for _, u := range todo {
-			select {
-			case jobs <- u:
-			case <-abort:
-				return
-			}
+	err = fanout.Run(len(todo), opts.Parallel, func(i int) (core.Results, error) {
+		u := todo[i]
+		res, err := core.Simulate(u.Params)
+		if err != nil {
+			err = fmt.Errorf("%s/%s: %w", u.Key.Label, u.Key.Workload, err)
 		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	var firstErr error
-	for o := range results {
-		if o.err != nil {
-			if firstErr == nil {
-				firstErr = o.err
-				close(abort)
-			}
-			continue
-		}
-		if err := store.Put(o.unit.FP, o.unit.Key, o.res); err != nil && firstErr == nil {
-			firstErr = err
-			close(abort)
+		return res, err
+	}, func(i int, res core.Results) error {
+		u := todo[i]
+		if err := store.Put(u.FP, u.Key, res); err != nil {
+			return err
 		}
 		stats.Simulated++
 		if progress != nil {
-			progress(Progress{Done: stats.Hits + stats.Simulated, Total: len(units), Key: o.unit.Key})
+			progress(Progress{Done: stats.Hits + stats.Simulated, Total: len(units), Key: u.Key})
 		}
-	}
-	if firstErr != nil {
-		return stats, firstErr
-	}
-	return stats, nil
+		return nil
+	})
+	return stats, err
 }

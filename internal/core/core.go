@@ -272,13 +272,7 @@ func TechOrder(sys *config.System) ([]config.MemTech, error) {
 
 // Build constructs a simulation instance from params on a fresh engine.
 func Build(p Params) (*Instance, error) {
-	return buildOn(sim.NewEngine(), p)
-}
-
-// buildOn constructs a simulation instance on a caller-supplied engine,
-// so a partitioned machine run can place each port's instance on its
-// shard's engine. The engine must be at time zero with nothing pending.
-func buildOn(eng *sim.Engine, p Params) (*Instance, error) {
+	eng := sim.NewEngine()
 	// Scenario runs skip the capacity equation: their cube population
 	// is whatever the spec declares, not a solution of DRAMFraction
 	// against TotalCapacity.
@@ -1093,17 +1087,8 @@ func (in *Instance) Run() (Results, error) {
 		return !in.Port.Done()
 	})
 	if in.Watchdog != nil && in.Watchdog.Tripped() {
-		// In a partitioned machine run each shard has its own clock; a
-		// wedge is local to one shard, so name it and report its local
-		// trip time rather than implying a global stall.
-		where := ""
-		if in.Watchdog.Shard() != sim.NoShard {
-			where = fmt.Sprintf(" [shard %d, local time %v]",
-				in.Watchdog.Shard(), in.Watchdog.TrippedAt())
-		}
 		return Results{}, fmt.Errorf(
-			"core: watchdog%s: no forward progress over %v with packets in flight in %s/%s (%d/%d transactions at %v)\n%s",
-			where,
+			"core: watchdog: no forward progress over %v with packets in flight in %s/%s (%d/%d transactions at %v)\n%s",
 			sim.Time(in.faultCfg.WatchdogStale)*in.faultCfg.WatchdogInterval,
 			in.Params.Label(), in.Params.Workload.Name,
 			in.Collector.Completed(), in.Params.Transactions, in.Eng.Now(),

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"memnet/internal/energy"
+	"memnet/internal/fanout"
 	"memnet/internal/obs"
 	"memnet/internal/sim"
 )
@@ -21,53 +22,39 @@ const portSeedStride = 0x9e3779b97f4a7c15
 // statistically independent but the whole run stays reproducible.
 type MachineParams struct {
 	Base Params
-	// Shards is the number of worker goroutines advancing the port
-	// partitions (clamped to [1, ports]). Results are bit-identical for
-	// every value; 1 is the sequential fallback.
+	// Shards is the number of worker goroutines simulating ports
+	// (clamped to [1, ports]). Results are bit-identical for every
+	// value; 1 runs the ports one after another.
 	Shards int
 }
 
-// ShardLoad is one port shard's parallel-engine introspection record:
-// how much work the shard did, how it interacted with the cross-shard
-// machinery, and how long it idled at the final barrier. JSON tags match
-// the run-manifest schema's machine.shards entries.
+// ShardLoad is one port's load record in a whole-machine run: how much
+// work the port's simulation did and how long it idled waiting for the
+// slowest port. JSON tags match the run-manifest schema's
+// machine.shards entries.
 type ShardLoad struct {
-	// Shard is the shard index (= host port for machine runs).
+	// Shard is the host port index.
 	Shard int `json:"shard"`
-	// Events counts events fired on the shard's engine.
+	// Events counts events fired on the port's engine.
 	Events uint64 `json:"events"`
-	// Posts counts cross-shard events the shard sent.
-	Posts uint64 `json:"posts"`
-	// Merged counts cross-shard events drained into the shard.
-	Merged uint64 `json:"merged"`
-	// MaxInbox is the peak cross-shard inbox depth.
-	MaxInbox int `json:"max_inbox"`
-	// FinishPs is the shard engine's final clock, in picoseconds.
+	// FinishPs is the port's finish time, in picoseconds.
 	FinishPs int64 `json:"finish_ps"`
-	// BarrierWaitPs is how long the shard idled at the final barrier:
-	// the machine finish time minus the shard's own finish time.
+	// BarrierWaitPs is how long the port idled at the end of the run:
+	// the machine finish time minus the port's own finish time.
 	BarrierWaitPs int64 `json:"barrier_wait_ps"`
-	// LookaheadSlack is the shard's post-slack histogram (see
-	// sim.SlackHist); all-zero when the partition has no boundary
-	// channels.
-	LookaheadSlack sim.SlackHist `json:"lookahead_slack"`
 }
 
-// MachineRecord is the manifest's parallel-engine introspection block.
+// MachineRecord is the manifest's per-port load block.
 type MachineRecord struct {
-	// Ports is the number of host ports (= shards).
+	// Ports is the number of host ports.
 	Ports int `json:"ports"`
-	// Windows counts synchronization windows the engine executed.
-	Windows uint64 `json:"windows"`
-	// EventsPerWindow is total events over windows.
-	EventsPerWindow float64 `json:"events_per_window"`
-	// Shards holds the per-shard load records, in shard order.
+	// Shards holds the per-port load records, in port order.
 	Shards []ShardLoad `json:"shards"`
 }
 
 // MachineResults aggregates a whole-machine run.
 type MachineResults struct {
-	// PerPort holds each port's full Results, index = port = shard ID.
+	// PerPort holds each port's full Results, index = port.
 	PerPort []Results
 	// FinishTime is the machine's execution time: the slowest port.
 	FinishTime sim.Time
@@ -86,25 +73,40 @@ type MachineResults struct {
 	// every port finishes together, lower when load or faults skew one
 	// port's completion.
 	Fairness float64
-	// Windows counts the parallel engine's synchronization windows.
-	Windows uint64
-	// Shards holds the per-shard engine introspection, in shard order.
+	// Shards holds the per-port load records, in port order.
 	Shards []ShardLoad
 }
 
-// RunMachine builds one per-port simulation per host port, places each
-// on its own shard of a sim.Parallel engine, and runs them to
-// completion over MachineParams.Shards worker goroutines. The port
-// partitions are fully independent (no cross-shard channels), so this
-// is the infinite-lookahead case of the conservative engine and results
-// are bit-identical at every shard count.
+// portParams derives port i's simulation parameters from the machine's
+// base: a strided workload seed and, when faults are on, a strided
+// fault seed, so ports run decorrelated traffic and fault streams.
+func portParams(base Params, i int) Params {
+	p := base
+	p.Seed = base.Seed + uint64(i)*portSeedStride
+	if p.Fault != nil {
+		// Copy so the derived seed never mutates the caller's config.
+		fc := *p.Fault
+		if fc.Seed == 0 {
+			fc.Seed = 1
+		}
+		fc.Seed += uint64(i) * portSeedStride
+		p.Fault = &fc
+	}
+	return p
+}
+
+// RunMachine builds and runs one simulation per host port over
+// MachineParams.Shards worker goroutines, at most that many port
+// networks alive at once. The ports share nothing, so each is an
+// ordinary single-port run and results are bit-identical at every
+// worker count.
 func RunMachine(mp MachineParams) (MachineResults, error) {
 	base := mp.Base
 	if base.Record || base.TraceDepth > 0 {
 		return MachineResults{}, fmt.Errorf("core: machine runs do not support Record or TraceDepth (per-port traces would need a merge policy)")
 	}
 	if base.Obs.On() {
-		return MachineResults{}, fmt.Errorf("core: machine runs do not support telemetry yet (per-shard probe merge is per-port; use single-port runs)")
+		return MachineResults{}, fmt.Errorf("core: machine runs do not support telemetry yet (per-port probe merge is undefined; use single-port runs)")
 	}
 	if base.Spans.Enabled() {
 		return MachineResults{}, fmt.Errorf("core: machine runs do not support span tracing (per-port span files would need a merge policy; use single-port runs)")
@@ -114,46 +116,19 @@ func RunMachine(mp MachineParams) (MachineResults, error) {
 	}
 	ports := base.Sys.Ports
 
-	par := sim.NewParallel(ports)
-	insts := make([]*Instance, ports)
 	results := make([]Results, ports)
-	errs := make([]error, ports)
-	for i := 0; i < ports; i++ {
-		p := base
-		p.Seed = base.Seed + uint64(i)*portSeedStride
-		if p.Fault != nil {
-			// Copy so the derived seed never mutates the caller's config.
-			fc := *p.Fault
-			if fc.Seed == 0 {
-				fc.Seed = 1
-			}
-			fc.Seed += uint64(i) * portSeedStride
-			p.Fault = &fc
-		}
-		shard := par.Shard(i)
-		inst, err := buildOn(shard.Engine(), p)
+	err := fanout.Run(ports, max(mp.Shards, 1), func(i int) (Results, error) {
+		r, err := Simulate(portParams(base, i))
 		if err != nil {
-			return MachineResults{}, fmt.Errorf("core: machine: port %d: %w", i, err)
+			return Results{}, fmt.Errorf("core: machine: port %d: %w", i, err)
 		}
-		if inst.Watchdog != nil {
-			inst.Watchdog.SetShard(shard.ID())
-		}
-		insts[i] = inst
-		i := i
-		// Each port partition has no boundary channels, so its window is
-		// unbounded: the body runs the whole port simulation and is done.
-		shard.SetBody(func(_ *sim.Engine, _ sim.Time) bool {
-			//lint:sharded shard body: runs on the shard's own worker goroutine; slot i is not shared
-			results[i], errs[i] = inst.Run()
-			return true
-		})
-	}
-	par.Run(mp.Shards)
-
-	for i, err := range errs {
-		if err != nil {
-			return MachineResults{}, fmt.Errorf("core: machine: port %d: %w", i, err)
-		}
+		return r, nil
+	}, func(i int, r Results) error {
+		results[i] = r
+		return nil
+	})
+	if err != nil {
+		return MachineResults{}, err
 	}
 
 	mr := MachineResults{PerPort: results}
@@ -179,26 +154,20 @@ func RunMachine(mp MachineParams) (MachineResults, error) {
 		mr.MeanHops = hopW / float64(mr.Transactions)
 	}
 	mr.Fairness = obs.Jain(finish)
-	mr.Windows = par.Windows()
-	for i, st := range par.ShardStats() {
+	for i, r := range results {
 		mr.Shards = append(mr.Shards, ShardLoad{
-			Shard:          i,
-			Events:         st.Events,
-			Posts:          st.Posts,
-			Merged:         st.Merged,
-			MaxInbox:       st.MaxInbox,
-			FinishPs:       int64(results[i].FinishTime),
-			BarrierWaitPs:  int64(mr.FinishTime - results[i].FinishTime),
-			LookaheadSlack: st.Slack,
+			Shard:         i,
+			Events:        r.Events,
+			FinishPs:      int64(r.FinishTime),
+			BarrierWaitPs: int64(mr.FinishTime - r.FinishTime),
 		})
 	}
 	return mr, nil
 }
 
 // MachineManifest assembles the run manifest for a whole-machine run:
-// reproduction inputs, the aggregate results, and the parallel-engine
-// introspection record (per-shard load, barrier waits, lookahead-slack
-// histograms, events-per-window).
+// reproduction inputs, the aggregate results, and the per-port load
+// record (events, finish time, barrier wait).
 func MachineManifest(mp MachineParams, mr MachineResults) *obs.Manifest {
 	m := obs.NewManifest()
 	m.Label = mp.Base.Label()
@@ -206,14 +175,6 @@ func MachineManifest(mp MachineParams, mr MachineResults) *obs.Manifest {
 	m.Workload = mp.Base.Workload.Name
 	m.Config = mp.Base.Sys
 	m.Results = mr
-	rec := MachineRecord{
-		Ports:   len(mr.Shards),
-		Windows: mr.Windows,
-		Shards:  mr.Shards,
-	}
-	if mr.Windows > 0 {
-		rec.EventsPerWindow = float64(mr.Events) / float64(mr.Windows)
-	}
-	m.Machine = rec
+	m.Machine = MachineRecord{Ports: len(mr.Shards), Shards: mr.Shards}
 	return m
 }

@@ -204,8 +204,7 @@ func TestInvalidRepairRejectedAtBuild(t *testing.T) {
 
 // TestMachineShardsWithRepairs: a whole-machine run under an active
 // kill/repair/flap schedule stays byte-identical across worker counts —
-// the recovery path preserves the partitioned engine's determinism
-// contract.
+// the recovery path keeps the fan-out's determinism contract.
 func TestMachineShardsWithRepairs(t *testing.T) {
 	base := machineBase(t, topology.Ring, 400)
 	base.Fault = &fault.Config{

@@ -271,10 +271,10 @@ func TestTimelineInManifest(t *testing.T) {
 	}
 }
 
-// TestMachineManifestGauges: machine runs carry the parallel engine's
-// introspection (per-shard barrier wait, lookahead-slack histogram,
-// events per window) for every worker count, the record is identical
-// across -shards values, and the manifest validates.
+// TestMachineManifestGauges: machine runs carry a per-port load record
+// (events, finish time, barrier wait) for every worker count, the
+// record is identical across -shards values, and the manifest
+// validates.
 func TestMachineManifestGauges(t *testing.T) {
 	wl := kmeans(t)
 	base := Params{
@@ -295,12 +295,9 @@ func TestMachineManifestGauges(t *testing.T) {
 		if len(mr.Shards) != base.Sys.Ports {
 			t.Fatalf("shards=%d: %d shard records, want %d", shards, len(mr.Shards), base.Sys.Ports)
 		}
-		if mr.Windows == 0 {
-			t.Errorf("shards=%d: zero windows", shards)
-		}
 		var sawWait bool
 		for i, sl := range mr.Shards {
-			if sl.Shard != i || sl.Events == 0 || sl.FinishPs == 0 {
+			if sl.Shard != i || sl.Events != mr.PerPort[i].Events || sl.FinishPs != int64(mr.PerPort[i].FinishTime) || sl.FinishPs == 0 {
 				t.Errorf("shards=%d: degenerate shard record %+v", shards, sl)
 			}
 			if sl.BarrierWaitPs > 0 {
@@ -326,7 +323,7 @@ func TestMachineManifestGauges(t *testing.T) {
 			t.Errorf("machine manifest fails schema: %v\n%s", err, buf.String())
 		}
 		rec, ok := m.Machine.(MachineRecord)
-		if !ok || rec.Windows != mr.Windows || rec.EventsPerWindow <= 0 {
+		if !ok || rec.Ports != base.Sys.Ports || !reflect.DeepEqual(rec.Shards, mr.Shards) {
 			t.Errorf("machine record %+v inconsistent with results", m.Machine)
 		}
 	}

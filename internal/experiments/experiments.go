@@ -8,11 +8,11 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 
 	"memnet/internal/arb"
 	"memnet/internal/config"
 	"memnet/internal/core"
+	"memnet/internal/fanout"
 	"memnet/internal/topology"
 	"memnet/internal/workload"
 )
@@ -190,17 +190,11 @@ type pair struct {
 	wl  workload.Spec
 }
 
-// Warm executes all missing (cfg, workload) pairs concurrently and fills
-// the cache. Each simulation is an independent engine, so parallel
-// scheduling cannot change any result. The first error wins, and no
-// partial results are cached when any run fails.
-//
-// The pool is channel-fed: a dispatcher goroutine streams work into a
-// jobs channel, workers stream outcomes into a results channel, and the
-// calling goroutine alone merges them. Dispatch and result merging share
-// no lock, so a worker finishing a run never waits behind work handout
-// (and vice versa), which matters when many short simulations complete
-// in bursts.
+// Warm executes all missing (cfg, workload) pairs concurrently on
+// Options.Parallel workers and fills the cache. Each simulation is an
+// independent engine, so parallel scheduling cannot change any result.
+// The first failing pair in enumeration order wins, and no partial
+// results are cached when any run fails.
 func (r *Runner) Warm(cfgs []MNConfig, suite []workload.Spec) error {
 	var todo []pair
 	seen := map[runKey]bool{}
@@ -214,72 +208,23 @@ func (r *Runner) Warm(cfgs []MNConfig, suite []workload.Spec) error {
 			todo = append(todo, pair{cfg, wl})
 		}
 	}
-	if len(todo) == 0 {
+	results := make([]core.Results, len(todo))
+	err := fanout.Run(len(todo), r.Opts.Parallel, func(i int) (core.Results, error) {
+		p := todo[i]
+		res, err := r.simulate(r.params(p.cfg, p.wl))
+		if err != nil {
+			err = fmt.Errorf("%s/%s: %w", p.cfg.Label(), p.wl.Name, err)
+		}
+		return res, err
+	}, func(i int, res core.Results) error {
+		results[i] = res
 		return nil
+	})
+	if err != nil {
+		return err
 	}
-	workers := r.Opts.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-
-	type outcome struct {
-		key runKey
-		res core.Results
-		err error
-	}
-	jobs := make(chan pair)
-	results := make(chan outcome)
-	abort := make(chan struct{}) // closed on first error: stops dispatch
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := range jobs {
-				res, err := r.simulate(r.params(p.cfg, p.wl))
-				if err != nil {
-					err = fmt.Errorf("%s/%s: %w", p.cfg.Label(), p.wl.Name, err)
-				}
-				results <- outcome{key: r.key(p.cfg, p.wl), res: res, err: err}
-			}
-		}()
-	}
-	go func() { // dispatcher
-		defer close(jobs)
-		for _, p := range todo {
-			select {
-			case jobs <- p:
-			case <-abort:
-				return
-			}
-		}
-	}()
-	go func() { // close results once all workers drain
-		wg.Wait()
-		close(results)
-	}()
-
-	var firstErr error
-	done := make(map[runKey]core.Results, len(todo))
-	for o := range results {
-		if o.err != nil {
-			if firstErr == nil {
-				firstErr = o.err
-				close(abort)
-			}
-			continue
-		}
-		done[o.key] = o.res
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	for k, v := range done {
-		r.cache[k] = v
+	for i, p := range todo {
+		r.cache[r.key(p.cfg, p.wl)] = results[i]
 	}
 	return nil
 }

@@ -1,8 +1,8 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast
 // function bodies and solves forward/backward dataflow problems on
 // them, using only the standard library. It is the engine under
-// mnlint's semantic analyzers (creditflow, lookahead, fsmcheck, and
-// the rewritten poolcheck): where the original analyzers reasoned in
+// mnlint's semantic analyzers (creditflow, fsmcheck, and the
+// rewritten poolcheck): where the original analyzers reasoned in
 // source order, these reason over paths — a credit consumed on one
 // branch and returned only on another is exactly the class of bug a
 // source-order walk cannot see.

@@ -1,17 +1,17 @@
 // Package sharedstate implements the mnlint analyzer that guards the
-// partitioned parallel engine's ownership discipline in internal/sim
-// and internal/core.
+// ownership discipline of code that runs on fan-out workers:
+// internal/sim, internal/core, and the internal/fanout pool itself.
 //
-// The parallel engine runs each shard's events on its own goroutine;
-// correctness rests on every piece of mutable state being owned by
-// exactly one shard, with cross-shard communication going through the
-// engine's inbox/channel machinery. Two static patterns break that
-// discipline:
+// Whole-machine runs, experiment warm-up, and campaign shards run many
+// independent simulations at once, one per fanout worker goroutine;
+// their results stay bit-identical only while every piece of mutable
+// state belongs to exactly one simulation, with results handed back
+// over the pool's channel. Two static patterns break that discipline:
 //
 //   - writes to package-level variables: global mutable state is
-//     reachable from every shard at once, so any runtime write is a
-//     data race waiting for a second shard (writes from init functions
-//     are allowed — they happen before any goroutine starts);
+//     reachable from every worker at once, so any runtime write is a
+//     data race waiting for a second simulation (writes from init
+//     functions are allowed — they happen before any goroutine starts);
 //
 //   - non-channel cross-goroutine access: a goroutine body (a function
 //     literal under a `go` statement, including nested literals) that
@@ -19,8 +19,7 @@
 //     memory instead of communicating. Channel sends/receives are the
 //     sanctioned hand-off and are not flagged.
 //
-// Deliberately synchronized state — a mutex-guarded inbox, a
-// barrier-ordered slice slot — carries a //lint:sharded annotation
+// Deliberately synchronized state carries a //lint:sharded annotation
 // naming the discipline that makes it safe.
 package sharedstate
 
@@ -37,18 +36,22 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "sharedstate",
 	Doc: "flag unguarded package-level writes and non-channel cross-goroutine " +
-		"access in internal/sim and internal/core (annotate //lint:sharded <reason>)",
+		"access in internal/sim, internal/core and internal/fanout (annotate //lint:sharded <reason>)",
 	Run: run,
 }
 
 // shardPackage reports whether the import path names one of the
-// packages running under the partitioned engine's ownership rules:
-// memnet/internal/sim or memnet/internal/core (or subpackages).
+// packages running under the fan-out ownership rules:
+// memnet/internal/sim, memnet/internal/core, or memnet/internal/fanout
+// (or subpackages).
 func shardPackage(path string) bool {
 	segs := strings.Split(path, "/")
 	for i, s := range segs {
-		if s == "internal" && i+1 < len(segs) && (segs[i+1] == "sim" || segs[i+1] == "core") {
-			return true
+		if s == "internal" && i+1 < len(segs) {
+			switch segs[i+1] {
+			case "sim", "core", "fanout":
+				return true
+			}
 		}
 	}
 	return false
@@ -67,8 +70,8 @@ func run(pass *analysis.Pass) (any, error) {
 }
 
 // checkGlobalWrites flags every runtime write to a package-level
-// variable. Writes inside init functions run before any shard goroutine
-// exists and are exempt.
+// variable. Writes inside init functions run before any worker
+// goroutine exists and are exempt.
 func checkGlobalWrites(pass *analysis.Pass, dirs *lintutil.Directives, f *ast.File) {
 	for _, decl := range f.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
@@ -108,7 +111,7 @@ func reportIfGlobal(pass *analysis.Pass, dirs *lintutil.Directives, lhs ast.Expr
 		return
 	}
 	pass.Reportf(lhs.Pos(),
-		"write to package-level variable %s: global mutable state is shared across shard goroutines; make it per-instance or annotate //lint:sharded <reason>",
+		"write to package-level variable %s: global mutable state is shared across worker goroutines; make it per-instance or annotate //lint:sharded <reason>",
 		id.Name)
 }
 

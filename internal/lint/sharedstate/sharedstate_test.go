@@ -11,6 +11,7 @@ func TestSharedState(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), sharedstate.Analyzer,
 		"memnet/internal/sim/ss",
 		"memnet/internal/core/cs",
+		"memnet/internal/fanout/fo",
 		"example.com/notsim",
 	)
 }

@@ -9,7 +9,7 @@ import (
 
 // ManifestSchema identifies the manifest layout; bump on breaking
 // changes. The checked-in manifest.schema.json validates this version.
-const ManifestSchema = "memnet/run-manifest/v1"
+const ManifestSchema = "memnet/run-manifest/v2"
 
 // Manifest is the machine-readable record of one simulation run:
 // everything needed to reproduce it (config, seed, toolchain, git ref)
@@ -42,9 +42,9 @@ type Manifest struct {
 	// Timeline is the caller-typed recovery timeline: scheduled fault and
 	// repair events with retrain windows and per-direction healed bits.
 	Timeline any `json:"timeline,omitempty"`
-	// Machine is the caller-typed parallel-engine introspection record
-	// for per-machine runs: per-shard barrier wait, lookahead-slack
-	// histograms, cross-shard inbox depth, and events-per-window gauges.
+	// Machine is the caller-typed per-port load record of a
+	// whole-machine run: each port's events, finish time, and barrier
+	// wait.
 	Machine any `json:"machine,omitempty"`
 
 	// SampleIntervalPs is the sampler period in picoseconds (0 = off).

@@ -239,10 +239,24 @@ func TestSchemaValidator(t *testing.T) {
 		}
 	}
 	// The embedded manifest schema parses and validates a minimal doc.
-	if err := ValidateManifestJSON([]byte(`{"schema":"memnet/run-manifest/v1","seed":1}`)); err != nil {
+	if err := ValidateManifestJSON([]byte(`{"schema":"memnet/run-manifest/v2","seed":1}`)); err != nil {
 		t.Errorf("minimal manifest rejected: %v", err)
 	}
 	if err := ValidateManifestJSON([]byte(`{"seed":1}`)); err == nil {
 		t.Error("manifest missing schema accepted")
+	}
+	// v2 machine blocks carry ports plus per-port events, finish time,
+	// and barrier wait; the v1 engine gauges are rejected.
+	machine := `{"schema":"memnet/run-manifest/v2","seed":1,"machine":{"ports":1,"shards":[{"shard":0,"events":9,"finish_ps":5,"barrier_wait_ps":0}]}}`
+	if err := ValidateManifestJSON([]byte(machine)); err != nil {
+		t.Errorf("v2 machine block rejected: %v", err)
+	}
+	for _, v1 := range []string{
+		`{"schema":"memnet/run-manifest/v2","seed":1,"machine":{"ports":1,"windows":1,"shards":[]}}`,
+		`{"schema":"memnet/run-manifest/v2","seed":1,"machine":{"ports":1,"shards":[{"shard":0,"events":9,"lookahead_slack":[0]}]}}`,
+	} {
+		if err := ValidateManifestJSON([]byte(v1)); err == nil {
+			t.Errorf("v1 machine gauge accepted: %s", v1)
+		}
 	}
 }

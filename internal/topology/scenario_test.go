@@ -154,92 +154,3 @@ func TestExportScenarioValidates(t *testing.T) {
 		t.Fatalf("exported scenario does not decode: %v", err)
 	}
 }
-
-// TestPartitionScenarioInvariants re-runs the partitioner's cover and
-// cut-symmetry invariants on scenario-loaded irregular graphs — the
-// built-in-kind sweeps above cannot reach these shapes.
-func TestPartitionScenarioInvariants(t *testing.T) {
-	specs := map[string]func() *scenario.Spec{
-		"two-pod": twoPodSpec,
-		"hub": func() *scenario.Spec {
-			// A hub-and-spoke with an interface chip: host - iface,
-			// iface fans out to 5 cubes (over the cube port budget, so
-			// only an iface can sit at the hub).
-			s := &scenario.Spec{Schema: scenario.Schema, Name: "hub"}
-			s.Nodes = append(s.Nodes, scenario.Node{Name: "hub", Kind: "iface"})
-			s.Links = append(s.Links, scenario.Link{A: "host", B: "hub"})
-			for _, c := range []string{"c0", "c1", "c2", "c3", "c4"} {
-				s.Nodes = append(s.Nodes, scenario.Node{Name: c})
-				s.Links = append(s.Links, scenario.Link{A: "hub", B: c, Interposer: true})
-			}
-			return s
-		},
-	}
-	for name, mk := range specs {
-		for _, k := range []int{1, 2, 3} {
-			g, err := BuildScenario(mk())
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			p, err := PartitionRegions(g, k)
-			if err != nil {
-				t.Fatalf("%s k=%d: %v", name, k, err)
-			}
-			// Cover: every node in exactly one region, cubes balanced,
-			// host in region 0.
-			counts := make([]int, k)
-			for _, n := range g.Nodes {
-				r := p.RegionOf(n.ID)
-				if r < 0 || r >= k {
-					t.Fatalf("%s k=%d: node %d in region %d", name, k, n.ID, r)
-				}
-				if n.Kind == Cube {
-					counts[r]++
-				}
-			}
-			min, max := counts[0], counts[0]
-			for _, c := range counts[1:] {
-				if c < min {
-					min = c
-				}
-				if c > max {
-					max = c
-				}
-			}
-			if min == 0 || max-min > 1 {
-				t.Errorf("%s k=%d: unbalanced cube counts %v", name, k, counts)
-			}
-			if p.RegionOf(packet.HostNode) != 0 {
-				t.Errorf("%s k=%d: host not in region 0", name, k)
-			}
-			// Symmetry: each cut edge appears exactly twice, mirrored;
-			// intra-region edges never appear.
-			views := map[int][]BoundaryEdge{}
-			for s := 0; s < k; s++ {
-				for _, be := range p.Cut(s) {
-					if be.LocalRegion != s || p.RegionOf(be.Local) != s {
-						t.Fatalf("%s k=%d: cut entry %+v in wrong view", name, k, be)
-					}
-					views[be.Edge] = append(views[be.Edge], be)
-				}
-			}
-			for ei, e := range g.Edges {
-				vs := views[ei]
-				if p.RegionOf(e.A) == p.RegionOf(e.B) {
-					if len(vs) != 0 {
-						t.Errorf("%s k=%d: intra-region edge %d in a cut", name, k, ei)
-					}
-					continue
-				}
-				if len(vs) != 2 {
-					t.Fatalf("%s k=%d: cut edge %d appears %d times", name, k, ei, len(vs))
-				}
-				a, b := vs[0], vs[1]
-				if a.Local != b.Remote || a.Remote != b.Local ||
-					a.LocalRegion != b.RemoteRegion || a.RemoteRegion != b.LocalRegion {
-					t.Errorf("%s k=%d: cut edge %d views not mirrored", name, k, ei)
-				}
-			}
-		}
-	}
-}

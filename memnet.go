@@ -358,10 +358,10 @@ type Config struct {
 	Spans *SpanConfig
 	// Tuning overrides the microarchitectural tuning (nil = defaults).
 	Tuning *Tuning
-	// Shards sets the worker-goroutine count for RunMachine's
-	// partitioned engine (clamped to [1, System.Ports]). Results are
-	// bit-identical at every value; 1 is the sequential fallback. Run
-	// and Build ignore it — a single port's network is one partition.
+	// Shards sets the number of worker goroutines RunMachine simulates
+	// ports on (clamped to [1, System.Ports]). Results are bit-identical
+	// at every value; 1 runs the ports one after another. Run and Build
+	// ignore it — they simulate one port.
 	Shards int
 }
 
@@ -478,7 +478,7 @@ func Run(c Config) (Results, error) {
 type MachineResults = core.MachineResults
 
 // MachineManifest assembles the run manifest for a whole-machine run,
-// including the parallel-engine introspection record.
+// including the per-port load record.
 func MachineManifest(c Config, mr MachineResults) (*RunManifest, error) {
 	p, err := c.params()
 	if err != nil {
@@ -488,15 +488,14 @@ func MachineManifest(c Config, mr MachineResults) (*RunManifest, error) {
 }
 
 // RunMachine simulates the whole machine — one memory network per host
-// port (System.Ports of them, the paper's §2.3 partitioning) — on the
-// partitioned parallel engine, using Config.Shards worker goroutines.
-// Per-port workload seeds are derived from Config.Seed (port 0 keeps
+// port (System.Ports of them, the paper's §2.3 partitioning) — building
+// and running the ports on Config.Shards worker goroutines. Per-port
+// workload and fault seeds are derived from Config.Seed (port 0 keeps
 // it, so PerPort[0] equals Run of the same Config). Results are
 // bit-identical for every Shards value. Record, TraceDepth, Telemetry,
 // and Spans are rejected: their outputs have no defined cross-port
-// merge yet. MachineResults carries the parallel engine's introspection
-// record (per-shard load, barrier waits, lookahead-slack histograms);
-// MachineManifest serializes it.
+// merge yet. MachineResults carries a per-port load record (events,
+// finish time, barrier wait); MachineManifest serializes it.
 func RunMachine(c Config) (MachineResults, error) {
 	p, err := c.params()
 	if err != nil {

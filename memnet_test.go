@@ -217,33 +217,40 @@ func TestMigrationPublic(t *testing.T) {
 	}
 }
 
-func TestRunSystem(t *testing.T) {
+// TestRunMachineSystem checks the whole-machine aggregates against the
+// paper's disjoint-port argument (§2.3): eight statistically identical
+// ports, the machine finishing with its slowest one.
+func TestRunMachineSystem(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Transactions = 1200
-	sr, err := RunSystem(cfg)
+	cfg.Shards = 2
+	mr, err := RunMachine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sr.PerPort) != 8 {
-		t.Fatalf("ports = %d", len(sr.PerPort))
+	if len(mr.PerPort) != 8 {
+		t.Fatalf("ports = %d", len(mr.PerPort))
 	}
-	// The system finishes with its slowest port.
-	for _, r := range sr.PerPort {
-		if r.FinishTime > sr.FinishTime {
-			t.Fatal("finish not the max")
-		}
+	// The machine finishes with its slowest port.
+	minFin, maxFin := mr.PerPort[0].FinishTime, mr.PerPort[0].FinishTime
+	for _, r := range mr.PerPort {
+		minFin, maxFin = min(minFin, r.FinishTime), max(maxFin, r.FinishTime)
+	}
+	if mr.FinishTime != maxFin {
+		t.Fatalf("finish %v is not the slowest port's %v", mr.FinishTime, maxFin)
 	}
 	// Ports are statistically identical: the paper's disjoint-slice
 	// argument predicts a small finish-time spread.
-	if sr.Spread > 0.15 {
-		t.Fatalf("port spread %.2f too large for symmetric ports", sr.Spread)
+	if spread := float64(maxFin)/float64(minFin) - 1; spread > 0.15 {
+		t.Fatalf("port spread %.2f too large for symmetric ports", spread)
 	}
-	if sr.MeanLatency <= 0 || sr.TotalEnergyPJ <= 0 {
-		t.Fatal("aggregates not populated")
+	if mr.MeanLatency <= 0 || mr.Energy.TotalPJ() <= 0 || mr.Transactions != 8*cfg.Transactions ||
+		mr.Events == 0 || mr.MeanHops <= 0 || mr.Fairness <= 0 {
+		t.Fatalf("aggregates not populated: %+v", mr)
 	}
 	// Energy is roughly 8x a single port's.
-	single := sr.PerPort[0].Energy.TotalPJ()
-	if sr.TotalEnergyPJ < 6*single || sr.TotalEnergyPJ > 10*single {
-		t.Fatalf("system energy %.0f vs single %.0f", sr.TotalEnergyPJ, single)
+	total, single := mr.Energy.TotalPJ(), mr.PerPort[0].Energy.TotalPJ()
+	if total < 6*single || total > 10*single {
+		t.Fatalf("machine energy %.0f vs single %.0f", total, single)
 	}
 }

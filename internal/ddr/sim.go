@@ -16,7 +16,7 @@ import (
 // point-to-point links — serializes every data transfer in the channel.
 type ChannelSim struct {
 	ch    Channel
-	banks []*mem.Bank
+	banks []mem.Bank
 	bus   sim.Resource
 	beat  sim.Time // data-bus occupancy per 64B access
 
@@ -37,10 +37,9 @@ func NewChannelSim(ch Channel, banksPerDIMM int) (*ChannelSim, error) {
 		return nil, fmt.Errorf("ddr: non-positive banks per DIMM")
 	}
 	timing := config.Default().DRAMTiming
-	cs := &ChannelSim{ch: ch}
-	for i := 0; i < ch.DPC*banksPerDIMM; i++ {
-		cs.banks = append(cs.banks, mem.NewBank(config.DRAM, timing,
-			sim.Time(i)*131*sim.Nanosecond))
+	cs := &ChannelSim{ch: ch, banks: make([]mem.Bank, ch.DPC*banksPerDIMM)}
+	for i := range cs.banks {
+		cs.banks[i] = mem.NewBank(config.DRAM, timing, sim.Time(i)*131*sim.Nanosecond)
 	}
 	// 64 bytes over the channel's peak bandwidth (bw is GB/s).
 	cs.beat = sim.BitTime(64*8, int64(bw*8e9))

@@ -53,9 +53,10 @@ type Bank struct {
 
 // NewBank returns a bank of the given technology. refreshOffset staggers
 // the bank's refresh phase so that banks of a cube do not refresh in
-// lockstep; it is ignored for technologies without refresh.
-func NewBank(tech config.MemTech, timing config.MemTiming, refreshOffset sim.Time) *Bank {
-	b := &Bank{timing: timing, tech: tech, openRow: -1}
+// lockstep; it is ignored for technologies without refresh. It returns
+// a value so a controller can keep its banks in one []Bank.
+func NewBank(tech config.MemTech, timing config.MemTiming, refreshOffset sim.Time) Bank {
+	b := Bank{timing: timing, tech: tech, openRow: -1}
 	if timing.RefInterval > 0 {
 		b.nextRefresh = refreshOffset % timing.RefInterval
 		if b.nextRefresh == 0 {

@@ -201,7 +201,8 @@ func TestBusyTimeAccounting(t *testing.T) {
 }
 
 func TestTechAccessor(t *testing.T) {
-	if NewBank(config.NVM, nvmTiming(), 0).Tech() != config.NVM {
+	b := NewBank(config.NVM, nvmTiming(), 0)
+	if b.Tech() != config.NVM {
 		t.Fatal("tech accessor")
 	}
 }

@@ -33,31 +33,39 @@ type event struct {
 // parallelism, when wanted, is obtained by running independent Engines
 // (e.g. one per memory port, or one per benchmark configuration).
 //
-// Internally the engine keeps two structures:
-//
-//   - a hand-rolled 4-ary min-heap over a flat []event slice, ordered by
-//     (time, seq). Compared with container/heap this removes the
-//     interface{} boxing on every Push/Pop and the heap.Interface method
-//     indirection, and the shallower tree halves the sift depth for the
-//     queue sizes simulations reach. Popped and vacated slots are zeroed
-//     so captured closures and packets stay GC-able.
+// Internally the engine keeps three structures:
 //
 //   - a zero-delay FIFO "fast lane" (a ring buffer) holding events
 //     scheduled for the current instant. Same-timestamp follow-on events
 //     — the dominant pattern in router/link/vault handoffs — enqueue and
-//     dequeue in O(1) without touching the heap at all.
+//     dequeue in O(1).
 //
-// The two structures preserve the global (time, seq) firing order: any
-// heap event at the current instant was necessarily scheduled before time
-// advanced to that instant, hence carries a smaller seq than every lane
-// event (which was scheduled at the instant itself), so the heap is
-// drained of current-time events before the lane.
+//   - a timing wheel (see wheel.go) holding future events within about
+//     524 ns of the clock: 1024 slots of 512 ps, each a linked list in
+//     (time, seq) order, with an occupancy bitmap to find the next
+//     non-empty slot. Nearly every link, router and bank delay lands
+//     here, and insert and pop are O(1).
+//
+//   - an overflow 4-ary min-heap over a flat []event slice, ordered by
+//     (time, seq), for events beyond the wheel's horizon and for the rare
+//     out-of-order insert that would walk more than maxWalk nodes of a
+//     slot.
+//
+// A future event is popped from whichever of the wheel's earliest slot
+// head and the heap top is smaller by (time, seq), so the firing order is
+// exactly the (time, seq) sort of everything scheduled. Any future event
+// at the current instant was scheduled before time advanced to that
+// instant, hence carries a smaller seq than every lane event (scheduled
+// at the instant itself), so it fires before the lane; checking for one
+// looks only at the head of now's slot and the heap top. Popped and
+// vacated slots are zeroed so captured closures and packets stay
+// GC-able.
 type Engine struct {
 	now   Time
 	seq   uint64
 	fired uint64
 
-	// heap is the 4-ary min-heap: children of i are 4i+1..4i+4.
+	// heap is the 4-ary overflow min-heap: children of i are 4i+1..4i+4.
 	heap []event
 
 	// lane is the zero-delay ring buffer; capacity is a power of two.
@@ -75,6 +83,11 @@ type Engine struct {
 	probeEvery Time
 	probeAt    Time
 	inProbe    bool
+
+	// wheel holds future events within one horizon of now. It is last
+	// so its 8 KB of slot heads do not split the fields above across
+	// distant cache lines.
+	wheel wheel
 }
 
 // NewEngine returns an engine with its clock at time zero.
@@ -88,7 +101,7 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.heap) + e.laneLen }
+func (e *Engine) Pending() int { return e.wheel.n + len(e.heap) + e.laneLen }
 
 // Schedule arranges for fn to run after delay. A zero delay schedules the
 // event at the current time; it will still run after the currently
@@ -106,7 +119,7 @@ func (e *Engine) At(t Time, fn Handler) {
 	if fn == nil {
 		panic("sim: nil handler")
 	}
-	e.enqueue(t, event{fn: fn})
+	e.enqueue(t, fn, nil, nil)
 }
 
 // ScheduleArg is Schedule for a bound ArgHandler: fn(arg) runs after
@@ -124,7 +137,7 @@ func (e *Engine) AtArg(t Time, fn ArgHandler, arg any) {
 	if fn == nil {
 		panic("sim: nil handler")
 	}
-	e.enqueue(t, event{afn: fn, arg: arg})
+	e.enqueue(t, nil, fn, arg)
 }
 
 // SetProbe arms fn to run at every multiple of every that the clock
@@ -161,8 +174,9 @@ func (e *Engine) runProbe(upTo Time) {
 }
 
 // enqueue stamps the sequence number and routes the event to the fast
-// lane (same-instant) or the heap (future).
-func (e *Engine) enqueue(t Time, ev event) {
+// lane (same-instant), the wheel (future, within the horizon) or the
+// overflow heap. The event is written straight into the slot it gets.
+func (e *Engine) enqueue(t Time, fn Handler, afn ArgHandler, arg any) {
 	if e.inProbe {
 		panic("sim: scheduling from inside a probe")
 	}
@@ -170,30 +184,39 @@ func (e *Engine) enqueue(t Time, ev event) {
 		panic(fmt.Sprintf("sim: scheduling in the past: %v < now %v", t, e.now))
 	}
 	e.seq++
-	ev.seq = e.seq
-	ev.at = t
-	if t == e.now {
-		e.lanePush(ev)
+	var slot *event
+	switch {
+	case t == e.now:
+		slot = e.laneSlot()
+	case inHorizon(e.now, t):
+		slot = e.wheel.push(t)
+	}
+	if slot == nil {
+		e.heapPush(event{at: t, seq: e.seq, fn: fn, afn: afn, arg: arg})
 		return
 	}
-	e.heapPush(ev)
+	// Field by field: the slot is zero, and a composite literal would be
+	// built on the stack and copied with wider loads than its stores.
+	slot.at, slot.seq = t, e.seq
+	slot.fn, slot.afn, slot.arg = fn, afn, arg
 }
 
 // Step executes the single earliest pending event and returns true, or
 // returns false if the queue is empty.
 func (e *Engine) Step() bool {
+	// The pops copy the event into ev rather than return it: a returned
+	// event comes back in registers and is spilled and reloaded with
+	// wider loads, a store-forwarding stall on every event.
 	var ev event
 	switch {
 	case e.laneLen > 0:
-		// Heap events at the current instant predate (smaller seq) every
-		// lane event; drain them first.
-		if len(e.heap) > 0 && e.heap[0].at == e.now {
-			ev = e.heapPop()
+		if e.dueNow() {
+			e.popFuture(&ev)
 		} else {
-			ev = e.lanePop()
+			e.lanePop(&ev)
 		}
-	case len(e.heap) > 0:
-		ev = e.heapPop()
+	case e.wheel.n > 0 || len(e.heap) > 0:
+		e.popFuture(&ev)
 		if e.probe != nil && ev.at >= e.probeAt {
 			e.runProbe(ev.at)
 		}
@@ -208,6 +231,33 @@ func (e *Engine) Step() bool {
 		ev.afn(ev.arg)
 	}
 	return true
+}
+
+// dueNow reports whether a future event is due at the current instant.
+// Such an event predates (smaller seq) every lane event, so it fires
+// first. If there is one, it heads now's slot or tops the heap: the
+// check is O(1) and never scans the wheel.
+func (e *Engine) dueNow() bool {
+	if h := e.wheel.head(slotOf(e.now)); h != nil && h.at == e.now {
+		return true
+	}
+	return len(e.heap) > 0 && e.heap[0].at == e.now
+}
+
+// popFuture pops the earliest future event into ev: the head of the
+// wheel's first occupied slot or the heap top, whichever is smaller by
+// (time, seq).
+func (e *Engine) popFuture(ev *event) {
+	if e.wheel.n == 0 {
+		e.heapPop(ev)
+		return
+	}
+	s := e.wheel.first(e.now)
+	if len(e.heap) > 0 && e.heap[0].before(e.wheel.head(s)) {
+		e.heapPop(ev)
+		return
+	}
+	e.wheel.pop(s, ev)
 }
 
 // Run executes events until the queue drains.
@@ -238,7 +288,10 @@ func (e *Engine) nextAt(deadline Time) bool {
 	if e.laneLen > 0 {
 		return e.now <= deadline
 	}
-	return len(e.heap) > 0 && e.heap[0].at <= deadline
+	if len(e.heap) > 0 && e.heap[0].at <= deadline {
+		return true
+	}
+	return e.wheel.n > 0 && e.wheel.head(e.wheel.first(e.now)).at <= deadline
 }
 
 // RunWhile executes events while cond() remains true and events remain.
@@ -253,7 +306,7 @@ func (e *Engine) RunWhile(cond func() bool) bool {
 	return true
 }
 
-// --- 4-ary min-heap over a flat slice --------------------------------
+// --- overflow 4-ary min-heap over a flat slice -----------------------
 
 // before reports heap ordering by (time, seq).
 func (a *event) before(b *event) bool {
@@ -279,12 +332,12 @@ func (e *Engine) heapPush(ev event) {
 	h[i] = ev
 }
 
-// heapPop removes and returns the minimum event. The vacated tail slot is
+// heapPop removes the minimum event into top. The vacated tail slot is
 // zeroed so the popped event's closure (and anything it captures) does
 // not linger in the slice's spare capacity.
-func (e *Engine) heapPop() event {
+func (e *Engine) heapPop(top *event) {
 	h := e.heap
-	top := h[0]
+	*top = h[0]
 	n := len(h) - 1
 	last := h[n]
 	h[n] = event{}
@@ -292,7 +345,6 @@ func (e *Engine) heapPop() event {
 	if n > 0 {
 		e.siftDown(last)
 	}
-	return top
 }
 
 // siftDown places ev starting from the root, moving smaller children up
@@ -327,20 +379,21 @@ func (e *Engine) siftDown(ev event) {
 
 // --- zero-delay fast lane (ring buffer) ------------------------------
 
-func (e *Engine) lanePush(ev event) {
+// laneSlot appends an empty slot to the ring and returns it.
+func (e *Engine) laneSlot() *event {
 	if e.laneLen == len(e.lane) {
 		e.laneGrow()
 	}
-	e.lane[(e.laneHead+e.laneLen)&(len(e.lane)-1)] = ev
+	ev := &e.lane[(e.laneHead+e.laneLen)&(len(e.lane)-1)]
 	e.laneLen++
+	return ev
 }
 
-func (e *Engine) lanePop() event {
-	ev := e.lane[e.laneHead]
+func (e *Engine) lanePop(ev *event) {
+	*ev = e.lane[e.laneHead]
 	e.lane[e.laneHead] = event{} // keep the fired closure GC-able
 	e.laneHead = (e.laneHead + 1) & (len(e.lane) - 1)
 	e.laneLen--
-	return ev
 }
 
 // laneGrow doubles the ring (minimum 16 slots), unrolling it to the

@@ -2,9 +2,11 @@ package sim
 
 import "testing"
 
-// BenchmarkHeapChurn exercises the 4-ary heap with a standing population
-// of future events: every fired event schedules a replacement at a
-// pseudo-random future offset, so each op is one pop + one push at depth.
+// BenchmarkHeapChurn keeps a standing population of future events: every
+// fired event schedules a replacement at a pseudo-random future offset,
+// so each op is one pop + one push at depth. Its 1–1000 ps offsets crowd
+// one or two wheel slots, so at depth most inserts overflow into the
+// 4-ary heap: this measures the fallback path.
 func BenchmarkHeapChurn(b *testing.B) {
 	for _, depth := range []int{16, 256, 4096} {
 		b.Run(benchName(depth), func(b *testing.B) {
@@ -47,7 +49,7 @@ func benchName(depth int) string {
 }
 
 // BenchmarkFastLane measures the zero-delay path: each event schedules a
-// same-instant follow-on, which must bypass the heap entirely.
+// same-instant follow-on, which must bypass the wheel and heap entirely.
 func BenchmarkFastLane(b *testing.B) {
 	b.ReportAllocs()
 	eng := NewEngine()
@@ -115,5 +117,40 @@ func BenchmarkMixedLoad(b *testing.B) {
 	for i := 0; i < 32 && i < b.N; i++ {
 		eng.Schedule(Time(i+1), hop)
 	}
+	eng.Run()
+}
+
+// BenchmarkSimulatorDelays replays the delay mix of a recorded
+// 300k-transaction tree run: 41% of events are zero-delay handoffs and
+// the rest land 256 ps–131 ns ahead, with 32 events pending. Each fired
+// event schedules one replacement, so every op is one pop and one push.
+// The other benchmarks use 1–1000 ps delays, which crowd one or two
+// wheel slots; this one spreads events over the wheel as a real run does.
+func BenchmarkSimulatorDelays(b *testing.B) {
+	b.ReportAllocs()
+	var delays [1024]Time
+	rng := uint64(1)
+	for i := range delays {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		if rng%100 < 41 {
+			continue // zero delay: the fast lane
+		}
+		delays[i] = 256 + Time(rng>>8%(131_000-256))
+	}
+	eng := NewEngine()
+	n := 0
+	var fn func()
+	fn = func() {
+		n++
+		if n < b.N {
+			eng.Schedule(delays[n&(len(delays)-1)], fn)
+		}
+	}
+	for i := 0; i < 32; i++ {
+		eng.Schedule(delays[i], fn)
+	}
+	b.ResetTimer()
 	eng.Run()
 }

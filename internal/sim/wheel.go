@@ -1,0 +1,161 @@
+package sim
+
+import "math/bits"
+
+// Timing-wheel geometry. A recorded 300k-transaction tree run (11.4M
+// events) has 41% zero-delay events, which the fast lane takes; of the
+// rest, 99.96% are 256 ps–131 ns ahead (SerDes flits, crossbar hops,
+// DRAM timings), only 11 are below 256 ps, and none reaches 262 ns.
+// 512 ps slots spread that mix over a few hundred slots, each holding an
+// event or two, and 1024 of them give a ~524 ns horizon. Longer delays —
+// fault plans, watchdog ticks, migration epochs, PCM write tails — go to
+// the overflow heap.
+const (
+	slotShift    = 9
+	slotWidth    = Time(1) << slotShift // 512 ps
+	numSlots     = 1024
+	slotMask     = numSlots - 1
+	wheelHorizon = numSlots * slotWidth // 524,288 ps
+
+	// maxWalk bounds how many nodes an out-of-order insert may step over
+	// in one slot before the event goes to the overflow heap instead. An
+	// unbounded walk turns a slot crowded with out-of-order times into a
+	// linear list: BenchmarkHeapChurn at depth 4096 took 8.5 µs per op.
+	maxWalk = 8
+)
+
+// wnode is one wheel event, threaded into its slot's list by index into
+// the node slab. Index 0 is the nil link.
+type wnode struct {
+	ev   event
+	next int32
+}
+
+// wheel holds future events whose slot lies within numSlots of the
+// clock's slot. Each slot is a singly linked list in (at, seq) order;
+// occ has one bit per non-empty slot. The zero value is an empty wheel.
+type wheel struct {
+	n int // events held
+	// nodes is the slab every slot list lives in; nodes[0] is unused so
+	// a zero index means "none". Freed nodes form a list through next.
+	nodes []wnode
+	free  int32
+	occ   [numSlots / 64]uint64
+	slots [numSlots]struct{ head, tail int32 }
+}
+
+// slotOf maps a time to its wheel slot.
+func slotOf(t Time) int { return int(t>>slotShift) & slotMask }
+
+// inHorizon reports whether t's slot lies within one wheel turn of
+// now's. Since now only grows and every pending event is at or after
+// it, all wheel events then occupy distinct absolute slots: no slot ever
+// mixes two turns of the wheel.
+func inHorizon(now, t Time) bool { return t>>slotShift-now>>slotShift < numSlots }
+
+// push links a node for a new event at time t into t's slot and
+// returns the node's event for the caller to fill. The new event's seq
+// is larger than that of every pending event, so its (at, seq) place is
+// after every node with the same time: push appends at the slot tail
+// when t is not before it, else walks from the head for at most maxWalk
+// nodes. It returns nil, leaving the wheel unchanged, when the walk
+// bound is hit.
+func (w *wheel) push(t Time) *event {
+	s := slotOf(t)
+	sl := &w.slots[s]
+	if sl.head == 0 {
+		n := w.alloc()
+		sl.head, sl.tail = n, n
+		w.occ[s>>6] |= 1 << (s & 63)
+		w.n++
+		return &w.nodes[n].ev
+	}
+	if t >= w.nodes[sl.tail].ev.at {
+		n := w.alloc()
+		w.nodes[sl.tail].next = n
+		sl.tail = n
+		w.n++
+		return &w.nodes[n].ev
+	}
+	// The tail is later than t, so the walk finds a place before the
+	// end of the list.
+	var prev int32
+	cur := sl.head
+	for i := 0; i < maxWalk; i++ {
+		if t < w.nodes[cur].ev.at {
+			n := w.alloc()
+			w.nodes[n].next = cur
+			if prev == 0 {
+				sl.head = n
+			} else {
+				w.nodes[prev].next = n
+			}
+			w.n++
+			return &w.nodes[n].ev
+		}
+		prev, cur = cur, w.nodes[cur].next
+	}
+	return nil
+}
+
+// alloc takes a node from the free list, or grows the slab. The node's
+// event is zero and its link is nil.
+func (w *wheel) alloc() int32 {
+	if n := w.free; n != 0 {
+		w.free = w.nodes[n].next
+		w.nodes[n].next = 0
+		return n
+	}
+	if len(w.nodes) == 0 {
+		w.nodes = append(w.nodes, wnode{}) // the nil node
+	}
+	w.nodes = append(w.nodes, wnode{})
+	return int32(len(w.nodes) - 1)
+}
+
+// first returns the slot holding the earliest wheel event, scanning the
+// occupancy bitmap circularly from now's slot. The wheel must not be
+// empty.
+func (w *wheel) first(now Time) int {
+	b := slotOf(now)
+	i := b >> 6
+	if word := w.occ[i] >> (b & 63); word != 0 {
+		return b + bits.TrailingZeros64(word)
+	}
+	// The last probe revisits word i: its bits below b are the slots
+	// furthest ahead, one turn on.
+	for k := 1; k <= len(w.occ); k++ {
+		j := (i + k) & (len(w.occ) - 1)
+		if word := w.occ[j]; word != 0 {
+			return j<<6 + bits.TrailingZeros64(word)
+		}
+	}
+	panic("sim: empty wheel has a pending count")
+}
+
+// head returns the earliest event of slot s, or nil if s is empty.
+func (w *wheel) head(s int) *event {
+	if n := w.slots[s].head; n != 0 {
+		return &w.nodes[n].ev
+	}
+	return nil
+}
+
+// pop removes the head of slot s, which must not be empty, into ev. The
+// freed node is zeroed so the fired closure and its argument stay
+// GC-able.
+func (w *wheel) pop(s int, ev *event) {
+	sl := &w.slots[s]
+	n := sl.head
+	nd := &w.nodes[n]
+	*ev = nd.ev
+	sl.head = nd.next
+	if sl.head == 0 {
+		sl.tail = 0
+		w.occ[s>>6] &^= 1 << (s & 63)
+	}
+	nd.ev = event{}
+	nd.next = w.free
+	w.free = n
+	w.n--
+}

@@ -1015,9 +1015,11 @@ func (in *Instance) applyFault(i int) {
 		in.fc.CubesKilled++
 	}
 	// Kick in deterministic node order: sweep scheduling order is part
-	// of the reproducibility guarantee for faulty runs.
+	// of the reproducibility guarantee for faulty runs. The route tables
+	// or the re-home map changed, so every head is routed again.
 	for _, n := range in.Graph.Nodes {
 		if r := in.routers[n.ID]; r != nil {
+			r.InvalidateRoutes()
 			r.Kick()
 		}
 	}

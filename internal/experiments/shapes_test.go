@@ -138,11 +138,9 @@ func TestShapeFig10DistanceSigns(t *testing.T) {
 	var nHomo, nF int
 	for _, row := range tab.Rows {
 		avg := row.Values[len(row.Values)-1]
-		switch {
-		case row.Label == "100%-C" || row.Label == "100%-R" || row.Label == "100%-T":
+		if row.Label == "100%-C" || row.Label == "100%-R" || row.Label == "100%-T" {
 			homo += avg
 			nHomo++
-		case len(row.Label) > 5 && row.Label[4] != 'C' && false:
 		}
 		if lbl := row.Label; len(lbl) >= 5 && lbl[:3] == "50%" && lbl[len(lbl)-3:] == "-F)" {
 			nvmF += avg

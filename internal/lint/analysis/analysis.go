@@ -4,8 +4,8 @@
 // The real x/tools module is not vendored (memnet is deliberately
 // zero-dependency), so this package provides the same shape — an
 // Analyzer with a Run function over a Pass carrying parsed files and
-// full type information — letting the five mnlint analyzers be written
-// in the standard go/analysis style. If the repo ever vendors x/tools,
+// full type information — letting the mnlint analyzers be written in
+// the standard go/analysis style. If the repo ever vendors x/tools,
 // the analyzers port over by changing one import line.
 package analysis
 
@@ -14,7 +14,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // Analyzer describes one static check.
@@ -35,12 +34,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-
-	// Facts is the cross-package fact store shared by every pass of a
-	// run. The driver analyzes packages in dependency order, so facts
-	// exported while analyzing internal/link are visible here when the
-	// same analyzer later runs over internal/core. Never nil.
-	Facts *Facts
 
 	// Report delivers one diagnostic. The driver sets it.
 	Report func(Diagnostic)
@@ -80,14 +73,9 @@ type Unit struct {
 }
 
 // RunAnalyzers applies each analyzer to the unit and returns the
-// findings sorted by position then analyzer name. facts may be nil
-// (an empty store is substituted); passing one store across the units
-// of a run, in dependency order, is what makes cross-package
-// summaries visible to the semantic analyzers.
-func RunAnalyzers(u *Unit, analyzers []*Analyzer, facts *Facts) ([]Finding, error) {
-	if facts == nil {
-		facts = NewFacts()
-	}
+// findings in analyzer order; the driver sorts the whole run's findings
+// once (see package report).
+func RunAnalyzers(u *Unit, analyzers []*Analyzer) ([]Finding, error) {
 	var out []Finding
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -96,7 +84,6 @@ func RunAnalyzers(u *Unit, analyzers []*Analyzer, facts *Facts) ([]Finding, erro
 			Files:     u.Files,
 			Pkg:       u.Pkg,
 			TypesInfo: u.Info,
-			Facts:     facts,
 		}
 		name := a.Name
 		pass.Report = func(d Diagnostic) {
@@ -110,19 +97,6 @@ func RunAnalyzers(u *Unit, analyzers []*Analyzer, facts *Facts) ([]Finding, erro
 			return nil, fmt.Errorf("%s: %s: %w", a.Name, u.PkgPath, err)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Analyzer < b.Analyzer
-	})
 	return out, nil
 }
 

@@ -44,13 +44,11 @@ func TestData() string {
 
 // Run loads each fixture package under testdata/src and applies the
 // analyzer, comparing diagnostics against // want expectations. The
-// fixture packages share one fact store in the order given, so a
-// fixture listed later sees the facts a fixture listed earlier
-// exported (mirroring the driver's dependency-ordered run).
+// fixtures share one loader in the order given, so a fixture listed
+// later may import one listed earlier.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	l := loader.New()
-	facts := analysis.NewFacts()
 	for _, path := range pkgPaths {
 		dir := filepath.Join(testdata, "src", filepath.FromSlash(path))
 		unit, err := l.LoadDir(path, dir)
@@ -58,7 +56,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string
 			t.Errorf("%s: %v", path, err)
 			continue
 		}
-		findings, err := analysis.RunAnalyzers(unit, []*analysis.Analyzer{a}, facts)
+		findings, err := analysis.RunAnalyzers(unit, []*analysis.Analyzer{a})
 		if err != nil {
 			t.Errorf("%s: %v", path, err)
 			continue

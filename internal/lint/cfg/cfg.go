@@ -1,11 +1,10 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast
-// function bodies and solves forward/backward dataflow problems on
-// them, using only the standard library. It is the engine under
-// mnlint's semantic analyzers (creditflow, fsmcheck, and the
-// rewritten poolcheck): where the original analyzers reasoned in
-// source order, these reason over paths — a credit consumed on one
-// branch and returned only on another is exactly the class of bug a
-// source-order walk cannot see.
+// function bodies and solves forward dataflow problems on them, using
+// only the standard library. It is the engine under mnlint's poolcheck
+// analyzer, which reasons over paths rather than source order: a
+// packet released on one branch and read only on the other is not a
+// use after free, and a release inside a loop body poisons the next
+// iteration across the back edge.
 //
 // The graph is a conventional basic-block CFG:
 //
@@ -13,15 +12,13 @@
 //     send, empty) lands in a block's Nodes slice in execution order.
 //   - Branch conditions are recorded both in Nodes (their side effects
 //     execute) and as the block's Cond, with the convention that
-//     Succs[0] is the true edge and Succs[1] the false edge, so
-//     path-sensitive analyses can refine facts per edge.
+//     Succs[0] is the true edge and Succs[1] the false edge.
 //   - return and calls to the builtin panic terminate a block with no
-//     successors (panic paths are not "reaching exit" — a leaked
-//     obligation on a path that dies in panic is noise, not a bug).
+//     successors (panic paths are not "reaching exit").
 //     Return blocks instead link to the synthetic Exit block.
 //   - defer statements are collected per function and their calls
-//     replayed into the Exit block in LIFO order, so "discharged by a
-//     deferred call" falls out of ordinary reachability.
+//     replayed into the Exit block in LIFO order, so a deferred call is
+//     checked where it runs, at the function's exit.
 //
 // for/range/switch/type-switch/select/goto and labeled break/continue
 // are all supported; see the builder below for the exact shapes.

@@ -58,7 +58,7 @@ func path(t *testing.T, g *Graph, from, to string) bool {
 		return true
 	}
 	for _, s := range fb.Succs {
-		if ReachableFrom(s)[tb] {
+		if reachableFrom(s)[tb] {
 			return true
 		}
 	}
@@ -76,7 +76,7 @@ func reachesExit(t *testing.T, g *Graph, from string) bool {
 		return true
 	}
 	for _, s := range fb.Succs {
-		if ReachableFrom(s)[g.Exit] {
+		if reachableFrom(s)[g.Exit] {
 			return true
 		}
 	}
@@ -268,8 +268,8 @@ func TestDeferOrdering(t *testing.T) {
 }
 
 // TestSolverMustDischarge runs a forward must-analysis ("has a
-// discharge call happened on every path?") over branch shapes — the
-// exact lattice creditflow uses, exercised directly on the solver.
+// discharge call happened on every path?") over branch shapes,
+// exercised directly on the solver.
 func TestSolverMustDischarge(t *testing.T) {
 	cases := []struct {
 		name string
@@ -290,7 +290,6 @@ func TestSolverMustDischarge(t *testing.T) {
 			// Lattice: 0 = bottom (unvisited), 1 = not yet discharged,
 			// 2 = discharged. Join = min over visited inputs.
 			sol := Solve(g, Problem[int]{
-				Dir:      Forward,
 				Boundary: 1,
 				Init:     0,
 				Transfer: func(b *Block, in int) int {
@@ -352,4 +351,22 @@ func dump(g *Graph) string {
 			b.Index, b.kind, len(b.Nodes), strings.Join(succs, ","))
 	}
 	return sb.String()
+}
+
+// reachableFrom returns the set of blocks reachable from start
+// (inclusive) following Succs.
+func reachableFrom(start *Block) map[*Block]bool {
+	seen := map[*Block]bool{start: true}
+	work := []*Block{start}
+	for len(work) > 0 {
+		b := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, s := range b.Succs {
+			if !seen[s] {
+				seen[s] = true
+				work = append(work, s)
+			}
+		}
+	}
+	return seen
 }

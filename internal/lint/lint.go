@@ -1,26 +1,17 @@
 // Package lint assembles mnlint, memnet's determinism and
-// packet-ownership linter suite. The analyzers enforce the invariants
-// the simulator's bit-identical-replay guarantee rests on, plus the
-// repo's documentation policy:
+// packet-ownership linter suite. Each analyzer catches a class of bug
+// that no test, race run or fuzz target catches (the mutation audit in
+// CHANGES.md, PR 18, names the plant only it catches):
 //
 //	detmap     no unordered map iteration in simulation packages
 //	wallclock  no host clock or global math/rand in simulation packages
-//	poolcheck  no use of a *packet.Packet after Pool.Put releases it
+//	poolcheck  no use of a *packet.Packet after Pool.Put releases it,
+//	           and no Put while it is bound to a scheduled event
+//	           (path-sensitive, on the internal/lint/cfg dataflow engine)
 //	schedcheck no possibly-negative or float-derived event delays
 //	statskey   no fmt-built stat keys or string-keyed counters on hot paths
-//	sharedstate no unguarded package-level writes or non-channel
-//	           cross-goroutine access in internal/sim and internal/core
 //	doccheck   no undocumented exported identifiers in the documented-API
-//	           packages (campaign, experiments, obs, fnv)
-//	creditflow every flow-credit decrement or delivery-closure packet
-//	           reaches a credit sink on all paths (CFG dataflow)
-//	fsmcheck   state-field writes follow the //lint:fsm declared
-//	           transition relation (branch-refined state masks)
-//
-// The last two run on the internal/lint/cfg dataflow engine and
-// exchange cross-package facts through the shared analysis.Facts store,
-// so callee summaries from internal/link and internal/sim are visible
-// when internal/core is analyzed.
+//	           packages (campaign, experiments, obs, fnv, scenario)
 //
 // See DESIGN.md ("Determinism rules" and "Dataflow linting") for the
 // rationale and the //lint: annotation escape hatches. cmd/mnlint is
@@ -29,13 +20,10 @@ package lint
 
 import (
 	"memnet/internal/lint/analysis"
-	"memnet/internal/lint/creditflow"
 	"memnet/internal/lint/detmap"
 	"memnet/internal/lint/doccheck"
-	"memnet/internal/lint/fsmcheck"
 	"memnet/internal/lint/poolcheck"
 	"memnet/internal/lint/schedcheck"
-	"memnet/internal/lint/sharedstate"
 	"memnet/internal/lint/statskey"
 	"memnet/internal/lint/wallclock"
 )
@@ -47,11 +35,8 @@ func Analyzers() []*analysis.Analyzer {
 		wallclock.Analyzer,
 		poolcheck.Analyzer,
 		schedcheck.Analyzer,
-		sharedstate.Analyzer,
 		statskey.Analyzer,
 		doccheck.Analyzer,
-		creditflow.Analyzer,
-		fsmcheck.Analyzer,
 	}
 }
 

@@ -88,31 +88,6 @@ func (d *Directives) Allows(pos token.Pos, name string) bool {
 	return false
 }
 
-// Text returns the argument text of a //lint:<name> directive attached
-// to the node at pos (same line, or alone on the line above): the
-// directive line with the "lint:<name>" token removed and surrounding
-// space trimmed. Unlike Allows, the name must match the directive's
-// first token exactly — "lint:fsmtrans" does not answer for "fsm".
-func (d *Directives) Text(pos token.Pos, name string) (string, bool) {
-	p := d.fset.Position(pos)
-	m := d.lines[p.Filename]
-	if m == nil {
-		return "", false
-	}
-	for _, line := range [2]int{p.Line, p.Line - 1} {
-		text, ok := m[line]
-		if !ok {
-			continue
-		}
-		rest, ok := strings.CutPrefix(text, "lint:"+name)
-		if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
-			continue
-		}
-		return strings.TrimSpace(rest), true
-	}
-	return "", false
-}
-
 // CalleeFunc resolves a call expression to the *types.Func it invokes
 // (package function or method), or nil for indirect/builtin calls.
 func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
@@ -127,17 +102,6 @@ func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
-}
-
-// IsPkgFunc reports whether the call invokes the package-level function
-// (or method) pkgPath.name. pkgPath matching tolerates the module
-// prefix: "time" matches only the standard library package "time".
-func IsPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	fn := CalleeFunc(info, call)
-	if fn == nil || fn.Name() != name || fn.Pkg() == nil {
-		return false
-	}
-	return fn.Pkg().Path() == pkgPath
 }
 
 // IsMethodOn reports whether the call invokes a method named name whose

@@ -4,17 +4,12 @@
 // type-checked from source via go/importer's "source" mode, so the
 // loader works offline and without pre-compiled export data.
 //
-// Two properties matter to the mnlint driver:
-//
-//   - Units come back in dependency order (imports before importers),
-//     so a fact store threaded through the run sees callee summaries
-//     from internal/link and internal/sim before internal/core is
-//     analyzed.
-//   - Type-checking is memoized: every unit the loader checks is
-//     registered with the import resolver, so a package in the load
-//     set is type-checked exactly once no matter how many dependents
-//     import it (the source importer would otherwise re-check it from
-//     scratch), and no matter how many analyzers run over it.
+// Type-checking is memoized: units come back in dependency order
+// (imports before importers) and every unit the loader checks is
+// registered with the import resolver, so a package in the load set is
+// type-checked exactly once no matter how many dependents import it
+// (the source importer would otherwise re-check it from scratch), and
+// no matter how many analyzers run over it.
 package loader
 
 import (
@@ -43,21 +38,18 @@ import (
 type Loader struct {
 	Fset *token.FileSet
 	imp  types.Importer
-	// checked memoizes completed type-checks by import path: both the
-	// Units produced (so repeated LoadFiles/LoadDir calls are free) and
-	// the bare *types.Package consulted by the caching importer before
-	// it falls back to the from-source resolver.
-	units map[string]*analysis.Unit
-	pkgs  map[string]*types.Package
+	// pkgs memoizes completed type-checks by import path; the caching
+	// importer consults it before it falls back to the from-source
+	// resolver.
+	pkgs map[string]*types.Package
 }
 
 // New returns an empty loader.
 func New() *Loader {
 	fset := token.NewFileSet()
 	l := &Loader{
-		Fset:  fset,
-		units: make(map[string]*analysis.Unit),
-		pkgs:  make(map[string]*types.Package),
+		Fset: fset,
+		pkgs: make(map[string]*types.Package),
 	}
 	l.imp = &cachingImporter{
 		loader:   l,
@@ -105,10 +97,9 @@ type listedPackage struct {
 // Load expands the patterns (e.g. "./...") relative to dir and returns
 // one Unit per matched package, in dependency order: every package
 // precedes the packages that import it (ties broken by import path).
-// Dependency order is what lets one shared fact store feed callee
-// summaries forward, and what makes the type-check memo effective —
-// by the time a dependent is checked, its in-set imports are already
-// in the cache.
+// Dependency order is what makes the type-check memo effective — by
+// the time a dependent is checked, its in-set imports are already in
+// the cache.
 func (l *Loader) Load(dir string, patterns ...string) ([]*analysis.Unit, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"."}
@@ -148,7 +139,7 @@ func (l *Loader) Load(dir string, patterns ...string) ([]*analysis.Unit, error) 
 		for i, f := range p.GoFiles {
 			files[i] = filepath.Join(p.Dir, f)
 		}
-		u, err := l.LoadFiles(p.ImportPath, files)
+		u, err := l.loadFiles(p.ImportPath, files)
 		if err != nil {
 			return nil, err
 		}
@@ -209,17 +200,12 @@ func (l *Loader) LoadDir(pkgPath, dir string) (*analysis.Unit, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("loader: no Go files in %s", dir)
 	}
-	return l.LoadFiles(pkgPath, files)
+	return l.loadFiles(pkgPath, files)
 }
 
-// LoadFiles parses and type-checks the given files as one package. Type
+// loadFiles parses and type-checks the given files as one package. Type
 // errors are fatal: the linters depend on complete type information.
-// Results are memoized by pkgPath: a second call returns the first
-// call's unit without re-parsing or re-checking.
-func (l *Loader) LoadFiles(pkgPath string, filenames []string) (*analysis.Unit, error) {
-	if u, ok := l.units[pkgPath]; ok {
-		return u, nil
-	}
+func (l *Loader) loadFiles(pkgPath string, filenames []string) (*analysis.Unit, error) {
 	var files []*ast.File
 	for _, fn := range filenames {
 		f, err := parser.ParseFile(l.Fset, fn, nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -253,17 +239,9 @@ func (l *Loader) LoadFiles(pkgPath string, filenames []string) (*analysis.Unit, 
 		}
 		return nil, fmt.Errorf("loader: type errors in %s:%s", pkgPath, sb.String())
 	}
-	u := &analysis.Unit{
-		PkgPath: pkgPath,
-		Fset:    l.Fset,
-		Files:   files,
-		Pkg:     pkg,
-		Info:    info,
-	}
-	l.units[pkgPath] = u
 	// Register with the caching importer: dependents loaded after this
 	// point resolve the import from the memo instead of re-checking the
 	// package from source.
 	l.pkgs[pkgPath] = pkg
-	return u, nil
+	return &analysis.Unit{PkgPath: pkgPath, Fset: l.Fset, Files: files, Pkg: pkg, Info: info}, nil
 }

@@ -98,7 +98,6 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 	}
 	g := cfg.New(body)
 	prob := cfg.Problem[state]{
-		Dir:      cfg.Forward,
 		Boundary: state{},
 		Init:     nil,
 		Transfer: func(blk *cfg.Block, in state) state {
@@ -157,13 +156,13 @@ func scanNode(pass *analysis.Pass, n ast.Node, st state, report *analysis.Pass) 
 					if report != nil {
 						for _, sc := range cur.scheds {
 							report.Reportf(x.Pos(),
-								"packet %s is still bound to a scheduled event (%s) and is being released to the pool",
-								obj.Name(), pass.Fset.Position(sc))
+								"packet %s is still bound to a scheduled event (line %d) and is being released to the pool",
+								obj.Name(), pass.Fset.Position(sc).Line)
 						}
 						if cur.freedAt != token.NoPos {
 							report.Reportf(x.Pos(),
-								"use of packet %s after it was released to the pool at %s",
-								obj.Name(), pass.Fset.Position(cur.freedAt))
+								"use of packet %s after it was released to the pool at line %d",
+								obj.Name(), pass.Fset.Position(cur.freedAt).Line)
 						}
 					}
 					st[obj] = pstate{freedAt: x.Pos()}
@@ -185,8 +184,8 @@ func scanNode(pass *analysis.Pass, n ast.Node, st state, report *analysis.Pass) 
 			}
 			if cur, ok := st[obj]; ok && cur.freedAt != token.NoPos && report != nil {
 				report.Reportf(x.Pos(),
-					"use of packet %s after it was released to the pool at %s",
-					obj.Name(), pass.Fset.Position(cur.freedAt))
+					"use of packet %s after it was released to the pool at line %d",
+					obj.Name(), pass.Fset.Position(cur.freedAt).Line)
 			}
 		}
 		return true

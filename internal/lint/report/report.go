@@ -1,27 +1,13 @@
-// Package report renders mnlint findings deterministically.
-//
-// Every emitter consumes the same canonically ordered finding list —
-// sorted by (file, line, column, analyzer, message) — so two runs over
-// the same tree produce byte-identical output regardless of package
-// load order or analyzer scheduling. Three formats are supported:
-//
-//   - text: the conventional file:line:col: analyzer: message lines
-//     (what CI logs and editors consume),
-//   - json: a stable JSON array for scripting,
-//   - sarif: SARIF 2.1.0 for code-scanning upload.
-//
-// The package also implements the suppression baseline: a checked-in
-// JSON file keyed by (analyzer, file, message) — deliberately not by
-// line, so unrelated edits that shift a finding a few lines do not
-// resurrect it. Each baseline entry carries a count; a run may match a
-// key at most that many times before the finding escapes the filter.
+// Package report renders mnlint findings deterministically: sorted by
+// (file, line, column, analyzer, message), with paths relative to the
+// working directory, as file:line:col: analyzer: message lines. Two
+// runs over the same tree print byte-identical output regardless of
+// package load order or analyzer scheduling.
 package report
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -30,7 +16,7 @@ import (
 )
 
 // Sort orders findings canonically: by file, then line, then column,
-// then analyzer name, then message. All emitters assume this order.
+// then analyzer name, then message.
 func Sort(fs []analysis.Finding) {
 	sort.Slice(fs, func(i, j int) bool {
 		a, b := fs[i], fs[j]
@@ -52,7 +38,7 @@ func Sort(fs []analysis.Finding) {
 
 // Relativize rewrites absolute finding paths to be relative to dir
 // (slash-separated), leaving paths outside dir untouched. Relative
-// paths keep CI logs portable and make the baseline machine-independent.
+// paths keep CI logs portable.
 func Relativize(fs []analysis.Finding, dir string) {
 	for i := range fs {
 		if r, err := filepath.Rel(dir, fs[i].Pos.Filename); err == nil && !strings.HasPrefix(r, "..") {
@@ -69,223 +55,4 @@ func WriteText(w io.Writer, fs []analysis.Finding) error {
 		}
 	}
 	return nil
-}
-
-// jsonFinding is the stable JSON wire form of one finding.
-type jsonFinding struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
-}
-
-// WriteJSON emits the findings as an indented JSON array (empty slice,
-// not null, when there are none).
-func WriteJSON(w io.Writer, fs []analysis.Finding) error {
-	out := make([]jsonFinding, 0, len(fs))
-	for _, f := range fs {
-		out = append(out, jsonFinding{
-			Analyzer: f.Analyzer,
-			File:     f.Pos.Filename,
-			Line:     f.Pos.Line,
-			Column:   f.Pos.Column,
-			Message:  f.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// SARIF 2.1.0 skeleton — only the fields code-scanning consumers read.
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name           string      `json:"name"`
-	InformationURI string      `json:"informationUri,omitempty"`
-	Rules          []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string       `json:"id"`
-	ShortDescription sarifMessage `json:"shortDescription"`
-}
-
-type sarifMessage struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifMessage    `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysical `json:"physicalLocation"`
-}
-
-type sarifPhysical struct {
-	ArtifactLocation sarifArtifact `json:"artifactLocation"`
-	Region           sarifRegion   `json:"region"`
-}
-
-type sarifArtifact struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn,omitempty"`
-}
-
-// WriteSARIF emits a single-run SARIF 2.1.0 log. The rule table lists
-// every analyzer in the suite (not just those with findings) so the
-// consumer can show which checks ran; findings become error-level
-// results referencing their analyzer's rule ID.
-func WriteSARIF(w io.Writer, fs []analysis.Finding, analyzers []*analysis.Analyzer) error {
-	rules := make([]sarifRule, 0, len(analyzers))
-	for _, a := range analyzers {
-		rules = append(rules, sarifRule{
-			ID:               a.Name,
-			ShortDescription: sarifMessage{Text: a.Doc},
-		})
-	}
-	results := make([]sarifResult, 0, len(fs))
-	for _, f := range fs {
-		results = append(results, sarifResult{
-			RuleID:  f.Analyzer,
-			Level:   "error",
-			Message: sarifMessage{Text: f.Message},
-			Locations: []sarifLocation{{
-				PhysicalLocation: sarifPhysical{
-					ArtifactLocation: sarifArtifact{URI: filepath.ToSlash(f.Pos.Filename)},
-					Region:           sarifRegion{StartLine: f.Pos.Line, StartColumn: f.Pos.Column},
-				},
-			}},
-		})
-	}
-	log := sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs: []sarifRun{{
-			Tool:    sarifTool{Driver: sarifDriver{Name: "mnlint", Rules: rules}},
-			Results: results,
-		}},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(log)
-}
-
-// Baseline is a suppression list for known findings, keyed by
-// (analyzer, file, message) with a per-key count.
-type Baseline struct {
-	Version  int             `json:"version"`
-	Findings []BaselineEntry `json:"findings"`
-}
-
-// BaselineEntry suppresses up to Count findings matching the key.
-type BaselineEntry struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Message  string `json:"message"`
-	Count    int    `json:"count"`
-}
-
-func baselineKey(analyzer, file, message string) string {
-	return analyzer + "\x00" + filepath.ToSlash(file) + "\x00" + message
-}
-
-// LoadBaseline reads a baseline file written by WriteBaseline.
-func LoadBaseline(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("parsing baseline %s: %w", path, err)
-	}
-	if b.Version != 1 {
-		return nil, fmt.Errorf("baseline %s: unsupported version %d", path, b.Version)
-	}
-	return &b, nil
-}
-
-// Filter returns the findings not absorbed by the baseline, preserving
-// order. Each baseline entry absorbs at most its Count matches.
-func (b *Baseline) Filter(fs []analysis.Finding) []analysis.Finding {
-	budget := make(map[string]int, len(b.Findings))
-	for _, e := range b.Findings {
-		n := e.Count
-		if n <= 0 {
-			n = 1
-		}
-		budget[baselineKey(e.Analyzer, e.File, e.Message)] += n
-	}
-	out := make([]analysis.Finding, 0, len(fs))
-	for _, f := range fs {
-		k := baselineKey(f.Analyzer, f.Pos.Filename, f.Message)
-		if budget[k] > 0 {
-			budget[k]--
-			continue
-		}
-		out = append(out, f)
-	}
-	return out
-}
-
-// NewBaseline builds a baseline absorbing exactly the given findings.
-func NewBaseline(fs []analysis.Finding) *Baseline {
-	counts := make(map[BaselineEntry]int)
-	for _, f := range fs {
-		counts[BaselineEntry{
-			Analyzer: f.Analyzer,
-			File:     filepath.ToSlash(f.Pos.Filename),
-			Message:  f.Message,
-		}]++
-	}
-	b := &Baseline{Version: 1, Findings: make([]BaselineEntry, 0, len(counts))}
-	for e, n := range counts {
-		e.Count = n
-		b.Findings = append(b.Findings, e)
-	}
-	sort.Slice(b.Findings, func(i, j int) bool {
-		a, c := b.Findings[i], b.Findings[j]
-		if a.File != c.File {
-			return a.File < c.File
-		}
-		if a.Analyzer != c.Analyzer {
-			return a.Analyzer < c.Analyzer
-		}
-		return a.Message < c.Message
-	})
-	return b
-}
-
-// WriteBaselineFile writes the baseline as indented JSON.
-func WriteBaselineFile(path string, b *Baseline) error {
-	var sb strings.Builder
-	enc := json.NewEncoder(&sb)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(b); err != nil {
-		return err
-	}
-	return os.WriteFile(path, []byte(sb.String()), 0o666)
 }

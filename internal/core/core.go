@@ -420,8 +420,8 @@ func Build(p Params) (*Instance, error) {
 		Mapper:    mapper,
 		Collector: collector,
 		Meter:     meter,
-		routers:   make(map[packet.NodeID]*router.Router),
-		quadrants: make(map[packet.NodeID][]*vault.Quadrant),
+		routers:   make(map[packet.NodeID]*router.Router, len(g.Nodes)),
+		quadrants: make(map[packet.NodeID][]*vault.Quadrant, len(g.Nodes)),
 		live:      g,
 		rehome:    make(map[packet.NodeID]packet.NodeID),
 	}
@@ -711,6 +711,10 @@ func Build(p Params) (*Instance, error) {
 		Credits:       p.Tuning.VaultQueueDepth,
 		CountHop:      false,
 	}
+	bankMap := func(a uint64) (int, int64) {
+		_, _, bank, row := mapper.Decompose(a)
+		return bank, row
+	}
 	for _, n := range g.Nodes {
 		if n.Kind != topology.Cube {
 			continue
@@ -738,12 +742,9 @@ func Build(p Params) (*Instance, error) {
 				Penalty:     p.Sys.WrongQuadrantPenalty,
 				Banks:       p.Sys.BanksPerQuadrant(),
 				MaxInflight: inflight,
-				BankMap: func(a uint64) (int, int64) {
-					_, _, bank, row := mapper.Decompose(a)
-					return bank, row
-				},
-				ReturnDist: retDist,
-				Meter:      meter,
+				BankMap:     bankMap,
+				ReturnDist:  retDist,
+				Meter:       meter,
 			})
 			quadIn := link.NewBuffer(p.Tuning.VaultQueueDepth, toQuad.ReturnCredit)
 			q.Attach(quadIn, fromQuad)

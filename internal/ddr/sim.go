@@ -16,7 +16,7 @@ import (
 // point-to-point links — serializes every data transfer in the channel.
 type ChannelSim struct {
 	ch    Channel
-	banks []mem.Bank
+	banks mem.Controller
 	bus   sim.Resource
 	beat  sim.Time // data-bus occupancy per 64B access
 
@@ -36,10 +36,9 @@ func NewChannelSim(ch Channel, banksPerDIMM int) (*ChannelSim, error) {
 	if banksPerDIMM <= 0 {
 		return nil, fmt.Errorf("ddr: non-positive banks per DIMM")
 	}
-	timing := config.Default().DRAMTiming
-	cs := &ChannelSim{ch: ch, banks: make([]mem.Bank, ch.DPC*banksPerDIMM)}
-	for i := range cs.banks {
-		cs.banks[i] = mem.NewBank(config.DRAM, timing, sim.Time(i)*131*sim.Nanosecond)
+	cs := &ChannelSim{
+		ch:    ch,
+		banks: mem.NewController(config.Default().DRAMTiming, ch.DPC*banksPerDIMM, 0, 131*sim.Nanosecond),
 	}
 	// 64 bytes over the channel's peak bandwidth (bw is GB/s).
 	cs.beat = sim.BitTime(64*8, int64(bw*8e9))
@@ -51,13 +50,14 @@ func NewChannelSim(ch Channel, banksPerDIMM int) (*ChannelSim, error) {
 // then serializes the data transfer (this is the multi-drop bottleneck).
 func (cs *ChannelSim) Access(now sim.Time, addr uint64, write bool) sim.Time {
 	blk := addr / 64
-	bank := int(blk % uint64(len(cs.banks)))
-	row := int64(blk / uint64(len(cs.banks)) / 32) // 32 blocks per 2KB row
+	n := uint64(cs.banks.Banks())
+	bank := int(blk % n)
+	row := int64(blk / n / 32) // 32 blocks per 2KB row
 	kind := mem.Read
 	if write {
 		kind = mem.Write
 	}
-	ready := cs.banks[bank].Access(now, row, kind)
+	ready := cs.banks.Access(now, bank, row, kind)
 	start, end := cs.bus.Reserve(ready, cs.beat)
 	_ = start
 	cs.busBusySum += cs.beat

@@ -432,9 +432,10 @@ func (c *Config) Build() ([]Event, error) {
 type LinkFault struct {
 	rng *sim.Rand
 	ber float64
-	// pErr caches the per-packet error probability by packet size; a
-	// simulation only ever sees two sizes (control and data flits).
-	pErr map[int]float64
+	// pData and pControl are the per-packet error probabilities of the
+	// only two packet sizes a simulation sends (packet.DataBits and
+	// packet.ControlBits), computed once at construction.
+	pData, pControl float64
 
 	// MaxRetries and Backoff parameterize the sender's retry buffer;
 	// see Config.
@@ -458,10 +459,17 @@ func NewLinkFault(seed uint64, ber float64, maxRetries int, backoff sim.Time) *L
 	return &LinkFault{
 		rng:        sim.NewRand(seed),
 		ber:        ber,
-		pErr:       make(map[int]float64, 2),
+		pData:      errProb(ber, packet.DataBits),
+		pControl:   errProb(ber, packet.ControlBits),
 		MaxRetries: maxRetries,
 		Backoff:    backoff,
 	}
+}
+
+// errProb is the probability that at least one of bits bits flips:
+// 1 - (1-BER)^bits.
+func errProb(ber float64, bits int) float64 {
+	return 1 - math.Pow(1-ber, float64(bits))
 }
 
 // streamSeed decorrelates per-direction streams from the scenario seed
@@ -474,10 +482,14 @@ func streamSeed(seed uint64, edge, dir int) uint64 {
 // Corrupt draws whether a transmission of the given size fails its CRC
 // check: p = 1 - (1-BER)^bits.
 func (f *LinkFault) Corrupt(bits int) bool {
-	p, ok := f.pErr[bits]
-	if !ok {
-		p = 1 - math.Pow(1-f.ber, float64(bits))
-		f.pErr[bits] = p
+	var p float64
+	switch bits {
+	case packet.DataBits:
+		p = f.pData
+	case packet.ControlBits:
+		p = f.pControl
+	default:
+		p = errProb(f.ber, bits)
 	}
 	return f.rng.Float64() < p
 }

@@ -1,9 +1,11 @@
 package fault
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
+	"memnet/internal/packet"
 	"memnet/internal/sim"
 )
 
@@ -151,6 +153,23 @@ func TestCorruptExtremes(t *testing.T) {
 		}
 		if !always.Corrupt(640) {
 			t.Fatal("BER=1 passed a packet")
+		}
+	}
+}
+
+// TestCorruptMatchesFormula: every call makes exactly one draw from the
+// direction's stream and compares it against 1-(1-BER)^bits, whether
+// the size is one of the two precomputed ones or not.
+func TestCorruptMatchesFormula(t *testing.T) {
+	const seed, ber = 7, 3e-4
+	f := NewLinkFault(seed, ber, 0, 0)
+	ref := sim.NewRand(seed)
+	sizes := []int{packet.DataBits, packet.ControlBits, 200}
+	for i := 0; i < 30000; i++ {
+		bits := sizes[i%len(sizes)]
+		want := ref.Float64() < 1-math.Pow(1-ber, float64(bits))
+		if got := f.Corrupt(bits); got != want {
+			t.Fatalf("call %d (%d bits): Corrupt = %v, formula %v", i, bits, got, want)
 		}
 	}
 }

@@ -42,6 +42,11 @@ func (b *Buffer) Push(p *packet.Packet, now sim.Time) {
 	if len(b.fifo[vc]) >= b.depth {
 		panic(fmt.Sprintf("link: input buffer overflow on %v for %v", vc, p))
 	}
+	if b.fifo[vc] == nil {
+		// Most FIFOs never hold more than two packets; start there
+		// rather than grow through one.
+		b.fifo[vc] = make([]arrival, 0, min(2, b.depth))
+	}
 	b.fifo[vc] = append(b.fifo[vc], arrival{p: p, at: now})
 }
 

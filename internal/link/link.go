@@ -366,6 +366,10 @@ func (d *Direction) Send(p *packet.Packet) {
 	if !d.CanAccept(vc) {
 		panic(fmt.Sprintf("link: output queue overflow on %v for %v", vc, p))
 	}
+	if d.queue[vc] == nil {
+		// As for input FIFOs: start at two rather than grow through one.
+		d.queue[vc] = make([]entry, 0, min(2, d.cfg.QueueDepth))
+	}
 	d.queue[vc] = append(d.queue[vc], entry{p: p, enqueued: d.eng.Now()})
 	d.pump()
 }

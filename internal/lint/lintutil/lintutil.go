@@ -18,7 +18,7 @@ import (
 var simPackages = []string{
 	"sim", "core", "link", "router", "vault", "host", "fault",
 	"arb", "topology", "mem", "migrate", "stats", "obs", "span",
-	"scenario",
+	"scenario", "workload",
 }
 
 // SimPackage reports whether the import path names simulation code:

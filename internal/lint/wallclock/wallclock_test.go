@@ -12,6 +12,7 @@ func TestWallclock(t *testing.T) {
 		"memnet/internal/core/wc",
 		"memnet/internal/link/retrain",
 		"memnet/internal/span/rec",
+		"memnet/internal/workload/gen",
 		"memnet/internal/prof/ok",
 	)
 }

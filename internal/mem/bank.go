@@ -4,6 +4,13 @@
 // constraints, and — for DRAM — periodic refresh. The model answers one
 // question per access: given an arrival time, when is the access done and
 // until when is the bank busy?
+//
+// A Controller owns a set of banks. Only what differs between banks (open
+// row, dirty bit, activate time, busy-until, refresh phase) lives in each
+// Bank; the timing parameters and the counters are the controller's, held
+// once. A cube has hundreds of banks, so keeping the per-bank record small
+// keeps a network build small, and reading a controller's counters costs
+// the same however many banks it has.
 package mem
 
 import (
@@ -22,8 +29,8 @@ const (
 	Write
 )
 
-// BankStats aggregates per-bank counters used by the latency and energy
-// reports.
+// BankStats aggregates a controller's bank counters, used by the latency
+// and energy reports.
 type BankStats struct {
 	Reads        uint64
 	Writes       uint64
@@ -36,72 +43,76 @@ type BankStats struct {
 	BusyTime sim.Time
 }
 
-// Bank models one independent memory bank.
+// Bank is the state of one independent memory bank.
 type Bank struct {
-	timing config.MemTiming
-	tech   config.MemTech
-
 	openRow      int64 // -1 = closed (precharged)
-	dirty        bool  // open row has unwritten-back modifications
 	lastActivate sim.Time
 	busy         sim.Resource
-
-	nextRefresh sim.Time // 0 disabled
-
-	stats BankStats
+	nextRefresh  sim.Time // 0 disabled
+	dirty        bool     // open row has unwritten-back modifications
 }
 
-// NewBank returns a bank of the given technology. refreshOffset staggers
-// the bank's refresh phase so that banks of a cube do not refresh in
-// lockstep; it is ignored for technologies without refresh. It returns
-// a value so a controller can keep its banks in one []Bank.
-func NewBank(tech config.MemTech, timing config.MemTiming, refreshOffset sim.Time) Bank {
-	b := Bank{timing: timing, tech: tech, openRow: -1}
-	if timing.RefInterval > 0 {
-		b.nextRefresh = refreshOffset % timing.RefInterval
-		if b.nextRefresh == 0 {
-			b.nextRefresh = timing.RefInterval
+// Controller is the bank array behind one memory controller: its banks,
+// their shared timing parameters and their summed counters.
+type Controller struct {
+	timing config.MemTiming
+	banks  []Bank
+	stats  BankStats
+}
+
+// NewController returns a controller of n banks. Bank i's refresh phase
+// is phase + i*stagger, so that the banks do not refresh in lockstep; the
+// phases are ignored for timings without refresh. It returns a value so
+// the owner can embed it.
+func NewController(timing config.MemTiming, n int, phase, stagger sim.Time) Controller {
+	c := Controller{timing: timing, banks: make([]Bank, n)}
+	for i := range c.banks {
+		b := &c.banks[i]
+		b.openRow = -1
+		if timing.RefInterval > 0 {
+			b.nextRefresh = (phase + sim.Time(i)*stagger) % timing.RefInterval
+			if b.nextRefresh == 0 {
+				b.nextRefresh = timing.RefInterval
+			}
 		}
 	}
-	return b
+	return c
 }
 
-// Tech reports the bank's memory technology.
-func (b *Bank) Tech() config.MemTech { return b.tech }
+// Banks reports the number of banks.
+func (c *Controller) Banks() int { return len(c.banks) }
 
-// Stats returns a copy of the bank's counters.
-func (b *Bank) Stats() BankStats { return b.stats }
+// Stats returns a copy of the counters, summed over all banks.
+func (c *Controller) Stats() BankStats { return c.stats }
 
-// OpenRow reports the currently open row, or -1 if the bank is
-// precharged. Exposed for tests and the topology inspector.
-func (b *Bank) OpenRow() int64 { return b.openRow }
-
-// Access performs a read or write of the given row arriving at time now.
-// It returns done, the time at which the access completes (data available
-// for a read; write committed — and therefore acknowledgeable — for a
-// write). The bank's data path is reserved internally, so back-to-back
-// calls naturally queue.
-func (b *Bank) Access(now sim.Time, row int64, kind AccessKind) (done sim.Time) {
+// Access performs a read or write of the given row of bank arriving at
+// time now. It returns done, the time at which the access completes (data
+// available for a read; write committed — and therefore acknowledgeable
+// — for a write). The bank's data path is reserved internally, so
+// back-to-back calls to one bank naturally queue.
+func (c *Controller) Access(now sim.Time, bank int, row int64, kind AccessKind) (done sim.Time) {
+	b := &c.banks[bank]
+	t := &c.timing
 	start := now
 	if f := b.busy.FreeAt(); f > start {
 		start = f
 	}
-	start = b.applyRefresh(start)
+	start = c.applyRefresh(b, start)
 
 	var lat, background sim.Time
 	switch {
 	case b.openRow == row:
-		b.stats.RowHits++
-		lat = b.timing.TCL + b.timing.Burst
+		c.stats.RowHits++
+		lat = t.TCL + t.Burst
 	case b.openRow < 0:
-		b.stats.RowMisses++
+		c.stats.RowMisses++
 		b.lastActivate = start
-		lat = b.timing.TRCD + b.timing.TCL + b.timing.Burst
+		lat = t.TRCD + t.TCL + t.Burst
 	default:
-		b.stats.RowConflicts++
+		c.stats.RowConflicts++
 		// Precharge may not begin before tRAS has elapsed since the
 		// previous activate.
-		if earliest := b.lastActivate + b.timing.TRAS; earliest > start {
+		if earliest := b.lastActivate + t.TRAS; earliest > start {
 			start = earliest
 		}
 		// Evicting a dirty row requires committing its modified data to
@@ -114,7 +125,7 @@ func (b *Bank) Access(now sim.Time, row int64, kind AccessKind) (done sim.Time) 
 		// one row writeback per tWR. Idle time already spent cleaning
 		// the row eagerly is credited.
 		if b.dirty {
-			background = b.timing.TWR
+			background = t.TWR
 			if idle := start - b.busy.FreeAt(); idle > 0 {
 				background -= idle
 			}
@@ -123,43 +134,40 @@ func (b *Bank) Access(now sim.Time, row int64, kind AccessKind) (done sim.Time) 
 			}
 		}
 		b.dirty = false
-		b.lastActivate = start + b.timing.TRP
-		lat = b.timing.TRP + b.timing.TRCD + b.timing.TCL + b.timing.Burst
+		b.lastActivate = start + t.TRP
+		lat = t.TRP + t.TRCD + t.TCL + t.Burst
 	}
 	b.openRow = row
 
 	if kind == Write {
-		b.stats.Writes++
+		c.stats.Writes++
 		b.dirty = true
 	} else {
-		b.stats.Reads++
+		c.stats.Reads++
 	}
 
 	done = start + lat
 	b.busy.ReserveAt(start, done-start+background)
-	b.stats.BusyTime += done - start + background
+	c.stats.BusyTime += done - start + background
 	return done
 }
 
-// applyRefresh advances start past any refresh windows that are due, and
-// schedules subsequent windows. Refresh is modeled per-bank: every
-// RefInterval the bank is unavailable for RefDuration.
-func (b *Bank) applyRefresh(start sim.Time) sim.Time {
+// applyRefresh advances start past any of bank b's refresh windows that
+// are due, and schedules subsequent windows. Refresh is modeled per-bank:
+// every RefInterval the bank is unavailable for RefDuration.
+func (c *Controller) applyRefresh(b *Bank, start sim.Time) sim.Time {
 	if b.nextRefresh <= 0 {
 		return start
 	}
 	for b.nextRefresh <= start {
-		end := b.nextRefresh + b.timing.RefDuration
+		end := b.nextRefresh + c.timing.RefDuration
 		if end > start {
 			start = end
 		}
-		b.nextRefresh += b.timing.RefInterval
-		b.stats.Refreshes++
+		b.nextRefresh += c.timing.RefInterval
+		c.stats.Refreshes++
 		// Refresh closes the row.
 		b.openRow = -1
 	}
 	return start
 }
-
-// FreeAt reports when the bank's data path next becomes free.
-func (b *Bank) FreeAt() sim.Time { return b.busy.FreeAt() }

@@ -17,15 +17,26 @@ func nvmTiming() config.MemTiming {
 	return config.Default().NVMTiming
 }
 
+// oneBank returns a controller with a single bank, refresh phase 0.
+func oneBank(tm config.MemTiming) *Controller {
+	c := NewController(tm, 1, 0, 0)
+	return &c
+}
+
+// access performs an access on bank 0.
+func (c *Controller) access(now sim.Time, row int64, kind AccessKind) sim.Time {
+	return c.Access(now, 0, row, kind)
+}
+
 func TestRowMissTiming(t *testing.T) {
 	tm := dramTiming()
-	b := NewBank(config.DRAM, tm, 0)
-	done := b.Access(0, 5, Read)
+	b := oneBank(tm)
+	done := b.access(0, 5, Read)
 	want := tm.TRCD + tm.TCL + tm.Burst
 	if done != want {
 		t.Fatalf("closed-row read done at %v, want %v", done, want)
 	}
-	if b.OpenRow() != 5 {
+	if b.banks[0].openRow != 5 {
 		t.Fatal("row should stay open")
 	}
 	s := b.Stats()
@@ -36,9 +47,9 @@ func TestRowMissTiming(t *testing.T) {
 
 func TestRowHitTiming(t *testing.T) {
 	tm := dramTiming()
-	b := NewBank(config.DRAM, tm, 0)
-	first := b.Access(0, 5, Read)
-	done := b.Access(first, 5, Read)
+	b := oneBank(tm)
+	first := b.access(0, 5, Read)
+	done := b.access(first, 5, Read)
 	if done != first+tm.TCL+tm.Burst {
 		t.Fatalf("row hit done at %v, want %v", done, first+tm.TCL+tm.Burst)
 	}
@@ -49,11 +60,11 @@ func TestRowHitTiming(t *testing.T) {
 
 func TestRowConflictTiming(t *testing.T) {
 	tm := dramTiming()
-	b := NewBank(config.DRAM, tm, 0)
-	first := b.Access(0, 5, Read)
+	b := oneBank(tm)
+	first := b.access(0, 5, Read)
 	// Conflict long after tRAS: full precharge + activate + read.
 	start := first + 100*sim.Nanosecond
-	done := b.Access(start, 9, Read)
+	done := b.access(start, 9, Read)
 	want := start + tm.TRP + tm.TRCD + tm.TCL + tm.Burst
 	if done != want {
 		t.Fatalf("conflict read done at %v, want %v", done, want)
@@ -65,10 +76,10 @@ func TestRowConflictTiming(t *testing.T) {
 
 func TestTRASEnforced(t *testing.T) {
 	tm := dramTiming()
-	b := NewBank(config.DRAM, tm, 0)
-	b.Access(0, 5, Read) // activates at 0
+	b := oneBank(tm)
+	b.access(0, 5, Read) // activates at 0
 	// Immediately conflicting access: precharge must wait until tRAS.
-	done := b.Access(1*sim.Nanosecond, 9, Read)
+	done := b.access(1*sim.Nanosecond, 9, Read)
 	// The bank is busy until the first access's data is out, but the
 	// precharge additionally cannot start before tRAS = 33ns.
 	earliestPrecharge := tm.TRAS
@@ -80,17 +91,17 @@ func TestTRASEnforced(t *testing.T) {
 
 func TestDirtyWritebackOccupiesBank(t *testing.T) {
 	tm := nvmTiming()
-	b := NewBank(config.NVM, tm, 0)
-	wdone := b.Access(0, 5, Write) // opens row 5, marks dirty
+	b := oneBank(tm)
+	wdone := b.access(0, 5, Write) // opens row 5, marks dirty
 	// Immediate conflict: the eviction writeback drains in the
 	// background, so this access's latency excludes tWR...
-	d2 := b.Access(wdone, 9, Read)
+	d2 := b.access(wdone, 9, Read)
 	if d2 >= wdone+tm.TWR {
 		t.Fatalf("demand read waited for the full write pulse: %v", d2)
 	}
 	// ...but the bank stays occupied for the background writeback, so a
 	// third access (row hit on 9) queues behind it.
-	d3 := b.Access(d2, 9, Read)
+	d3 := b.access(d2, 9, Read)
 	if d3 < d2+tm.TWR {
 		t.Fatalf("background writeback did not occupy the bank: %v < %v",
 			d3, d2+tm.TWR)
@@ -99,41 +110,41 @@ func TestDirtyWritebackOccupiesBank(t *testing.T) {
 
 func TestEagerWritebackCredit(t *testing.T) {
 	tm := nvmTiming()
-	b := NewBank(config.NVM, tm, 0)
-	wdone := b.Access(0, 5, Write)
+	b := oneBank(tm)
+	wdone := b.access(0, 5, Write)
 	// After a long idle period the controller has already cleaned the
 	// row: a conflicting access pays no writeback occupancy at all.
 	start := wdone + tm.TWR + 10*sim.Nanosecond
-	d2 := b.Access(start, 9, Read)
+	d2 := b.access(start, 9, Read)
 	want := start + tm.TRP + tm.TRCD + tm.TCL + tm.Burst
 	if d2 != want {
 		t.Fatalf("eager-cleaned conflict done at %v, want %v", d2, want)
 	}
 	// And the bank frees right at d2 (no residual writeback).
-	if b.FreeAt() != d2 {
-		t.Fatalf("bank busy until %v, want %v", b.FreeAt(), d2)
+	if b.banks[0].busy.FreeAt() != d2 {
+		t.Fatalf("bank busy until %v, want %v", b.banks[0].busy.FreeAt(), d2)
 	}
 }
 
 func TestCleanEvictionHasNoWriteback(t *testing.T) {
 	tm := nvmTiming()
-	b := NewBank(config.NVM, tm, 0)
-	rdone := b.Access(0, 5, Read) // clean row
-	d2 := b.Access(rdone, 9, Read)
+	b := oneBank(tm)
+	rdone := b.access(0, 5, Read) // clean row
+	d2 := b.access(rdone, 9, Read)
 	want := rdone + tm.TRP + tm.TRCD + tm.TCL + tm.Burst
 	if d2 != want {
 		t.Fatalf("clean conflict done at %v, want %v", d2, want)
 	}
-	if b.FreeAt() != d2 {
+	if b.banks[0].busy.FreeAt() != d2 {
 		t.Fatal("no background occupancy expected for clean eviction")
 	}
 }
 
 func TestBankSelfQueueing(t *testing.T) {
 	tm := dramTiming()
-	b := NewBank(config.DRAM, tm, 0)
-	d1 := b.Access(0, 1, Read)
-	d2 := b.Access(0, 1, Read) // same instant: must serialize
+	b := oneBank(tm)
+	d1 := b.access(0, 1, Read)
+	d2 := b.access(0, 1, Read) // same instant: must serialize
 	if d2 <= d1 {
 		t.Fatalf("concurrent accesses did not serialize: %v <= %v", d2, d1)
 	}
@@ -144,11 +155,11 @@ func TestBankSelfQueueing(t *testing.T) {
 
 func TestRefresh(t *testing.T) {
 	tm := config.Default().DRAMTiming // refresh on
-	b := NewBank(config.DRAM, tm, 0)
-	b.Access(0, 1, Read)
+	b := oneBank(tm)
+	b.access(0, 1, Read)
 	// Access right after the first refresh window opens.
 	start := tm.RefInterval + 1
-	done := b.Access(start, 1, Read)
+	done := b.access(start, 1, Read)
 	// Refresh closed the row, so this is a miss, delayed by the
 	// remaining refresh duration.
 	wantStart := tm.RefInterval + tm.RefDuration
@@ -169,9 +180,9 @@ func TestNVMHasNoRefresh(t *testing.T) {
 	if tm.RefInterval != 0 {
 		t.Fatal("NVM timing should disable refresh")
 	}
-	b := NewBank(config.NVM, tm, 0)
-	b.Access(0, 1, Read)
-	b.Access(100*sim.Millisecond, 1, Read)
+	b := oneBank(tm)
+	b.access(0, 1, Read)
+	b.access(100*sim.Millisecond, 1, Read)
 	if b.Stats().Refreshes != 0 {
 		t.Fatal("NVM refreshed")
 	}
@@ -179,13 +190,12 @@ func TestNVMHasNoRefresh(t *testing.T) {
 
 func TestRefreshStagger(t *testing.T) {
 	tm := config.Default().DRAMTiming
-	b0 := NewBank(config.DRAM, tm, 0)
-	b1 := NewBank(config.DRAM, tm, 97*sim.Nanosecond)
+	c := NewController(tm, 2, 0, 97*sim.Nanosecond)
 	// Drive both past one interval and compare first-refresh effects via
 	// access at the same instant.
 	at := tm.RefInterval + 50*sim.Nanosecond
-	d0 := b0.Access(at, 1, Read)
-	d1 := b1.Access(at, 1, Read)
+	d0 := c.Access(at, 0, 1, Read)
+	d1 := c.Access(at, 1, 1, Read)
 	if d0 == d1 {
 		t.Fatal("staggered banks refreshed identically")
 	}
@@ -193,16 +203,9 @@ func TestRefreshStagger(t *testing.T) {
 
 func TestBusyTimeAccounting(t *testing.T) {
 	tm := dramTiming()
-	b := NewBank(config.DRAM, tm, 0)
-	d := b.Access(0, 1, Read)
+	b := oneBank(tm)
+	d := b.access(0, 1, Read)
 	if b.Stats().BusyTime != d {
 		t.Fatalf("busy %v != done %v", b.Stats().BusyTime, d)
-	}
-}
-
-func TestTechAccessor(t *testing.T) {
-	b := NewBank(config.NVM, nvmTiming(), 0)
-	if b.Tech() != config.NVM {
-		t.Fatal("tech accessor")
 	}
 }

@@ -104,13 +104,29 @@ type Router struct {
 	// (arbitration wait plus crossbar contention). The span tracer arms
 	// it; nil keeps the drain loop hook-free.
 	OnForward func(p *packet.Packet, port int, wait sim.Time)
+
+	// inArr and outArr back in and out for the first inlinePorts
+	// ports, so attaching a cube's ports allocates nothing; append
+	// moves a wider router's slices to the heap.
+	inArr  [inlinePorts]*link.Buffer
+	outArr [inlinePorts]*link.Direction
+	// onSpaceFn is every output's space-available callback, bound once
+	// rather than per port.
+	onSpaceFn func(packet.VC)
 }
+
+// inlinePorts is the port count a router holds without allocating: a
+// cube's external links plus its four vault quadrants, at most eight in
+// every built-in topology.
+const inlinePorts = 8
 
 // New creates a router shell; ports are attached afterwards with
 // AttachPort. switchBps is the centralized switch's internal bandwidth
 // (0 disables crossbar modeling, giving an ideal switch).
 func New(eng *sim.Engine, node packet.NodeID, policy arb.Policy, switchBps int64) *Router {
 	r := &Router{eng: eng, node: node, policy: policy, switchBps: switchBps}
+	r.in, r.out = r.inArr[:0], r.outArr[:0]
+	r.onSpaceFn = func(packet.VC) { r.Kick() }
 	r.sweepFn = func() {
 		r.sweepPending = false
 		r.sweep()
@@ -157,7 +173,7 @@ func (r *Router) AttachPort(in *link.Buffer, out *link.Direction) int {
 	idx := len(r.in)
 	r.in = append(r.in, in)
 	r.out = append(r.out, out)
-	out.SetOnSpace(func(packet.VC) { r.Kick() })
+	out.SetOnSpace(r.onSpaceFn)
 	return idx
 }
 

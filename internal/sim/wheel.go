@@ -22,6 +22,11 @@ const (
 	// unbounded walk turns a slot crowded with out-of-order times into a
 	// linear list: BenchmarkHeapChurn at depth 4096 took 8.5 µs per op.
 	maxWalk = 8
+
+	// slabInit is the node slab's first capacity. A short figure run
+	// peaks at a few dozen wheel events; starting there skips the
+	// slab's smallest doublings, each a copy and an allocation.
+	slabInit = 64
 )
 
 // wnode is one wheel event, threaded into its slot's list by index into
@@ -107,7 +112,7 @@ func (w *wheel) alloc() int32 {
 		return n
 	}
 	if len(w.nodes) == 0 {
-		w.nodes = append(w.nodes, wnode{}) // the nil node
+		w.nodes = make([]wnode, 1, slabInit) // nodes[0] is the nil node
 	}
 	w.nodes = append(w.nodes, wnode{})
 	return int32(len(w.nodes) - 1)

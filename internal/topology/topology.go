@@ -543,7 +543,18 @@ func (b *builder) finish() (*Graph, error) {
 
 // rebuild recomputes adjacency and routing tables from Nodes/Edges.
 func (g *Graph) rebuild() error {
+	// Every node's adjacency is a slice of one backing array, cut to
+	// the node's degree.
+	deg := make([]int, len(g.Nodes))
+	for _, e := range g.Edges {
+		deg[e.A]++
+		deg[e.B]++
+	}
+	all := make([]half, 0, 2*len(g.Edges))
 	g.adj = make([][]half, len(g.Nodes))
+	for n, d := range deg {
+		g.adj[n], all = all[:0:d], all[d:d]
+	}
 	for ei, e := range g.Edges {
 		g.adj[e.A] = append(g.adj[e.A], half{to: e.B, edge: ei})
 		g.adj[e.B] = append(g.adj[e.B], half{to: e.A, edge: ei})
@@ -682,15 +693,18 @@ func (g *Graph) RemoveEdge(ei int) (*Graph, error) {
 // break toward the lowest port index, which is deterministic.
 func (g *Graph) routes(class PathClass) ([][]int8, [][]int16, error) {
 	n := len(g.Nodes)
+	// Every row of a table is a slice of one n*n backing array.
 	next := make([][]int8, n)
 	dist := make([][]int16, n)
+	nextAll := make([]int8, n*n)
+	distAll := make([]int16, n*n)
+	for i := range nextAll {
+		nextAll[i] = -1
+		distAll[i] = -1
+	}
 	for i := range next {
-		next[i] = make([]int8, n)
-		dist[i] = make([]int16, n)
-		for j := range next[i] {
-			next[i][j] = -1
-			dist[i][j] = -1
-		}
+		next[i] = nextAll[i*n : (i+1)*n : (i+1)*n]
+		dist[i] = distAll[i*n : (i+1)*n : (i+1)*n]
 	}
 	usable := func(ei int) bool {
 		if g.deadEdge != nil && g.deadEdge[ei] {

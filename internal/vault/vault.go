@@ -50,7 +50,7 @@ type Quadrant struct {
 	extPorts int
 	penalty  sim.Time
 
-	banks   []mem.Bank
+	banks   mem.Controller
 	bankMap BankMap
 	retDist ReturnDist
 	meter   *energy.Meter
@@ -107,11 +107,8 @@ func New(eng *sim.Engine, cfg Config) *Quadrant {
 	if q.maxInflight <= 0 {
 		q.maxInflight = 16
 	}
-	q.banks = make([]mem.Bank, cfg.Banks)
-	for i := range q.banks {
-		offset := sim.Time(cfg.Index*cfg.Banks+i) * 97 * sim.Nanosecond
-		q.banks[i] = mem.NewBank(cfg.Tech, cfg.Timing, offset)
-	}
+	q.banks = mem.NewController(cfg.Timing, cfg.Banks,
+		sim.Time(cfg.Index*cfg.Banks)*97*sim.Nanosecond, 97*sim.Nanosecond)
 	q.pumpFn = func() {
 		q.pumpPending = false
 		q.pump()
@@ -155,21 +152,8 @@ func (q *Quadrant) QueueLen() int {
 	return q.in.Len(packet.VCRequest) + len(q.done)
 }
 
-// BankStats sums the per-bank counters.
-func (q *Quadrant) BankStats() mem.BankStats {
-	var s mem.BankStats
-	for i := range q.banks {
-		bs := q.banks[i].Stats()
-		s.Reads += bs.Reads
-		s.Writes += bs.Writes
-		s.RowHits += bs.RowHits
-		s.RowMisses += bs.RowMisses
-		s.RowConflicts += bs.RowConflicts
-		s.Refreshes += bs.Refreshes
-		s.BusyTime += bs.BusyTime
-	}
-	return s
-}
+// BankStats returns the bank counters, summed over the quadrant's banks.
+func (q *Quadrant) BankStats() mem.BankStats { return q.banks.Stats() }
 
 func (q *Quadrant) kick() {
 	if q.pumpPending {
@@ -220,7 +204,7 @@ func (q *Quadrant) start(p *packet.Packet) {
 		q.stats.Reads++
 	}
 	q.inflight++
-	done := q.banks[bank].Access(start, row, kind)
+	done := q.banks.Access(start, bank, row, kind)
 	q.meter.Access(q.tech, kind == mem.Write, AccessBits)
 	q.eng.AtArg(done, q.completeFn, p)
 }

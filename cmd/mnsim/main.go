@@ -22,6 +22,7 @@ import (
 	"memnet"
 	"memnet/internal/obs"
 	"memnet/internal/prof"
+	"memnet/internal/span"
 )
 
 func main() {
@@ -51,14 +52,14 @@ func main() {
 		retrainW  = flag.Duration("retrain-window", 0, "link retraining window between repair and traffic (default 200ns)")
 		recordTo  = flag.String("record-trace", "", "write the generated transaction trace to this file")
 		replayFrm = flag.String("replay-trace", "", "drive the run from a recorded trace file")
-		traceN    = flag.Int("trace", 0, "print the last N packet lifecycle events")
+		traceN    = flag.Int("trace", 0, "print the lifecycle of the first N transactions")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
 		reportJSON = flag.Bool("report-json", false, "print the run record (per-node report, results, config) as manifest-schema JSON")
 		metricsOut = flag.String("metrics-out", "", "write the run manifest JSON (config, seed, metrics, fairness) to this file; enables telemetry (with -shards: the machine manifest with per-port load)")
 		sampleIv   = flag.Duration("sample-interval", 0, "telemetry gauge-sampling interval in sim time (default 10us); enables telemetry")
-		perfOut    = flag.String("perfetto-out", "", "write packet lifecycles and sampled counters as Perfetto/Chrome trace JSON (implies -trace 4096 unless set); enables telemetry")
+		perfOut    = flag.String("perfetto-out", "", "write sampled counters and causal spans as Perfetto/Chrome trace JSON (spans of every 32nd transaction, at most 64, unless a span flag is set); enables telemetry")
 		seriesOut  = flag.String("series-out", "", "write the sampled gauge time series as CSV; enables telemetry")
 		spansOut   = flag.String("spans-out", "", "write sampled causal spans as NDJSON (memnet/spans/v1) to this file; analyze with mntrace")
 		spanSample = flag.Uint64("span-sample", 0, "span sampling stride: record every Nth transaction (default 32 when -spans-out is set)")
@@ -135,23 +136,13 @@ func main() {
 	if *recordTo != "" {
 		cfg.Record = true
 	}
-	cfg.TraceDepth = *traceN
 	if *metricsOut != "" || *sampleIv > 0 || *perfOut != "" || *seriesOut != "" {
 		cfg.Telemetry = &memnet.TelemetryConfig{
 			Enabled:        true,
 			SampleInterval: memnet.Time(sampleIv.Nanoseconds()) * memnet.Nanosecond,
 		}
-		if *perfOut != "" && cfg.TraceDepth == 0 {
-			cfg.TraceDepth = 4096
-		}
 	}
-	if *spansOut != "" || *spanSample > 0 {
-		stride := *spanSample
-		if stride == 0 {
-			stride = 32
-		}
-		cfg.Spans = &memnet.SpanConfig{SampleStride: stride}
-	}
+	cfg.Spans = spanConfig(*traceN, *spanSample, *spansOut != "", *perfOut != "")
 	if *replayFrm != "" {
 		f, err := os.Open(*replayFrm)
 		check(err)
@@ -230,8 +221,8 @@ func main() {
 			len(in.Recorder.Trace()), *recordTo)
 	}
 	if *traceN > 0 {
-		fmt.Fprintf(status, "\nlast %d of %d lifecycle events:\n%s",
-			len(in.Trace.Events()), in.Trace.Total(), in.Trace.String())
+		fmt.Fprintf(status, "lifecycle     %d transactions, in completion order\n", len(in.Spans.Spans()))
+		span.Narrate(status, in.Spans.Spans())
 	}
 	var sampler *obs.Sampler
 	if in.Telemetry != nil {
@@ -261,11 +252,7 @@ func main() {
 	if *perfOut != "" {
 		f, err := os.Create(*perfOut)
 		check(err)
-		if in.Spans != nil {
-			check(memnet.WritePerfettoSpans(f, in.Trace, sampler, in.Spans.Spans()))
-		} else {
-			check(memnet.WritePerfetto(f, in.Trace, sampler))
-		}
+		check(memnet.WritePerfetto(f, sampler, in.Spans.Spans()))
 		check(f.Close())
 		fmt.Fprintf(status, "perfetto      wrote %s (open in https://ui.perfetto.dev)\n", *perfOut)
 	}
@@ -281,11 +268,42 @@ func main() {
 	}
 }
 
+// perfettoMaxSpans caps the spans -perfetto-out records when no span
+// flag is set. A skip-list span exports about 8 KB of slices and flow
+// arrows, so a long run's span tracks stay near 0.5 MB.
+const perfettoMaxSpans = 64
+
+// spanConfig arms the span recorder for the span flags. -trace N
+// records the first N transactions (every transaction unless
+// -span-sample sets a stride); -spans-out and -span-sample record every
+// 32nd transaction by default; -perfetto-out alone records every 32nd
+// transaction, at most perfettoMaxSpans of them. It returns nil when no
+// flag needs spans.
+func spanConfig(traceN int, stride uint64, spansOut, perfOut bool) *memnet.SpanConfig {
+	c := &memnet.SpanConfig{SampleStride: stride}
+	switch {
+	case traceN > 0:
+		c.MaxSpans = traceN
+		if stride == 0 {
+			c.SampleStride = 1
+		}
+	case spansOut || stride > 0:
+		if stride == 0 {
+			c.SampleStride = 32
+		}
+	case perfOut:
+		c.SampleStride, c.MaxSpans = 32, perfettoMaxSpans
+	default:
+		return nil
+	}
+	return c
+}
+
 // machineFlagConflict rejects per-port side-artifact flags combined
 // with -shards (a whole-machine run), mirroring core.RunMachine's own
-// rejection of trace and telemetry parameters: spans, Perfetto traces,
-// sampled series, recorded traces, and lifecycle traces are all
-// single-network artifacts with no defined cross-port merge, so the
+// rejection of span, record and telemetry parameters: spans (and
+// -trace, which prints them), Perfetto traces, sampled series, and
+// recorded traces are all single-network artifacts with no defined cross-port merge, so the
 // combination fails fast with a pointed message instead of surfacing a
 // core error after configuration.
 func machineFlagConflict(shards int, spansOut, perfOut, seriesOut, recordTo string,

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"memnet"
 )
 
 // TestMachineFlagConflict pins the -shards flag validation: every
@@ -44,6 +47,37 @@ func TestMachineFlagConflict(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.wantFlag) {
 				t.Fatalf("error %q does not name %s", err, tc.wantFlag)
+			}
+		})
+	}
+}
+
+// TestSpanConfig pins which span recorder each flag combination arms:
+// -trace takes the first N transactions at stride 1 unless -span-sample
+// is set, -spans-out/-span-sample default to stride 32 with no cap, and
+// -perfetto-out alone records every 32nd transaction up to its cap.
+func TestSpanConfig(t *testing.T) {
+	cases := []struct {
+		name              string
+		traceN            int
+		stride            uint64
+		spansOut, perfOut bool
+		want              *memnet.SpanConfig
+	}{
+		{name: "none"},
+		{name: "trace", traceN: 4, want: &memnet.SpanConfig{SampleStride: 1, MaxSpans: 4}},
+		{name: "trace-sampled", traceN: 4, stride: 8, want: &memnet.SpanConfig{SampleStride: 8, MaxSpans: 4}},
+		{name: "trace-and-files", traceN: 4, spansOut: true, perfOut: true, want: &memnet.SpanConfig{SampleStride: 1, MaxSpans: 4}},
+		{name: "spans-out", spansOut: true, want: &memnet.SpanConfig{SampleStride: 32}},
+		{name: "span-sample", stride: 5, want: &memnet.SpanConfig{SampleStride: 5}},
+		{name: "spans-out-and-perfetto", spansOut: true, perfOut: true, want: &memnet.SpanConfig{SampleStride: 32}},
+		{name: "perfetto", perfOut: true, want: &memnet.SpanConfig{SampleStride: 32, MaxSpans: perfettoMaxSpans}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := spanConfig(tc.traceN, tc.stride, tc.spansOut, tc.perfOut)
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("spanConfig = %+v, want %+v", got, tc.want)
 			}
 		})
 	}

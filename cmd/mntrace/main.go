@@ -63,7 +63,7 @@ func main() {
 	waterfall(os.Stdout, a)
 	blame(os.Stdout, a, *topN)
 	if *worstN > 0 {
-		narratives(os.Stdout, spans, *worstN)
+		span.Narrate(os.Stdout, span.WorstN(spans, *worstN))
 	}
 }
 

@@ -104,27 +104,6 @@ func blame(w io.Writer, a *span.Analysis, top int) {
 	}
 }
 
-// narratives prints the n worst-latency transactions segment by
-// segment: when each wait started, how long it lasted, and where.
-func narratives(w io.Writer, spans []span.TxSpan, n int) {
-	worst := span.WorstN(spans, n)
-	for _, sp := range worst {
-		fmt.Fprintf(w, "\ntx %d  %s addr=%#x dst=%d  latency %v  (injected %v, done %v)\n",
-			sp.ID, sp.Kind, sp.Addr, sp.Dst, sp.Latency(), sp.Injected, sp.Completed)
-		for _, sg := range sp.Segs {
-			// Offsets are relative to injection; the host-window segment
-			// precedes it, so its offset renders negative.
-			off := sg.At - sp.Injected
-			sign := "+"
-			if off < 0 {
-				sign, off = "-", -off
-			}
-			fmt.Fprintf(w, "  %s%-12v %-14s %-10s vc%d  %v\n",
-				sign, off, sg.Cause, sg.Loc, sg.VC, sg.Dur)
-		}
-	}
-}
-
 // diffReport compares two span files cause by cause: mean latency per
 // sampled transaction in each run and the delta, so a regression shows
 // up as the cause (and magnitude) that moved.

@@ -50,13 +50,12 @@ func (f Fingerprint) String() string { return fmt.Sprintf("%016x", uint64(f)) }
 
 // Cacheable reports whether the run's results may be served from (and
 // written to) the persistent cache. Runs that exist for their side
-// artifacts — trace replay/record, packet-lifecycle traces, telemetry
-// observers, causal span tracing — are excluded: their Results alone do
+// artifacts — trace replay/record, telemetry observers, causal span
+// tracing — are excluded: their Results alone do
 // not capture what the caller asked for (and a replayed trace is not
 // covered by the fingerprint).
 func Cacheable(p core.Params) bool {
-	return len(p.Replay) == 0 && !p.Record && p.TraceDepth == 0 &&
-		p.Obs == nil && p.Spans == nil
+	return len(p.Replay) == 0 && !p.Record && p.Obs == nil && p.Spans == nil
 }
 
 // FingerprintParams computes the content address of one run. Coverage
@@ -69,8 +68,8 @@ func Cacheable(p core.Params) bool {
 //     so that adjacent zero values cannot alias across fields.
 //   - Params fields that select the run are folded (Topo, Arb,
 //     Transactions, Seed, KeepSamples, FailLinks); fields that only
-//     produce side artifacts (Replay, Record, TraceDepth, Obs, Spans)
-//     are NOT folded — runs using them are not Cacheable.
+//     produce side artifacts (Replay, Record, Obs, Spans) are NOT
+//     folded — runs using them are not Cacheable.
 //   - Nil-able sub-configs fold a presence marker first, so nil and
 //     zero-valued configs hash differently.
 //   - CacheSchema is folded first, so a schema/semantics bump changes

@@ -181,11 +181,9 @@ func TestCacheable(t *testing.T) {
 	rp.Replay = []workload.Tx{{}}
 	rec := p
 	rec.Record = true
-	tr := p
-	tr.TraceDepth = 8
 	sp := p
 	sp.Spans = &span.Config{SampleStride: 4}
-	for name, q := range map[string]core.Params{"replay": rp, "record": rec, "trace": tr, "spans": sp} {
+	for name, q := range map[string]core.Params{"replay": rp, "record": rec, "spans": sp} {
 		if Cacheable(q) {
 			t.Errorf("%s run must not be cacheable", name)
 		}
@@ -205,7 +203,7 @@ func TestFingerprintCoverage(t *testing.T) {
 	}{
 		{core.Params{}, []string{
 			"Sys", "Topo", "Arb", "Workload", "Transactions", "Seed",
-			"KeepSamples", "Replay", "Record", "TraceDepth", "Migration",
+			"KeepSamples", "Replay", "Record", "Migration",
 			"FailLinks", "Fault", "Obs", "Spans", "Scenario", "Tuning",
 		}},
 		{config.System{}, []string{

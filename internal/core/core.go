@@ -33,7 +33,6 @@ import (
 	"memnet/internal/span"
 	"memnet/internal/stats"
 	"memnet/internal/topology"
-	"memnet/internal/trace"
 	"memnet/internal/vault"
 	"memnet/internal/workload"
 )
@@ -125,9 +124,6 @@ type Params struct {
 	// Record wraps the generator in a recorder; the trace is available
 	// from Instance.Recorder after the run.
 	Record bool
-	// TraceDepth, when positive, records the last TraceDepth packet
-	// lifecycle events into Instance.Trace.
-	TraceDepth int
 	// Migration, when non-nil, enables the epoch-based hot-block
 	// migration manager (the heterogeneous-memory management layer of
 	// §2.4) with the given policy.
@@ -202,8 +198,6 @@ type Instance struct {
 	Migrator *migrate.Manager
 	// Recorder is non-nil when Params.Record captured the trace.
 	Recorder *workload.Recorder
-	// Trace is non-nil when Params.TraceDepth enabled event tracing.
-	Trace *trace.Log
 
 	// Watchdog is non-nil when Params.Fault armed the progress watchdog.
 	Watchdog *sim.Watchdog
@@ -364,35 +358,13 @@ func Build(p Params) (*Instance, error) {
 	meter := energy.NewMeter(p.Sys.Energy)
 	collector := stats.NewCollector(p.KeepSamples)
 
-	var tlog *trace.Log
-	if p.TraceDepth > 0 {
-		tlog = trace.NewLog(p.TraceDepth)
-	}
-	// tap wraps a deliver callback with trace recording. port is the
-	// receiving component's input index (router port for Arrive/MemDone,
-	// quadrant index for MemStart, -1 at the single-ported host); it is
-	// passed explicitly because the tap fires before the wrapped deliver
-	// stamps pk.EnterPort.
-	tap := func(fn func(*packet.Packet), op trace.Op, node packet.NodeID, port int8) func(*packet.Packet) {
-		if tlog == nil {
-			return fn
-		}
-		return func(pk *packet.Packet) {
-			tlog.Record(trace.Event{
-				At: eng.Now(), Op: op, Node: node,
-				ID: pk.ID, Kind: pk.Kind, Addr: pk.Addr,
-				Port: port, VC: packet.VCOf(pk.Kind),
-			})
-			fn(pk)
-		}
-	}
-
-	// Span recorder and its hook binders. Hooks are bound inline at the
-	// wiring sites below (the tap idiom): each reads timestamps the
-	// components already compute and never schedules events, so Results
-	// stay bit-identical with spans on. spanNode/bindShip build every
-	// edge label once at wiring time; the hot path only copies the
-	// prebuilt string header into segments of sampled transactions.
+	// Span recorder and its hook binders: the run's one per-packet
+	// record. Hooks are bound inline at the wiring sites below: each
+	// reads timestamps the components already compute and never
+	// schedules events, so Results stay bit-identical with spans on.
+	// spanNode/bindShip build every edge label once at wiring time; the
+	// hot path only copies the prebuilt string header into segments of
+	// sampled transactions.
 	var spans *span.Recorder
 	if p.Spans.Enabled() {
 		spans = span.NewRecorder(*p.Spans, p.Seed)
@@ -505,18 +477,6 @@ func Build(p Params) (*Instance, error) {
 				return nil
 			}
 			return migrator.Translate
-		}(),
-		OnInject: func() func(*packet.Packet) {
-			if tlog == nil {
-				return nil
-			}
-			return func(pk *packet.Packet) {
-				tlog.Record(trace.Event{
-					At: eng.Now(), Op: trace.Inject, Node: packet.HostNode,
-					ID: pk.ID, Kind: pk.Kind, Addr: pk.Addr,
-					Port: -1, VC: packet.VCOf(pk.Kind),
-				})
-			}
 		}(),
 	}, gen, host.Wiring{
 		DestOf: func(a uint64) packet.NodeID {
@@ -673,7 +633,7 @@ func Build(p Params) (*Instance, error) {
 			}
 			buf := link.NewBuffer(depth, in.ReturnCredit)
 			idx := r.AttachPort(buf, out)
-			in.SetDeliver(tap(r.Deliver(idx), trace.Arrive, n.ID, int8(idx)))
+			in.SetDeliver(r.Deliver(idx))
 		}
 	}
 
@@ -692,7 +652,7 @@ func Build(p Params) (*Instance, error) {
 			spans.Start(pk, eng.Now(), wait)
 		})
 	}
-	hostIn.SetDeliver(tap(func(pk *packet.Packet) {
+	hostIn.SetDeliver(func(pk *packet.Packet) {
 		vc := packet.VCOf(pk.Kind)
 		// Telemetry and spans read the response before Receive retires
 		// (and may pool) it; inst.Telemetry/inst.Spans stay nil when the
@@ -701,7 +661,7 @@ func Build(p Params) (*Instance, error) {
 		inst.Spans.Complete(pk, eng.Now())
 		hostPort.Receive(pk)
 		hostIn.ReturnCredit(vc)
-	}, trace.Complete, packet.HostNode, -1))
+	})
 
 	// Vault quadrants behind every cube.
 	intLink := link.Config{
@@ -748,11 +708,11 @@ func Build(p Params) (*Instance, error) {
 			})
 			quadIn := link.NewBuffer(p.Tuning.VaultQueueDepth, toQuad.ReturnCredit)
 			q.Attach(quadIn, fromQuad)
-			toQuad.SetDeliver(tap(q.Deliver(), trace.MemStart, node, int8(qi)))
+			toQuad.SetDeliver(q.Deliver())
 
 			routerIn := link.NewBuffer(p.Tuning.VaultQueueDepth, fromQuad.ReturnCredit)
 			idx := r.AttachPort(routerIn, toQuad)
-			fromQuad.SetDeliver(tap(r.Deliver(idx), trace.MemDone, node, int8(idx)))
+			fromQuad.SetDeliver(r.Deliver(idx))
 			if spans != nil {
 				bindShip(toQuad, fmt.Sprintf("%d>q%d", node, qi))
 				bindShip(fromQuad, fmt.Sprintf("q%d>%d", qi, node))
@@ -795,7 +755,6 @@ func Build(p Params) (*Instance, error) {
 		})
 	}
 
-	inst.Trace = tlog
 	inst.Spans = spans
 
 	// Arm the resilience machinery last so a disabled Fault config adds

@@ -102,8 +102,8 @@ func portParams(base Params, i int) Params {
 // worker count.
 func RunMachine(mp MachineParams) (MachineResults, error) {
 	base := mp.Base
-	if base.Record || base.TraceDepth > 0 {
-		return MachineResults{}, fmt.Errorf("core: machine runs do not support Record or TraceDepth (per-port traces would need a merge policy)")
+	if base.Record {
+		return MachineResults{}, fmt.Errorf("core: machine runs do not support Record (per-port traces would need a merge policy)")
 	}
 	if base.Obs.On() {
 		return MachineResults{}, fmt.Errorf("core: machine runs do not support telemetry yet (per-port probe merge is undefined; use single-port runs)")

@@ -8,6 +8,7 @@ import (
 	"memnet/internal/arb"
 	"memnet/internal/config"
 	"memnet/internal/obs"
+	"memnet/internal/span"
 	"memnet/internal/topology"
 	"memnet/internal/workload"
 )
@@ -111,7 +112,9 @@ func TestMachineRejectsUnmergeable(t *testing.T) {
 		want string
 	}{
 		{"record", func(p *Params) { p.Record = true }, "Record"},
-		{"trace", func(p *Params) { p.TraceDepth = 8 }, "TraceDepth"},
+		// What mnsim -trace 8 arms: the span recorder on the first 8
+		// transactions.
+		{"trace", func(p *Params) { p.Spans = &span.Config{SampleStride: 1, MaxSpans: 8} }, "span tracing"},
 		{"telemetry", func(p *Params) { p.Obs = &obs.Config{Enabled: true} }, "telemetry"},
 	}
 	for _, c := range cases {

@@ -170,54 +170,3 @@ func TestParkingLotUnfairness(t *testing.T) {
 		t.Fatalf("input-wait gradient inverted: near %v vs far %v", nearHalf, farHalf)
 	}
 }
-
-// TestTracing: a traced run records the full lifecycle of the final
-// packets — inject at the host, arrivals along the path, memory service
-// at the destination cube, and completion.
-func TestTracing(t *testing.T) {
-	wl, _ := workload.ByName("NW")
-	p := testParams(topology.Chain, 1.0, config.NVMLast, arb.RoundRobin, wl)
-	p.Transactions = 300
-	p.TraceDepth = 100000
-	in, err := Build(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := in.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if in.Trace == nil || in.Trace.Total() == 0 {
-		t.Fatal("no trace recorded")
-	}
-	events := in.Trace.Events()
-	// Pick a packet with a full retained lifecycle and validate ordering.
-	checked := 0
-	for id := uint64(1); id <= 300 && checked < 20; id++ {
-		evs := in.Trace.Packet(id)
-		var hasInject, hasMemStart, hasMemDone, hasComplete bool
-		for i, e := range evs {
-			if i > 0 && e.At < evs[i-1].At {
-				t.Fatal("trace not chronological within a packet")
-			}
-			switch e.Op {
-			case 0: // Inject
-				hasInject = true
-			case 2:
-				hasMemStart = true
-			case 3:
-				hasMemDone = true
-			case 4:
-				hasComplete = true
-			}
-		}
-		if hasInject && hasComplete {
-			if !hasMemStart || !hasMemDone {
-				t.Fatalf("packet %d lifecycle incomplete: %v", id, evs)
-			}
-			checked++
-		}
-	}
-	if checked == 0 {
-		t.Fatalf("no complete lifecycles among %d events", len(events))
-	}
-}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,9 +12,12 @@ import (
 	"memnet/internal/config"
 	"memnet/internal/fault"
 	"memnet/internal/obs"
+	"memnet/internal/packet"
 	"memnet/internal/sim"
 	"memnet/internal/span"
+	"memnet/internal/stats"
 	"memnet/internal/topology"
+	"memnet/internal/workload"
 )
 
 // TestSpansBitIdentical is the span layer's core guarantee: arming the
@@ -161,6 +165,156 @@ func TestSpansUnderFaults(t *testing.T) {
 	}
 }
 
+// TestSpansChainRoute is a route oracle: on a chain, every transaction
+// crosses h>1, 1>2, …, d>qK to the quadrant K owning its address, then
+// qK>d, …, 2>1, 1>h back, with no hop missing or repeated, and is served
+// at vault vd.qK. Every link traversal leaves at least its
+// serialization segment, so the distinct edge labels of a span's link
+// segments, in time order, are exactly its path.
+func TestSpansChainRoute(t *testing.T) {
+	wl, _ := workload.ByName("NW")
+	p := testParams(topology.Chain, 1.0, config.NVMLast, arb.RoundRobin, wl)
+	p.Transactions = 300
+	p.Spans = &span.Config{SampleStride: 1}
+	in, err := Build(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := in.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := in.Spans.Spans()
+	if uint64(len(spans)) != res.Transactions || in.Spans.Dropped() != 0 {
+		t.Fatalf("%d spans (%d dropped) for %d transactions", len(spans), in.Spans.Dropped(), res.Transactions)
+	}
+	if err := span.Check(spans); err != nil {
+		t.Fatal(err)
+	}
+	node := func(n int) string {
+		if n == 0 {
+			return "h"
+		}
+		return fmt.Sprint(n)
+	}
+	for _, sp := range spans {
+		cube, quad, _, _ := in.Mapper.Decompose(sp.Addr)
+		d := int(sp.Dst)
+		if packet.NodeID(d) != cube {
+			t.Fatalf("tx %d: dst %d, but address %#x lives on cube %d", sp.ID, d, sp.Addr, cube)
+		}
+		var want []string
+		for n := 0; n < d; n++ {
+			want = append(want, node(n)+">"+node(n+1))
+		}
+		want = append(want, fmt.Sprintf("%d>q%d", d, quad), fmt.Sprintf("q%d>%d", quad, d))
+		for n := d; n > 0; n-- {
+			want = append(want, node(n)+">"+node(n-1))
+		}
+		var got []string
+		served := false
+		for _, sg := range sp.Segs {
+			switch sg.Cause {
+			case span.LinkQueue, span.LinkRetry, span.LinkSer, span.LinkSerDes:
+				if len(got) == 0 || got[len(got)-1] != sg.Loc {
+					got = append(got, sg.Loc)
+				}
+			case span.VaultService:
+				served = sg.Loc == fmt.Sprintf("v%d.q%d", d, quad)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("tx %d to cube %d quadrant %d crossed %v, want %v", sp.ID, d, quad, got, want)
+		}
+		if !served {
+			t.Fatalf("tx %d has no vault.service segment at v%d.q%d: %+v", sp.ID, d, quad, sp.Segs)
+		}
+	}
+}
+
+// TestSpansMatchBreakdown derives Fig. 5's to/in/from-memory split a
+// second, independent way. At stride 1 every transaction has a span;
+// memory arrival is the start of its vault.queue segment (or of
+// vault.service when it never queued) and memory departure is the end
+// of vault.service. The span means must equal Results.Breakdown, which
+// the stats collector computes from packet timestamps, to the
+// picosecond. All-DRAM vaults never queue at this load, so a 50% NVM
+// skip list, whose PCM vaults do, covers the vault.queue branch.
+func TestSpansMatchBreakdown(t *testing.T) {
+	wl := kmeans(t)
+	cases := []struct {
+		topo      topology.Kind
+		dram      float64
+		wantQueue bool
+	}{
+		{topology.Chain, 1, false},
+		{topology.Tree, 1, false},
+		{topology.SkipList, 1, false},
+		{topology.MetaCube, 1, false},
+		{topology.SkipList, 0.5, true},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(fmt.Sprintf("%v-%.0f%%", c.topo, c.dram*100), func(t *testing.T) {
+			t.Parallel()
+			sys := config.Default()
+			sys.DRAMFraction = c.dram
+			in, err := Build(Params{
+				Sys:          sys,
+				Topo:         c.topo,
+				Arb:          arb.DistanceAugmented,
+				Workload:     wl,
+				Transactions: 3000,
+				Seed:         1,
+				Spans:        &span.Config{SampleStride: 1},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := in.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			spans := in.Spans.Spans()
+			if uint64(len(spans)) != res.Transactions || in.Spans.Dropped() != 0 {
+				t.Fatalf("%d spans (%d dropped) for %d transactions", len(spans), in.Spans.Dropped(), res.Transactions)
+			}
+			var to, inMem, from sim.Time
+			queued := 0
+			for _, sp := range spans {
+				arrived, departed := sim.Time(-1), sim.Time(-1)
+				for _, sg := range sp.Segs {
+					switch sg.Cause {
+					case span.VaultQueue:
+						arrived = sg.At
+						queued++
+					case span.VaultService:
+						if arrived < 0 {
+							arrived = sg.At
+						}
+						departed = sg.At + sg.Dur
+					}
+				}
+				if departed < 0 {
+					t.Fatalf("tx %d has no vault.service segment", sp.ID)
+				}
+				to += arrived - sp.Injected
+				inMem += departed - arrived
+				from += sp.Completed - departed
+			}
+			if c.wantQueue && queued == 0 {
+				t.Fatal("no transaction queued at a vault; the vault.queue branch is untested")
+			}
+			n := sim.Time(len(spans))
+			got := stats.Breakdown{ToMem: to / n, InMem: inMem / n, FromMem: from / n}
+			if got != res.Breakdown {
+				t.Fatalf("span breakdown %+v != Results.Breakdown %+v", got, res.Breakdown)
+			}
+			t.Logf("%d txns, %d queued: to %d ps, in %d ps, from %d ps", n, queued, got.ToMem, got.InMem, got.FromMem)
+		})
+	}
+}
+
 // TestSpansSamplerDeterminism pins the stride sampler: sampling is a
 // pure function of (ID, seed), no RNG, so the sampled ID set is stable.
 func TestSpansSamplerDeterminism(t *testing.T) {
@@ -173,9 +327,11 @@ func TestSpansSamplerDeterminism(t *testing.T) {
 	}
 }
 
-// TestSpansPerfettoGolden pins the combined Perfetto export (packet
-// lifecycles + counters + span slices and flow arrows) byte for byte.
-// Regenerate with -update-golden after an intentional change.
+// TestSpansPerfettoGolden pins the Perfetto export (counter tracks,
+// span slices and flow arrows) byte for byte. The 60 ns sample interval
+// puts three counter ticks inside the 0.18 µs run, so both process
+// groups are pinned. Regenerate with -update-golden after an
+// intentional change.
 func TestSpansPerfettoGolden(t *testing.T) {
 	wl := kmeans(t)
 	in, err := Build(Params{
@@ -185,8 +341,7 @@ func TestSpansPerfettoGolden(t *testing.T) {
 		Workload:     wl,
 		Transactions: 25,
 		Seed:         7,
-		TraceDepth:   256,
-		Obs:          &obs.Config{Enabled: true, SampleInterval: sim.Microsecond},
+		Obs:          &obs.Config{Enabled: true, SampleInterval: 60 * sim.Nanosecond},
 		Spans:        &span.Config{SampleStride: 5},
 	})
 	if err != nil {
@@ -196,7 +351,7 @@ func TestSpansPerfettoGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := obs.WritePerfettoSpans(&buf, in.Trace, in.Telemetry.Sampler, in.Spans.Spans()); err != nil {
+	if err := obs.WritePerfetto(&buf, in.Telemetry.Sampler, in.Spans.Spans()); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "perfetto_spans_golden.json")

@@ -140,10 +140,12 @@ func TestManifestValidates(t *testing.T) {
 	}
 }
 
-// TestPerfettoGolden pins the Perfetto export of a small fixed-seed run
-// byte for byte: identical seeds must serialize identical traces
-// (stable event ordering is what makes the export diffable across
-// hosts). Regenerate with -update-golden after an intentional change.
+// TestPerfettoGolden pins the counter-only Perfetto export (telemetry
+// armed, no span recorder) of a small fixed-seed run byte for byte:
+// identical seeds must serialize identical traces (stable event
+// ordering is what makes the export diffable across hosts).
+// TestSpansPerfettoGolden pins the export with span slices added.
+// Regenerate with -update-golden after an intentional change.
 func TestPerfettoGolden(t *testing.T) {
 	wl := kmeans(t)
 	in, err := Build(Params{
@@ -153,8 +155,7 @@ func TestPerfettoGolden(t *testing.T) {
 		Workload:     wl,
 		Transactions: 25,
 		Seed:         7,
-		TraceDepth:   256,
-		Obs:          &obs.Config{Enabled: true, SampleInterval: sim.Microsecond},
+		Obs:          &obs.Config{Enabled: true, SampleInterval: 60 * sim.Nanosecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +164,7 @@ func TestPerfettoGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := obs.WritePerfetto(&buf, in.Trace, in.Telemetry.Sampler); err != nil {
+	if err := obs.WritePerfetto(&buf, in.Telemetry.Sampler, nil); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "perfetto_golden.json")

@@ -47,9 +47,6 @@ type Config struct {
 	// Translate, if set, maps a logical address to its current physical
 	// home (the migration indirection table) at injection time.
 	Translate func(addr uint64) uint64
-	// OnInject, if set, observes every packet as it enters the network
-	// (the tracing hook).
-	OnInject func(pk *packet.Packet)
 
 	// WavefrontSize groups read transactions GPU-style: a group's
 	// window slots are released only when the whole group has
@@ -399,9 +396,6 @@ func (p *Port) inject(tx workload.Tx, arrive sim.Time) {
 	p.injected++
 	if p.spanHook != nil {
 		p.spanHook(pk, now-arrive)
-	}
-	if p.cfg.OnInject != nil {
-		p.cfg.OnInject(pk)
 	}
 	if g := p.cfg.WavefrontSize; g > 1 && kind == packet.ReadReq {
 		wf := p.wfNext

@@ -357,19 +357,29 @@ func TestMigrationHooks(t *testing.T) {
 	}
 }
 
-func TestOnInjectHook(t *testing.T) {
-	gen := &scripted{txs: []workload.Tx{{Addr: 0x40, Gap: 0}}}
-	cfg := baseCfg(1)
-	count := 0
-	cfg.OnInject = func(pk *packet.Packet) {
-		count++
-		if pk.Kind != packet.ReadReq {
-			t.Errorf("unexpected kind %v", pk.Kind)
-		}
-	}
+// TestSpanHook: the span hook is the port's one injection observer. It
+// sees every packet once, after its header is built, with the time the
+// transaction waited for a window slot before injection.
+func TestSpanHook(t *testing.T) {
+	gen := &scripted{txs: []workload.Tx{{Addr: 0x40}, {Addr: 0x80}}}
+	cfg := baseCfg(2)
+	cfg.MaxOutstanding = 1
 	n := newEchoNet(t, cfg, gen, 5*sim.Nanosecond)
+	var ids []uint64
+	var waits []sim.Time
+	n.port.SetSpanHook(func(pk *packet.Packet, wait sim.Time) {
+		if pk.Kind != packet.ReadReq || pk.Injected != n.eng.Now() {
+			t.Errorf("hook saw %v injected at %v, now %v", pk.Kind, pk.Injected, n.eng.Now())
+		}
+		ids = append(ids, pk.ID)
+		waits = append(waits, wait)
+	})
 	n.eng.Run()
-	if count != 1 {
-		t.Fatalf("OnInject fired %d times", count)
+	if len(ids) != 2 || ids[0] >= ids[1] {
+		t.Fatalf("hook saw packets %v, want two in ID order", ids)
+	}
+	// The second read waits for the single window slot.
+	if waits[0] != 0 || waits[1] <= 0 {
+		t.Fatalf("window waits %v, want 0 then positive", waits)
 	}
 }

@@ -7,17 +7,16 @@ import (
 
 	"memnet/internal/sim"
 	"memnet/internal/span"
-	"memnet/internal/trace"
 )
 
 // Perfetto / Chrome trace-event export.
 //
-// Packet lifecycles from the trace ring become nestable async slices
-// (one track per packet ID: "b" at injection, "n" instants at each
-// node, "e" at completion), and the sampler's gauge series become
-// counter ("C") tracks, so per-node occupancy, credit stalls, and link
-// state are plottable next to the packets that caused them. The output
-// loads directly in https://ui.perfetto.dev or chrome://tracing.
+// The sampler's gauge series become counter ("C") tracks, and each
+// sampled transaction's span becomes one whole-lifetime slice with a
+// nested slice per latency segment, so per-node occupancy, credit
+// stalls, and link state are plottable next to the packets that caused
+// them. The output loads directly in https://ui.perfetto.dev or
+// chrome://tracing.
 //
 // Chrome's JSON wants timestamps in microseconds; sim time is integer
 // picoseconds, so ts values are exact multiples of 1e-6 and the export
@@ -41,48 +40,21 @@ type pfEvent struct {
 // tsOf converts sim time (ps) to Chrome trace microseconds.
 func tsOf(t sim.Time) float64 { return float64(t) / 1e6 }
 
-// packet-track process IDs: packets render under pid 1, counters under
-// pid 2, causal spans under pid 3, so the groups stay separate in the
-// UI.
+// Process IDs: counters render under pid 2 and causal spans under
+// pid 3, so the groups stay separate in the UI.
 const (
-	pfPidPackets  = 1
 	pfPidCounters = 2
 	pfPidSpans    = 3
 )
 
-// phaseOf maps a lifecycle op to its async phase.
-func phaseOf(op trace.Op) string {
-	switch op {
-	case trace.Inject:
-		return "b"
-	case trace.Complete:
-		return "e"
-	default:
-		return "n"
-	}
-}
-
-// WritePerfetto exports the retained packet lifecycle events and (when
-// s is non-nil) every sampled gauge series as Chrome trace-event JSON.
-// Events appear in stable order: lifecycle events chronologically (the
-// ring's retention order), then counter rows tick by tick in gauge
-// registration order.
-func WritePerfetto(w io.Writer, log *trace.Log, s *Sampler) error {
-	return writePerfetto(w, log, s, nil)
-}
-
-// WritePerfettoSpans is WritePerfetto plus the sampled causal spans:
-// each transaction renders under the span process group as one
-// whole-lifetime slice on its own track with one nested "X" slice per
-// latency segment, and consecutive segments are linked by flow arrows
-// ("s"/"f" with bp:"e") so the critical path reads as a chain across
-// the waterfall. With nil spans the output is byte-identical to
-// WritePerfetto.
-func WritePerfettoSpans(w io.Writer, log *trace.Log, s *Sampler, spans []span.TxSpan) error {
-	return writePerfetto(w, log, s, spans)
-}
-
-func writePerfetto(w io.Writer, log *trace.Log, s *Sampler, spans []span.TxSpan) error {
+// WritePerfetto exports the sampled gauge series (when s is non-nil)
+// and the sampled causal spans as Chrome trace-event JSON. Counter rows
+// come first, tick by tick in gauge registration order. Each
+// transaction then renders on its own track as one whole-lifetime
+// slice with one nested "X" slice per latency segment, and consecutive
+// segments are linked by flow arrows ("s"/"f" with bp:"e") so the
+// critical path reads as a chain across the waterfall.
+func WritePerfetto(w io.Writer, s *Sampler, spans []span.TxSpan) error {
 	bw := &errWriter{w: w}
 	bw.puts("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n")
 	first := true
@@ -97,29 +69,6 @@ func writePerfetto(w io.Writer, log *trace.Log, s *Sampler, spans []span.TxSpan)
 		}
 		first = false
 		bw.put(raw)
-	}
-	if log != nil {
-		for _, e := range log.Events() {
-			ev := pfEvent{
-				Cat: "packet",
-				Ph:  phaseOf(e.Op),
-				Ts:  tsOf(e.At),
-				Pid: pfPidPackets,
-				ID:  fmt.Sprintf("%#x", e.ID),
-			}
-			switch ev.Ph {
-			case "b", "e":
-				ev.Name = fmt.Sprintf("tx %d", e.ID)
-			default:
-				ev.Name = fmt.Sprintf("%s@%d", e.Op, e.Node)
-			}
-			ev.Args = map[string]any{
-				"node": int64(e.Node),
-				"kind": e.Kind.String(),
-				"addr": fmt.Sprintf("%#x", e.Addr),
-			}
-			emit(ev)
-		}
 	}
 	if s != nil {
 		for row, t := range s.times {

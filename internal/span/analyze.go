@@ -1,12 +1,14 @@
 // Critical-path analysis over completed spans: per-cause latency
-// waterfalls, per-location blame tables, attribution coverage, and
-// worst-transaction selection. The analyzer runs once per file in the
-// reporting layer (cmd/mntrace), not on the simulation hot path.
+// waterfalls, per-location blame tables, attribution coverage,
+// worst-transaction selection, and per-transaction narratives. The
+// analyzer runs once per file in the reporting layer (cmd/mntrace,
+// mnsim -trace), not on the simulation hot path.
 
 package span
 
 import (
 	"fmt"
+	"io"
 	"sort"
 
 	"memnet/internal/sim"
@@ -114,6 +116,26 @@ func WorstN(spans []TxSpan, n int) []TxSpan {
 		out = out[:n]
 	}
 	return out
+}
+
+// Narrate prints each span segment by segment: when each wait started
+// relative to injection, how long it lasted, and where.
+func Narrate(w io.Writer, spans []TxSpan) {
+	for _, sp := range spans {
+		fmt.Fprintf(w, "\ntx %d  %s addr=%#x dst=%d  latency %v  (injected %v, done %v)\n",
+			sp.ID, sp.Kind, sp.Addr, sp.Dst, sp.Latency(), sp.Injected, sp.Completed)
+		for _, sg := range sp.Segs {
+			// Offsets are relative to injection; the host-window segment
+			// precedes it, so its offset renders negative.
+			off := sg.At - sp.Injected
+			sign := "+"
+			if off < 0 {
+				sign, off = "-", -off
+			}
+			fmt.Fprintf(w, "  %s%-12v %-14s %-10s vc%d  %v\n",
+				sign, off, sg.Cause, sg.Loc, sg.VC, sg.Dur)
+		}
+	}
 }
 
 // Check validates structural invariants on a parsed span file: the

@@ -225,17 +225,16 @@ type RunManifest = obs.Manifest
 // serialization/SerDes and arbitration waits, and vault queue + service
 // time. Spans never perturb the simulation — Results are bit-identical
 // with tracing on or off — and are exported with Instance.WriteSpans
-// (NDJSON, schema memnet/spans/v1) or WritePerfettoSpans; cmd/mntrace
-// analyzes the NDJSON into latency waterfalls and per-edge blame.
+// (NDJSON, schema memnet/spans/v1) or WritePerfetto; cmd/mntrace
+// analyzes the NDJSON into latency waterfalls and per-edge blame. Spans
+// are the one per-packet record of a run.
 type SpanConfig = span.Config
 
-// WritePerfetto exports packet lifecycles (Instance.Trace) and sampled
-// gauge series as Chrome/Perfetto trace-event JSON.
+// WritePerfetto exports sampled gauge series (Instance.Telemetry) as
+// counter tracks and sampled causal spans (Instance.Spans) as nested
+// per-transaction slices linked by flow arrows, in Chrome/Perfetto
+// trace-event JSON.
 var WritePerfetto = obs.WritePerfetto
-
-// WritePerfettoSpans is WritePerfetto plus sampled causal spans as
-// nested per-transaction slices linked by flow arrows.
-var WritePerfettoSpans = obs.WritePerfettoSpans
 
 // ValidateManifestJSON checks a serialized manifest against the
 // embedded run-manifest schema.
@@ -347,9 +346,6 @@ type Config struct {
 	ReplayTrace []Tx
 	// Record captures the generated trace (Instance.Recorder).
 	Record bool
-	// TraceDepth, when positive, records the last N packet lifecycle
-	// events (Instance.Trace) for debugging.
-	TraceDepth int
 	// Telemetry, when non-nil and enabled, arms the metrics registry and
 	// interval sampler (Instance.Telemetry).
 	Telemetry *TelemetryConfig
@@ -446,7 +442,6 @@ func (c Config) params() (core.Params, error) {
 	p.Migration = c.Migration
 	p.Replay = c.ReplayTrace
 	p.Record = c.Record
-	p.TraceDepth = c.TraceDepth
 	p.Obs = c.Telemetry
 	p.Spans = c.Spans
 	if c.Tuning != nil {
@@ -492,10 +487,10 @@ func MachineManifest(c Config, mr MachineResults) (*RunManifest, error) {
 // and running the ports on Config.Shards worker goroutines. Per-port
 // workload and fault seeds are derived from Config.Seed (port 0 keeps
 // it, so PerPort[0] equals Run of the same Config). Results are
-// bit-identical for every Shards value. Record, TraceDepth, Telemetry,
-// and Spans are rejected: their outputs have no defined cross-port
-// merge yet. MachineResults carries a per-port load record (events,
-// finish time, barrier wait); MachineManifest serializes it.
+// bit-identical for every Shards value. Record, Telemetry, and Spans
+// are rejected: their outputs have no defined cross-port merge yet.
+// MachineResults carries a per-port load record (events, finish time,
+// barrier wait); MachineManifest serializes it.
 func RunMachine(c Config) (MachineResults, error) {
 	p, err := c.params()
 	if err != nil {

@@ -2,7 +2,7 @@
 // packages:
 //
 //	go run ./cmd/mnlint ./...
-//	go run ./cmd/mnlint -c detmap,statskey ./internal/migrate
+//	go run ./cmd/mnlint -c detmap,statskey ./internal/core
 //	go run ./cmd/mnlint -list
 //
 // Findings print as file:line:col: analyzer: message lines, sorted by

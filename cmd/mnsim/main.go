@@ -39,7 +39,7 @@ func main() {
 		shards    = flag.Int("shards", 0, "simulate the whole machine (all ports), running ports on N worker goroutines; results are identical for every N (0 = classic single-port run)")
 		capTB     = flag.Int("capacity-tb", 2, "total memory capacity in TB")
 		verbose   = flag.Bool("v", false, "print per-component detail")
-		failLink  = flag.Int("fail-link", -1, "fail the topology edge with this index (RAS experiment)")
+		failLink  = flag.Int("fail-link", -1, "run without the topology edge with this index: the topology exported as a scenario with that link deleted (RAS experiment)")
 		faultSeed = flag.Uint64("fault-seed", 0, "seed for the fault-injection RNG streams (default 1)")
 		linkBER   = flag.Float64("link-ber", 0, "per-bit link error rate; corrupted packets retry (e.g. 1e-6)")
 		maxRetry  = flag.Int("max-retries", 0, "drop a packet after this many retries (0 = retry forever)")
@@ -128,7 +128,8 @@ func main() {
 	sys.TotalCapacity = uint64(*capTB) << 40
 	cfg.System = &sys
 	if *failLink >= 0 {
-		cfg.FailLinks = []int{*failLink}
+		cfg.Scenario, err = failLinkScenario(cfg, *failLink)
+		check(err)
 	}
 	cfg.Fault, err = parseFault(*faultSeed, *linkBER, *maxRetry, *killCube, *killLink, *failLanes,
 		*repCube, *repLink, *flapLanes, *retrainW)
@@ -329,6 +330,26 @@ func machineFlagConflict(shards int, spansOut, perfOut, seriesOut, recordTo stri
 		return nil
 	}
 	return fmt.Errorf("%s needs a single-port run: machine runs (-shards > 0) have no cross-port merge for per-port artifacts; drop -shards or %s", conflict, conflict)
+}
+
+// failLinkScenario expresses -fail-link n as a scenario edit: the
+// configuration's built-in topology exported as a scenario (link order
+// is edge order) with link n deleted. Building the result fails if the
+// cut disconnects the network. A -scenario run declares its own links,
+// so the combination is a conflict.
+func failLinkScenario(cfg memnet.Config, n int) (*memnet.Scenario, error) {
+	if cfg.Scenario != nil {
+		return nil, fmt.Errorf("-scenario and -fail-link conflict: delete the link from the scenario instead")
+	}
+	s, err := memnet.ExportScenario(cfg, "")
+	if err != nil {
+		return nil, err
+	}
+	if n < 0 || n >= len(s.Links) {
+		return nil, fmt.Errorf("-fail-link %d: %s has %d links (0-%d)", n, s.Name, len(s.Links), len(s.Links)-1)
+	}
+	s.Links = append(s.Links[:n], s.Links[n+1:]...)
+	return s, nil
 }
 
 func parseTopology(s string) (memnet.Topology, error) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -80,5 +81,36 @@ func TestSpanConfig(t *testing.T) {
 				t.Fatalf("spanConfig = %+v, want %+v", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestFailLinkScenario pins -fail-link as a scenario edit: the exported
+// topology loses exactly the named link, an index past the last link is
+// an error naming the link count, and -scenario is a conflict.
+func TestFailLinkScenario(t *testing.T) {
+	cfg := memnet.DefaultConfig()
+	cfg.Topology = memnet.Ring
+	full, err := memnet.ExportScenario(cfg, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := failLinkScenario(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(full.Links[:2:2], full.Links[3:]...)
+	if !reflect.DeepEqual(s.Links, want) {
+		t.Fatalf("links after cut:\n got  %+v\n want %+v", s.Links, want)
+	}
+
+	n := len(full.Links)
+	_, err = failLinkScenario(cfg, 99)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("has %d links", n)) {
+		t.Fatalf("-fail-link 99 on a %d-link ring: got %v, want an error naming the link count", n, err)
+	}
+
+	cfg.Scenario = full
+	if _, err := failLinkScenario(cfg, 2); err == nil || !strings.Contains(err.Error(), "-scenario") {
+		t.Fatalf("-fail-link with -scenario: got %v, want a conflict error", err)
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"memnet/internal/core"
 	"memnet/internal/fault"
 	"memnet/internal/fnv"
-	"memnet/internal/migrate"
 	"memnet/internal/scenario"
 	"memnet/internal/workload"
 )
@@ -35,13 +34,13 @@ import (
 // same configuration. The fingerprint coverage test
 // (TestFingerprintCoverage) forces a review of this constant whenever a
 // fingerprinted configuration struct changes shape.
-const CacheSchema = "memnet/result-cache/v2"
+const CacheSchema = "memnet/result-cache/v3"
 
 // Fingerprint is the content address of one simulation run: an FNV-1a
 // hash of the canonical encoding of everything that determines its
 // Results — system configuration, topology, arbitration, workload
-// specification, trace length, seed, tuning, migration policy, fault
-// scenario, and the cache schema version.
+// specification, trace length, seed, tuning, fault scenario, component
+// graph scenario, and the cache schema version.
 type Fingerprint uint64
 
 // String renders the fingerprint as fixed-width hex (the cache
@@ -62,12 +61,12 @@ func Cacheable(p core.Params) bool {
 // rules (enforced by TestFingerprintCoverage against the shapes of the
 // structs below):
 //
-//   - Every field of config.System, workload.Spec, core.Tuning,
-//     fault.Config (and its kill-schedule entries), and migrate.Config
-//     is folded, in declaration order, each prefixed with a field label
-//     so that adjacent zero values cannot alias across fields.
+//   - Every field of config.System, workload.Spec, core.Tuning, and
+//     fault.Config (and its kill-schedule entries) is folded, in
+//     declaration order, each prefixed with a field label so that
+//     adjacent zero values cannot alias across fields.
 //   - Params fields that select the run are folded (Topo, Arb,
-//     Transactions, Seed, KeepSamples, FailLinks); fields that only
+//     Transactions, Seed, KeepSamples, Scenario); fields that only
 //     produce side artifacts (Replay, Record, Obs, Spans) are NOT
 //     folded — runs using them are not Cacheable.
 //   - Nil-able sub-configs fold a presence marker first, so nil and
@@ -84,11 +83,6 @@ func FingerprintParams(p core.Params) Fingerprint {
 	h = h.Str("seed").U64(p.Seed)
 	h = h.Str("keep").Bool(p.KeepSamples)
 	h = hashTuning(h, p.Tuning)
-	h = h.Str("faillinks").Int(len(p.FailLinks))
-	for _, e := range p.FailLinks {
-		h = h.Int(e)
-	}
-	h = hashMigration(h, p.Migration)
 	h = hashFault(h, p.Fault)
 	h = hashScenario(h, p.Scenario)
 	return Fingerprint(h.Sum())
@@ -155,17 +149,6 @@ func hashTuning(h fnv.Hash, t core.Tuning) fnv.Hash {
 	h = h.F64(t.ShortcutHi).F64(t.ShortcutLo).Int(t.ShortcutWindow)
 	h = h.Int(t.NVMMaxInflight).Int(t.MetaCubeGroup).Int(t.WavefrontSize)
 	h = h.I64(t.WriteDemotion).Bool(t.NoVCPriority)
-	return h
-}
-
-// hashMigration folds the migration policy (nil-able).
-func hashMigration(h fnv.Hash, m *migrate.Config) fnv.Hash {
-	h = h.Str("migrate").Bool(m != nil)
-	if m == nil {
-		return h
-	}
-	h = h.I64(int64(m.Epoch)).Int(m.HotThreshold).Int(m.MaxSwapsPerEpoch)
-	h = h.U64(m.BlockBytes).I64(int64(m.Blackout)).U64(m.SettleEpochs)
 	return h
 }
 

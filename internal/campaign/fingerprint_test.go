@@ -7,7 +7,6 @@ import (
 	"memnet/internal/config"
 	"memnet/internal/core"
 	"memnet/internal/fault"
-	"memnet/internal/migrate"
 	"memnet/internal/scenario"
 	"memnet/internal/sim"
 	"memnet/internal/span"
@@ -70,8 +69,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 		"energy":            func(p *core.Params) { p.Sys.Energy.NVMWritePJPerBit++ },
 		"tuning":            func(p *core.Params) { p.Tuning.WavefrontSize++ },
 		"keepsamples":       func(p *core.Params) { p.KeepSamples = true },
-		"faillinks":         func(p *core.Params) { p.FailLinks = []int{2} },
-		"migration":         func(p *core.Params) { c := migrate.DefaultConfig(); p.Migration = &c },
 		"fault-nil-vs-zero": func(p *core.Params) { p.Fault = &fault.Config{} },
 		"fault-ber":         func(p *core.Params) { p.Fault = &fault.Config{LinkBER: 1e-6} },
 		"fault-kill": func(p *core.Params) {
@@ -99,6 +96,11 @@ func TestFingerprintSensitivity(t *testing.T) {
 			s := testScenario()
 			depth := 4
 			s.Links[1].BufferPackets = &depth
+			p.Scenario = s
+		},
+		"scenario-link-deleted": func(p *core.Params) {
+			s := testScenario()
+			s.Links = s.Links[:1]
 			p.Scenario = s
 		},
 		"scenario-router-override": func(p *core.Params) {
@@ -203,8 +205,8 @@ func TestFingerprintCoverage(t *testing.T) {
 	}{
 		{core.Params{}, []string{
 			"Sys", "Topo", "Arb", "Workload", "Transactions", "Seed",
-			"KeepSamples", "Replay", "Record", "Migration",
-			"FailLinks", "Fault", "Obs", "Spans", "Scenario", "Tuning",
+			"KeepSamples", "Replay", "Record", "Fault", "Obs", "Spans",
+			"Scenario", "Tuning",
 		}},
 		{config.System{}, []string{
 			"Ports", "TotalCapacity", "DRAMCubeCapacity", "NVMCubeCapacity",
@@ -231,10 +233,6 @@ func TestFingerprintCoverage(t *testing.T) {
 			"InterposerBandwidthX", "InterposerSerDes", "ShortcutHi",
 			"ShortcutLo", "ShortcutWindow", "NVMMaxInflight",
 			"MetaCubeGroup", "WavefrontSize", "WriteDemotion", "NoVCPriority",
-		}},
-		{migrate.Config{}, []string{
-			"Epoch", "HotThreshold", "MaxSwapsPerEpoch", "BlockBytes",
-			"Blackout", "SettleEpochs",
 		}},
 		{fault.Config{}, []string{
 			"Seed", "LinkBER", "MaxRetries", "RetryBackoff", "KillLinks",

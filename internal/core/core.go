@@ -24,7 +24,6 @@ import (
 	"memnet/internal/fault"
 	"memnet/internal/host"
 	"memnet/internal/link"
-	"memnet/internal/migrate"
 	"memnet/internal/obs"
 	"memnet/internal/packet"
 	"memnet/internal/router"
@@ -124,15 +123,6 @@ type Params struct {
 	// Record wraps the generator in a recorder; the trace is available
 	// from Instance.Recorder after the run.
 	Record bool
-	// Migration, when non-nil, enables the epoch-based hot-block
-	// migration manager (the heterogeneous-memory management layer of
-	// §2.4) with the given policy.
-	Migration *migrate.Config
-	// FailLinks lists edge indices (into the built topology's Edges) to
-	// fail before the run: a RAS experiment. Building fails if a listed
-	// link's loss would disconnect the network (chains and trees have no
-	// redundancy; rings, skip lists, and meshes reroute).
-	FailLinks []int
 	// Fault, when non-nil and enabled, arms the runtime fault-injection
 	// and resilience layer: link bit errors with retry, scheduled lane
 	// failures, link kills, cube kills with route-around and address
@@ -194,8 +184,6 @@ type Instance struct {
 	Collector *stats.Collector
 	Meter     *energy.Meter
 
-	// Migrator is non-nil when Params.Migration enabled management.
-	Migrator *migrate.Manager
 	// Recorder is non-nil when Params.Record captured the trace.
 	Recorder *workload.Recorder
 
@@ -264,20 +252,45 @@ func TechOrder(sys *config.System) ([]config.MemTech, error) {
 	return techs, nil
 }
 
+// BuildGraph builds the topology graph a run of p simulates. A scenario
+// run builds a normalized clone of p.Scenario (the caller's spec may be
+// shared across concurrently building shards) and returns that clone,
+// whose per-link and per-router overrides Build applies. A built-in run
+// builds p.Topo over the cube technologies TechOrder assigns, grouped
+// into MetaCube packages of p.Tuning.MetaCubeGroup (default 4), and
+// returns a nil spec. Every graph a run, a fault schedule or an export
+// addresses comes from here, so their edge indices always agree.
+func BuildGraph(p *Params) (*topology.Graph, *scenario.Spec, error) {
+	if p.Scenario != nil {
+		scen := p.Scenario.Clone()
+		g, err := topology.BuildScenario(scen)
+		if err != nil {
+			return nil, nil, err
+		}
+		return g, scen, nil
+	}
+	techs, err := TechOrder(&p.Sys)
+	if err != nil {
+		return nil, nil, err
+	}
+	group := p.Tuning.MetaCubeGroup
+	if group == 0 {
+		group = DefaultTuning().MetaCubeGroup
+	}
+	g, err := topology.Build(p.Topo, techs, topology.WithMetaCubeGroup(group))
+	if err != nil {
+		return nil, nil, err
+	}
+	return g, nil, nil
+}
+
 // Build constructs a simulation instance from params on a fresh engine.
 func Build(p Params) (*Instance, error) {
 	eng := sim.NewEngine()
 	// Scenario runs skip the capacity equation: their cube population
 	// is whatever the spec declares, not a solution of DRAMFraction
 	// against TotalCapacity.
-	var scen *scenario.Spec
 	if p.Scenario != nil {
-		// Clone before normalizing: the caller's spec may be shared
-		// across concurrently building shards (RunMachine).
-		scen = p.Scenario.Clone()
-		if err := scen.Normalize(); err != nil {
-			return nil, err
-		}
 		if err := p.Sys.ValidateBase(); err != nil {
 			return nil, err
 		}
@@ -290,48 +303,13 @@ func Build(p Params) (*Instance, error) {
 	if p.Tuning == (Tuning{}) {
 		p.Tuning = DefaultTuning()
 	}
-
-	var g *topology.Graph
+	g, scen, err := BuildGraph(&p)
+	if err != nil {
+		return nil, err
+	}
 	if scen != nil {
-		kind, err := topology.ScenarioKind(scen)
-		if err != nil {
+		if p.Topo, err = topology.ScenarioKind(scen); err != nil {
 			return nil, err
-		}
-		p.Topo = kind
-		g, err = topology.BuildScenario(scen)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		techs, err := TechOrder(&p.Sys)
-		if err != nil {
-			return nil, err
-		}
-		var topoOpts []topology.Option
-		if p.Tuning.MetaCubeGroup > 0 {
-			topoOpts = append(topoOpts, topology.WithMetaCubeGroup(p.Tuning.MetaCubeGroup))
-		}
-		g, err = topology.Build(p.Topo, techs, topoOpts...)
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Apply RAS failure injection, highest index first so earlier
-	// indices stay valid. Scenario runs must express missing links by
-	// editing the spec instead: removing edges here would shift the
-	// indices the spec's per-link overrides and fault events address.
-	if scen != nil && len(p.FailLinks) > 0 {
-		return nil, fmt.Errorf("core: FailLinks cannot combine with Scenario; drop the links from the scenario instead")
-	}
-	if len(p.FailLinks) > 0 {
-		idx := append([]int(nil), p.FailLinks...)
-		sort.Sort(sort.Reverse(sort.IntSlice(idx)))
-		for _, ei := range idx {
-			var err error
-			g, err = g.RemoveEdge(ei)
-			if err != nil {
-				return nil, err
-			}
 		}
 	}
 
@@ -434,16 +412,6 @@ func Build(p Params) (*Instance, error) {
 		inst.Recorder = rec
 	}
 
-	var migrator *migrate.Manager
-	if p.Migration != nil {
-		mc := *p.Migration
-		mc.BlockBytes = p.Sys.InterleaveBytes
-		migrator = migrate.New(eng, mc, func(phys uint64) config.MemTech {
-			return mapper.Tech(mapper.CubeOf(phys))
-		}, meter)
-		inst.Migrator = migrator
-	}
-
 	window := p.Sys.MaxOutstanding * 8 / p.Sys.Ports
 	if window < 1 {
 		window = 1
@@ -460,24 +428,6 @@ func Build(p Params) (*Instance, error) {
 		ShortcutLo:     p.Tuning.ShortcutLo,
 		ShortcutWindow: p.Tuning.ShortcutWindow,
 		WavefrontSize:  p.Tuning.WavefrontSize,
-		Observe: func() func(uint64) {
-			if migrator == nil {
-				return nil
-			}
-			return migrator.Observe
-		}(),
-		ReadyAt: func() func(uint64) sim.Time {
-			if migrator == nil {
-				return nil
-			}
-			return migrator.ReadyAt
-		}(),
-		Translate: func() func(uint64) uint64 {
-			if migrator == nil {
-				return nil
-			}
-			return migrator.Translate
-		}(),
 	}, gen, host.Wiring{
 		DestOf: func(a uint64) packet.NodeID {
 			n := mapper.CubeOf(a)

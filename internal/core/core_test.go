@@ -217,6 +217,21 @@ func TestWrongQuadrantCounted(t *testing.T) {
 	}
 }
 
+// cutLink returns p with edge ei of its built-in topology failed for
+// the whole run, expressed as a scenario edit: the graph exported as a
+// scenario (link order is edge order) with links[ei] deleted.
+func cutLink(t *testing.T, p Params, ei int) Params {
+	t.Helper()
+	g, _, err := BuildGraph(&p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := topology.ExportScenario(g, "")
+	s.Links = append(s.Links[:ei], s.Links[ei+1:]...)
+	p.Scenario = s
+	return p
+}
+
 // TestLinkFailureRerouting: redundant topologies survive a failed link
 // (with a latency cost); non-redundant ones refuse to build.
 func TestLinkFailureRerouting(t *testing.T) {
@@ -229,8 +244,7 @@ func TestLinkFailureRerouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.FailLinks = []int{1}
-	degraded, err := Simulate(p)
+	degraded, err := Simulate(cutLink(t, p, 1))
 	if err != nil {
 		t.Fatalf("ring should survive one cut: %v", err)
 	}
@@ -242,22 +256,20 @@ func TestLinkFailureRerouting(t *testing.T) {
 	// Skip-list: failing a central chain link forces writes onto skips.
 	p = testParams(topology.SkipList, 1.0, config.NVMLast, arb.RoundRobin, wl)
 	p.Transactions = 1500
-	p.FailLinks = []int{2} // a chain link (edge 0 is host, 1.. are chain)
-	if _, err := Simulate(p); err != nil {
+	// A chain link (edge 0 is host, 1.. are chain).
+	if _, err := Simulate(cutLink(t, p, 2)); err != nil {
 		t.Fatalf("skip-list should reroute around a chain cut: %v", err)
 	}
 
 	// Chain: any cut disconnects.
 	p = testParams(topology.Chain, 1.0, config.NVMLast, arb.RoundRobin, wl)
-	p.FailLinks = []int{3}
-	if _, err := Build(p); err == nil {
+	if _, err := Build(cutLink(t, p, 3)); err == nil {
 		t.Fatal("chain must not survive a cut")
 	}
 
 	// Host link: never survivable.
 	p = testParams(topology.Ring, 1.0, config.NVMLast, arb.RoundRobin, wl)
-	p.FailLinks = []int{0}
-	if _, err := Build(p); err == nil {
+	if _, err := Build(cutLink(t, p, 0)); err == nil {
 		t.Fatal("host link cut must fail")
 	}
 }

@@ -6,9 +6,7 @@ import (
 
 	"memnet/internal/arb"
 	"memnet/internal/config"
-	"memnet/internal/migrate"
 	"memnet/internal/packet"
-	"memnet/internal/sim"
 	"memnet/internal/topology"
 	"memnet/internal/workload"
 )
@@ -61,9 +59,10 @@ func TestFuzzConfigurations(t *testing.T) {
 	}
 }
 
-// TestFuzzFailLinks removes random non-critical edges from redundant
-// topologies and checks the degraded network still completes; removals
-// that disconnect must error cleanly (never panic or hang).
+// TestFuzzFailLinks removes random non-critical edges (as scenario
+// edits) from redundant topologies and checks the degraded network
+// still completes; removals that disconnect must error cleanly (never
+// panic or hang).
 func TestFuzzFailLinks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzz sweep")
@@ -74,15 +73,13 @@ func TestFuzzFailLinks(t *testing.T) {
 		topo := topos[int(topoSel)%len(topos)]
 		p := testParams(topo, 1.0, config.NVMLast, arb.RoundRobin, wl)
 		p.Transactions = 300
-		// Discover the edge count from a clean build.
-		in, err := Build(p)
+		g, _, err := BuildGraph(&p)
 		if err != nil {
 			return false
 		}
-		nEdges := len(in.Graph.Edges)
+		nEdges := len(g.Edges)
 		ei := 1 + int(edgeSel)%(nEdges-1) // never the host link
-		p.FailLinks = []int{ei}
-		res, err := Simulate(p)
+		res, err := Simulate(cutLink(t, p, ei))
 		if err != nil {
 			// Some cuts legitimately disconnect (mesh corners, skip-list
 			// tail); a clean error is acceptable. A wrong RESULT is not.
@@ -126,49 +123,6 @@ func TestFuzzReplayDeterminism(t *testing.T) {
 		return rep.FinishTime == orig.FinishTime &&
 			rep.MeanLatency == orig.MeanLatency &&
 			rep.Reads == orig.Reads
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFuzzMigrationSafety: random migration policies never break
-// completion or conservation, and the indirection table stays an
-// involution (translating twice returns home).
-func TestFuzzMigrationSafety(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fuzz sweep")
-	}
-	wl, _ := workload.ByName("HOTSPOT")
-	f := func(epochUS, thresh, swaps uint8) bool {
-		p := testParams(topology.Tree, 0.5, config.NVMLast, arb.RoundRobin, wl)
-		p.Transactions = 500
-		mc := migrate.Config{
-			Epoch:            sim.Time(1+epochUS%10) * sim.Microsecond,
-			HotThreshold:     1 + int(thresh%6),
-			MaxSwapsPerEpoch: 1 + int(swaps%100),
-			Blackout:         100 * sim.Nanosecond,
-			SettleEpochs:     2,
-		}
-		p.Migration = &mc
-		in, err := Build(p)
-		if err != nil {
-			return false
-		}
-		res, err := in.Run()
-		if err != nil {
-			return false
-		}
-		if res.Transactions != 500 {
-			return false
-		}
-		// The indirection table must remain a permutation (injective,
-		// no leaked frames) no matter how swaps chained.
-		if err := in.Migrator.Validate(); err != nil {
-			t.Log(err)
-			return false
-		}
-		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)

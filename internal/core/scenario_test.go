@@ -2,7 +2,6 @@ package core
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"memnet/internal/arb"
@@ -299,15 +298,5 @@ func TestScenarioMachineShardsIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got[0], got[1]) {
 		t.Errorf("machine results differ across shard counts:\n%+v\n%+v", got[0], got[1])
-	}
-}
-
-// TestScenarioRejectsFailLinks pins the FailLinks/Scenario conflict.
-func TestScenarioRejectsFailLinks(t *testing.T) {
-	p := scenarioParams(t, twoPod())
-	p.FailLinks = []int{3}
-	if _, err := Simulate(p); err == nil ||
-		!strings.Contains(err.Error(), "FailLinks") {
-		t.Fatalf("FailLinks+Scenario not rejected: %v", err)
 	}
 }

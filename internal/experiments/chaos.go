@@ -94,19 +94,10 @@ func (r *Runner) Chaos() (*Table, error) {
 	return t, nil
 }
 
-// chaosFault generates the validated schedule for one configuration by
-// rebuilding the run's topology graph (same construction core.Build
-// uses, so edge indices line up).
+// chaosFault generates the validated schedule for one configuration
+// over the run's own graph (core.BuildGraph), so edge indices line up.
 func chaosFault(p core.Params, opts Options, wl workload.Spec) (fault.Config, error) {
-	techs, err := core.TechOrder(&p.Sys)
-	if err != nil {
-		return fault.Config{}, err
-	}
-	group := p.Tuning.MetaCubeGroup
-	if group == 0 {
-		group = core.DefaultTuning().MetaCubeGroup
-	}
-	g, err := topology.Build(p.Topo, techs, topology.WithMetaCubeGroup(group))
+	g, _, err := core.BuildGraph(&p)
 	if err != nil {
 		return fault.Config{}, err
 	}

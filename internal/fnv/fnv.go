@@ -1,7 +1,6 @@
 // Package fnv is the repo's shared FNV-1a 64-bit hashing idiom: a
 // value-type, allocation-free, chainable hasher used wherever a
-// deterministic content fingerprint is needed — the migration
-// indirection-table fingerprint (internal/migrate) and the campaign
+// deterministic content fingerprint is needed — the campaign
 // result-cache's canonical config encoding (internal/campaign).
 //
 // The standard library's hash/fnv forces a heap allocation and a

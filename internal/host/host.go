@@ -37,17 +37,6 @@ type Config struct {
 	// ShortcutWindow is the monitor's sliding window, in transactions.
 	ShortcutWindow int
 
-	// Observe, if set, is invoked once per injected transaction with
-	// the logical address (the migration manager's profiling hook).
-	Observe func(addr uint64)
-	// ReadyAt, if set, reports when the block holding an address becomes
-	// accessible; injection of transactions to blacked-out blocks
-	// (mid-migration) waits.
-	ReadyAt func(addr uint64) sim.Time
-	// Translate, if set, maps a logical address to its current physical
-	// home (the migration indirection table) at injection time.
-	Translate func(addr uint64) uint64
-
 	// WavefrontSize groups read transactions GPU-style: a group's
 	// window slots are released only when the whole group has
 	// completed, modeling warps that stall on their slowest
@@ -203,15 +192,14 @@ func (p *Port) SetSpanHook(fn func(pk *packet.Packet, wait sim.Time)) { p.spanHo
 func (p *Port) Receive(pk *packet.Packet) {
 	pk.Completed = p.eng.Now()
 	p.collector.Complete(pk)
-	kind, id, logical := pk.Kind, pk.ID, pk.Logical
+	kind, id, addr := pk.Kind, pk.ID, pk.Addr
 	// The transaction is retired: every consumer below works from the
 	// copied header fields, so the packet can recycle immediately.
 	p.pool.Put(pk)
 	// Coherence state releases as soon as the ack is visible at the
-	// ordering point, independent of wavefront retirement. State is
-	// keyed by the logical address (migration may have moved the data).
+	// ordering point, independent of wavefront retirement.
 	if kind == packet.WriteAck {
-		p.releaseWrite(logical &^ 63)
+		p.releaseWrite(addr &^ 63)
 	}
 	if p.cfg.WavefrontSize > 1 {
 		if kind == packet.WriteAck {
@@ -306,12 +294,6 @@ func (p *Port) pump() {
 				return
 			}
 			pr := p.ready[0]
-			if p.cfg.ReadyAt != nil {
-				if at := p.cfg.ReadyAt(pr.tx.Addr); at > p.eng.Now() {
-					p.armTimer(at)
-					return
-				}
-			}
 			copy(p.ready, p.ready[1:])
 			p.ready = p.ready[:len(p.ready)-1]
 			p.inject(pr.tx, pr.arrive)
@@ -331,14 +313,6 @@ func (p *Port) pump() {
 			return
 		}
 		tx := p.staged
-		if p.cfg.ReadyAt != nil {
-			if at := p.cfg.ReadyAt(tx.Addr); at > now {
-				// The block is mid-migration; hold injection until the
-				// copy drains.
-				p.armTimer(at)
-				return
-			}
-		}
 		blk := tx.Addr &^ 63
 		if !tx.Write && p.pendingWrites[blk] > 0 {
 			// Directory stall: park the read until the write acks.
@@ -367,15 +341,8 @@ func (p *Port) inject(tx workload.Tx, arrive sim.Time) {
 		p.pendingWrites[tx.Addr&^63]++
 	}
 	p.observe(tx.Write)
-	if p.cfg.Observe != nil {
-		p.cfg.Observe(tx.Addr)
-	}
-	physAddr := tx.Addr
-	if p.cfg.Translate != nil {
-		physAddr = p.cfg.Translate(tx.Addr)
-	}
 
-	dst := p.wire.DestOf(physAddr)
+	dst := p.wire.DestOf(tx.Addr)
 	class := topology.ClassOf(kind, p.WriteShortcut())
 	p.nextID++
 	pk := p.pool.Get()
@@ -384,8 +351,7 @@ func (p *Port) inject(tx workload.Tx, arrive sim.Time) {
 		Kind:         kind,
 		Src:          packet.HostNode,
 		Dst:          dst,
-		Addr:         physAddr,
-		Logical:      tx.Addr,
+		Addr:         tx.Addr,
 		Distance:     p.wire.DistOf(dst, class),
 		EnterPort:    -1, // no router ingress yet
 		Injected:     now,

@@ -315,48 +315,6 @@ func TestPanicsOnBadWindow(t *testing.T) {
 	New(sim.NewEngine(), Config{MaxOutstanding: 0}, &scripted{}, Wiring{}, stats.NewCollector(false))
 }
 
-func TestMigrationHooks(t *testing.T) {
-	gen := &scripted{txs: []workload.Tx{
-		{Addr: 0x1000, Write: false, Gap: 0},
-		{Addr: 0x2000, Write: true, Gap: 0},
-	}}
-	var observed []uint64
-	cfg := baseCfg(2)
-	cfg.Observe = func(a uint64) { observed = append(observed, a) }
-	cfg.Translate = func(a uint64) uint64 { return a + 0x100000 }
-	cfg.ReadyAt = func(a uint64) sim.Time {
-		if a == 0x2000 {
-			return 500 * sim.Nanosecond // second tx blacked out briefly
-		}
-		return 0
-	}
-	n := newEchoNet(t, cfg, gen, 5*sim.Nanosecond)
-	n.eng.Run()
-	if len(observed) != 2 || observed[0] != 0x1000 || observed[1] != 0x2000 {
-		t.Fatalf("observed %v", observed)
-	}
-	// Packets carry translated physical addresses but logical coherence
-	// keys.
-	for _, p := range n.received {
-		if p.Addr < 0x100000 {
-			t.Fatalf("packet not translated: %#x", p.Addr)
-		}
-		if p.Logical >= 0x100000 {
-			t.Fatalf("logical address clobbered: %#x", p.Logical)
-		}
-	}
-	// The blacked-out transaction injected no earlier than its ReadyAt.
-	var blocked *packet.Packet
-	for i := range n.received {
-		if n.received[i].Logical == 0x2000 {
-			blocked = &n.received[i]
-		}
-	}
-	if blocked == nil || blocked.Injected < 500*sim.Nanosecond {
-		t.Fatalf("blackout not honored: %+v", blocked)
-	}
-}
-
 // TestSpanHook: the span hook is the port's one injection observer. It
 // sees every packet once, after its header is built, with the time the
 // transaction waited for a window slot before injection.

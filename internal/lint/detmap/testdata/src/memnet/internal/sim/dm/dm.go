@@ -39,7 +39,7 @@ func sortedKeys(m map[string]int) []string {
 }
 
 // Good: guarded collection of structs, sorted with sort.Slice — the
-// shape of the migrate hot-block harvest.
+// shape of a hot-block harvest.
 func hotBlocks(counts map[uint64]int, threshold int) []uint64 {
 	type hot struct {
 		blk   uint64

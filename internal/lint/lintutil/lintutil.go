@@ -17,8 +17,8 @@ import (
 // wall-clock time and unordered iteration freely.
 var simPackages = []string{
 	"sim", "core", "link", "router", "vault", "host", "fault",
-	"arb", "topology", "mem", "migrate", "stats", "obs", "span",
-	"scenario", "workload",
+	"arb", "topology", "mem", "stats", "obs", "span", "scenario",
+	"workload",
 }
 
 // SimPackage reports whether the import path names simulation code:

@@ -111,11 +111,7 @@ type Packet struct {
 	Kind Kind
 	Src  NodeID // injecting node (host for requests, cube for responses)
 	Dst  NodeID // destination node
-	Addr uint64 // physical address within the port's slice (post-migration)
-	// Logical is the pre-translation address the host issued; the
-	// coherence ordering point keys its state by this, so migration
-	// remapping cannot orphan a dependent read.
-	Logical uint64
+	Addr uint64 // physical address within the port's slice
 
 	// Distance is the hop count from Src to Dst computed from the
 	// topology's routing tables when the packet is injected. It is the

@@ -8,8 +8,7 @@ import "math/bits"
 // DRAM timings), only 11 are below 256 ps, and none reaches 262 ns.
 // 512 ps slots spread that mix over a few hundred slots, each holding an
 // event or two, and 1024 of them give a ~524 ns horizon. Longer delays —
-// fault plans, watchdog ticks, migration epochs, PCM write tails — go to
-// the overflow heap.
+// fault plans, watchdog ticks, PCM write tails — go to the overflow heap.
 const (
 	slotShift    = 9
 	slotWidth    = Time(1) << slotShift // 512 ps

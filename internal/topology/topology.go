@@ -182,10 +182,10 @@ type Graph struct {
 	dist [NumClasses][][]int16
 
 	// deadEdge/deadNode are the fault masks of a degraded graph built by
-	// Disable (nil on a healthy graph). Unlike RemoveEdge, they leave
-	// Nodes, Edges, and adjacency — and therefore every port index —
-	// untouched, so a live, already-wired network can swap its routing
-	// tables without rewiring.
+	// Disable (nil on a healthy graph). They leave Nodes, Edges, and
+	// adjacency — and therefore every port index — untouched, so a live,
+	// already-wired network can swap its routing tables without
+	// rewiring.
 	deadEdge []bool
 	deadNode []bool
 }
@@ -587,8 +587,8 @@ func (g *Graph) rebuild() error {
 // top of any faults the receiver already carries. Nodes, Edges, and
 // adjacency are shared untouched, so port indices stay valid for a
 // network that is already wired — this is the route-around primitive for
-// runtime faults, where RemoveEdge (which reindexes) only suits
-// build-time what-ifs.
+// runtime faults. A link that is absent for the whole run is instead a
+// scenario without that link (see BuildScenario).
 //
 // A dead node is a "zombie" in the tables: it keeps next-hops of its own
 // (packets queued there when it died can escape) and remains a reachable
@@ -665,25 +665,6 @@ func (g *Graph) Enable(edges []int, nodes []packet.NodeID) (*Graph, error) {
 	}
 	if err := ng.rebuild(); err != nil {
 		return nil, fmt.Errorf("topology: repair left the network inconsistent: %w", err)
-	}
-	return ng, nil
-}
-
-// RemoveEdge returns a copy of the graph with edge ei failed (removed)
-// and routes recomputed. It errors if the network would disconnect —
-// chains and trees have no redundancy; rings, skip lists, and meshes
-// reroute.
-func (g *Graph) RemoveEdge(ei int) (*Graph, error) {
-	if ei < 0 || ei >= len(g.Edges) {
-		return nil, fmt.Errorf("topology: no edge %d", ei)
-	}
-	ng := &Graph{Kind: g.Kind}
-	ng.Nodes = append([]Node(nil), g.Nodes...)
-	ng.Edges = append([]Edge(nil), g.Edges[:ei]...)
-	ng.Edges = append(ng.Edges, g.Edges[ei+1:]...)
-	if err := ng.rebuild(); err != nil {
-		return nil, fmt.Errorf("topology: removing link %d-%d disconnects the network: %w",
-			g.Edges[ei].A, g.Edges[ei].B, err)
 	}
 	return ng, nil
 }

@@ -81,8 +81,10 @@ func WriteTrace(w io.Writer, txs []Tx) error {
 	return bw.Flush()
 }
 
-// ReadTrace parses the WriteTrace format. Blank lines and lines starting
-// with '#' are ignored.
+// ReadTrace parses the WriteTrace format strictly: a line has three
+// fields or a fourth that is exactly rmw, and anything else is a
+// "trace line N" error rather than a silently different replay. Blank
+// lines and lines starting with '#' are ignored.
 func ReadTrace(r io.Reader) ([]Tx, error) {
 	var txs []Tx
 	sc := bufio.NewScanner(r)
@@ -95,8 +97,8 @@ func ReadTrace(r io.Reader) ([]Tx, error) {
 			continue
 		}
 		parts := strings.Split(line, ",")
-		if len(parts) < 3 {
-			return nil, fmt.Errorf("workload: trace line %d: want addr,kind,gap", lineNo)
+		if len(parts) < 3 || len(parts) > 4 {
+			return nil, fmt.Errorf("workload: trace line %d: want addr,kind,gap[,rmw]", lineNo)
 		}
 		addr, err := strconv.ParseUint(strings.TrimSpace(parts[0]), 16, 64)
 		if err != nil {
@@ -115,7 +117,10 @@ func ReadTrace(r io.Reader) ([]Tx, error) {
 			return nil, fmt.Errorf("workload: trace line %d: bad gap", lineNo)
 		}
 		tx := Tx{Addr: addr, Write: write, Gap: sim.Time(gap)}
-		if len(parts) > 3 && strings.TrimSpace(parts[3]) == "rmw" {
+		if len(parts) == 4 {
+			if strings.TrimSpace(parts[3]) != "rmw" {
+				return nil, fmt.Errorf("workload: trace line %d: fourth field must be rmw", lineNo)
+			}
 			tx.RMW = true
 		}
 		txs = append(txs, tx)

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -78,6 +80,9 @@ func TestReadTraceErrors(t *testing.T) {
 		"40,R,notanumber", // bad gap
 		"40,R,-5",         // negative gap
 		"40",              // short line
+		"40,R,1000,bogus", // unknown fourth field
+		"40,R,1000,",      // empty fourth field
+		"40,W,10,rmw,x",   // fifth field
 	}
 	for _, c := range cases {
 		if _, err := ReadTrace(strings.NewReader(c)); err == nil {
@@ -92,4 +97,27 @@ func TestReadTraceErrors(t *testing.T) {
 	if len(txs) != 1 || !txs[0].Write || !txs[0].RMW || txs[0].Gap != 100*sim.Picosecond {
 		t.Fatalf("parsed %+v", txs)
 	}
+}
+
+// FuzzReadTrace: any input either fails to decode with an error, or
+// decodes to a trace that survives WriteTrace -> ReadTrace unchanged.
+// ReadTrace never panics. The seed corpus is in testdata/fuzz.
+func FuzzReadTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		txs, err := ReadTrace(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, txs); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("re-read of a written trace failed: %v\n%s", err, buf.String())
+		}
+		if !reflect.DeepEqual(again, txs) {
+			t.Fatalf("round trip changed the trace:\n got  %+v\n want %+v", again, txs)
+		}
+	})
 }

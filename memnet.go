@@ -33,7 +33,6 @@ import (
 	"memnet/internal/config"
 	"memnet/internal/core"
 	"memnet/internal/fault"
-	"memnet/internal/migrate"
 	"memnet/internal/obs"
 	"memnet/internal/packet"
 	"memnet/internal/scenario"
@@ -176,23 +175,8 @@ func GenerateChaos(c Config, spec ChaosSpec) (*FaultConfig, error) {
 	if err != nil {
 		return nil, err
 	}
-	var g *topology.Graph
-	if p.Scenario != nil {
-		// Chaos schedules address edges of the declared graph; build it
-		// from a clone so the caller's spec is not normalized in place.
-		g, err = topology.BuildScenario(p.Scenario.Clone())
-	} else {
-		var techs []config.MemTech
-		techs, err = core.TechOrder(&p.Sys)
-		if err != nil {
-			return nil, err
-		}
-		group := p.Tuning.MetaCubeGroup
-		if group == 0 {
-			group = core.DefaultTuning().MetaCubeGroup
-		}
-		g, err = topology.Build(p.Topo, techs, topology.WithMetaCubeGroup(group))
-	}
+	// Chaos schedules address edges of the run's own graph.
+	g, _, err := core.BuildGraph(&p)
 	if err != nil {
 		return nil, err
 	}
@@ -279,28 +263,12 @@ func ExportScenario(c Config, name string) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	techs, err := core.TechOrder(&p.Sys)
-	if err != nil {
-		return nil, err
-	}
-	group := p.Tuning.MetaCubeGroup
-	if group == 0 {
-		group = core.DefaultTuning().MetaCubeGroup
-	}
-	g, err := topology.Build(p.Topo, techs, topology.WithMetaCubeGroup(group))
+	g, _, err := core.BuildGraph(&p)
 	if err != nil {
 		return nil, err
 	}
 	return topology.ExportScenario(g, name), nil
 }
-
-// MigrationPolicy tunes the optional hot-block migration manager — the
-// heterogeneous-memory management layer mixed DRAM:NVM networks rely on
-// (paper §2.4).
-type MigrationPolicy = migrate.Config
-
-// DefaultMigration returns a reasonable migration policy.
-func DefaultMigration() MigrationPolicy { return migrate.DefaultConfig() }
 
 // Config specifies one simulation run through the public API.
 type Config struct {
@@ -331,16 +299,10 @@ type Config struct {
 	Seed uint64
 	// KeepSamples retains per-transaction latencies for percentiles.
 	KeepSamples bool
-	// FailLinks fails the listed topology edges before the run (RAS
-	// experiment); building fails if the network would disconnect.
-	FailLinks []int
 	// Fault, when non-nil and non-zero, enables mid-run fault injection
 	// (link errors with retry, lane degradation, link/cube kills) and
 	// the progress watchdog.
 	Fault *FaultConfig
-	// Migration, when non-nil, enables epoch-based hot-block migration
-	// between NVM and DRAM cubes.
-	Migration *MigrationPolicy
 	// ReplayTrace drives the run from a recorded transaction trace
 	// instead of the synthetic generator.
 	ReplayTrace []Tx
@@ -430,7 +392,6 @@ func (c Config) params() (core.Params, error) {
 		}
 		p.Topo = kind
 	}
-	p.FailLinks = c.FailLinks
 	p.Fault = c.Fault
 	if p.Fault == nil && c.Scenario != nil && c.Scenario.Fault != nil {
 		fc, err := core.ScenarioFault(c.Scenario)
@@ -439,7 +400,6 @@ func (c Config) params() (core.Params, error) {
 		}
 		p.Fault = fc
 	}
-	p.Migration = c.Migration
 	p.Replay = c.ReplayTrace
 	p.Record = c.Record
 	p.Obs = c.Telemetry

@@ -177,43 +177,31 @@ func TestAblationTunings(t *testing.T) {
 	}
 }
 
+// TestFailLinksPublic is the public-API recipe for a failed link: export
+// the built-in topology as a scenario, delete the link, and run it. A
+// ring reroutes around the cut; a chain cut disconnects and fails.
 func TestFailLinksPublic(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Topology = Ring
-	cfg.Transactions = 800
-	cfg.FailLinks = []int{2}
-	res, err := Run(cfg)
+	cut := func(topo Topology, link int) Config {
+		cfg := DefaultConfig()
+		cfg.Topology = topo
+		cfg.Transactions = 800
+		s, err := ExportScenario(cfg, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Links = append(s.Links[:link], s.Links[link+1:]...)
+		cfg.Scenario = s
+		return cfg
+	}
+	res, err := Run(cut(Ring, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Transactions != 800 {
 		t.Fatal("degraded ring did not complete")
 	}
-	cfg.Topology = Chain
-	if _, err := Run(cfg); err == nil {
+	if _, err := Run(cut(Chain, 2)); err == nil {
 		t.Fatal("chain cut must fail")
-	}
-}
-
-func TestMigrationPublic(t *testing.T) {
-	mc := DefaultMigration()
-	cfg := DefaultConfig()
-	cfg.DRAMFraction = 0.5
-	cfg.Workload = "HOTSPOT"
-	cfg.Transactions = 2000
-	cfg.Migration = &mc
-	in, err := Build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := in.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if in.Migrator == nil {
-		t.Fatal("migrator not exposed")
-	}
-	if in.Migrator.Stats().Epochs == 0 {
-		t.Fatal("migration epochs never ran")
 	}
 }
 

@@ -256,8 +256,27 @@ func (r *renderer) renderFlags(name string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	// A usage string is a literal or a string constant of the file.
+	consts := map[string]string{}
+	for _, d := range file.Decls {
+		gd, ok := d.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			for i, id := range vs.Names {
+				if i < len(vs.Values) {
+					if v, ok := stringLit(vs.Values[i]); ok {
+						consts[id.Name] = v
+					}
+				}
+			}
+		}
+	}
 	type flagDef struct{ name, def, usage string }
 	var defs []flagDef
+	var unresolved []string
 	ast.Inspect(file, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || len(call.Args) < 3 {
@@ -281,7 +300,11 @@ func (r *renderer) renderFlags(name string) (string, error) {
 			return true
 		}
 		usage, ok := stringLit(call.Args[len(call.Args)-1])
+		if id, isIdent := call.Args[len(call.Args)-1].(*ast.Ident); isIdent {
+			usage, ok = consts[id.Name]
+		}
 		if !ok {
+			unresolved = append(unresolved, "-"+fname)
 			return true
 		}
 		defs = append(defs, flagDef{fname, exprText(fset, call.Args[1]), usage})
@@ -289,6 +312,9 @@ func (r *renderer) renderFlags(name string) (string, error) {
 	})
 	if len(defs) == 0 {
 		return "", fmt.Errorf("no flag definitions found in %s", path)
+	}
+	if len(unresolved) > 0 {
+		return "", fmt.Errorf("%s: usage of %s is neither a string literal nor a string constant", path, strings.Join(unresolved, ", "))
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "`%s` flags:\n\n| flag | default | description |\n|---|---|---|\n", name)

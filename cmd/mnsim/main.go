@@ -23,11 +23,17 @@ import (
 	"memnet/internal/obs"
 	"memnet/internal/prof"
 	"memnet/internal/span"
+	"memnet/internal/topology"
 )
+
+// topoUsage is the -topology help text. It must stay a string constant
+// (cmd/mndocs renders flag tables from the AST) and must track
+// topology.KindNames exactly; TestTopologyUsageCurrent pins it.
+const topoUsage = "chain | ring | tree | skiplist | metacube | mesh"
 
 func main() {
 	var (
-		topoFlag  = flag.String("topology", "tree", "chain | ring | tree | skiplist | metacube | mesh")
+		topoFlag  = flag.String("topology", "tree", topoUsage)
 		scenFlag  = flag.String("scenario", "", "run a declarative scenario file instead of -topology ('-' = stdin; see SCENARIOS.md)")
 		dramPct   = flag.Float64("dram-pct", 100, "percent of capacity from DRAM (0-100)")
 		placeFlag = flag.String("placement", "last", "NVM placement: last (-L) | first (-F)")
@@ -92,7 +98,7 @@ func main() {
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 
 	cfg := memnet.DefaultConfig()
-	cfg.Topology, err = parseTopology(*topoFlag)
+	cfg.Topology, err = topology.ParseKind(*topoFlag)
 	check(err)
 	if *scenFlag != "" {
 		if explicit["topology"] {
@@ -334,9 +340,9 @@ func machineFlagConflict(shards int, spansOut, perfOut, seriesOut, recordTo stri
 
 // failLinkScenario expresses -fail-link n as a scenario edit: the
 // configuration's built-in topology exported as a scenario (link order
-// is edge order) with link n deleted. Building the result fails if the
-// cut disconnects the network. A -scenario run declares its own links,
-// so the combination is a conflict.
+// is edge order) with link n deleted. A cut that disconnects the
+// network is an error naming the cut link. A -scenario run declares its
+// own links, so the combination is a conflict.
 func failLinkScenario(cfg memnet.Config, n int) (*memnet.Scenario, error) {
 	if cfg.Scenario != nil {
 		return nil, fmt.Errorf("-scenario and -fail-link conflict: delete the link from the scenario instead")
@@ -348,27 +354,12 @@ func failLinkScenario(cfg memnet.Config, n int) (*memnet.Scenario, error) {
 	if n < 0 || n >= len(s.Links) {
 		return nil, fmt.Errorf("-fail-link %d: %s has %d links (0-%d)", n, s.Name, len(s.Links), len(s.Links)-1)
 	}
+	cut := s.Links[n]
 	s.Links = append(s.Links[:n], s.Links[n+1:]...)
-	return s, nil
-}
-
-func parseTopology(s string) (memnet.Topology, error) {
-	switch strings.ToLower(s) {
-	case "chain", "c":
-		return memnet.Chain, nil
-	case "ring", "r":
-		return memnet.Ring, nil
-	case "tree", "t":
-		return memnet.Tree, nil
-	case "skiplist", "skip-list", "sl":
-		return memnet.SkipList, nil
-	case "metacube", "mc":
-		return memnet.MetaCube, nil
-	case "mesh", "m":
-		return memnet.Mesh, nil
-	default:
-		return 0, fmt.Errorf("unknown topology %q", s)
+	if _, err := topology.BuildScenario(s); err != nil {
+		return nil, fmt.Errorf("-fail-link %d (links[%d] %s-%s): %w", n, n, cut.A, cut.B, err)
 	}
+	return s, nil
 }
 
 func parseArb(s string) (memnet.Arbitration, error) {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"memnet"
+	"memnet/internal/topology"
 )
 
 // TestMachineFlagConflict pins the -shards flag validation: every
@@ -112,5 +113,22 @@ func TestFailLinkScenario(t *testing.T) {
 	cfg.Scenario = full
 	if _, err := failLinkScenario(cfg, 2); err == nil || !strings.Contains(err.Error(), "-scenario") {
 		t.Fatalf("-fail-link with -scenario: got %v, want a conflict error", err)
+	}
+
+	// A disconnecting cut names the flag and the link it deleted.
+	chain := memnet.DefaultConfig()
+	chain.Topology = memnet.Chain
+	_, err = failLinkScenario(chain, 3)
+	wantErr := "-fail-link 3 (links[3] c3-c4): scenario: topology: node 4 unreachable from host"
+	if err == nil || err.Error() != wantErr {
+		t.Fatalf("-fail-link 3 on a chain: got %v, want %q", err, wantErr)
+	}
+}
+
+// TestTopologyUsageCurrent pins the -topology help text to the kind
+// registry that parses the flag.
+func TestTopologyUsageCurrent(t *testing.T) {
+	if want := strings.Join(topology.KindNames(), " | "); topoUsage != want {
+		t.Errorf("-topology usage %q is stale; want %q", topoUsage, want)
 	}
 }

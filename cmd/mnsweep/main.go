@@ -18,13 +18,19 @@ import (
 	"strings"
 
 	"memnet"
+	"memnet/internal/topology"
 )
+
+// topoUsage is the -topology help text. It must stay a string constant
+// (cmd/mndocs renders flag tables from the AST) and must track
+// topology.KindNames exactly; TestTopologyUsageCurrent pins it.
+const topoUsage = "chain | ring | tree | skiplist | metacube | mesh"
 
 func main() {
 	var (
 		param    = flag.String("param", "serdes", "serdes | interleave | window | buffers | switchbw | seed")
 		values   = flag.String("values", "", "comma-separated values (required)")
-		topoFlag = flag.String("topology", "tree", "chain | ring | tree | skiplist | metacube | mesh")
+		topoFlag = flag.String("topology", "tree", topoUsage)
 		wlFlag   = flag.String("workload", "KMEANS", "workload name")
 		dramPct  = flag.Float64("dram-pct", 100, "percent of capacity from DRAM")
 		txns     = flag.Uint64("txns", 8000, "transactions per run")
@@ -36,7 +42,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mnsweep: -values is required")
 		os.Exit(2)
 	}
-	topo, err := parseTopology(*topoFlag)
+	topo, err := topology.ParseKind(*topoFlag)
 	check(err)
 
 	fmt.Printf("param,value,finish_ns,mean_latency_ns,to_mem_ns,in_mem_ns,from_mem_ns,energy_uj\n")
@@ -99,25 +105,6 @@ func parseValues(s string) []int64 {
 		out = append(out, v)
 	}
 	return out
-}
-
-func parseTopology(s string) (memnet.Topology, error) {
-	switch strings.ToLower(s) {
-	case "chain", "c":
-		return memnet.Chain, nil
-	case "ring", "r":
-		return memnet.Ring, nil
-	case "tree", "t":
-		return memnet.Tree, nil
-	case "skiplist", "skip-list", "sl":
-		return memnet.SkipList, nil
-	case "metacube", "mc":
-		return memnet.MetaCube, nil
-	case "mesh", "m":
-		return memnet.Mesh, nil
-	default:
-		return 0, fmt.Errorf("unknown topology %q", s)
-	}
 }
 
 func check(err error) {

@@ -1,9 +1,10 @@
 // Command mntopo builds a memory-network topology and prints its
 // structure: node/edge inventory, per-cube hop distances from the host,
 // diameter statistics, and (optionally) Graphviz DOT. It also converts
-// between compiled-in topologies and declarative scenario documents:
-// -export emits the built graph as scenario JSON (see SCENARIOS.md),
-// and -scenario summarizes a scenario file instead of -topology.
+// between built-in topologies and declarative scenario documents:
+// -export emits the scenario JSON a built-in topology is generated as
+// (see SCENARIOS.md), and -scenario summarizes a scenario file instead
+// of -topology (with -export: prints it normalized, defaults filled in).
 //
 // Examples:
 //
@@ -27,16 +28,16 @@ import (
 	"memnet/internal/topology"
 )
 
-// topoUsage is the -topology help text. It must stay a plain literal
+// topoUsage is the -topology help text. It must stay a string constant
 // (cmd/mndocs renders flag tables from the AST) and must track
-// topology.KindNames exactly; TestTopologyUsageCurrent pins both.
+// topology.KindNames exactly; TestTopologyUsageCurrent pins it.
 const topoUsage = "chain | ring | tree | skiplist | metacube | mesh"
 
 func main() {
 	var (
 		topoFlag  = flag.String("topology", "skiplist", topoUsage)
 		scenFlag  = flag.String("scenario", "", "summarize a declarative scenario file instead of -topology ('-' = stdin; see SCENARIOS.md)")
-		export    = flag.Bool("export", false, "emit the built graph as a scenario JSON document on stdout")
+		export    = flag.Bool("export", false, "emit the graph as a scenario JSON document on stdout (with -scenario: the normalized document)")
 		cubes     = flag.Int("cubes", 0, "build a homogeneous DRAM network of N cubes (overrides ratio)")
 		dramPct   = flag.Float64("dram-pct", 100, "percent of capacity from DRAM")
 		placeFlag = flag.String("placement", "last", "NVM placement: last | first")
@@ -45,14 +46,11 @@ func main() {
 	flag.Parse()
 
 	var (
-		g    *topology.Graph
 		spec *scenario.Spec
 		err  error
 	)
 	if *scenFlag != "" {
 		spec, err = loadScenario(*scenFlag)
-		check(err)
-		g, err = topology.BuildScenario(spec)
 		check(err)
 	} else {
 		var kind topology.Kind
@@ -71,19 +69,16 @@ func main() {
 			techs, err = core.TechOrder(&sys)
 			check(err)
 		}
-
-		g, err = topology.Build(kind, techs)
+		spec, err = topology.Generate(kind, techs, core.DefaultTuning().MetaCubeGroup)
 		check(err)
 	}
+	g, err := topology.BuildScenario(spec)
+	check(err)
 
 	if *export {
-		name := ""
-		if spec != nil {
-			name = spec.Name
-		}
-		out, err := exportJSON(g, name)
+		out, err := json.MarshalIndent(spec, "", "  ")
 		check(err)
-		fmt.Println(out)
+		fmt.Println(string(out))
 		return
 	}
 
@@ -132,19 +127,6 @@ func loadScenario(path string) (*scenario.Spec, error) {
 		return scenario.Load(os.Stdin)
 	}
 	return scenario.LoadFile(path)
-}
-
-// exportJSON renders the graph as an indented scenario document. The
-// export carries structure only — every rate, depth, and policy is the
-// system-wide default — so simulating it reproduces the compiled-in
-// topology bit-identically.
-func exportJSON(g *topology.Graph, name string) (string, error) {
-	s := topology.ExportScenario(g, name)
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
 }
 
 // toDOT renders the graph for Graphviz.

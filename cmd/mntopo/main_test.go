@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -31,11 +32,15 @@ func TestEveryKindBuildsAndExports(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		out, err := exportJSON(g, "")
+		spec, err := topology.Generate(kind, make([]config.MemTech, 16), 4)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		s, err := scenario.Decode([]byte(out))
+		out, err := json.MarshalIndent(spec, "", "  ")
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		s, err := scenario.Decode(out)
 		if err != nil {
 			t.Fatalf("%s export does not decode: %v", name, err)
 		}

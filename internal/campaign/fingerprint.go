@@ -21,7 +21,6 @@ import (
 	"memnet/internal/core"
 	"memnet/internal/fault"
 	"memnet/internal/fnv"
-	"memnet/internal/scenario"
 	"memnet/internal/workload"
 )
 
@@ -34,13 +33,13 @@ import (
 // same configuration. The fingerprint coverage test
 // (TestFingerprintCoverage) forces a review of this constant whenever a
 // fingerprinted configuration struct changes shape.
-const CacheSchema = "memnet/result-cache/v3"
+const CacheSchema = "memnet/result-cache/v4"
 
 // Fingerprint is the content address of one simulation run: an FNV-1a
 // hash of the canonical encoding of everything that determines its
-// Results — system configuration, topology, arbitration, workload
-// specification, trace length, seed, tuning, fault scenario, component
-// graph scenario, and the cache schema version.
+// Results — system configuration, component graph, arbitration,
+// workload specification, trace length, seed, tuning, fault scenario,
+// and the cache schema version.
 type Fingerprint uint64
 
 // String renders the fingerprint as fixed-width hex (the cache
@@ -65,10 +64,14 @@ func Cacheable(p core.Params) bool {
 //     fault.Config (and its kill-schedule entries) is folded, in
 //     declaration order, each prefixed with a field label so that
 //     adjacent zero values cannot alias across fields.
-//   - Params fields that select the run are folded (Topo, Arb,
-//     Transactions, Seed, KeepSamples, Scenario); fields that only
-//     produce side artifacts (Replay, Record, Obs, Spans) are NOT
-//     folded — runs using them are not Cacheable.
+//   - Params fields that select the run are folded (Arb,
+//     Transactions, Seed, KeepSamples); fields that only produce side
+//     artifacts (Replay, Record, Obs, Spans) are NOT folded — runs
+//     using them are not Cacheable.
+//   - The graph is folded as the canonical bytes of the spec
+//     core.GraphSpec returns, which covers Topo and Scenario alike: a
+//     built-in run and a run of its exported scenario share an
+//     address.
 //   - Nil-able sub-configs fold a presence marker first, so nil and
 //     zero-valued configs hash differently.
 //   - CacheSchema is folded first, so a schema/semantics bump changes
@@ -76,7 +79,7 @@ func Cacheable(p core.Params) bool {
 func FingerprintParams(p core.Params) Fingerprint {
 	h := fnv.New().Str(CacheSchema)
 	h = hashSystem(h, p.Sys)
-	h = h.Str("topo").Str(p.Topo.String())
+	h = hashGraph(h, &p)
 	h = h.Str("arb").Str(p.Arb.String())
 	h = hashWorkload(h, p.Workload)
 	h = h.Str("txns").U64(p.Transactions)
@@ -84,23 +87,23 @@ func FingerprintParams(p core.Params) Fingerprint {
 	h = h.Str("keep").Bool(p.KeepSamples)
 	h = hashTuning(h, p.Tuning)
 	h = hashFault(h, p.Fault)
-	h = hashScenario(h, p.Scenario)
 	return Fingerprint(h.Sum())
 }
 
-// hashScenario folds the declarative component graph (nil-able) as its
-// canonical re-encoded bytes: defaults materialized, keys sorted. Two
-// scenario files that mean the same run — different formatting, key
-// order, or elided defaults — therefore share a fingerprint, and a
-// re-loaded file is a cache hit. Folding the canonical bytes also
-// covers every future Spec field automatically, which is why the
-// coverage test pins no scenario struct shapes.
-func hashScenario(h fnv.Hash, s *scenario.Spec) fnv.Hash {
-	h = h.Str("scenario").Bool(s != nil)
-	if s == nil {
-		return h
+// hashGraph folds the run's component graph as the canonical bytes of
+// its scenario spec: defaults materialized, keys sorted. Two scenario
+// files that mean the same run — different formatting, key order, or
+// elided defaults — therefore share a fingerprint, and a re-loaded file
+// is a cache hit. Folding the canonical bytes also covers every future
+// Spec field automatically, which is why the coverage test pins no
+// scenario struct shapes. A run whose graph cannot be generated folds
+// the error text instead; it fails before simulating.
+func hashGraph(h fnv.Hash, p *core.Params) fnv.Hash {
+	s, err := core.GraphSpec(p)
+	if err != nil {
+		return h.Str("graph-error").Str(err.Error())
 	}
-	return h.Str(string(s.Canonical()))
+	return h.Str("graph").Str(string(s.Canonical()))
 }
 
 // hashSystem folds every field of the system configuration.

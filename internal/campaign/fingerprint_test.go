@@ -122,6 +122,29 @@ func TestFingerprintSensitivity(t *testing.T) {
 		}
 		got[fp] = name
 	}
+
+	// For every kind, a built-in run and the run of its exported
+	// scenario (the spec core.GraphSpec returns, which
+	// memnet.ExportScenario hands out) are the same run, so they share
+	// one address; changing Topo moves it.
+	byKind := map[Fingerprint]topology.Kind{}
+	for _, kind := range topology.AllKinds {
+		p := testParams()
+		p.Topo = kind
+		builtin := FingerprintParams(p)
+		s, err := core.GraphSpec(&p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Scenario = s
+		if fp := FingerprintParams(p); fp != builtin {
+			t.Errorf("%v: exported-scenario run fingerprints %s, built-in run %s", kind, fp, builtin)
+		}
+		if prev, dup := byKind[builtin]; dup {
+			t.Errorf("topologies %v and %v share fingerprint %s", kind, prev, builtin)
+		}
+		byKind[builtin] = kind
+	}
 }
 
 // TestFingerprintScenarioReload checks the cache-hit property behind

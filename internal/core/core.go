@@ -141,16 +141,15 @@ type Params struct {
 	// Like Obs, it never changes what the simulation does: Results are
 	// bit-identical with Spans enabled and disabled.
 	Spans *span.Config
-	// Scenario, when non-nil, declares the component graph: the run
-	// builds topology.BuildScenario(Scenario) instead of
-	// topology.Build(Topo, ...), applies the spec's per-link and
-	// per-router overrides, and skips the capacity equation (the cube
-	// population is whatever the spec declares). Topo is derived from
-	// the spec (its built-in kind label, or topology.Scenario) and any
-	// caller-set value is ignored. The spec's workload and fault blocks
-	// are NOT applied here — callers resolve them into Workload and
-	// Fault (see memnet.Config and ScenarioFault) so precedence stays
-	// explicit.
+	// Scenario, when non-nil, declares the component graph in place of
+	// the spec topology.Generate emits for Topo (see GraphSpec): the
+	// run applies the spec's per-link and per-router overrides and
+	// skips the capacity equation (the cube population is whatever the
+	// spec declares). Topo is derived from the spec (its built-in kind
+	// label, or topology.Scenario) and any caller-set value is ignored.
+	// The spec's workload and fault blocks are NOT applied here —
+	// callers resolve them into Workload and Fault (see memnet.Config
+	// and ScenarioFault) so precedence stays explicit.
 	Scenario *scenario.Spec
 	Tuning   Tuning
 }
@@ -252,36 +251,28 @@ func TechOrder(sys *config.System) ([]config.MemTech, error) {
 	return techs, nil
 }
 
-// BuildGraph builds the topology graph a run of p simulates. A scenario
-// run builds a normalized clone of p.Scenario (the caller's spec may be
-// shared across concurrently building shards) and returns that clone,
-// whose per-link and per-router overrides Build applies. A built-in run
-// builds p.Topo over the cube technologies TechOrder assigns, grouped
-// into MetaCube packages of p.Tuning.MetaCubeGroup (default 4), and
-// returns a nil spec. Every graph a run, a fault schedule or an export
-// addresses comes from here, so their edge indices always agree.
-func BuildGraph(p *Params) (*topology.Graph, *scenario.Spec, error) {
+// GraphSpec returns the scenario spec of the graph a run of p
+// simulates, never nil on success. A scenario run gets a clone of
+// p.Scenario (the caller's spec may be shared across concurrently
+// building shards); a built-in run gets the spec topology.Generate
+// emits for p.Topo over the cube technologies TechOrder assigns,
+// grouped into MetaCube packages of p.Tuning.MetaCubeGroup (default
+// 4). Every graph a run, a fault schedule or an export addresses, and
+// every fingerprint, comes from this spec, so their edge indices
+// always agree.
+func GraphSpec(p *Params) (*scenario.Spec, error) {
 	if p.Scenario != nil {
-		scen := p.Scenario.Clone()
-		g, err := topology.BuildScenario(scen)
-		if err != nil {
-			return nil, nil, err
-		}
-		return g, scen, nil
+		return p.Scenario.Clone(), nil
 	}
 	techs, err := TechOrder(&p.Sys)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	group := p.Tuning.MetaCubeGroup
 	if group == 0 {
 		group = DefaultTuning().MetaCubeGroup
 	}
-	g, err := topology.Build(p.Topo, techs, topology.WithMetaCubeGroup(group))
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, nil, nil
+	return topology.Generate(p.Topo, techs, group)
 }
 
 // Build constructs a simulation instance from params on a fresh engine.
@@ -303,15 +294,15 @@ func Build(p Params) (*Instance, error) {
 	if p.Tuning == (Tuning{}) {
 		p.Tuning = DefaultTuning()
 	}
-	g, scen, err := BuildGraph(&p)
+	scen, err := GraphSpec(&p)
 	if err != nil {
 		return nil, err
 	}
-	if scen != nil {
-		if p.Topo, err = topology.ScenarioKind(scen); err != nil {
-			return nil, err
-		}
+	g, err := topology.BuildScenario(scen)
+	if err != nil {
+		return nil, err
 	}
+	p.Topo = g.Kind
 
 	// Capacity-proportional interleave slots in cube position order.
 	var slots []addr.CubeSlot
@@ -470,21 +461,19 @@ func Build(p Params) (*Instance, error) {
 			xbar = p.Tuning.IfaceSwitchBandwidthBps
 		}
 		aKind, demotion := p.Arb, p.Tuning.WriteDemotion
-		if scen != nil {
-			if rs, ok := scen.RouterOf(int(n.ID)); ok {
-				if rs.Arb != "" {
-					k, err := scenario.ParseArb(rs.Arb)
-					if err != nil {
-						return nil, fmt.Errorf("core: routers.%d: %w", n.ID, err)
-					}
-					aKind = k
+		if rs, ok := scen.RouterOf(int(n.ID)); ok {
+			if rs.Arb != "" {
+				k, err := scenario.ParseArb(rs.Arb)
+				if err != nil {
+					return nil, fmt.Errorf("core: routers.%d: %w", n.ID, err)
 				}
-				if rs.WriteDemotion != nil {
-					demotion = *rs.WriteDemotion
-				}
-				if rs.SwitchBandwidthBps != nil {
-					xbar = *rs.SwitchBandwidthBps
-				}
+				aKind = k
+			}
+			if rs.WriteDemotion != nil {
+				demotion = *rs.WriteDemotion
+			}
+			if rs.SwitchBandwidthBps != nil {
+				xbar = *rs.SwitchBandwidthBps
 			}
 		}
 		r := router.New(eng, n.ID, newPolicy(aKind, demotion), xbar)
@@ -519,21 +508,19 @@ func Build(p Params) (*Instance, error) {
 		}
 		// Per-link scenario overrides; scen.Links is index-aligned with
 		// g.Edges by construction (BuildScenario preserves link order).
-		if scen != nil {
-			l := scen.Links[ei]
-			if l.BandwidthBps != nil {
-				cfg.BandwidthBps = *l.BandwidthBps
-			}
-			if l.SerDesPs != nil {
-				cfg.SerDesLatency = sim.Time(*l.SerDesPs) * sim.Picosecond
-			}
-			if l.BufferPackets != nil {
-				cfg.QueueDepth = *l.BufferPackets
-				cfg.Credits = *l.BufferPackets
-			}
-			if l.VCs != nil {
-				cfg.NoVCPriority = *l.VCs == 1
-			}
+		l := scen.Links[ei]
+		if l.BandwidthBps != nil {
+			cfg.BandwidthBps = *l.BandwidthBps
+		}
+		if l.SerDesPs != nil {
+			cfg.SerDesLatency = sim.Time(*l.SerDesPs) * sim.Picosecond
+		}
+		if l.BufferPackets != nil {
+			cfg.QueueDepth = *l.BufferPackets
+			cfg.Credits = *l.BufferPackets
+		}
+		if l.VCs != nil {
+			cfg.NoVCPriority = *l.VCs == 1
 		}
 		dirs[ei] = edgeDirs{
 			ab: link.New(eng, cfg, meter),
@@ -544,12 +531,12 @@ func Build(p Params) (*Instance, error) {
 		if faultOn && !e.Interposer {
 			fa := inst.faultCfg.LinkFault(ei, 0)
 			fb := inst.faultCfg.LinkFault(ei, 1)
-			if scen != nil && scen.Links[ei].MaxRetries != nil {
+			if l.MaxRetries != nil {
 				if fa != nil {
-					fa.MaxRetries = *scen.Links[ei].MaxRetries
+					fa.MaxRetries = *l.MaxRetries
 				}
 				if fb != nil {
-					fb.MaxRetries = *scen.Links[ei].MaxRetries
+					fb.MaxRetries = *l.MaxRetries
 				}
 			}
 			dirs[ei].ab.AttachFault(fa)
@@ -578,8 +565,8 @@ func Build(p Params) (*Instance, error) {
 				out, in = dirs[ei].ba, dirs[ei].ab
 			}
 			depth := p.Sys.LinkBufferPackets
-			if scen != nil && scen.Links[ei].BufferPackets != nil {
-				depth = *scen.Links[ei].BufferPackets
+			if l := scen.Links[ei]; l.BufferPackets != nil {
+				depth = *l.BufferPackets
 			}
 			buf := link.NewBuffer(depth, in.ReturnCredit)
 			idx := r.AttachPort(buf, out)

@@ -5,6 +5,7 @@ import (
 
 	"memnet/internal/arb"
 	"memnet/internal/config"
+	"memnet/internal/scenario"
 	"memnet/internal/topology"
 	"memnet/internal/workload"
 )
@@ -217,19 +218,22 @@ func TestWrongQuadrantCounted(t *testing.T) {
 	}
 }
 
-// cutLink returns p with edge ei of its built-in topology failed for
-// the whole run, expressed as a scenario edit: the graph exported as a
-// scenario (link order is edge order) with links[ei] deleted.
-func cutLink(t *testing.T, p Params, ei int) Params {
+// simulateCut simulates p with edge ei of its built-in topology failed
+// for the whole run, expressed as a scenario edit: the generated spec
+// (link order is edge order) with links[ei] deleted, taken through a
+// JSON round trip. A cut the scenario format rejects (the host link)
+// returns the decode error, as a disconnecting cut returns Build's.
+func simulateCut(t *testing.T, p Params, ei int) (Results, error) {
 	t.Helper()
-	g, _, err := BuildGraph(&p)
+	s, err := GraphSpec(&p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := topology.ExportScenario(g, "")
 	s.Links = append(s.Links[:ei], s.Links[ei+1:]...)
-	p.Scenario = s
-	return p
+	if p.Scenario, err = scenario.Decode(s.Canonical()); err != nil {
+		return Results{}, err
+	}
+	return Simulate(p)
 }
 
 // TestLinkFailureRerouting: redundant topologies survive a failed link
@@ -244,7 +248,7 @@ func TestLinkFailureRerouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	degraded, err := Simulate(cutLink(t, p, 1))
+	degraded, err := simulateCut(t, p, 1)
 	if err != nil {
 		t.Fatalf("ring should survive one cut: %v", err)
 	}
@@ -257,19 +261,19 @@ func TestLinkFailureRerouting(t *testing.T) {
 	p = testParams(topology.SkipList, 1.0, config.NVMLast, arb.RoundRobin, wl)
 	p.Transactions = 1500
 	// A chain link (edge 0 is host, 1.. are chain).
-	if _, err := Simulate(cutLink(t, p, 2)); err != nil {
+	if _, err := simulateCut(t, p, 2); err != nil {
 		t.Fatalf("skip-list should reroute around a chain cut: %v", err)
 	}
 
 	// Chain: any cut disconnects.
 	p = testParams(topology.Chain, 1.0, config.NVMLast, arb.RoundRobin, wl)
-	if _, err := Build(cutLink(t, p, 3)); err == nil {
+	if _, err := simulateCut(t, p, 3); err == nil {
 		t.Fatal("chain must not survive a cut")
 	}
 
 	// Host link: never survivable.
 	p = testParams(topology.Ring, 1.0, config.NVMLast, arb.RoundRobin, wl)
-	if _, err := Build(cutLink(t, p, 0)); err == nil {
+	if _, err := simulateCut(t, p, 0); err == nil {
 		t.Fatal("host link cut must fail")
 	}
 }

@@ -73,13 +73,13 @@ func TestFuzzFailLinks(t *testing.T) {
 		topo := topos[int(topoSel)%len(topos)]
 		p := testParams(topo, 1.0, config.NVMLast, arb.RoundRobin, wl)
 		p.Transactions = 300
-		g, _, err := BuildGraph(&p)
+		s, err := GraphSpec(&p)
 		if err != nil {
 			return false
 		}
-		nEdges := len(g.Edges)
+		nEdges := len(s.Links)
 		ei := 1 + int(edgeSel)%(nEdges-1) // never the host link
-		res, err := Simulate(cutLink(t, p, ei))
+		res, err := simulateCut(t, p, ei)
 		if err != nil {
 			// Some cuts legitimately disconnect (mesh corners, skip-list
 			// tail); a clean error is acceptable. A wrong RESULT is not.

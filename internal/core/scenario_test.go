@@ -51,9 +51,9 @@ func twoPod() *scenario.Spec {
 }
 
 // TestScenarioRoundTripGolden is the format-completeness proof: for
-// every paper topology, exporting the compiled-in graph as a scenario
-// and simulating the scenario must produce byte-identical Results —
-// same label, same finish time, same every counter.
+// every paper topology, simulating its generated spec as a scenario
+// run, after a JSON round trip, must produce byte-identical Results to
+// the built-in run — same label, same finish time, same every counter.
 func TestScenarioRoundTripGolden(t *testing.T) {
 	for _, kind := range topology.Kinds {
 		p := scenarioParams(t, nil)
@@ -63,15 +63,11 @@ func TestScenarioRoundTripGolden(t *testing.T) {
 			t.Fatalf("%v direct: %v", kind, err)
 		}
 
-		techs, err := TechOrder(&p.Sys)
+		spec, err := GraphSpec(&p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := topology.Build(kind, techs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec := topology.ExportScenario(g, "roundtrip")
+		spec.Name = "roundtrip"
 		// Serialize and re-decode: the proof must cover the JSON file
 		// format, not just the in-memory structs.
 		reloaded, err := scenario.Decode(spec.Canonical())

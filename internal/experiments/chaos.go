@@ -95,9 +95,13 @@ func (r *Runner) Chaos() (*Table, error) {
 }
 
 // chaosFault generates the validated schedule for one configuration
-// over the run's own graph (core.BuildGraph), so edge indices line up.
+// over the run's own graph (core.GraphSpec), so edge indices line up.
 func chaosFault(p core.Params, opts Options, wl workload.Spec) (fault.Config, error) {
-	g, _, err := core.BuildGraph(&p)
+	s, err := core.GraphSpec(&p)
+	if err != nil {
+		return fault.Config{}, err
+	}
+	g, err := topology.BuildScenario(s)
 	if err != nil {
 		return fault.Config{}, err
 	}

@@ -115,7 +115,6 @@ type Port struct {
 
 	kickPending bool
 	timerSet    bool
-	parks       uint64
 
 	// InjectWait accumulates time transactions spent waiting at the
 	// outgoing memory port (window, credit, or coherence stalls) — the
@@ -262,13 +261,6 @@ func (p *Port) Inflight() int { return p.inflight }
 // far (telemetry gauge).
 func (p *Port) Injected() uint64 { return p.injected }
 
-// LastArrival reports the arrival-process timestamp of the most recently
-// staged transaction (diagnostics).
-func (p *Port) LastArrival() sim.Time { return p.lastArrive }
-
-// Parks reports how many reads were parked at the coherence point.
-func (p *Port) Parks() uint64 { return p.parks }
-
 // Kick schedules an injection attempt at the current instant.
 func (p *Port) Kick() {
 	if p.kickPending {
@@ -316,7 +308,6 @@ func (p *Port) pump() {
 		blk := tx.Addr &^ 63
 		if !tx.Write && p.pendingWrites[blk] > 0 {
 			// Directory stall: park the read until the write acks.
-			p.parks++
 			p.parkedReads[blk] = append(p.parkedReads[blk],
 				parked{tx: tx, since: now, arrive: p.stagedArrive})
 			p.hasStaged = false

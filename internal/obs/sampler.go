@@ -76,14 +76,6 @@ func (s *Sampler) Samples() int {
 	return len(s.times)
 }
 
-// Times returns the sample timestamps (shared slice; do not mutate).
-func (s *Sampler) Times() []sim.Time {
-	if s == nil {
-		return nil
-	}
-	return s.times
-}
-
 // GaugeSeries returns the recorded series for the named gauge, or nil.
 func (s *Sampler) GaugeSeries(name string) []int64 {
 	if s == nil {

@@ -9,12 +9,9 @@ import (
 	"memnet/internal/scenario"
 )
 
-// This file bridges the declarative scenario format to built graphs in
-// both directions: BuildScenario turns a validated spec into a *Graph
-// (including irregular shapes no built-in kind expresses), and
-// ExportScenario renders any built graph as a spec, which the
-// round-trip goldens use to prove the format is complete — an exported
-// built-in topology must simulate byte-identically to the compiled one.
+// This file turns declarative scenario specs into graphs: BuildScenario
+// is the one constructor of a *Graph, for the generated built-in kinds
+// and for irregular shapes no built-in kind expresses alike.
 
 // KindName returns the canonical lowercase scenario/CLI label for a
 // buildable kind ("chain", "skiplist", ...).
@@ -56,10 +53,11 @@ func ScenarioKind(s *scenario.Spec) (Kind, error) {
 	return k, nil
 }
 
-// BuildScenario constructs the declared component graph. The spec is
-// normalized in place (defaults materialized) first; link order fixes
-// port numbering and edge indices exactly as the declaration order,
-// matching the compiled-in builders' convention.
+// BuildScenario constructs the declared component graph: it validates
+// the port budgets, builds adjacency, and computes the per-class routing
+// tables. The spec is normalized in place (defaults materialized)
+// first; node declaration order fixes node IDs and link order fixes
+// port numbering and edge indices.
 func BuildScenario(s *scenario.Spec) (*Graph, error) {
 	if err := s.Normalize(); err != nil {
 		return nil, err
@@ -68,17 +66,21 @@ func BuildScenario(s *scenario.Spec) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := newBuilder(kind)
-	for _, n := range s.Nodes {
-		if n.Kind == "iface" {
-			b.addNode(Iface, config.DRAM, -1)
-			continue
+	g := &Graph{
+		Kind:  kind,
+		Nodes: make([]Node, 1, len(s.Nodes)+1),
+		Edges: make([]Edge, len(s.Links)),
+	}
+	g.Nodes[0] = Node{ID: packet.HostNode, Kind: Host, Pos: -1}
+	for i, n := range s.Nodes {
+		node := Node{ID: packet.NodeID(i + 1), Kind: Iface, Pos: -1}
+		if n.Kind == "cube" {
+			node.Kind, node.Pos = Cube, *n.Pos
+			if n.Tech == "nvm" {
+				node.Tech = config.NVM
+			}
 		}
-		tech := config.DRAM
-		if n.Tech == "nvm" {
-			tech = config.NVM
-		}
-		b.addNode(Cube, tech, *n.Pos)
+		g.Nodes = append(g.Nodes, node)
 	}
 	for i, l := range s.Links {
 		a, ok := s.NodeID(l.A)
@@ -89,64 +91,24 @@ func BuildScenario(s *scenario.Spec) (*Graph, error) {
 		if !ok {
 			return nil, fmt.Errorf("scenario: links[%d].b: unknown node %q", i, l.B)
 		}
-		b.link(packet.NodeID(a), packet.NodeID(c), l.Express, l.Interposer)
+		g.Edges[i] = Edge{A: packet.NodeID(a), B: packet.NodeID(c), Express: l.Express, Interposer: l.Interposer}
 	}
-	g, err := b.finish()
-	if err != nil {
+	if err := g.rebuild(); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	return g, nil
-}
-
-// ExportScenario renders a built graph as a scenario spec named name.
-// Only structure is emitted — node kinds, technologies, positions, and
-// edge flags — never per-link overrides, so a run of the export
-// inherits the same system-wide defaults as the compiled topology and
-// reproduces it byte-for-byte. Cubes export as "c<ID>", interface
-// chips as "if<ID>".
-func ExportScenario(g *Graph, name string) *scenario.Spec {
-	s := &scenario.Spec{Schema: scenario.Schema, Name: name}
-	for _, k := range AllKinds {
-		if g.Kind == k {
-			s.Topology = KindName(k)
-		}
-	}
-	if s.Name == "" {
-		base := s.Topology
-		if base == "" {
-			base = "scenario"
-		}
-		s.Name = fmt.Sprintf("%s-%d", base, len(g.Nodes)-1)
-	}
-	nodeName := func(id packet.NodeID) string {
-		if id == packet.HostNode {
-			return scenario.HostName
-		}
-		if g.Nodes[id].Kind == Iface {
-			return fmt.Sprintf("if%d", id)
-		}
-		return fmt.Sprintf("c%d", id)
-	}
-	for _, n := range g.Nodes[1:] {
-		ns := scenario.Node{Name: nodeName(n.ID)}
-		if n.Kind == Iface {
-			ns.Kind = "iface"
-		} else {
-			ns.Kind = "cube"
-			ns.Tech = "dram"
-			if n.Tech == config.NVM {
-				ns.Tech = "nvm"
+	for _, n := range g.Nodes {
+		d := len(g.adj[n.ID])
+		switch n.Kind {
+		case Cube:
+			if d > MaxCubePorts {
+				return nil, fmt.Errorf(
+					"scenario: topology: cube %d exceeds %d ports (%d)", n.ID, MaxCubePorts, d)
 			}
-			pos := n.Pos
-			ns.Pos = &pos
+		case Host:
+			if d != 1 {
+				return nil, fmt.Errorf("scenario: topology: host must have exactly 1 link, has %d", d)
+			}
 		}
-		s.Nodes = append(s.Nodes, ns)
 	}
-	for _, e := range g.Edges {
-		s.Links = append(s.Links, scenario.Link{
-			A: nodeName(e.A), B: nodeName(e.B),
-			Express: e.Express, Interposer: e.Interposer,
-		})
-	}
-	return s
+	return g, nil
 }

@@ -117,18 +117,25 @@ func TestBuildScenarioRejects(t *testing.T) {
 	}
 }
 
-// TestExportScenarioRoundTrip checks that exporting any built-in
-// topology and rebuilding it from the spec reproduces the graph
-// exactly: same nodes, same edges in the same order (port numbering),
-// same routes.
+// TestExportScenarioRoundTrip checks that the spec generated for any
+// built-in topology survives the JSON file format: its canonical bytes
+// decode to a spec that builds the same graph, with the same nodes,
+// the same edges in the same order (port numbering), and the same kind.
 func TestExportScenarioRoundTrip(t *testing.T) {
 	for _, kind := range AllKinds {
-		g := build(t, kind, dram(16))
-		spec := ExportScenario(g, "roundtrip")
-		if spec.Topology != KindName(kind) {
-			t.Errorf("%v: exported topology label %q", kind, spec.Topology)
+		spec, err := Generate(kind, dram(16), 4)
+		if err != nil {
+			t.Fatal(err)
 		}
-		g2, err := BuildScenario(spec)
+		if spec.Topology != KindName(kind) {
+			t.Errorf("%v: generated topology label %q", kind, spec.Topology)
+		}
+		g := build(t, kind, dram(16))
+		reloaded, err := scenario.Decode(spec.Canonical())
+		if err != nil {
+			t.Fatalf("%v: generated spec does not decode: %v", kind, err)
+		}
+		g2, err := BuildScenario(reloaded)
 		if err != nil {
 			t.Fatalf("%v: rebuild: %v", kind, err)
 		}
@@ -144,13 +151,23 @@ func TestExportScenarioRoundTrip(t *testing.T) {
 	}
 }
 
-// TestExportScenarioValidates checks an export is a valid scenario
-// document after a JSON round trip, not just as in-memory structs.
+// TestExportScenarioValidates checks a generated spec carries the names
+// and labels runs and exports rely on, and stays unchanged through
+// normalization and a JSON round trip.
 func TestExportScenarioValidates(t *testing.T) {
-	g := build(t, MetaCube, dram(16))
-	spec := ExportScenario(g, "mc16")
+	spec, err := Generate(MetaCube, dram(16), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec.Name != "metacube-20" || spec.Nodes[0].Name != "if1" || spec.Nodes[4].Name != "c5" {
+		t.Errorf("generated names: spec %q, nodes %q, %q", spec.Name, spec.Nodes[0].Name, spec.Nodes[4].Name)
+	}
 	data := spec.Canonical()
-	if _, err := scenario.Decode(data); err != nil {
-		t.Fatalf("exported scenario does not decode: %v", err)
+	reloaded, err := scenario.Decode(data)
+	if err != nil {
+		t.Fatalf("generated spec does not decode: %v", err)
+	}
+	if !reflect.DeepEqual(reloaded, spec) {
+		t.Errorf("generated spec changed through a JSON round trip:\n got %+v\nwant %+v", reloaded, spec)
 	}
 }

@@ -1,7 +1,8 @@
-// Package topology builds the memory-network graphs the paper studies —
-// chain, ring, ternary tree (Fig. 3), the skip-list topology (Fig. 8),
-// and the MetaCube cluster topology (Fig. 9) — and computes their
-// shortest-path routing tables.
+// Package topology generates the memory-network topologies the paper
+// studies — chain, ring, ternary tree (Fig. 3), the skip-list topology
+// (Fig. 8), and the MetaCube cluster topology (Fig. 9) — as declarative
+// scenario specs (Generate), builds a graph from any spec
+// (BuildScenario), and computes its shortest-path routing tables.
 //
 // Routing is class-based: the skip-list differentiates traffic, sending
 // reads over the full graph (so they exploit the express "skip" links)
@@ -17,9 +18,11 @@ package topology
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"memnet/internal/config"
 	"memnet/internal/packet"
+	"memnet/internal/scenario"
 )
 
 // Kind selects a topology family.
@@ -46,8 +49,8 @@ const (
 	Mesh
 	// Scenario marks a graph loaded from a declarative scenario file
 	// (BuildScenario) whose shape names no built-in family. It is not a
-	// buildable kind: Build rejects it and it appears in neither Kinds
-	// nor AllKinds. A scenario that declares a "topology" label gets
+	// generated kind: Generate rejects it and it appears in neither
+	// Kinds nor AllKinds. A scenario that declares a "topology" label gets
 	// that built-in kind instead, so its runs label identically to the
 	// compiled-in topology.
 	Scenario
@@ -251,30 +254,46 @@ func (g *Graph) Dist(class PathClass, a, b packet.NodeID) int {
 	return int(g.dist[class][a][b])
 }
 
-// builder accumulates nodes and edges during construction.
+// builder accumulates the nodes and links of a generated spec. Node
+// IDs count from 1 in addNode order (the host is node 0), the IDs
+// BuildScenario assigns from list order; link order becomes the built
+// graph's port numbering and edge indices.
 type builder struct {
-	kind  Kind
-	nodes []Node
-	edges []Edge
-	deg   []int
-}
-
-func newBuilder(kind Kind) *builder {
-	b := &builder{kind: kind}
-	b.nodes = append(b.nodes, Node{ID: packet.HostNode, Kind: Host, Pos: -1})
-	b.deg = append(b.deg, 0)
-	return b
+	nodes []scenario.Node
+	links []scenario.Link
+	deg   []int // external links per node ID, host included
+	pos   []int // backs every cube's Node.Pos, indexed by position
 }
 
 func (b *builder) addNode(kind NodeKind, tech config.MemTech, pos int) packet.NodeID {
-	id := packet.NodeID(len(b.nodes))
-	b.nodes = append(b.nodes, Node{ID: id, Kind: kind, Tech: tech, Pos: pos})
+	id := packet.NodeID(len(b.nodes) + 1)
+	var n scenario.Node
+	if kind == Iface {
+		n = scenario.Node{Name: "if" + strconv.Itoa(int(id)), Kind: "iface"}
+	} else {
+		b.pos[pos] = pos
+		n = scenario.Node{Name: "c" + strconv.Itoa(int(id)), Kind: "cube", Tech: "dram", Pos: &b.pos[pos]}
+		if tech == config.NVM {
+			n.Tech = "nvm"
+		}
+	}
+	b.nodes = append(b.nodes, n)
 	b.deg = append(b.deg, 0)
 	return id
 }
 
+// name returns the spec name of node id.
+func (b *builder) name(id packet.NodeID) string {
+	if id == packet.HostNode {
+		return scenario.HostName
+	}
+	return b.nodes[id-1].Name
+}
+
 func (b *builder) link(a, c packet.NodeID, express, interposer bool) {
-	b.edges = append(b.edges, Edge{A: a, B: c, Express: express, Interposer: interposer})
+	b.links = append(b.links, scenario.Link{
+		A: b.name(a), B: b.name(c), Express: express, Interposer: interposer,
+	})
 	b.deg[a]++
 	b.deg[c]++
 }
@@ -284,35 +303,42 @@ func (b *builder) spare(n packet.NodeID) bool {
 	return b.deg[n] < MaxCubePorts
 }
 
-// Option adjusts topology construction.
-type Option func(*buildOpts)
-
-type buildOpts struct {
-	metaGroup int
-}
-
-// WithMetaCubeGroup sets how many cubes share a MetaCube package
-// (default 4). The paper notes the interposer size bounds this (§4.3);
+// Generate emits the scenario spec of the built-in topology of the
+// given kind over the given ordered cube technologies (index 0 is the
+// position nearest the host; NVM-F/L placement is expressed by the
+// caller through this ordering). MetaCube packages hold metaGroup cubes
+// each; the paper notes the interposer size bounds this (§4.3), and
 // larger groups trade packaging cost for even fewer external hops.
-func WithMetaCubeGroup(n int) Option {
-	return func(o *buildOpts) { o.metaGroup = n }
-}
-
-// Build constructs the topology of the given kind over the given ordered
-// cube technologies (index 0 is the position nearest the host; NVM-F/L
-// placement is expressed by the caller through this ordering).
-func Build(kind Kind, techs []config.MemTech, opts ...Option) (*Graph, error) {
+//
+// The spec carries structure only: cubes are named "c<ID>" and
+// interface chips "if<ID>", every cube's position is set, Topology is
+// the kind's label and Name is "<kind>-<nodes>". No per-link or
+// per-router override is emitted, so a run of the spec inherits the
+// system-wide defaults. BuildScenario turns it into a graph.
+func Generate(kind Kind, techs []config.MemTech, metaGroup int) (*scenario.Spec, error) {
 	if len(techs) == 0 {
 		return nil, fmt.Errorf("topology: no cubes")
 	}
-	bo := buildOpts{metaGroup: 4}
-	for _, o := range opts {
-		o(&bo)
+	if metaGroup <= 0 {
+		return nil, fmt.Errorf("topology: non-positive MetaCube group %d", metaGroup)
 	}
-	if bo.metaGroup <= 0 {
-		return nil, fmt.Errorf("topology: non-positive MetaCube group %d", bo.metaGroup)
+	nodes := len(techs)
+	if kind == MetaCube {
+		nodes += (len(techs) + metaGroup - 1) / metaGroup
 	}
-	b := newBuilder(kind)
+	// Chains, rings, trees and MetaCubes have at most one link per node
+	// plus one. A cube takes at most MaxCubePorts links, so skip lists
+	// and meshes have at most two per node.
+	links := nodes + 1
+	if kind == SkipList || kind == Mesh {
+		links = 2 * nodes
+	}
+	b := &builder{
+		nodes: make([]scenario.Node, 0, nodes),
+		links: make([]scenario.Link, 0, links),
+		deg:   make([]int, 1, nodes+1),
+		pos:   make([]int, len(techs)),
+	}
 	switch kind {
 	case Chain:
 		b.buildChain(techs)
@@ -323,13 +349,30 @@ func Build(kind Kind, techs []config.MemTech, opts ...Option) (*Graph, error) {
 	case SkipList:
 		b.buildSkipList(techs)
 	case MetaCube:
-		b.buildMetaCube(techs, bo.metaGroup)
+		b.buildMetaCube(techs, metaGroup)
 	case Mesh:
 		b.buildMesh(techs)
 	default:
 		return nil, fmt.Errorf("topology: unknown kind %v", kind)
 	}
-	return b.finish()
+	label := KindName(kind)
+	return &scenario.Spec{
+		Schema:   scenario.Schema,
+		Name:     label + "-" + strconv.Itoa(len(b.nodes)),
+		Topology: label,
+		Nodes:    b.nodes,
+		Links:    b.links,
+	}, nil
+}
+
+// Build constructs the built-in topology of the given kind over the
+// given ordered cube technologies, with MetaCube packages of four.
+func Build(kind Kind, techs []config.MemTech) (*Graph, error) {
+	s, err := Generate(kind, techs, 4)
+	if err != nil {
+		return nil, err
+	}
+	return BuildScenario(s)
 }
 
 // buildChain: host - c0 - c1 - ... - cn-1.
@@ -515,30 +558,6 @@ func (b *builder) buildMesh(techs []config.MemTech) {
 			b.link(ids[i], down, false, false)
 		}
 	}
-}
-
-// finish validates port budgets, builds adjacency, and computes the
-// per-class routing tables.
-func (b *builder) finish() (*Graph, error) {
-	g := &Graph{Kind: b.kind, Nodes: b.nodes, Edges: b.edges}
-	if err := g.rebuild(); err != nil {
-		return nil, err
-	}
-	for _, n := range g.Nodes {
-		d := len(g.adj[n.ID])
-		switch n.Kind {
-		case Cube:
-			if d > MaxCubePorts {
-				return nil, fmt.Errorf(
-					"topology: cube %d exceeds %d ports (%d)", n.ID, MaxCubePorts, d)
-			}
-		case Host:
-			if d != 1 {
-				return nil, fmt.Errorf("topology: host must have exactly 1 link, has %d", d)
-			}
-		}
-	}
-	return g, nil
 }
 
 // rebuild recomputes adjacency and routing tables from Nodes/Edges.

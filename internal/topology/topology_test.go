@@ -420,9 +420,18 @@ func TestMeshPositionsByDistance(t *testing.T) {
 	}
 }
 
+// metaCube builds a 16-cube all-DRAM MetaCube with the given group.
+func metaCube(group int) (*Graph, error) {
+	s, err := Generate(MetaCube, dram(16), group)
+	if err != nil {
+		return nil, err
+	}
+	return BuildScenario(s)
+}
+
 func TestMetaCubeGroupOption(t *testing.T) {
 	for _, group := range []int{2, 4, 8} {
-		g, err := Build(MetaCube, dram(16), WithMetaCubeGroup(group))
+		g, err := metaCube(group)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -440,13 +449,13 @@ func TestMetaCubeGroupOption(t *testing.T) {
 		}
 	}
 	// Larger groups shrink the external network.
-	small, _ := Build(MetaCube, dram(16), WithMetaCubeGroup(2))
-	big, _ := Build(MetaCube, dram(16), WithMetaCubeGroup(8))
+	small, _ := metaCube(2)
+	big, _ := metaCube(8)
 	if big.MeanHostDist() >= small.MeanHostDist() {
 		t.Fatalf("group 8 mean %.2f not below group 2 mean %.2f",
 			big.MeanHostDist(), small.MeanHostDist())
 	}
-	if _, err := Build(MetaCube, dram(8), WithMetaCubeGroup(0)); err == nil {
+	if _, err := metaCube(0); err == nil {
 		t.Fatal("zero group must fail")
 	}
 }

@@ -58,9 +58,6 @@ const (
 	Mesh = topology.Mesh
 )
 
-// Topologies lists all supported topologies.
-var Topologies = topology.Kinds
-
 // Arbitration selects the router arbitration policy.
 type Arbitration = arb.Kind
 
@@ -176,7 +173,11 @@ func GenerateChaos(c Config, spec ChaosSpec) (*FaultConfig, error) {
 		return nil, err
 	}
 	// Chaos schedules address edges of the run's own graph.
-	g, _, err := core.BuildGraph(&p)
+	s, err := core.GraphSpec(&p)
+	if err != nil {
+		return nil, err
+	}
+	g, err := topology.BuildScenario(s)
 	if err != nil {
 		return nil, err
 	}
@@ -251,10 +252,12 @@ var (
 	LoadScenarioFile = scenario.LoadFile
 )
 
-// ExportScenario renders the configuration's compiled-in topology as a
-// scenario document that simulates bit-identically to the original
-// Config (node names host/c1/c2/..., declaration order = build order).
-// Configs that already carry a Scenario are rejected.
+// ExportScenario returns the scenario document the configuration's
+// built-in topology is generated as, which simulates bit-identically to
+// the original Config (node names host/c1/c2/..., declaration order =
+// build order). A non-empty name replaces the generated one
+// ("<topology>-<nodes>"). Configs that already carry a Scenario are
+// rejected.
 func ExportScenario(c Config, name string) (*Scenario, error) {
 	if c.Scenario != nil {
 		return nil, fmt.Errorf("memnet: ExportScenario of a scenario-backed config")
@@ -263,11 +266,14 @@ func ExportScenario(c Config, name string) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, _, err := core.BuildGraph(&p)
+	s, err := core.GraphSpec(&p)
 	if err != nil {
 		return nil, err
 	}
-	return topology.ExportScenario(g, name), nil
+	if name != "" {
+		s.Name = name
+	}
+	return s, nil
 }
 
 // Config specifies one simulation run through the public API.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -46,11 +47,35 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+type buildCase struct {
+	name string
+	p    Params
+}
+
+// buildCases are one build per topology kind: the tree and the 50% NVM
+// skip list of the benchmark workloads, and every other kind all DRAM.
+func buildCases(tb testing.TB) []buildCase {
+	wl, err := workload.ByName("BACKPROP")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cases := []buildCase{
+		{"tree", testParams(topology.Tree, 1.0, config.NVMLast, arb.DistanceAugmented, wl)},
+		{"skiplist-nvm50", testParams(topology.SkipList, 0.5, config.NVMFirst, arb.DistanceAugmented, wl)},
+	}
+	for _, k := range []topology.Kind{topology.Chain, topology.Ring, topology.MetaCube, topology.Mesh} {
+		name := strings.ToLower(k.String())
+		cases = append(cases, buildCase{name, testParams(k, 1.0, config.NVMLast, arb.DistanceAugmented, wl)})
+	}
+	return cases
+}
+
 // TestBuildFootprint: building a network costs a bounded number of
 // bytes and allocations, most of them the modelled network rather than
 // bank bookkeeping. Each budget is the value measured on go1.24/amd64
 // plus 10%. Banks that each carried a timing copy and counters would
-// put the tree build near 850 KB.
+// put the tree build near 850 KB; a heap object and bound closures per
+// link direction, buffer, router and quadrant near 1,700 allocations.
 func TestBuildFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -59,20 +84,15 @@ func TestBuildFootprint(t *testing.T) {
 	if sz := unsafe.Sizeof(mem.Bank{}); sz > 40 {
 		t.Errorf("mem.Bank is %d B, want <= 40", sz)
 	}
-	wl, err := workload.ByName("BACKPROP")
-	if err != nil {
-		t.Fatal(err)
+	budgets := map[string]struct{ bytes, allocs uint64 }{ // per build
+		"tree":           {356_000, 514},
+		"skiplist-nvm50": {233_000, 363},
+		"chain":          {356_000, 511},
+		"ring":           {356_300, 517},
+		"metacube":       {364_800, 547},
+		"mesh":           {370_200, 542},
 	}
-	for _, tc := range []struct {
-		name          string
-		p             Params
-		bytes, allocs uint64 // budgets per build
-	}{
-		{"tree", testParams(topology.Tree, 1.0, config.NVMLast, arb.DistanceAugmented, wl),
-			360_000, 1850},
-		{"skiplist-nvm50", testParams(topology.SkipList, 0.5, config.NVMFirst, arb.DistanceAugmented, wl),
-			233_000, 1280},
-	} {
+	for _, tc := range buildCases(t) {
 		const builds = 20
 		var m0, m1 runtime.MemStats
 		runtime.GC()
@@ -86,11 +106,27 @@ func TestBuildFootprint(t *testing.T) {
 		bytes := (m1.TotalAlloc - m0.TotalAlloc) / builds
 		allocs := (m1.Mallocs - m0.Mallocs) / builds
 		t.Logf("%s: %d B, %d allocs per build", tc.name, bytes, allocs)
-		if bytes > tc.bytes {
-			t.Errorf("%s: %d B per build, budget %d", tc.name, bytes, tc.bytes)
+		b := budgets[tc.name]
+		if bytes > b.bytes {
+			t.Errorf("%s: %d B per build, budget %d", tc.name, bytes, b.bytes)
 		}
-		if allocs > tc.allocs {
-			t.Errorf("%s: %d allocations per build, budget %d", tc.name, allocs, tc.allocs)
+		if allocs > b.allocs {
+			t.Errorf("%s: %d allocations per build, budget %d", tc.name, allocs, b.allocs)
 		}
+	}
+}
+
+// BenchmarkBuild times and counts the allocations of one core.Build per
+// topology kind.
+func BenchmarkBuild(b *testing.B) {
+	for _, tc := range buildCases(b) {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Build(tc.p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -196,8 +196,10 @@ type Instance struct {
 	// completed spans are exported with Instance.WriteSpans.
 	Spans *span.Recorder
 
-	routers   map[packet.NodeID]*router.Router
-	quadrants map[packet.NodeID][]*vault.Quadrant
+	// routers and quadrants are indexed by node ID: nil and empty for
+	// the host, and a cube's quadrants in index order.
+	routers   []*router.Router
+	quadrants [][]vault.Quadrant
 
 	// live is the routing graph the route closures consult; it starts as
 	// Graph and is swapped for a degraded (Disable) graph when a
@@ -305,7 +307,7 @@ func Build(p Params) (*Instance, error) {
 	p.Topo = g.Kind
 
 	// Capacity-proportional interleave slots in cube position order.
-	var slots []addr.CubeSlot
+	slots := make([]addr.CubeSlot, 0, len(g.Nodes))
 	for _, n := range g.Nodes {
 		if n.Kind != topology.Cube {
 			continue
@@ -361,8 +363,8 @@ func Build(p Params) (*Instance, error) {
 		Mapper:    mapper,
 		Collector: collector,
 		Meter:     meter,
-		routers:   make(map[packet.NodeID]*router.Router, len(g.Nodes)),
-		quadrants: make(map[packet.NodeID][]*vault.Quadrant, len(g.Nodes)),
+		routers:   make([]*router.Router, len(g.Nodes)),
+		quadrants: make([][]vault.Quadrant, len(g.Nodes)),
 		live:      g,
 		rehome:    make(map[packet.NodeID]packet.NodeID),
 	}
@@ -451,6 +453,39 @@ func Build(p Params) (*Instance, error) {
 		return arb.New(kind, cfg)
 	}
 
+	// The network's components live in one slice per type, sized from
+	// the graph: a router per non-host node; a direction pair per edge
+	// and per quadrant; an input buffer per external router port, plus
+	// two per quadrant (its request queue and its port on the router).
+	// take hands out their elements in order; the slices never grow, so
+	// the pointers wired below stay valid.
+	nRouters, nPorts, nCubes := 0, 0, 0
+	for _, n := range g.Nodes {
+		if n.Kind == topology.Host {
+			continue
+		}
+		nRouters++
+		nPorts += g.Degree(n.ID)
+		if n.Kind == topology.Cube {
+			nCubes++
+		}
+	}
+	nQuads := nCubes * p.Sys.Quadrants
+	routerSlab := make([]router.Router, 0, nRouters)
+	quadSlab := make([]vault.Quadrant, 0, nQuads)
+	dirSlab := make([]link.Direction, 0, 2*len(g.Edges)+2*nQuads)
+	bufSlab := make([]link.Buffer, 0, nPorts+2*nQuads)
+	newDir := func(cfg link.Config) *link.Direction {
+		d := take(&dirSlab)
+		d.Init(eng, cfg, meter)
+		return d
+	}
+	newBuf := func(depth int, credit link.CreditReturner) *link.Buffer {
+		b := take(&bufSlab)
+		b.Init(depth, credit)
+		return b
+	}
+
 	// Routers for every non-host node.
 	for _, n := range g.Nodes {
 		if n.Kind == topology.Host {
@@ -476,7 +511,8 @@ func Build(p Params) (*Instance, error) {
 				xbar = *rs.SwitchBandwidthBps
 			}
 		}
-		r := router.New(eng, n.ID, newPolicy(aKind, demotion), xbar)
+		r := take(&routerSlab)
+		r.Init(eng, n.ID, newPolicy(aKind, demotion), xbar)
 		if spans != nil {
 			label := fmt.Sprintf("r%d", n.ID)
 			r.OnForward = func(pk *packet.Packet, port int, wait sim.Time) {
@@ -522,10 +558,7 @@ func Build(p Params) (*Instance, error) {
 		if l.VCs != nil {
 			cfg.NoVCPriority = *l.VCs == 1
 		}
-		dirs[ei] = edgeDirs{
-			ab: link.New(eng, cfg, meter),
-			ba: link.New(eng, cfg, meter),
-		}
+		dirs[ei] = edgeDirs{ab: newDir(cfg), ba: newDir(cfg)}
 		// Bit errors afflict package-to-package SerDes channels; the
 		// wide parallel interposer traces inside a MetaCube are exempt.
 		if faultOn && !e.Interposer {
@@ -568,9 +601,8 @@ func Build(p Params) (*Instance, error) {
 			if l := scen.Links[ei]; l.BufferPackets != nil {
 				depth = *l.BufferPackets
 			}
-			buf := link.NewBuffer(depth, in.ReturnCredit)
-			idx := r.AttachPort(buf, out)
-			in.SetDeliver(r.Deliver(idx))
+			idx := r.AttachPort(newBuf(depth, in), out)
+			in.SetReceiver(r.Receiver(idx))
 		}
 	}
 
@@ -627,11 +659,11 @@ func Build(p Params) (*Instance, error) {
 		if n.Tech == config.NVM && p.Tuning.NVMMaxInflight > 0 {
 			inflight = p.Tuning.NVMMaxInflight
 		}
-		quads := make([]*vault.Quadrant, p.Sys.Quadrants)
+		first := len(quadSlab)
 		for qi := 0; qi < p.Sys.Quadrants; qi++ {
-			toQuad := link.New(eng, intLink, meter)
-			fromQuad := link.New(eng, intLink, meter)
-			q := vault.New(eng, vault.Config{
+			toQuad, fromQuad := newDir(intLink), newDir(intLink)
+			q := take(&quadSlab)
+			q.Init(eng, vault.Config{
 				Tech:        n.Tech,
 				Timing:      p.Sys.Timing(n.Tech),
 				Index:       qi,
@@ -643,13 +675,11 @@ func Build(p Params) (*Instance, error) {
 				ReturnDist:  retDist,
 				Meter:       meter,
 			})
-			quadIn := link.NewBuffer(p.Tuning.VaultQueueDepth, toQuad.ReturnCredit)
-			q.Attach(quadIn, fromQuad)
-			toQuad.SetDeliver(q.Deliver())
+			q.Attach(newBuf(p.Tuning.VaultQueueDepth, toQuad), fromQuad)
+			toQuad.SetReceiver(q)
 
-			routerIn := link.NewBuffer(p.Tuning.VaultQueueDepth, fromQuad.ReturnCredit)
-			idx := r.AttachPort(routerIn, toQuad)
-			fromQuad.SetDeliver(r.Deliver(idx))
+			idx := r.AttachPort(newBuf(p.Tuning.VaultQueueDepth, fromQuad), toQuad)
+			fromQuad.SetReceiver(r.Receiver(idx))
 			if spans != nil {
 				bindShip(toQuad, fmt.Sprintf("%d>q%d", node, qi))
 				bindShip(fromQuad, fmt.Sprintf("q%d>%d", qi, node))
@@ -658,9 +688,8 @@ func Build(p Params) (*Instance, error) {
 					spans.VaultIssue(pk, label, eng.Now(), wait)
 				}
 			}
-			quads[qi] = q
 		}
-		inst.quadrants[n.ID] = quads
+		inst.quadrants[n.ID] = quadSlab[first:len(quadSlab):len(quadSlab)]
 	}
 
 	// Routing functions, closing over the host's shortcut state.
@@ -728,6 +757,13 @@ func Build(p Params) (*Instance, error) {
 	// Prime the injection process.
 	eng.Schedule(0, hostPort.Kick)
 	return inst, nil
+}
+
+// take extends slab by one element within its capacity and returns it;
+// it panics if the slab is full, which is a miscount.
+func take[T any](slab *[]T) *T {
+	*slab = (*slab)[:len(*slab)+1]
+	return &(*slab)[len(*slab)-1]
 }
 
 // planFaults validates the scheduled faults and repairs against the

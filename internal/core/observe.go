@@ -53,7 +53,8 @@ func (in *Instance) Report() []NodeReport {
 		for i := 0; i < r.NumPorts(); i++ {
 			nr.PortWait = append(nr.PortWait, r.InputBuffer(i).MeanWait())
 		}
-		for _, q := range in.quadrants[id] {
+		for qi := range in.quadrants[id] {
+			q := &in.quadrants[id][qi]
 			s := q.Stats()
 			nr.Vault.Reads += s.Reads
 			nr.Vault.Writes += s.Writes

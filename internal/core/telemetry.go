@@ -116,28 +116,32 @@ func buildTelemetry(in *Instance, cfg *obs.Config) {
 		prefix := fmt.Sprintf("node%d.vault", n.ID)
 		reg.Gauge(prefix+".inflight", func() int64 {
 			var v int64
-			for _, q := range quads {
+			for i := range quads {
+				q := &quads[i]
 				v += int64(q.Inflight())
 			}
 			return v
 		})
 		reg.Gauge(prefix+".queue", func() int64 {
 			var v int64
-			for _, q := range quads {
+			for i := range quads {
+				q := &quads[i]
 				v += int64(q.QueueLen())
 			}
 			return v
 		})
 		reg.Gauge(prefix+".row_hits", func() int64 {
 			var v int64
-			for _, q := range quads {
+			for i := range quads {
+				q := &quads[i]
 				v += int64(q.BankStats().RowHits)
 			}
 			return v
 		})
 		reg.Gauge(prefix+".row_misses", func() int64 {
 			var v int64
-			for _, q := range quads {
+			for i := range quads {
+				q := &quads[i]
 				bs := q.BankStats()
 				v += int64(bs.RowMisses + bs.RowConflicts)
 			}

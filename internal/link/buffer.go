@@ -14,7 +14,7 @@ type Buffer struct {
 	depth int
 	fifo  [packet.NumVCs][]arrival
 	// credit returns one slot to the upstream Direction.
-	credit func(packet.VC)
+	credit CreditReturner
 	// waitTotal accumulates input-queuing time, the quantity the paper's
 	// Section 3.2 analysis found "highly unbalanced" across ports.
 	waitTotal sim.Time
@@ -27,12 +27,29 @@ type arrival struct {
 }
 
 // NewBuffer returns a buffer of the given per-VC depth whose Pop returns
-// credits through the supplied callback (typically dir.ReturnCredit).
+// credits through the supplied callback, or to no one if it is nil.
 func NewBuffer(depth int, credit func(packet.VC)) *Buffer {
+	b := new(Buffer)
+	if credit == nil {
+		b.Init(depth, nil)
+	} else {
+		b.Init(depth, creditFunc(credit))
+	}
+	return b
+}
+
+// Init makes the zero Buffer b ready for use, as NewBuffer does, so that
+// a network can lay out all its buffers in one slice. Pop returns
+// credits to credit (typically the Direction that fills b), or to no
+// one if it is nil. It panics if b was already initialized.
+func (b *Buffer) Init(depth int, credit CreditReturner) {
+	if b.depth != 0 {
+		panic("link: Buffer initialized twice")
+	}
 	if depth <= 0 {
 		panic("link: non-positive buffer depth")
 	}
-	return &Buffer{depth: depth, credit: credit}
+	b.depth, b.credit = depth, credit
 }
 
 // Push stores an arriving packet. Space is guaranteed by the sender's
@@ -87,7 +104,7 @@ func (b *Buffer) Pop(vc packet.VC, now sim.Time) *packet.Packet {
 	b.waitTotal += now - a.at
 	b.popped++
 	if b.credit != nil {
-		b.credit(vc)
+		b.credit.ReturnCredit(vc)
 	}
 	return a.p
 }

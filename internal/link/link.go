@@ -30,6 +30,43 @@ type nopMeter struct{}
 
 func (nopMeter) Hop(int) {}
 
+// Receiver takes each packet a Direction lands at its far end: a router
+// port, a vault quadrant, the host.
+type Receiver interface {
+	Receive(p *packet.Packet)
+}
+
+// receiverFunc adapts a function to a Receiver.
+type receiverFunc func(p *packet.Packet)
+
+// Receive calls f(p).
+func (f receiverFunc) Receive(p *packet.Packet) { f(p) }
+
+// SpaceListener is told whenever a slot frees in a Direction's output
+// queue, so the component feeding it can resume.
+type SpaceListener interface {
+	OnSpace(vc packet.VC)
+}
+
+// spaceFunc adapts a function to a SpaceListener.
+type spaceFunc func(vc packet.VC)
+
+// OnSpace calls f(vc).
+func (f spaceFunc) OnSpace(vc packet.VC) { f(vc) }
+
+// CreditReturner takes back one receiver-buffer slot of a VC. A
+// *Direction is one: a Buffer returns its credits to the Direction that
+// fills it.
+type CreditReturner interface {
+	ReturnCredit(vc packet.VC)
+}
+
+// creditFunc adapts a function to a CreditReturner.
+type creditFunc func(vc packet.VC)
+
+// ReturnCredit calls f(vc).
+func (f creditFunc) ReturnCredit(vc packet.VC) { f(vc) }
+
 // Config are the constants of one direction.
 type Config struct {
 	// BandwidthBps is the serialization bandwidth in bits per second.
@@ -106,16 +143,16 @@ type Direction struct {
 	queue   [packet.NumVCs][]entry
 	credits [packet.NumVCs]int
 
-	// deliver is invoked at the receiver when a packet lands (after
-	// serialization + SerDes latency). Wired by the owning node.
-	deliver func(*packet.Packet)
-	// onSpace, if set, is invoked whenever a slot frees in the output
+	// receiver takes each packet when it lands (after serialization +
+	// SerDes latency). Wired by the owning node.
+	receiver Receiver
+	// onSpace, if set, is told whenever a slot frees in the output
 	// queue of the given VC, letting the upstream router resume moving
 	// packets out of its input buffers.
-	onSpace func(packet.VC)
+	onSpace SpaceListener
 
 	pumpScheduled bool
-	// pumpEvents counts pump events in the queue. pumpFn clears
+	// pumpEvents counts pump events in the queue. pumpEvent clears
 	// pumpScheduled whichever pump fires, so a CRC retry-ready pump
 	// landing before a pending wire-free pump lets a second wire-free
 	// pump be scheduled: pump events can overlap, and the wire-free pump
@@ -157,9 +194,9 @@ type Direction struct {
 	// exposes as HealedBits.
 	healedBits uint64
 
-	// pumpFn and arriveFn are bound once at construction so the per-packet
-	// hot path schedules them without allocating a closure.
-	pumpFn   sim.Handler
+	// arriveFn is bound once at construction so the per-packet hot path
+	// schedules each landing, with the packet as the event argument,
+	// without allocating a closure.
 	arriveFn sim.ArgHandler
 
 	// onShip, when set (SetOnShip), observes every transmission that
@@ -190,8 +227,21 @@ type retryEntry struct {
 	enq, pop sim.Time
 }
 
-// New returns a Direction. deliver must be non-nil before the first Send.
+// New returns a Direction. Its receiver must be wired before the first
+// Send.
 func New(eng *sim.Engine, cfg Config, meter Meter) *Direction {
+	d := new(Direction)
+	d.Init(eng, cfg, meter)
+	return d
+}
+
+// Init makes the zero Direction d ready for use, as New does, so that a
+// network can lay out all its directions in one slice. It panics if d
+// was already initialized: d's pump wakeup is linked into eng.
+func (d *Direction) Init(eng *sim.Engine, cfg Config, meter Meter) {
+	if d.eng != nil {
+		panic("link: Direction initialized twice")
+	}
 	if cfg.QueueDepth <= 0 || cfg.Credits <= 0 {
 		panic(fmt.Sprintf("link: non-positive queue depth %d or credits %d",
 			cfg.QueueDepth, cfg.Credits))
@@ -205,25 +255,40 @@ func New(eng *sim.Engine, cfg Config, meter Meter) *Direction {
 	if meter == nil {
 		meter = nopMeter{}
 	}
-	d := &Direction{eng: eng, cfg: cfg, meter: meter, origBps: cfg.BandwidthBps}
+	d.eng, d.cfg, d.meter, d.origBps = eng, cfg, meter, cfg.BandwidthBps
 	for vc := range d.credits {
 		d.credits[vc] = cfg.Credits
 	}
-	d.pumpFn = func() {
-		d.pumpEvents--
-		d.pumpScheduled = false
-		d.pump()
-	}
-	d.pumpWake.Init(eng, d.pumpFn)
+	d.pumpWake.Init(eng, pumpEvent, d)
 	d.arriveFn = d.arrive
-	return d
 }
 
-// SetDeliver wires the receiver callback.
-func (d *Direction) SetDeliver(fn func(*packet.Packet)) { d.deliver = fn }
+// pumpEvent is every Direction's pump event; its argument is the
+// Direction.
+func pumpEvent(arg any) {
+	d := arg.(*Direction)
+	d.pumpEvents--
+	d.pumpScheduled = false
+	d.pump()
+}
 
-// SetOnSpace wires the output-queue-space callback.
-func (d *Direction) SetOnSpace(fn func(packet.VC)) { d.onSpace = fn }
+// SetReceiver wires the receiver of landed packets.
+func (d *Direction) SetReceiver(r Receiver) { d.receiver = r }
+
+// SetDeliver wires a receiver function.
+func (d *Direction) SetDeliver(fn func(*packet.Packet)) { d.SetReceiver(receiverFunc(fn)) }
+
+// SetSpaceListener wires the output-queue-space listener.
+func (d *Direction) SetSpaceListener(l SpaceListener) { d.onSpace = l }
+
+// SetOnSpace wires an output-queue-space function; nil wires none.
+func (d *Direction) SetOnSpace(fn func(packet.VC)) {
+	if fn == nil {
+		d.SetSpaceListener(nil)
+		return
+	}
+	d.SetSpaceListener(spaceFunc(fn))
+}
 
 // SetOnShip wires the span tracer's transmission observer. fn fires
 // once per packet that will land at the receiver, with the timestamps
@@ -350,7 +415,7 @@ func (d *Direction) CompleteRetrain() {
 	}
 	if d.onSpace != nil {
 		for vc := packet.VC(0); vc < packet.NumVCs; vc++ {
-			d.onSpace(vc)
+			d.onSpace.OnSpace(vc)
 		}
 	}
 	d.pump()
@@ -414,7 +479,7 @@ func (d *Direction) pump() {
 			return
 		}
 		d.pumpEvents++
-		d.eng.At(d.wire.FreeAt(), d.pumpFn)
+		d.eng.AtArg(d.wire.FreeAt(), pumpEvent, d)
 		return
 	}
 	if d.sendRetry(now) {
@@ -501,7 +566,7 @@ func (d *Direction) transmit(vc packet.VC) {
 	d.finishTransmit(e.p, vc, 1, end, bits, e.enqueued, now)
 
 	if d.onSpace != nil {
-		d.onSpace(vc)
+		d.onSpace.OnSpace(vc)
 	}
 }
 
@@ -526,7 +591,7 @@ func (d *Direction) finishTransmit(p *packet.Packet, vc packet.VC, attempts int,
 		readyAt := end + 2*d.cfg.SerDesLatency + d.flt.Backoff<<shift
 		d.retryQ = append(d.retryQ, retryEntry{p: p, vc: vc, bits: bits, attempts: attempts, readyAt: readyAt, enq: enq, pop: pop})
 		d.pumpEvents++
-		d.eng.At(readyAt, d.pumpFn)
+		d.eng.AtArg(readyAt, pumpEvent, d)
 		return
 	}
 	if d.onShip != nil {
@@ -576,5 +641,5 @@ func (d *Direction) arrive(arg any) {
 		p.Hops++
 		d.meter.Hop(p.Kind.Bits())
 	}
-	d.deliver(p)
+	d.receiver.Receive(p)
 }

@@ -366,3 +366,33 @@ func TestCreditOverflowAfterTraffic(t *testing.T) {
 	}()
 	d.ReturnCredit(packet.VCRequest)
 }
+
+// TestInitTwicePanics: initializing a Direction or a Buffer a second
+// time panics and leaves it working. Zeroing a direction would unlink
+// its pump wakeup from the engine.
+func TestInitTwicePanics(t *testing.T) {
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", name)
+			}
+		}()
+		fn()
+	}
+	eng := sim.NewEngine()
+	d := New(eng, testCfg(), nil)
+	b := NewBuffer(2, nil)
+	d.SetReceiver(receiverFunc(func(p *packet.Packet) { b.Push(p, eng.Now()) }))
+	d.Send(mkPacket(1, packet.ReadReq))
+	eng.Run()
+	mustPanic("Direction.Init", func() { d.Init(eng, testCfg(), nil) })
+	mustPanic("Buffer.Init", func() { b.Init(1, d) })
+	var zero Direction
+	mustPanic("Direction.Init with a bad config", func() { zero.Init(eng, Config{}, nil) })
+	d.Send(mkPacket(2, packet.ReadReq))
+	eng.Run()
+	if b.Len(packet.VCRequest) != 2 || d.Credits(packet.VCRequest) != testCfg().Credits-2 {
+		t.Fatalf("after the panics: %d buffered, %d credits", b.Len(packet.VCRequest), d.Credits(packet.VCRequest))
+	}
+}

@@ -69,11 +69,6 @@ type Router struct {
 	retry sim.Wakeup
 
 	sweepPending bool
-	// sweepFn and retryFn are bound once at construction; Kick and
-	// armRetry fire constantly on the forwarding path, and a pre-built
-	// handler keeps each of those schedules allocation-free.
-	sweepFn sim.Handler
-	retryFn sim.Handler
 	// reroutes holds packets handed back by a failed output link
 	// (link.Direction.Fail drains into Reinject); they re-enter the
 	// network through the recomputed route tables at the next sweep.
@@ -105,15 +100,45 @@ type Router struct {
 	// it; nil keeps the drain loop hook-free.
 	OnForward func(p *packet.Packet, port int, wait sim.Time)
 
-	// inArr and outArr back in and out for the first inlinePorts
-	// ports, so attaching a cube's ports allocates nothing; append
-	// moves a wider router's slices to the heap.
-	inArr  [inlinePorts]*link.Buffer
-	outArr [inlinePorts]*link.Direction
-	// onSpaceFn is every output's space-available callback, bound once
-	// rather than per port.
-	onSpaceFn func(packet.VC)
+	// ports are the receivers of the links into each port and the
+	// space listeners of each output (see port).
+	ports []port
+
+	// inArr, outArr and portArr back in, out and ports for the first
+	// inlinePorts ports, so attaching a cube's ports allocates nothing;
+	// append moves a wider router's slices to the heap.
+	inArr   [inlinePorts]*link.Buffer
+	outArr  [inlinePorts]*link.Direction
+	portArr [inlinePorts]port
 }
+
+// port is port i of a router as its links see it: the Receiver of the
+// direction into the port and the SpaceListener of the direction out
+// of it. It never changes after AttachPort, so a pointer handed out
+// stays valid when append moves ports to a larger array.
+type port struct {
+	r *Router
+	i int
+}
+
+// Receive is the arrival entry point of the port. Packets must enter
+// the input buffer through it once the router has swept: it is how the
+// router learns of a new head to route.
+func (pt *port) Receive(p *packet.Packet) {
+	r, i := pt.r, pt.i
+	p.EnterPort = int8(i)
+	if vc := packet.VCOf(p.Kind); r.in[i].Len(vc) == 0 {
+		r.touch()
+		if r.rs != nil {
+			r.rs.markDirty(i, vc)
+		}
+	}
+	r.in[i].Push(p, r.eng.Now())
+	r.Kick()
+}
+
+// OnSpace kicks a sweep when the port's output frees a slot.
+func (pt *port) OnSpace(packet.VC) { pt.r.Kick() }
 
 // inlinePorts is the port count a router holds without allocating: a
 // cube's external links plus its four vault quadrants, at most eight in
@@ -124,19 +149,37 @@ const inlinePorts = 8
 // AttachPort. switchBps is the centralized switch's internal bandwidth
 // (0 disables crossbar modeling, giving an ideal switch).
 func New(eng *sim.Engine, node packet.NodeID, policy arb.Policy, switchBps int64) *Router {
-	r := &Router{eng: eng, node: node, policy: policy, switchBps: switchBps}
-	r.in, r.out = r.inArr[:0], r.outArr[:0]
-	r.onSpaceFn = func(packet.VC) { r.Kick() }
-	r.sweepFn = func() {
-		r.sweepPending = false
-		r.sweep()
-	}
-	r.retryFn = func() {
-		r.retryArmed = false
-		r.sweep()
-	}
-	r.retry.Init(eng, r.retryFn)
+	r := new(Router)
+	r.Init(eng, node, policy, switchBps)
 	return r
+}
+
+// Init makes the zero Router r a router shell, as New does, so that a
+// network can lay out all its routers in one slice. It panics if r was
+// already initialized: r's retry wakeup is linked into eng.
+func (r *Router) Init(eng *sim.Engine, node packet.NodeID, policy arb.Policy, switchBps int64) {
+	if r.eng != nil {
+		panic(fmt.Sprintf("router %d: initialized twice", r.node))
+	}
+	r.eng, r.node, r.policy, r.switchBps = eng, node, policy, switchBps
+	r.in, r.out, r.ports = r.inArr[:0], r.outArr[:0], r.portArr[:0]
+	r.retry.Init(eng, retryEvent, r)
+}
+
+// sweepEvent is every router's sweep scheduled by Kick; its argument
+// is the Router.
+func sweepEvent(arg any) {
+	r := arg.(*Router)
+	r.sweepPending = false
+	r.sweep()
+}
+
+// retryEvent is every router's crossbar retry; its argument is the
+// Router.
+func retryEvent(arg any) {
+	r := arg.(*Router)
+	r.retryArmed = false
+	r.sweep()
 }
 
 // SetRoute installs the routing function and invalidates every route
@@ -165,35 +208,27 @@ func (r *Router) NumPorts() int { return len(r.in) }
 
 // AttachPort adds a port and returns its index. in receives packets from
 // the neighbor; out sends toward the neighbor. The router registers
-// itself for out's space-available callbacks. Ports are attached before
-// traffic flows; the route state is built for the final port count at
-// the first sweep.
+// itself as out's space listener. Ports are attached before traffic
+// flows; the route state is built for the final port count at the
+// first sweep.
 func (r *Router) AttachPort(in *link.Buffer, out *link.Direction) int {
 	r.rs = nil
 	idx := len(r.in)
 	r.in = append(r.in, in)
 	r.out = append(r.out, out)
-	out.SetOnSpace(r.onSpaceFn)
+	r.ports = append(r.ports, port{r: r, i: idx})
+	out.SetSpaceListener(&r.ports[idx])
 	return idx
 }
 
-// Deliver is the arrival entry point for port i; wire it as the
-// neighbor direction's deliver callback. Packets must enter the input
-// buffer through it once the router has swept: it is how the router
-// learns of a new head to route.
-func (r *Router) Deliver(i int) func(*packet.Packet) {
-	return func(p *packet.Packet) {
-		p.EnterPort = int8(i)
-		if vc := packet.VCOf(p.Kind); r.in[i].Len(vc) == 0 {
-			r.touch()
-			if r.rs != nil {
-				r.rs.markDirty(i, vc)
-			}
-		}
-		r.in[i].Push(p, r.eng.Now())
-		r.Kick()
-	}
-}
+// Receiver is the arrival entry point for port i; wire it as the
+// receiver of the neighbor's direction toward this router. Packets
+// must enter the input buffer through it once the router has swept: it
+// is how the router learns of a new head to route.
+func (r *Router) Receiver(i int) link.Receiver { return &r.ports[i] }
+
+// Deliver is Receiver(i) as a function.
+func (r *Router) Deliver(i int) func(*packet.Packet) { return r.Receiver(i).Receive }
 
 // InputBuffer exposes port i's input buffer (for wiring and stats).
 func (r *Router) InputBuffer(i int) *link.Buffer { return r.in[i] }
@@ -222,13 +257,14 @@ func (r *Router) Kick() {
 		return
 	}
 	r.sweepPending = true
-	r.eng.Schedule(0, r.sweepFn)
+	r.eng.ScheduleArg(0, sweepEvent, r)
 }
 
 // routeState is what lets each input head be routed once, however many
 // sweeps it waits through, and a sweep forward without allocating. A
-// head is unrouted when Deliver pushes it onto an empty FIFO or a
-// grant's pop exposes it, and every head is after InvalidateRoutes.
+// head is unrouted when a port's Receive pushes it onto an empty FIFO
+// or a grant's pop exposes it, and every head is after
+// InvalidateRoutes.
 //
 // routes[vc] holds one candidate bitmask of words uint64s per output:
 // bit i of output o's mask is set when input i's vc head routes to o.
@@ -473,9 +509,9 @@ func (r *Router) drainReroutes() {
 
 // armRetry schedules a sweep for the instant the crossbar frees. With
 // nothing routed, waiting to be routed or salvaged, that sweep is
-// deferred: until work arrives (Deliver of a new head, Reinject and
-// InvalidateRoutes all touch the retry) it would only clear retryArmed
-// and rotate the scan.
+// deferred: until work arrives (a port's Receive of a new head,
+// Reinject and InvalidateRoutes all touch the retry) it would only
+// clear retryArmed and rotate the scan.
 func (r *Router) armRetry() {
 	if r.retryArmed {
 		return
@@ -485,7 +521,7 @@ func (r *Router) armRetry() {
 		r.retry.Defer(r.crossbar.FreeAt())
 		return
 	}
-	r.eng.At(r.crossbar.FreeAt(), r.retryFn)
+	r.eng.AtArg(r.crossbar.FreeAt(), retryEvent, r)
 }
 
 // TotalInputWait sums the input-buffer residency across ports — the

@@ -298,24 +298,27 @@ func TestManyPortsDrainAscending(t *testing.T) {
 	}
 }
 
-// countRoutes wraps r's route function and both sweep handlers so that
-// each sweep starts with a fresh per-packet route count; check runs after
+// countRoutes wraps r's route function to count its calls per packet
+// and returns a loop that runs eng dry, one Step at a time: each event
+// starts with fresh counts and check runs after it. A sweep, whether
+// kicked or a crossbar retry, is one event, so check sees the counts of
 // every sweep.
-func countRoutes(r *Router, check func(calls map[*packet.Packet]int)) {
+func countRoutes(eng *sim.Engine, r *Router, check func(calls map[*packet.Packet]int)) (run func()) {
 	calls := map[*packet.Packet]int{}
 	route := r.route
 	r.SetRoute(func(p *packet.Packet) int {
 		calls[p]++
 		return route(p)
 	})
-	wrap := func(h sim.Handler) sim.Handler {
-		return func() {
+	return func() {
+		for {
 			clear(calls)
-			h()
+			if !eng.Step() {
+				return
+			}
 			check(calls)
 		}
 	}
-	r.sweepFn, r.retryFn = wrap(r.sweepFn), wrap(r.retryFn)
 }
 
 // TestRouteOncePerSweep: however many outputs a sweep scans, each head
@@ -338,9 +341,11 @@ func TestRouteOncePerSweep(t *testing.T) {
 		}
 		// Inputs 0-2 send to outputs 3-5 and back, by packet ID.
 		r.SetRoute(func(p *packet.Packet) int { return 3 + int(p.ID%3) })
-		sweeps := 0
-		countRoutes(r, func(calls map[*packet.Packet]int) {
-			sweeps++
+		sweeps := 0 // events that routed a head
+		run := countRoutes(eng, r, func(calls map[*packet.Packet]int) {
+			if len(calls) > 0 {
+				sweeps++
+			}
 			for p, n := range calls {
 				if n > 1 {
 					t.Fatalf("bps=%d: packet %d routed %d times in one sweep", bps, p.ID, n)
@@ -356,7 +361,7 @@ func TestRouteOncePerSweep(t *testing.T) {
 				}
 			}
 		}
-		eng.Run()
+		run()
 		if sunk != int(id) || sweeps == 0 {
 			t.Fatalf("bps=%d: delivered %d of %d in %d sweeps", bps, sunk, id, sweeps)
 		}
@@ -471,5 +476,25 @@ func TestLastGrantStillAbortsOnBusyCrossbar(t *testing.T) {
 	}
 	if !r.retryArmed || r.sweepStart != 2 {
 		t.Fatalf("retryArmed=%v sweepStart=%d, want an aborted sweep (true, 2)", r.retryArmed, r.sweepStart)
+	}
+}
+
+// TestInitTwicePanics: initializing a router a second time panics and
+// leaves it forwarding. Zeroing it would unlink its retry wakeup from
+// the engine.
+func TestInitTwicePanics(t *testing.T) {
+	eng, r, sunk := fanIn(t, 1, arb.New(arb.RoundRobin, arb.Config{}), 1e9)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("second Init did not panic")
+			}
+		}()
+		r.Init(eng, 2, arb.New(arb.RoundRobin, arb.Config{}), 0)
+	}()
+	r.Receiver(0).Receive(&packet.Packet{ID: 1, Kind: packet.ReadReq})
+	eng.Run()
+	if *sunk != 1 || r.Node() != 1 || r.NumPorts() != 2 {
+		t.Fatalf("after the panic: %d forwarded, node %d, %d ports", *sunk, r.Node(), r.NumPorts())
 	}
 }

@@ -7,11 +7,11 @@ import "fmt"
 type Handler func()
 
 // ArgHandler is a callback invoked with a caller-supplied argument. It
-// exists so hot paths can store one bound callback per component (built
-// once at construction) and pass the varying operand — typically a
-// *packet.Packet — through the event itself, instead of allocating a
-// fresh closure per Schedule call. Boxing a pointer into the arg is
-// allocation-free.
+// exists so schedules need not allocate a closure: a package-level
+// handler takes its component as the argument (a link's pump, a
+// router's sweep), or a handler bound once per component takes the
+// varying operand, typically a *packet.Packet. Boxing a pointer into
+// the arg is allocation-free.
 type ArgHandler func(arg any)
 
 // event is a scheduled callback. Events with equal times fire in the
@@ -228,19 +228,19 @@ func (e *Engine) enqueue(t Time, fn Handler, afn ArgHandler, arg any) {
 	slot.fn, slot.afn, slot.arg = fn, afn, arg
 }
 
-// insert queues fn at a place reserved earlier, (t, seq), into the wheel
-// or the overflow heap. It never uses the lane: every lane event at t
-// was scheduled at t, after the reservation, so it has a newer seq.
-func (e *Engine) insert(t Time, seq uint64, fn Handler) {
+// insert queues afn(arg) at a place reserved earlier, (t, seq), into the
+// wheel or the overflow heap. It never uses the lane: every lane event
+// at t was scheduled at t, after the reservation, so it has a newer seq.
+func (e *Engine) insert(t Time, seq uint64, afn ArgHandler, arg any) {
 	var slot *event
 	if inHorizon(e.now, t) {
 		slot = e.wheel.push(t, seq)
 	}
 	if slot == nil {
-		e.heapPush(event{at: t, seq: seq, fn: fn})
+		e.heapPush(event{at: t, seq: seq, afn: afn, arg: arg})
 		return
 	}
-	slot.at, slot.seq, slot.fn = t, seq, fn
+	slot.at, slot.seq, slot.afn, slot.arg = t, seq, afn, arg
 }
 
 // Step executes the single earliest pending event and returns true, or

@@ -116,13 +116,13 @@ func checkEngineOrder(t *testing.T, data []byte) {
 	var res, com [numWakeups]int
 	wake, ran := map[int]bool{}, map[int]bool{}
 	for k := range wakeups {
-		k := k
 		res[k], com[k] = -1, -1
-		wakeups[k].Init(e, func() {
+		wakeups[k].Init(e, func(arg any) {
+			k := arg.(int)
 			id := com[k]
 			com[k] = -1
 			fire(id)
-		})
+		}, k)
 	}
 	// touch settles wakeup k the way an owner does; commit false only
 	// takes a lapse.

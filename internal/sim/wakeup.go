@@ -26,7 +26,8 @@ import "fmt"
 // reservation at a time.
 type Wakeup struct {
 	eng  *Engine
-	fn   Handler
+	fn   ArgHandler
+	arg  any
 	next *Wakeup // the engine's list of every initialized wakeup
 	at   Time
 	seq  uint64
@@ -35,16 +36,18 @@ type Wakeup struct {
 	deferred bool
 }
 
-// Init binds the wakeup to e with the handler a commit queues. It links
-// the wakeup into e, so Fired, Pending and Step can account for it.
-func (w *Wakeup) Init(e *Engine, fn Handler) {
+// Init binds the wakeup to e with the event a commit queues: fn(arg).
+// Owners pass a package-level handler and themselves as arg, so binding
+// a wakeup allocates nothing. It links the wakeup into e, so Fired,
+// Pending and Step can account for it.
+func (w *Wakeup) Init(e *Engine, fn ArgHandler, arg any) {
 	if w.eng != nil {
 		panic("sim: Wakeup initialized twice")
 	}
 	if fn == nil {
 		panic("sim: nil handler")
 	}
-	w.eng, w.fn = e, fn
+	w.eng, w.fn, w.arg = e, fn, arg
 	w.next = e.wakeups
 	e.wakeups = w
 }
@@ -101,7 +104,7 @@ func (w *Wakeup) Commit() {
 		panic("sim: Commit of a wakeup that is not deferred or has passed")
 	}
 	w.deferred = false
-	e.insert(w.at, w.seq, w.fn)
+	e.insert(w.at, w.seq, w.fn, w.arg)
 }
 
 // passed reports whether the place (at, seq) is at or before the event

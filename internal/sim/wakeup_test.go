@@ -9,7 +9,7 @@ func TestWakeupCommitKeepsReservedPlace(t *testing.T) {
 	e := NewEngine()
 	var order []string
 	var w Wakeup
-	w.Init(e, func() { order = append(order, "wakeup") })
+	w.Init(e, func(arg any) { order = append(order, arg.(string)) }, "wakeup")
 	e.Schedule(10, func() { order = append(order, "before") })
 	w.Defer(10)
 	e.Schedule(10, func() { order = append(order, "after") })
@@ -29,7 +29,7 @@ func TestWakeupCommitKeepsReservedPlace(t *testing.T) {
 func TestWakeupLapseCountsAsFired(t *testing.T) {
 	e := NewEngine()
 	var w Wakeup
-	w.Init(e, func() { t.Fatal("a lapsed wakeup ran") })
+	w.Init(e, func(any) { t.Fatal("a lapsed wakeup ran") }, nil)
 	w.Defer(10)
 	e.Schedule(10, func() {})
 	if e.Pending() != 2 || e.Fired() != 0 {
@@ -58,8 +58,8 @@ func TestWakeupLapseCountsAsFired(t *testing.T) {
 func TestWakeupDrainAndRunUntil(t *testing.T) {
 	e := NewEngine()
 	var a, b Wakeup
-	a.Init(e, func() {})
-	b.Init(e, func() {})
+	a.Init(e, func(any) {}, nil)
+	b.Init(e, func(any) {}, nil)
 	a.Defer(30)
 	b.Defer(20)
 	if !e.Step() || e.Now() != 20 || e.Fired() != 1 {
@@ -90,12 +90,14 @@ func TestWakeupMisusePanics(t *testing.T) {
 	}
 	e := NewEngine()
 	var w Wakeup
-	w.Init(e, func() {})
+	w.Init(e, func(any) {}, nil)
 	mustPanic("Defer(now)", func() { w.Defer(0) })
 	mustPanic("Commit without Defer", func() { w.Commit() })
 	w.Defer(10)
 	mustPanic("second Defer", func() { w.Defer(20) })
 	e.RunUntil(10)
 	mustPanic("Commit after the place", func() { w.Commit() })
-	mustPanic("second Init", func() { w.Init(e, func() {}) })
+	mustPanic("second Init", func() { w.Init(e, func(any) {}, nil) })
+	var v Wakeup
+	mustPanic("nil handler", func() { v.Init(e, nil, nil) })
 }

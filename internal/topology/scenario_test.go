@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"memnet/internal/config"
 	"memnet/internal/packet"
 	"memnet/internal/scenario"
 )
@@ -169,5 +170,29 @@ func TestExportScenarioValidates(t *testing.T) {
 	}
 	if !reflect.DeepEqual(reloaded, spec) {
 		t.Errorf("generated spec changed through a JSON round trip:\n got %+v\nwant %+v", reloaded, spec)
+	}
+}
+
+// TestBuildScenarioAllocs: building a graph allocates a fixed number of
+// flat tables, not a slice per node or per breadth-first search, so a
+// 32-cube graph of any kind costs no more allocations than a 16-cube
+// one.
+func TestBuildScenarioAllocs(t *testing.T) {
+	allocs := func(k Kind, cubes int) float64 {
+		spec, err := Generate(k, make([]config.MemTech, cubes), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := BuildScenario(spec); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, k := range AllKinds {
+		small, large := allocs(k, 16), allocs(k, 32)
+		if large > small || large > 32 {
+			t.Errorf("%v: %v allocations at 16 cubes, %v at 32; want at most 32, not growing", k, small, large)
+		}
 	}
 }

@@ -712,16 +712,17 @@ func (g *Graph) routes(class PathClass) ([][]int8, [][]int16, error) {
 		}
 		return class == PathShort || !g.Edges[ei].Express
 	}
+	// Each node enters a BFS's queue at most once, so the queue never
+	// outgrows n; walking it by index keeps its capacity for the next
+	// BFS.
 	queue := make([]packet.NodeID, 0, n)
 	for dst := 0; dst < n; dst++ {
 		d := packet.NodeID(dst)
 		dist[dst][dst] = 0
-		queue = queue[:0]
-		queue = append(queue, d)
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for port, h := range g.adj[u] {
+		queue = append(queue[:0], d)
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			for _, h := range g.adj[u] {
 				if !usable(h.edge) {
 					continue
 				}
@@ -743,7 +744,6 @@ func (g *Graph) routes(class PathClass) ([][]int8, [][]int16, error) {
 				if g.deadNode == nil || !g.deadNode[v] {
 					queue = append(queue, v)
 				}
-				_ = port
 			}
 		}
 	}

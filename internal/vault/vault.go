@@ -63,10 +63,9 @@ type Quadrant struct {
 	done        []*packet.Packet
 
 	pumpPending bool
-	// pumpFn and completeFn are bound once at construction so the
-	// per-request hot path (kick per arrival, completion per bank access)
-	// schedules without allocating closures.
-	pumpFn     sim.Handler
+	// completeFn is bound once at construction so each bank access
+	// schedules its completion, with the packet as the event argument,
+	// without allocating a closure.
 	completeFn sim.ArgHandler
 	stats      Stats
 
@@ -90,50 +89,66 @@ type Config struct {
 	Meter       *energy.Meter
 }
 
-// New builds a quadrant with its banks. Refresh phases are staggered by
-// bank index so a cube's banks do not refresh in lockstep.
+// New builds a quadrant with its banks.
 func New(eng *sim.Engine, cfg Config) *Quadrant {
-	q := &Quadrant{
-		eng:         eng,
-		tech:        cfg.Tech,
-		index:       cfg.Index,
-		extPorts:    cfg.ExtPorts,
-		penalty:     cfg.Penalty,
-		bankMap:     cfg.BankMap,
-		retDist:     cfg.ReturnDist,
-		meter:       cfg.Meter,
-		maxInflight: cfg.MaxInflight,
+	q := new(Quadrant)
+	q.Init(eng, cfg)
+	return q
+}
+
+// Init makes the zero Quadrant q a quadrant with its banks, as New
+// does, so that a network can lay out all its quadrants in one slice.
+// Refresh phases are staggered by bank index so a cube's banks do not
+// refresh in lockstep. It panics if q was already initialized.
+func (q *Quadrant) Init(eng *sim.Engine, cfg Config) {
+	if q.eng != nil {
+		panic("vault: Quadrant initialized twice")
 	}
+	q.eng = eng
+	q.tech, q.index = cfg.Tech, cfg.Index
+	q.extPorts, q.penalty = cfg.ExtPorts, cfg.Penalty
+	q.bankMap, q.retDist, q.meter = cfg.BankMap, cfg.ReturnDist, cfg.Meter
+	q.maxInflight = cfg.MaxInflight
 	if q.maxInflight <= 0 {
 		q.maxInflight = 16
 	}
 	q.banks = mem.NewController(cfg.Timing, cfg.Banks,
 		sim.Time(cfg.Index*cfg.Banks)*97*sim.Nanosecond, 97*sim.Nanosecond)
-	q.pumpFn = func() {
-		q.pumpPending = false
-		q.pump()
-	}
 	q.completeFn = func(arg any) { q.complete(arg.(*packet.Packet)) }
-	return q
+}
+
+// pumpEvent is every quadrant's pump scheduled by kick; its argument is
+// the Quadrant.
+func pumpEvent(arg any) {
+	q := arg.(*Quadrant)
+	q.pumpPending = false
+	q.pump()
 }
 
 // Attach wires the quadrant to its router-side connections: in delivers
 // requests (the buffer fed by the router's output direction toward this
-// quadrant) and out carries responses back into the router.
+// quadrant) and out carries responses back into the router. The
+// quadrant is out's space listener.
 func (q *Quadrant) Attach(in *link.Buffer, out *link.Direction) {
 	q.in = in
 	q.out = out
-	out.SetOnSpace(func(packet.VC) { q.kick() })
+	out.SetSpaceListener(q)
 }
 
-// Deliver is the arrival callback for the router->quadrant direction.
-func (q *Quadrant) Deliver() func(*packet.Packet) {
-	return func(p *packet.Packet) {
-		p.ArrivedMem = q.eng.Now()
-		q.in.Push(p, q.eng.Now())
-		q.kick()
-	}
+// Receive is the arrival entry point for the router->quadrant
+// direction; the quadrant is that direction's receiver.
+func (q *Quadrant) Receive(p *packet.Packet) {
+	p.ArrivedMem = q.eng.Now()
+	q.in.Push(p, q.eng.Now())
+	q.kick()
 }
+
+// OnSpace resumes the pipeline when the response direction frees a
+// slot.
+func (q *Quadrant) OnSpace(packet.VC) { q.kick() }
+
+// Deliver is Receive as a function.
+func (q *Quadrant) Deliver() func(*packet.Packet) { return q.Receive }
 
 // Tech reports the quadrant's memory technology.
 func (q *Quadrant) Tech() config.MemTech { return q.tech }
@@ -160,7 +175,7 @@ func (q *Quadrant) kick() {
 		return
 	}
 	q.pumpPending = true
-	q.eng.Schedule(0, q.pumpFn)
+	q.eng.ScheduleArg(0, pumpEvent, q)
 }
 
 // pump advances both ends of the quadrant pipeline: emit completed

@@ -189,3 +189,22 @@ func TestQueueWaitAccounting(t *testing.T) {
 		t.Fatal("service time should accumulate")
 	}
 }
+
+// TestInitTwicePanics: initializing a quadrant a second time panics and
+// leaves it serving requests.
+func TestInitTwicePanics(t *testing.T) {
+	h := newHarness(t, config.DRAM, 4)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("second Init did not panic")
+			}
+		}()
+		h.q.Init(h.eng, Config{Tech: config.NVM, Index: 3})
+	}()
+	h.send(1, packet.ReadReq, 0x40, 1)
+	h.eng.Run()
+	if len(h.responses) != 1 || h.q.Tech() != config.DRAM {
+		t.Fatalf("after the panic: %d responses, tech %v", len(h.responses), h.q.Tech())
+	}
+}

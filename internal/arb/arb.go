@@ -123,15 +123,44 @@ func New(kind Kind, cfg Config) Policy {
 // estimated-oldest packet outright, which is what makes the naive scheme
 // misfire on NVM-F placements (§5.1).
 // State is kept per (output port, VC) so request and response streams do
-// not perturb each other's fairness. Both tables are flat slices indexed
-// by out*NumVCs+vc (and, for the smooth counters, by input port within
-// that row); they grow on first use of an output or port, so steady-state
-// picks never allocate.
+// not perturb each other's fairness, in flat tables indexed by key =
+// out*NumVCs+vc: one rotation per key (strict), or one row of width
+// counters per key, indexed by input port (smooth). The tables are
+// allocated at the first contended pick, whole when the router has
+// told the arbiter its port count (SetPorts), so an arbiter allocates
+// once; past that size they grow to fit, and steady-state picks never
+// allocate.
 type wrr struct {
 	weight WeightFunc
 	strict bool
-	state  [][]int64
+	ports  int
+	keys   int
+	width  int
 	rot    []int
+	state  []int64
+}
+
+// SetPorts sizes the arbiter for a router of n ports before its first
+// pick.
+func (a *wrr) SetPorts(n int) { a.ports = n }
+
+// fit grows the tables to cover key and input port last.
+func (a *wrr) fit(key, last int) {
+	if key < a.keys && (a.strict || last < a.width) {
+		return
+	}
+	keys := max(key+1, a.keys, a.ports*int(packet.NumVCs))
+	if a.strict {
+		a.rot = append(a.rot, make([]int, keys-a.keys)...)
+		a.keys = keys
+		return
+	}
+	width := max(last+1, a.width, a.ports)
+	state := make([]int64, keys*width)
+	for k := 0; k < a.keys; k++ {
+		copy(state[k*width:], a.state[k*a.width:(k+1)*a.width])
+	}
+	a.state, a.keys, a.width = state, keys, width
 }
 
 func (a *wrr) Pick(out int, vc packet.VC, candidates []int, heads []*packet.Packet) int {
@@ -139,10 +168,8 @@ func (a *wrr) Pick(out int, vc packet.VC, candidates []int, heads []*packet.Pack
 		return candidates[0]
 	}
 	key := out*int(packet.NumVCs) + int(vc)
+	a.fit(key, candidates[len(candidates)-1])
 	if a.strict {
-		if key >= len(a.rot) {
-			a.rot = append(a.rot, make([]int, key+1-len(a.rot))...)
-		}
 		rot := a.rot[key]
 		best := -1
 		var bestVal int64
@@ -157,14 +184,7 @@ func (a *wrr) Pick(out int, vc packet.VC, candidates []int, heads []*packet.Pack
 		a.rot[key] = rot + 1
 		return best
 	}
-	if key >= len(a.state) {
-		a.state = append(a.state, make([][]int64, key+1-len(a.state))...)
-	}
-	cur := a.state[key]
-	if last := candidates[len(candidates)-1]; last >= len(cur) {
-		cur = append(cur, make([]int64, last+1-len(cur))...)
-		a.state[key] = cur
-	}
+	cur := a.state[key*a.width : (key+1)*a.width]
 
 	var total int64
 	best := -1

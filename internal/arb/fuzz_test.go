@@ -20,8 +20,10 @@ func FuzzArbPick(f *testing.F) {
 }
 
 // checkArbTwin decodes data into a policy and a Pick sequence. The
-// header byte picks the kind (b%3) and the augmented policy's write
-// demotion (1 + b>>2%4). Then each call takes an output (next%80), a
+// header byte picks the kind (b%3), the augmented policy's write
+// demotion (1 + b>>2%4) and, when its top bit is set, a port count to
+// size the arbiter with (b>>4%8 * 12, short of the ports the calls
+// reach). Then each call takes an output (next%80), a
 // VC (next&1), a candidate count (1 + next%8) and, per candidate, the
 // gap to the previous input port (next%12, so ports pass 64 too) and
 // the head's kind, distance and source.
@@ -42,6 +44,9 @@ func checkArbTwin(t *testing.T, data []byte) {
 		WriteDemotion: 1 + int64(hb>>2)%4,
 		Bias:          func(n packet.NodeID) int64 { return int64(n % 5) },
 	}).(*wrr)
+	if hb&0x80 != 0 {
+		got.SetPorts(int(hb>>4) % 8 * 12)
+	}
 	want := &refWRR{weight: got.weight, strict: got.strict}
 	kinds := [...]packet.Kind{packet.ReadReq, packet.WriteReq, packet.ReadResp, packet.WriteAck}
 

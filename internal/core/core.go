@@ -24,6 +24,7 @@ import (
 	"memnet/internal/fault"
 	"memnet/internal/host"
 	"memnet/internal/link"
+	"memnet/internal/mem"
 	"memnet/internal/obs"
 	"memnet/internal/packet"
 	"memnet/internal/router"
@@ -456,9 +457,9 @@ func Build(p Params) (*Instance, error) {
 	// The network's components live in one slice per type, sized from
 	// the graph: a router per non-host node; a direction pair per edge
 	// and per quadrant; an input buffer per external router port, plus
-	// two per quadrant (its request queue and its port on the router).
-	// take hands out their elements in order; the slices never grow, so
-	// the pointers wired below stay valid.
+	// two per quadrant (its request queue and its port on the router);
+	// and every quadrant's banks. take hands out their elements in order;
+	// the slices never grow, so the pointers wired below stay valid.
 	nRouters, nPorts, nCubes := 0, 0, 0
 	for _, n := range g.Nodes {
 		if n.Kind == topology.Host {
@@ -471,8 +472,10 @@ func Build(p Params) (*Instance, error) {
 		}
 	}
 	nQuads := nCubes * p.Sys.Quadrants
+	nBanks := p.Sys.BanksPerQuadrant()
 	routerSlab := make([]router.Router, 0, nRouters)
 	quadSlab := make([]vault.Quadrant, 0, nQuads)
+	bankSlab := make([]mem.Bank, nQuads*nBanks)
 	dirSlab := make([]link.Direction, 0, 2*len(g.Edges)+2*nQuads)
 	bufSlab := make([]link.Buffer, 0, nPorts+2*nQuads)
 	newDir := func(cfg link.Config) *link.Direction {
@@ -669,12 +672,13 @@ func Build(p Params) (*Instance, error) {
 				Index:       qi,
 				ExtPorts:    extDeg,
 				Penalty:     p.Sys.WrongQuadrantPenalty,
-				Banks:       p.Sys.BanksPerQuadrant(),
+				Banks:       nBanks,
 				MaxInflight: inflight,
 				BankMap:     bankMap,
 				ReturnDist:  retDist,
 				Meter:       meter,
-			})
+			}, bankSlab[:nBanks:nBanks])
+			bankSlab = bankSlab[nBanks:]
 			q.Attach(newBuf(p.Tuning.VaultQueueDepth, toQuad), fromQuad)
 			toQuad.SetReceiver(q)
 

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"memnet/internal/mem"
@@ -37,6 +38,14 @@ type NodeReport struct {
 // end to end.
 func (in *Instance) Report() []NodeReport {
 	out := make([]NodeReport, 0, len(in.routers))
+	// Every node's PortWait is a slice of one array.
+	nPorts := 0
+	for _, r := range in.routers {
+		if r != nil {
+			nPorts += r.NumPorts()
+		}
+	}
+	waits := make([]sim.Time, nPorts)
 	for _, node := range in.Graph.Nodes {
 		id := node.ID
 		r := in.routers[id]
@@ -50,8 +59,9 @@ func (in *Instance) Report() []NodeReport {
 			Contended: r.Contended,
 			InputWait: r.TotalInputWait(),
 		}
-		for i := 0; i < r.NumPorts(); i++ {
-			nr.PortWait = append(nr.PortWait, r.InputBuffer(i).MeanWait())
+		nr.PortWait, waits = waits[:r.NumPorts():r.NumPorts()], waits[r.NumPorts():]
+		for i := range nr.PortWait {
+			nr.PortWait[i] = r.InputBuffer(i).MeanWait()
 		}
 		for qi := range in.quadrants[id] {
 			q := &in.quadrants[id][qi]
@@ -72,7 +82,7 @@ func (in *Instance) Report() []NodeReport {
 		}
 		out = append(out, nr)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
+	slices.SortFunc(out, func(a, b NodeReport) int { return cmp.Compare(a.Node, b.Node) })
 	return out
 }
 

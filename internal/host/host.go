@@ -86,8 +86,8 @@ type Port struct {
 	stagedArrive sim.Time
 	lastArrive   sim.Time
 
-	// pool recycles retired transaction packets; with it, steady-state
-	// injection performs no packet allocation.
+	// pool recycles retired transaction packets; seeded with a window
+	// of them, injection allocates no packet.
 	pool packet.Pool
 
 	// Bound callbacks, built once so Kick/armTimer/retireSlots schedule
@@ -151,6 +151,9 @@ func New(eng *sim.Engine, cfg Config, gen workload.Generator, wire Wiring, colle
 		wfSize:        make(map[uint64]int),
 		wfOf:          make(map[uint64]uint64),
 	}
+	// The window bounds the packets in flight, so a run whose packets
+	// all come back allocates none after this.
+	p.pool.Reserve(cfg.MaxOutstanding)
 	p.pumpFn = func() {
 		p.kickPending = false
 		p.pump()

@@ -12,18 +12,14 @@ import (
 // Popping an entry returns a credit upstream.
 type Buffer struct {
 	depth int
-	fifo  [packet.NumVCs][]arrival
+	// fifo holds each VC's packets, stamped with their arrival time.
+	fifo [packet.NumVCs]packet.Queue
 	// credit returns one slot to the upstream Direction.
 	credit CreditReturner
 	// waitTotal accumulates input-queuing time, the quantity the paper's
 	// Section 3.2 analysis found "highly unbalanced" across ports.
 	waitTotal sim.Time
 	popped    uint64
-}
-
-type arrival struct {
-	p  *packet.Packet
-	at sim.Time
 }
 
 // NewBuffer returns a buffer of the given per-VC depth whose Pop returns
@@ -56,57 +52,41 @@ func (b *Buffer) Init(depth int, credit CreditReturner) {
 // credit discipline; overflow indicates a protocol bug and panics.
 func (b *Buffer) Push(p *packet.Packet, now sim.Time) {
 	vc := packet.VCOf(p.Kind)
-	if len(b.fifo[vc]) >= b.depth {
+	if b.fifo[vc].Len() >= b.depth {
 		panic(fmt.Sprintf("link: input buffer overflow on %v for %v", vc, p))
 	}
-	if b.fifo[vc] == nil {
-		// Most FIFOs never hold more than two packets; start there
-		// rather than grow through one.
-		b.fifo[vc] = make([]arrival, 0, min(2, b.depth))
-	}
-	b.fifo[vc] = append(b.fifo[vc], arrival{p: p, at: now})
+	b.fifo[vc].Push(p, now)
 }
 
 // Head returns the oldest packet of vc without removing it, or nil.
-func (b *Buffer) Head(vc packet.VC) *packet.Packet {
-	if len(b.fifo[vc]) == 0 {
-		return nil
-	}
-	return b.fifo[vc][0].p
-}
+func (b *Buffer) Head(vc packet.VC) *packet.Packet { return b.fifo[vc].Head() }
 
 // Len reports the occupancy of the vc FIFO.
-func (b *Buffer) Len(vc packet.VC) int { return len(b.fifo[vc]) }
+func (b *Buffer) Len(vc packet.VC) int { return b.fifo[vc].Len() }
 
 // HeadSince reports when the head packet of vc arrived. It lets an
 // observer attribute per-packet arbitration wait before Pop folds the
 // residency into the aggregate counters. Panics if the FIFO is empty.
 func (b *Buffer) HeadSince(vc packet.VC) sim.Time {
-	if len(b.fifo[vc]) == 0 {
+	if b.fifo[vc].Len() == 0 {
 		panic("link: HeadSince on empty input buffer")
 	}
-	return b.fifo[vc][0].at
+	return b.fifo[vc].HeadAt()
 }
 
 // Pop removes and returns the head of vc, returning one credit upstream.
 // It panics if the FIFO is empty.
 func (b *Buffer) Pop(vc packet.VC, now sim.Time) *packet.Packet {
-	if len(b.fifo[vc]) == 0 {
+	if b.fifo[vc].Len() == 0 {
 		panic("link: pop from empty input buffer")
 	}
-	q := b.fifo[vc]
-	a := q[0]
-	copy(q, q[1:])
-	// Zero the vacated slot so the backing array does not keep a packet
-	// that may since have been recycled into a pool.
-	q[len(q)-1] = arrival{}
-	b.fifo[vc] = q[:len(q)-1]
-	b.waitTotal += now - a.at
+	p, at := b.fifo[vc].Pop()
+	b.waitTotal += now - at
 	b.popped++
 	if b.credit != nil {
 		b.credit.ReturnCredit(vc)
 	}
-	return a.p
+	return p
 }
 
 // MeanWait reports the average input-buffer residency observed so far.

@@ -139,9 +139,15 @@ type Direction struct {
 	cfg   Config
 	meter Meter
 
-	wire    sim.Resource
-	queue   [packet.NumVCs][]entry
+	wire sim.Resource
+	// queue holds each VC's waiting packets, stamped with their enqueue
+	// time.
+	queue   [packet.NumVCs]packet.Queue
 	credits [packet.NumVCs]int
+	// landing holds the packets on the wire, in the order they land:
+	// the wire is serial and the SerDes latency fixed, so each
+	// arriveEvent lands the head.
+	landing packet.Queue
 
 	// receiver takes each packet when it lands (after serialization +
 	// SerDes latency). Wired by the owning node.
@@ -194,11 +200,6 @@ type Direction struct {
 	// exposes as HealedBits.
 	healedBits uint64
 
-	// arriveFn is bound once at construction so the per-packet hot path
-	// schedules each landing, with the packet as the event argument,
-	// without allocating a closure.
-	arriveFn sim.ArgHandler
-
 	// onShip, when set (SetOnShip), observes every transmission that
 	// will land: enq/pop bound the output-queue residence, start/end the
 	// final wire occupancy (start > pop only after CRC retries). The
@@ -206,11 +207,6 @@ type Direction struct {
 	onShip func(p *packet.Packet, enq, pop, start, end sim.Time)
 
 	stats Stats
-}
-
-type entry struct {
-	p        *packet.Packet
-	enqueued sim.Time
 }
 
 // retryEntry is one packet parked in the retry buffer. It still holds
@@ -260,7 +256,6 @@ func (d *Direction) Init(eng *sim.Engine, cfg Config, meter Meter) {
 		d.credits[vc] = cfg.Credits
 	}
 	d.pumpWake.Init(eng, pumpEvent, d)
-	d.arriveFn = d.arrive
 }
 
 // pumpEvent is every Direction's pump event; its argument is the
@@ -312,11 +307,11 @@ func (d *Direction) Stats() Stats { return d.stats }
 // CanAccept reports whether the output queue of vc has room. A failed
 // or retraining direction accepts nothing.
 func (d *Direction) CanAccept(vc packet.VC) bool {
-	return d.state == Up && len(d.queue[vc]) < d.cfg.QueueDepth
+	return d.state == Up && d.queue[vc].Len() < d.cfg.QueueDepth
 }
 
 // QueueLen reports the occupancy of the vc output queue.
-func (d *Direction) QueueLen(vc packet.VC) int { return len(d.queue[vc]) }
+func (d *Direction) QueueLen(vc packet.VC) int { return d.queue[vc].Len() }
 
 // Credits reports the transmit credits currently available for vc.
 func (d *Direction) Credits(vc packet.VC) int { return d.credits[vc] }
@@ -371,10 +366,10 @@ func (d *Direction) Fail(drain func(*packet.Packet)) {
 	}
 	d.state = Down
 	for vc := range d.queue {
-		for _, e := range d.queue[vc] {
-			drain(e.p)
+		for d.queue[vc].Len() > 0 {
+			p, _ := d.queue[vc].Pop()
+			drain(p)
 		}
-		d.queue[vc] = nil
 	}
 	for _, r := range d.retryQ {
 		drain(r.p)
@@ -431,11 +426,7 @@ func (d *Direction) Send(p *packet.Packet) {
 	if !d.CanAccept(vc) {
 		panic(fmt.Sprintf("link: output queue overflow on %v for %v", vc, p))
 	}
-	if d.queue[vc] == nil {
-		// As for input FIFOs: start at two rather than grow through one.
-		d.queue[vc] = make([]entry, 0, min(2, d.cfg.QueueDepth))
-	}
-	d.queue[vc] = append(d.queue[vc], entry{p: p, enqueued: d.eng.Now()})
+	d.queue[vc].Push(p, d.eng.Now())
 	d.pump()
 }
 
@@ -499,14 +490,14 @@ func (d *Direction) pump() {
 // hasWork reports whether a packet waits in an output queue or the
 // retry buffer.
 func (d *Direction) hasWork() bool {
-	return len(d.queue[packet.VCRequest])+len(d.queue[packet.VCResponse])+len(d.retryQ) > 0
+	return d.queue[packet.VCRequest].Len()+d.queue[packet.VCResponse].Len()+len(d.retryQ) > 0
 }
 
 // pickVC chooses the next virtual channel to serve: responses first by
 // default (the deadlock-avoidance priority), else round-robin.
 func (d *Direction) pickVC() (packet.VC, bool) {
 	eligible := func(vc packet.VC) bool {
-		if len(d.queue[vc]) == 0 {
+		if d.queue[vc].Len() == 0 {
 			return false
 		}
 		if d.credits[vc] == 0 {
@@ -543,17 +534,13 @@ func (d *Direction) pickVC() (packet.VC, bool) {
 // transmit pops the head of vc and occupies the wire for its
 // serialization time; delivery fires after the additional SerDes latency.
 func (d *Direction) transmit(vc packet.VC) {
-	q := d.queue[vc]
-	e := q[0]
-	copy(q, q[1:])
-	q[len(q)-1] = entry{} // drop the vacated slot's packet reference
-	d.queue[vc] = q[:len(q)-1]
+	p, enqueued := d.queue[vc].Pop()
 	d.credits[vc]--
 	d.stalled[vc] = false
 
 	now := d.eng.Now()
-	d.stats.QueueWait += now - e.enqueued
-	bits := e.p.Kind.Bits()
+	d.stats.QueueWait += now - enqueued
+	bits := p.Kind.Bits()
 	ser := sim.BitTime(bits, d.cfg.BandwidthBps)
 	_, end := d.wire.Reserve(now, ser)
 	d.stats.BusyTime += end - now
@@ -563,7 +550,7 @@ func (d *Direction) transmit(vc packet.VC) {
 		d.healedBits += uint64(bits)
 	}
 
-	d.finishTransmit(e.p, vc, 1, end, bits, e.enqueued, now)
+	d.finishTransmit(p, vc, 1, end, bits, enqueued, now)
 
 	if d.onSpace != nil {
 		d.onSpace.OnSpace(vc)
@@ -603,7 +590,9 @@ func (d *Direction) finishTransmit(p *packet.Packet, vc packet.VC, attempts int,
 	// The transmission will land: its credit is now owed back by the
 	// receiver (CompleteRetrain subtracts these when re-arming credits).
 	d.outstanding[vc]++
-	d.eng.AtArg(end+d.cfg.SerDesLatency, d.arriveFn, p)
+	at := end + d.cfg.SerDesLatency
+	d.landing.Push(p, at)
+	d.eng.AtArg(at, arriveEvent, d)
 }
 
 // sendRetry retransmits the first retry-buffer entry whose backoff has
@@ -632,11 +621,12 @@ func (d *Direction) sendRetry(now sim.Time) bool {
 	return false
 }
 
-// arrive lands a packet at the receiver after serialization + SerDes
-// latency. It is scheduled through the bound arriveFn with the packet as
-// the event argument (no per-packet closure).
-func (d *Direction) arrive(arg any) {
-	p := arg.(*packet.Packet)
+// arriveEvent is every Direction's landing event; its argument is the
+// Direction. Landings fire in the order their transmissions took the
+// wire, so the packet landing is the head of the landing queue.
+func arriveEvent(arg any) {
+	d := arg.(*Direction)
+	p, _ := d.landing.Pop()
 	if d.cfg.CountHop {
 		p.Hops++
 		d.meter.Hop(p.Kind.Bits())

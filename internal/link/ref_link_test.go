@@ -77,6 +77,12 @@ type refDirection struct {
 	stats Stats
 }
 
+// entry is one packet in a reference output queue.
+type entry struct {
+	p        *packet.Packet
+	enqueued sim.Time
+}
+
 // newRefDirection returns a refDirection. deliver must be non-nil
 // before the first Send.
 func newRefDirection(eng *sim.Engine, cfg Config, meter Meter) *refDirection {

@@ -65,7 +65,14 @@ type Controller struct {
 // phases are ignored for timings without refresh. It returns a value so
 // the owner can embed it.
 func NewController(timing config.MemTiming, n int, phase, stagger sim.Time) Controller {
-	c := Controller{timing: timing, banks: make([]Bank, n)}
+	return NewControllerIn(make([]Bank, n), timing, phase, stagger)
+}
+
+// NewControllerIn is NewController for len(banks) banks laid out in
+// banks, so that an owner can carve many controllers' banks from one
+// slice. The controller owns banks from then on.
+func NewControllerIn(banks []Bank, timing config.MemTiming, phase, stagger sim.Time) Controller {
+	c := Controller{timing: timing, banks: banks}
 	for i := range c.banks {
 		b := &c.banks[i]
 		b.openRow = -1

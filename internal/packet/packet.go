@@ -106,21 +106,18 @@ func VCOf(k Kind) VC {
 // Packet is a message in flight. Packets are allocated once per
 // transaction leg and mutated in place as they move, so the simulator
 // performs no steady-state allocation on the forwarding path.
+//
+// Fields are ordered so that the small ones share words (the struct is
+// 104 bytes, with the queue link included) and the fields every hop
+// reads come first, near the queue link.
 type Packet struct {
-	ID   uint64
+	// next links the packet into the one Queue that holds it: the next
+	// packet, or &end for the last one; nil when the packet is in no
+	// queue. at is the time it was pushed.
+	next *Packet
+	at   sim.Time
+
 	Kind Kind
-	Src  NodeID // injecting node (host for requests, cube for responses)
-	Dst  NodeID // destination node
-	Addr uint64 // physical address within the port's slice
-
-	// Distance is the hop count from Src to Dst computed from the
-	// topology's routing tables when the packet is injected. It is the
-	// quantity the paper's distance-based arbitration reads out of the
-	// header flit.
-	Distance int
-
-	// Hops counts link traversals so far.
-	Hops int
 
 	// EnterPort records the router port the packet most recently arrived
 	// through; the destination cube uses it to apply the wrong-quadrant
@@ -135,6 +132,8 @@ type Packet struct {
 	// flips mid-flight.
 	Class uint8
 
+	ReadModWrite bool // part of a read-modify-write pair (workload metadata)
+
 	// SpanSlot links the packet to its in-flight span record when the
 	// transaction is sampled by the span tracer (internal/span): zero
 	// means unsampled, otherwise recorder slot index + 1. It survives
@@ -142,13 +141,27 @@ type Packet struct {
 	// and is cleared when the host overwrites the struct at injection.
 	SpanSlot int32
 
+	Src NodeID // injecting node (host for requests, cube for responses)
+	Dst NodeID // destination node
+
+	// Distance is the hop count from Src to Dst computed from the
+	// topology's routing tables when the packet is injected. It is the
+	// quantity the paper's distance-based arbitration reads out of the
+	// header flit.
+	Distance int
+
+	// Hops counts link traversals so far.
+	Hops int
+
+	ID   uint64
+	Addr uint64 // physical address within the port's slice
+
 	// Timestamps for latency decomposition (Fig. 5).
-	Injected     sim.Time // entered the network at Src
-	ArrivedMem   sim.Time // request arrived at destination cube
-	DepartedMem  sim.Time // response left the cube
-	Completed    sim.Time // response arrived back at the host
-	MemLatency   sim.Time // time spent in the memory array/controller
-	ReadModWrite bool     // part of a read-modify-write pair (workload metadata)
+	Injected    sim.Time // entered the network at Src
+	ArrivedMem  sim.Time // request arrived at destination cube
+	DepartedMem sim.Time // response left the cube
+	Completed   sim.Time // response arrived back at the host
+	MemLatency  sim.Time // time spent in the memory array/controller
 }
 
 // String implements fmt.Stringer for debugging and trace logs.

@@ -1,5 +1,7 @@
 package packet
 
+import "slices"
+
 // Pool is a free list of Packets for one simulation instance. A packet
 // is allocated once per transaction at injection, mutated in place as it
 // moves (request -> response via MakeResponse), and returned to the pool
@@ -34,12 +36,27 @@ func (pl *Pool) Get() *Packet {
 	return new(Packet)
 }
 
+// Reserve adds n new packets to the free list, allocated together: a
+// run that never holds more than n packets at once allocates no packet
+// after it.
+func (pl *Pool) Reserve(n int) {
+	slab := make([]Packet, n)
+	pl.free = slices.Grow(pl.free, n)
+	for i := range slab {
+		if poolDebug {
+			pl.debugPut(&slab[i])
+		}
+		pl.free = append(pl.free, &slab[i])
+	}
+}
+
 // Put recycles a retired packet. The packet is zeroed immediately so a
 // stale timestamp or address can never leak into its next transaction,
 // and the caller must not retain the pointer. Returning a packet that
-// is already on the free list is a use-after-free in waiting; builds
-// with -tags simdebug panic on it immediately (the runtime backstop to
-// mnlint's static poolcheck rule).
+// is already on the free list is a use-after-free in waiting, and
+// returning one still in a queue would cut that queue short; builds
+// with -tags simdebug panic on either immediately (the runtime backstop
+// to mnlint's static poolcheck rule).
 func (pl *Pool) Put(p *Packet) {
 	if poolDebug {
 		pl.debugPut(p)

@@ -36,3 +36,46 @@ func TestPoolRoundTripsUnderGuard(t *testing.T) {
 		t.Fatalf("free-list depth = %d, want 2", pl.Free())
 	}
 }
+
+// TestPutQueuedPanics checks the ownership guard: returning a packet
+// that a queue still links would cut that queue short, so Put panics.
+func TestPutQueuedPanics(t *testing.T) {
+	var pl Pool
+	var q Queue
+	p := pl.Get()
+	q.Push(p, 0)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Put of a queued packet did not panic under simdebug")
+			}
+		}()
+		pl.Put(p)
+	}()
+	if q.Head() != p || q.Len() != 1 {
+		t.Fatal("the rejected Put disturbed the queue")
+	}
+	q.Pop()
+	pl.Put(p)
+}
+
+// TestReserveRegistersPackets checks that reserved packets count as
+// pooled: putting one that was never handed out is a double free, and
+// handing them out and back is silent.
+func TestReserveRegistersPackets(t *testing.T) {
+	var pl Pool
+	pl.Reserve(4)
+	if pl.Free() != 4 {
+		t.Fatalf("free-list depth = %d, want 4", pl.Free())
+	}
+	ps := []*Packet{pl.Get(), pl.Get()}
+	for _, p := range ps {
+		pl.Put(p)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Put of a reserved packet still on the free list did not panic under simdebug")
+		}
+	}()
+	pl.Put(pl.free[0])
+}

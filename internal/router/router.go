@@ -75,9 +75,9 @@ type Router struct {
 	reroutes []*packet.Packet
 
 	// rs holds the routed and unrouted input heads across sweeps. It is
-	// allocated at the first use after the ports are attached (so
-	// building a router allocates no more than before).
-	rs *routeState
+	// built at the first sweep after the ports are attached, in rsBuf.
+	rs    *routeState
+	rsBuf routeState
 
 	// Forwarded counts packets moved input->output, per VC.
 	Forwarded [packet.NumVCs]uint64
@@ -272,7 +272,9 @@ func (r *Router) Kick() {
 // whose vc head is not yet routed (ndirty[vc] of them); they are routed,
 // in ascending input order, at a sweep's first candidate scan of vc —
 // where a rescan of every head would first route them. cand and heads
-// carry one output's candidates to the arbiter.
+// carry one output's candidates to the arbiter. The arrays back all of
+// these for a router of up to inlinePorts ports, so building the state
+// allocates nothing.
 type routeState struct {
 	words  int
 	routes [packet.NumVCs][]uint64
@@ -281,6 +283,10 @@ type routeState struct {
 	ndirty [packet.NumVCs]int
 	cand   []int
 	heads  []*packet.Packet
+
+	flatArr  [int(packet.NumVCs) * (inlinePorts + 1)]uint64
+	candArr  [inlinePorts]int
+	headsArr [inlinePorts]*packet.Packet
 }
 
 // routing returns the route state, building it if missing; a new state
@@ -291,15 +297,31 @@ func (r *Router) routing() *routeState {
 	}
 	n := len(r.in)
 	words := (n + 63) / 64
-	rs := &routeState{words: words, cand: make([]int, n), heads: make([]*packet.Packet, n)}
-	flat := make([]uint64, int(packet.NumVCs)*(n+1)*words)
+	rs := &r.rsBuf
+	rs.words = words
+	var flat []uint64
+	if n <= inlinePorts {
+		rs.cand, rs.heads, flat = rs.candArr[:n], rs.headsArr[:n], rs.flatArr[:]
+	} else {
+		rs.cand, rs.heads = make([]int, n), make([]*packet.Packet, n)
+		flat = make([]uint64, int(packet.NumVCs)*(n+1)*words)
+	}
 	for vc := range rs.routes {
 		rs.routes[vc], flat = flat[:n*words], flat[n*words:]
 		rs.dirty[vc], flat = flat[:words], flat[words:]
 	}
 	rs.reset(r.in)
 	r.rs = rs
+	if ps, ok := r.policy.(portSizer); ok {
+		ps.SetPorts(n)
+	}
 	return rs
+}
+
+// portSizer is a Policy that sizes its state from the router's port
+// count, once the ports are attached.
+type portSizer interface {
+	SetPorts(n int)
 }
 
 // reset forgets every route and marks every input head unrouted.

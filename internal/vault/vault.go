@@ -9,6 +9,8 @@
 package vault
 
 import (
+	"fmt"
+
 	"memnet/internal/config"
 	"memnet/internal/energy"
 	"memnet/internal/link"
@@ -60,14 +62,14 @@ type Quadrant struct {
 
 	maxInflight int
 	inflight    int
-	done        []*packet.Packet
+	// service holds the requests at the banks, in order of completion
+	// time with ties in issue order: the order their completeEvents
+	// fire. done holds completed responses awaiting router space.
+	service packet.Queue
+	done    packet.Queue
 
 	pumpPending bool
-	// completeFn is bound once at construction so each bank access
-	// schedules its completion, with the packet as the event argument,
-	// without allocating a closure.
-	completeFn sim.ArgHandler
-	stats      Stats
+	stats       Stats
 
 	// OnIssue, when non-nil, observes every bank issue with the request
 	// packet and its vault input-queue wait (arrival to issue). The span
@@ -92,17 +94,22 @@ type Config struct {
 // New builds a quadrant with its banks.
 func New(eng *sim.Engine, cfg Config) *Quadrant {
 	q := new(Quadrant)
-	q.Init(eng, cfg)
+	q.Init(eng, cfg, make([]mem.Bank, cfg.Banks))
 	return q
 }
 
-// Init makes the zero Quadrant q a quadrant with its banks, as New
-// does, so that a network can lay out all its quadrants in one slice.
-// Refresh phases are staggered by bank index so a cube's banks do not
-// refresh in lockstep. It panics if q was already initialized.
-func (q *Quadrant) Init(eng *sim.Engine, cfg Config) {
+// Init makes the zero Quadrant q a quadrant whose cfg.Banks banks live
+// in banks, as New does, so that a network can lay out all its
+// quadrants, and all their banks, in one slice each. Refresh phases are
+// staggered by bank index so a cube's banks do not refresh in lockstep.
+// It panics if q was already initialized or banks does not hold
+// cfg.Banks banks.
+func (q *Quadrant) Init(eng *sim.Engine, cfg Config, banks []mem.Bank) {
 	if q.eng != nil {
 		panic("vault: Quadrant initialized twice")
+	}
+	if len(banks) != cfg.Banks {
+		panic(fmt.Sprintf("vault: %d banks for a %d-bank quadrant", len(banks), cfg.Banks))
 	}
 	q.eng = eng
 	q.tech, q.index = cfg.Tech, cfg.Index
@@ -112,9 +119,8 @@ func (q *Quadrant) Init(eng *sim.Engine, cfg Config) {
 	if q.maxInflight <= 0 {
 		q.maxInflight = 16
 	}
-	q.banks = mem.NewController(cfg.Timing, cfg.Banks,
+	q.banks = mem.NewControllerIn(banks, cfg.Timing,
 		sim.Time(cfg.Index*cfg.Banks)*97*sim.Nanosecond, 97*sim.Nanosecond)
-	q.completeFn = func(arg any) { q.complete(arg.(*packet.Packet)) }
 }
 
 // pumpEvent is every quadrant's pump scheduled by kick; its argument is
@@ -164,7 +170,7 @@ func (q *Quadrant) Inflight() int { return q.inflight }
 // window slot plus completed responses awaiting router space
 // (telemetry gauge).
 func (q *Quadrant) QueueLen() int {
-	return q.in.Len(packet.VCRequest) + len(q.done)
+	return q.in.Len(packet.VCRequest) + q.done.Len()
 }
 
 // BankStats returns the bank counters, summed over the quadrant's banks.
@@ -183,10 +189,8 @@ func (q *Quadrant) kick() {
 // while the inflight window has room.
 func (q *Quadrant) pump() {
 	// Drain completions first so inflight slots free up.
-	for len(q.done) > 0 && q.out.CanAccept(packet.VCResponse) {
-		p := q.done[0]
-		copy(q.done, q.done[1:])
-		q.done = q.done[:len(q.done)-1]
+	for q.done.Len() > 0 && q.out.CanAccept(packet.VCResponse) {
+		p, _ := q.done.Pop()
 		q.emit(p)
 	}
 	// Issue new accesses.
@@ -221,17 +225,27 @@ func (q *Quadrant) start(p *packet.Packet) {
 	q.inflight++
 	done := q.banks.Access(start, bank, row, kind)
 	q.meter.Access(q.tech, kind == mem.Write, AccessBits)
-	q.eng.AtArg(done, q.completeFn, p)
+	q.service.Insert(p, done)
+	q.eng.AtArg(done, completeEvent, q)
+}
+
+// completeEvent is every quadrant's bank-access completion; its argument
+// is the Quadrant. The engine fires events in (time, scheduling) order,
+// so the access completing is the head of the service queue.
+func completeEvent(arg any) {
+	q := arg.(*Quadrant)
+	p, _ := q.service.Pop()
+	q.complete(p)
 }
 
 // complete converts the finished request into a response and emits it,
 // or parks it when the response path is full.
 func (q *Quadrant) complete(p *packet.Packet) {
 	p.MakeResponse(q.retDist(p))
-	if q.out.CanAccept(packet.VCResponse) && len(q.done) == 0 {
+	if q.out.CanAccept(packet.VCResponse) && q.done.Len() == 0 {
 		q.emit(p)
 	} else {
-		q.done = append(q.done, p)
+		q.done.Push(p, q.eng.Now())
 	}
 	// Either way, see if new requests can issue (a slot freed only on
 	// emit; pump also drains parked work when space appears).

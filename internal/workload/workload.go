@@ -146,7 +146,10 @@ type generator struct {
 	footprint uint64
 	cursor    uint64
 	burstLeft int
-	pendingW  *Tx // staged RMW write to follow the read just emitted
+	// pendingW is the staged RMW write to follow the read just emitted,
+	// or the zero Tx (RMW false) when none is staged. It is held by value
+	// so that staging allocates nothing.
+	pendingW Tx
 }
 
 // New returns a deterministic generator over the given footprint (bytes)
@@ -181,9 +184,9 @@ func (g *generator) hotBlock() uint64 {
 
 // Next implements Generator.
 func (g *generator) Next() Tx {
-	if g.pendingW != nil {
-		tx := *g.pendingW
-		g.pendingW = nil
+	if g.pendingW.RMW {
+		tx := g.pendingW
+		g.pendingW = Tx{}
 		return tx
 	}
 
@@ -214,7 +217,7 @@ func (g *generator) Next() Tx {
 
 	if write && g.spec.RMWFraction > 0 && g.rng.Bool(g.spec.RMWFraction) {
 		// Emit the read now; stage the dependent write.
-		g.pendingW = &Tx{Addr: g.cursor, Write: true, Gap: 0, RMW: true}
+		g.pendingW = Tx{Addr: g.cursor, Write: true, Gap: 0, RMW: true}
 		return Tx{Addr: g.cursor, Write: false, Gap: gap}
 	}
 	return Tx{Addr: g.cursor, Write: write, Gap: gap}

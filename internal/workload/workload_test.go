@@ -227,3 +227,21 @@ func TestTinyFootprintPanics(t *testing.T) {
 	}()
 	New(Spec{Name: "x", MeanGap: sim.Nanosecond}, 32, 1)
 }
+
+// TestNextAllocFree: drawing a transaction allocates nothing for any
+// proxy, including the read-modify-write pairs whose write is staged
+// between calls.
+func TestNextAllocFree(t *testing.T) {
+	for _, spec := range Suite() {
+		g := New(spec, footprint, 1)
+		// AllocsPerRun truncates its mean to an integer, so each run
+		// draws a batch: one allocation in 2,000 draws still shows.
+		if n := testing.AllocsPerRun(5, func() {
+			for i := 0; i < 2000; i++ {
+				g.Next()
+			}
+		}); n != 0 {
+			t.Errorf("%s: 2,000 draws make %v allocations, want 0", spec.Name, n)
+		}
+	}
+}

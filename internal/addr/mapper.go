@@ -30,11 +30,18 @@ type Mapper struct {
 	banksPerQuad int
 
 	slots      []CubeSlot
-	unitToSlot []int // length totalUnits: unit index -> slot index
-	unitOffset []int // per unit: ordinal of this unit within its cube
+	units      []unit // length totalUnits, in interleave order
 	totalUnits int
 
-	techOf map[packet.NodeID]config.MemTech
+	// techOf is each slot's technology, indexed by node ID up to the
+	// highest slot's; other nodes read DRAM, the zero MemTech.
+	techOf []config.MemTech
+}
+
+// unit is one interleave unit: the slot whose cube holds it, and its
+// ordinal within that cube.
+type unit struct {
+	slot, offset int
 }
 
 // NewMapper builds a mapper for the given cube set. The slot order
@@ -48,25 +55,33 @@ func NewMapper(sys *config.System, slots []CubeSlot) (*Mapper, error) {
 		return nil, fmt.Errorf("addr: RowBytes %d not a multiple of InterleaveBytes %d",
 			sys.RowBytes, sys.InterleaveBytes)
 	}
+	total, maxNode := 0, packet.NodeID(0)
+	for _, s := range slots {
+		if s.Units <= 0 {
+			return nil, fmt.Errorf("addr: cube %d has non-positive units", s.Node)
+		}
+		if s.Node < 0 {
+			return nil, fmt.Errorf("addr: cube has negative node ID %d", s.Node)
+		}
+		total += s.Units
+		maxNode = max(maxNode, s.Node)
+	}
 	m := &Mapper{
 		interleave:   sys.InterleaveBytes,
 		blocksPerRow: sys.RowBytes / sys.InterleaveBytes,
 		banksPerCube: sys.BanksPerCube,
 		banksPerQuad: sys.BanksPerQuadrant(),
 		slots:        slots,
-		techOf:       make(map[packet.NodeID]config.MemTech, len(slots)),
+		units:        make([]unit, 0, total),
+		totalUnits:   total,
+		techOf:       make([]config.MemTech, maxNode+1),
 	}
 	for i, s := range slots {
-		if s.Units <= 0 {
-			return nil, fmt.Errorf("addr: cube %d has non-positive units", s.Node)
-		}
 		for u := 0; u < s.Units; u++ {
-			m.unitToSlot = append(m.unitToSlot, i)
-			m.unitOffset = append(m.unitOffset, u)
+			m.units = append(m.units, unit{slot: i, offset: u})
 		}
 		m.techOf[s.Node] = s.Tech
 	}
-	m.totalUnits = len(m.unitToSlot)
 	return m, nil
 }
 
@@ -80,12 +95,17 @@ func (m *Mapper) Slots() []CubeSlot { return m.slots }
 // Tech reports the technology of the cube with the given node ID; it
 // returns DRAM for unknown nodes (e.g. MetaCube interface chips hold no
 // memory and are never mapping targets).
-func (m *Mapper) Tech(n packet.NodeID) config.MemTech { return m.techOf[n] }
+func (m *Mapper) Tech(n packet.NodeID) config.MemTech {
+	if uint(n) < uint(len(m.techOf)) {
+		return m.techOf[n]
+	}
+	return config.DRAM
+}
 
 // CubeOf returns the destination cube for an address.
 func (m *Mapper) CubeOf(a uint64) packet.NodeID {
 	bi := a / m.interleave
-	return m.slots[m.unitToSlot[bi%uint64(m.totalUnits)]].Node
+	return m.slots[m.units[bi%uint64(m.totalUnits)].slot].Node
 }
 
 // Decompose maps an address to its full coordinates. localBlock is the
@@ -95,12 +115,11 @@ func (m *Mapper) CubeOf(a uint64) packet.NodeID {
 // bank.
 func (m *Mapper) Decompose(a uint64) (node packet.NodeID, quadrant, bank int, row int64) {
 	bi := a / m.interleave
-	unit := bi % uint64(m.totalUnits)
-	slot := m.unitToSlot[unit]
-	s := m.slots[slot]
+	u := m.units[bi%uint64(m.totalUnits)]
+	s := m.slots[u.slot]
 	// Cube-local block index: interleave rounds advance per totalUnits;
 	// multi-unit cubes see several units per round.
-	localBlock := (bi/uint64(m.totalUnits))*uint64(s.Units) + uint64(m.unitOffset[unit])
+	localBlock := (bi/uint64(m.totalUnits))*uint64(s.Units) + uint64(u.offset)
 
 	rowGroup := localBlock / m.blocksPerRow
 	globalBank := int(rowGroup % uint64(m.banksPerCube))

@@ -147,6 +147,9 @@ func TestMapperErrors(t *testing.T) {
 	if _, err := NewMapper(&sys, []CubeSlot{{Node: 1, Units: 0}}); err == nil {
 		t.Error("zero units must fail")
 	}
+	if _, err := NewMapper(&sys, []CubeSlot{{Node: -1, Units: 1}}); err == nil {
+		t.Error("negative node ID must fail")
+	}
 	bad := sys
 	bad.RowBytes = 100 // not a multiple of interleave
 	if _, err := NewMapper(&bad, []CubeSlot{{Node: 1, Units: 1}}); err == nil {
@@ -167,5 +170,49 @@ func TestTechLookup(t *testing.T) {
 	}
 	if len(m.Slots()) != 10 {
 		t.Errorf("slots = %d, want 10", len(m.Slots()))
+	}
+}
+
+// TestTechUnmappedNodes: nodes that hold no slot read DRAM, whether
+// they sit between slot nodes (a MetaCube interface chip), below them
+// (the host), past the highest slot, or out of range entirely.
+func TestTechUnmappedNodes(t *testing.T) {
+	sys := config.Default()
+	m, err := NewMapper(&sys, []CubeSlot{
+		{Node: 2, Tech: config.NVM, Units: 4},
+		{Node: 5, Tech: config.NVM, Units: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []packet.NodeID{2, 5} {
+		if m.Tech(n) != config.NVM {
+			t.Errorf("Tech(%d) = %v, want NVM", n, m.Tech(n))
+		}
+	}
+	for _, n := range []packet.NodeID{packet.HostNode, 1, 3, 4, 6, 1 << 20, -1} {
+		if m.Tech(n) != config.DRAM {
+			t.Errorf("Tech(%d) = %v, want DRAM", n, m.Tech(n))
+		}
+	}
+}
+
+// TestNewMapperAllocsFlat: a mapper's tables are sized once, so
+// building one makes as many allocations at 64 cubes as at 16.
+func TestNewMapperAllocsFlat(t *testing.T) {
+	sys := config.Default()
+	allocs := func(cubes int) float64 {
+		slots := make([]CubeSlot, cubes)
+		for i := range slots {
+			slots[i] = CubeSlot{Node: packet.NodeID(1 + i), Tech: config.MemTech(i % 2), Units: 1 + 3*(i%2)}
+		}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := NewMapper(&sys, slots); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(16), allocs(64); large != small {
+		t.Errorf("NewMapper makes %v allocations at 16 cubes, %v at 64", small, large)
 	}
 }

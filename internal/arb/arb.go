@@ -12,9 +12,8 @@
 //     older than their distance suggests) and the request type (writes
 //     may be further delayed).
 //
-// All three are expressed as one smooth weighted-round-robin engine with
-// different weight functions, so the baseline is exactly the weight-1
-// special case.
+// All three are one weighted arbiter (Arbiter) whose weight follows from
+// its kind, so the baseline is exactly the weight-1 special case.
 package arb
 
 import (
@@ -59,10 +58,6 @@ type Policy interface {
 	Pick(out int, vc packet.VC, candidates []int, heads []*packet.Packet) int
 }
 
-// WeightFunc computes the arbitration weight of a head packet. Weights
-// must be >= 1; larger weights receive proportionally more service.
-type WeightFunc func(p *packet.Packet) int64
-
 // TechBias estimates, in weight units, how much older a packet from the
 // given node is than its hop distance implies. Used by the augmented
 // policy for NVM-sourced responses.
@@ -83,45 +78,27 @@ type Config struct {
 // New returns a policy of the given kind. cfg may be zero-valued for
 // RoundRobin and Distance.
 func New(kind Kind, cfg Config) Policy {
-	switch kind {
-	case RoundRobin:
-		return &wrr{weight: func(*packet.Packet) int64 { return 1 }}
-	case Distance:
-		return &wrr{strict: true, weight: func(p *packet.Packet) int64 {
-			return 1 + int64(p.Distance)
-		}}
-	case DistanceAugmented:
-		demote := cfg.WriteDemotion
-		if demote < 1 {
-			demote = 1
-		}
-		return &wrr{strict: true, weight: func(p *packet.Packet) int64 {
-			w := 1 + int64(p.Distance)
-			if cfg.Bias != nil && p.Kind.IsResponse() {
-				w += cfg.Bias(p.Src)
-			}
-			if p.Kind.IsWrite() {
-				w = w / demote
-				if w < 1 {
-					w = 1
-				}
-			}
-			return w
-		}}
-	default:
-		panic("arb: unknown kind")
-	}
+	a := new(Arbiter)
+	a.Init(kind, cfg.WriteDemotion, nil)
+	a.biasFn = cfg.Bias
+	return a
 }
 
-// wrr is a weighted arbiter with two modes. In smooth mode (strict ==
-// false) it is a smooth weighted round-robin (nginx-style): each
+// Arbiter is a weighted arbiter with two modes. In smooth mode
+// (RoundRobin) it is a smooth weighted round-robin (nginx-style): each
 // contender's running counter grows by its weight every arbitration, the
 // largest counter wins and is decremented by the sum of active weights;
-// with all weights equal to 1 this degenerates to plain round-robin. In
-// strict mode the highest head-packet weight always wins (ties broken by
-// rotation) — the paper's distance arbitration favors the
+// with all weights equal to 1 this is plain round-robin. In strict mode
+// (the distance kinds) the highest head-packet weight always wins (ties
+// broken by rotation) — the paper's distance arbitration favors the
 // estimated-oldest packet outright, which is what makes the naive scheme
 // misfire on NVM-F placements (§5.1).
+//
+// A head's weight follows from the kind: 1 under RoundRobin,
+// 1 + its distance under Distance, and under DistanceAugmented that plus
+// its source's technology bias for a response, divided by the write
+// demotion (floored at 1) for a write.
+//
 // State is kept per (output port, VC) so request and response streams do
 // not perturb each other's fairness, in flat tables indexed by key =
 // out*NumVCs+vc: one rotation per key (strict), or one row of width
@@ -130,27 +107,84 @@ func New(kind Kind, cfg Config) Policy {
 // told the arbiter its port count (SetPorts), so an arbiter allocates
 // once; past that size they grow to fit, and steady-state picks never
 // allocate.
-type wrr struct {
-	weight WeightFunc
-	strict bool
-	ports  int
-	keys   int
-	width  int
-	rot    []int
-	state  []int64
+type Arbiter struct {
+	kind   Kind
+	demote int64
+	// bias is the per-node technology bias, indexed by source node;
+	// nodes past its end have none. The arbiters of a build share it.
+	bias []int64
+	// biasFn is New's Config.Bias, consulted when bias is nil.
+	biasFn TechBias
+
+	ports int
+	keys  int
+	width int
+	rot   []int
+	state []int64
+}
+
+// Init makes the zero Arbiter a policy of the given kind, so that a
+// network can lay out all its routers' arbiters in one slice. demotion
+// divides the weight of writes under DistanceAugmented (values below 1
+// count as 1), and bias, which may be nil, is its per-node technology
+// bias. It panics on an unknown kind or if a was already initialized.
+func (a *Arbiter) Init(kind Kind, demotion int64, bias []int64) {
+	if kind > DistanceAugmented {
+		panic("arb: unknown kind")
+	}
+	if a.demote != 0 {
+		panic("arb: Arbiter initialized twice")
+	}
+	a.kind, a.demote, a.bias = kind, max(demotion, 1), bias
+}
+
+// strict reports whether the highest weight always wins.
+func (a *Arbiter) strict() bool { return a.kind != RoundRobin }
+
+// weight is the arbitration weight of head packet p.
+func (a *Arbiter) weight(p *packet.Packet) int64 {
+	if a.kind == RoundRobin {
+		return 1
+	}
+	w := 1 + int64(p.Distance)
+	if a.kind == Distance {
+		return w
+	}
+	if p.Kind.IsResponse() {
+		w += a.techBias(p.Src)
+	}
+	if p.Kind.IsWrite() {
+		w = max(w/a.demote, 1)
+	}
+	return w
+}
+
+// techBias is node n's technology bias.
+func (a *Arbiter) techBias(n packet.NodeID) int64 {
+	if a.bias != nil {
+		if uint(n) < uint(len(a.bias)) {
+			return a.bias[n]
+		}
+		return 0
+	}
+	if a.biasFn != nil {
+		return a.biasFn(n)
+	}
+	return 0
 }
 
 // SetPorts sizes the arbiter for a router of n ports before its first
 // pick.
-func (a *wrr) SetPorts(n int) { a.ports = n }
+func (a *Arbiter) SetPorts(n int) { a.ports = n }
 
 // fit grows the tables to cover key and input port last.
-func (a *wrr) fit(key, last int) {
-	if key < a.keys && (a.strict || last < a.width) {
+func (a *Arbiter) fit(key, last int) {
+	strict := a.strict()
+	if key < a.keys && (strict || last < a.width) {
 		return
 	}
 	keys := max(key+1, a.keys, a.ports*int(packet.NumVCs))
-	if a.strict {
+	if strict {
 		a.rot = append(a.rot, make([]int, keys-a.keys)...)
 		a.keys = keys
 		return
@@ -163,13 +197,14 @@ func (a *wrr) fit(key, last int) {
 	a.state, a.keys, a.width = state, keys, width
 }
 
-func (a *wrr) Pick(out int, vc packet.VC, candidates []int, heads []*packet.Packet) int {
+// Pick implements Policy.
+func (a *Arbiter) Pick(out int, vc packet.VC, candidates []int, heads []*packet.Packet) int {
 	if len(candidates) == 1 {
 		return candidates[0]
 	}
 	key := out*int(packet.NumVCs) + int(vc)
 	a.fit(key, candidates[len(candidates)-1])
-	if a.strict {
+	if a.strict() {
 		rot := a.rot[key]
 		best := -1
 		var bestVal int64
@@ -191,9 +226,6 @@ func (a *wrr) Pick(out int, vc packet.VC, candidates []int, heads []*packet.Pack
 	var bestVal int64
 	for k, c := range candidates {
 		w := a.weight(heads[k])
-		if w < 1 {
-			w = 1
-		}
 		cur[c] += w
 		total += w
 		if best == -1 || cur[c] > bestVal {

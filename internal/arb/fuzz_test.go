@@ -6,10 +6,12 @@ import (
 	"memnet/internal/packet"
 )
 
-// FuzzArbPick drives wrr and refWRR — the arbiter before its state
-// became flat slices — with the same Pick sequence and requires the
-// same pick on every call, for all three policy kinds, output indices
-// past 64, both VCs and random candidate sets and head packets.
+// FuzzArbPick drives an Arbiter from a build's slab (Init, with a
+// per-node bias table) and refWRR — the arbiter before its state became
+// flat slices and its weight a closure — with the same Pick sequence
+// and requires the same pick on every call, for all three policy kinds,
+// output indices past 64, both VCs and random candidate sets and head
+// packets.
 func FuzzArbPick(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
@@ -19,14 +21,20 @@ func FuzzArbPick(f *testing.F) {
 	})
 }
 
+// twinBias is the technology bias table of the twin's build: nodes 0-5
+// (sources 6 and 7 are past its end and have none).
+var twinBias = []int64{0, 1, 2, 3, 4, 0}
+
 // checkArbTwin decodes data into a policy and a Pick sequence. The
 // header byte picks the kind (b%3), the augmented policy's write
 // demotion (1 + b>>2%4) and, when its top bit is set, a port count to
 // size the arbiter with (b>>4%8 * 12, short of the ports the calls
-// reach). Then each call takes an output (next%80), a
-// VC (next&1), a candidate count (1 + next%8) and, per candidate, the
-// gap to the previous input port (next%12, so ports pass 64 too) and
-// the head's kind, distance and source.
+// reach). The arbiter is the middle one of a three-arbiter slab sharing
+// twinBias; the reference reads the same table through a function.
+// Then each call takes an output (next%80), a VC (next&1), a candidate
+// count (1 + next%8) and, per candidate, the gap to the previous input
+// port (next%12, so ports pass 64 too) and the head's kind, distance
+// and source.
 func checkArbTwin(t *testing.T, data []byte) {
 	t.Helper()
 	in := data
@@ -40,14 +48,24 @@ func checkArbTwin(t *testing.T, data []byte) {
 	}
 	hb := next()
 	kind := Kind(hb % 3)
-	got := New(kind, Config{
-		WriteDemotion: 1 + int64(hb>>2)%4,
-		Bias:          func(n packet.NodeID) int64 { return int64(n % 5) },
-	}).(*wrr)
+	demotion := 1 + int64(hb>>2)%4
+	slab := make([]Arbiter, 3)
+	for i := range slab {
+		slab[i].Init(kind, demotion, twinBias)
+	}
+	got := &slab[1]
 	if hb&0x80 != 0 {
 		got.SetPorts(int(hb>>4) % 8 * 12)
 	}
-	want := &refWRR{weight: got.weight, strict: got.strict}
+	want := refPolicy(kind, Config{
+		WriteDemotion: demotion,
+		Bias: func(n packet.NodeID) int64 {
+			if int(n) < len(twinBias) {
+				return twinBias[n]
+			}
+			return 0
+		},
+	})
 	kinds := [...]packet.Kind{packet.ReadReq, packet.WriteReq, packet.ReadResp, packet.WriteAck}
 
 	var candidates []int

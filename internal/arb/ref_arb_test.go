@@ -2,16 +2,50 @@ package arb
 
 import "memnet/internal/packet"
 
-// refWRR is the arbiter as it was before its state became flat slices:
-// the fairness counters live in nested maps keyed by (output, VC) and
-// input port. Only Pick's signature is adapted, to the heads slice.
-// FuzzArbPick drives it beside wrr and requires the same pick on every
-// call.
+// refWRR is the arbiter as it was before its state became flat slices
+// and its weight closures became Arbiter.weight: the fairness counters
+// live in nested maps keyed by (output, VC) and input port, and the
+// weight is the closure refPolicy builds. Only Pick's signature is
+// adapted, to the heads slice. FuzzArbPick drives it beside Arbiter and
+// requires the same pick on every call.
 type refWRR struct {
-	weight WeightFunc
+	weight func(p *packet.Packet) int64
 	strict bool
 	state  map[arbKey]map[int]int64
 	rot    map[arbKey]int
+}
+
+// refPolicy is New as it was before the arbiter slab: one weight
+// closure per policy, and bias, when non-nil, one more.
+func refPolicy(kind Kind, cfg Config) *refWRR {
+	switch kind {
+	case RoundRobin:
+		return &refWRR{weight: func(*packet.Packet) int64 { return 1 }}
+	case Distance:
+		return &refWRR{strict: true, weight: func(p *packet.Packet) int64 {
+			return 1 + int64(p.Distance)
+		}}
+	case DistanceAugmented:
+		demote := cfg.WriteDemotion
+		if demote < 1 {
+			demote = 1
+		}
+		return &refWRR{strict: true, weight: func(p *packet.Packet) int64 {
+			w := 1 + int64(p.Distance)
+			if cfg.Bias != nil && p.Kind.IsResponse() {
+				w += cfg.Bias(p.Src)
+			}
+			if p.Kind.IsWrite() {
+				w = w / demote
+				if w < 1 {
+					w = 1
+				}
+			}
+			return w
+		}}
+	default:
+		panic("arb: unknown kind")
+	}
 }
 
 type arbKey struct {

@@ -15,7 +15,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"memnet/internal/addr"
 	"memnet/internal/arb"
@@ -202,7 +201,15 @@ type Instance struct {
 	routers   []*router.Router
 	quadrants [][]vault.Quadrant
 
-	// live is the routing graph the route closures consult; it starts as
+	// nodes is the build's per-node table, indexed by node ID: every
+	// router routes through its node's entry, every quadrant takes its
+	// return distances from its cube's, and a dead cube's entry holds
+	// its re-home spare.
+	nodes []nodeCtx
+	// rehomed counts the dead cubes whose address ranges are re-homed.
+	rehomed int
+
+	// live is the routing graph the node table consults; it starts as
 	// Graph and is swapped for a degraded (Disable) graph when a
 	// scheduled fault recomputes routes. Port indices are preserved
 	// across swaps, so the wired network never changes shape.
@@ -219,14 +226,56 @@ type Instance struct {
 	planEvents []fault.Event
 	planGraphs []*topology.Graph
 	planSpares []packet.NodeID
-	// rehome maps a dead cube to the surviving cube now serving its
-	// address range (always fully collapsed: values are never dead).
-	rehome map[packet.NodeID]packet.NodeID
-	fc     stats.FaultCounters
+	fc         stats.FaultCounters
 }
 
 // edgeDirs is the direction pair of one undirected edge.
 type edgeDirs struct{ ab, ba *link.Direction } // A->B, B->A
+
+// nodeCtx is one node's entry in a build's per-node table. It is its
+// router's routing (router.Routing) and, for a cube, its quadrants'
+// return path (vault.ReturnPath), so wiring a node allocates nothing.
+type nodeCtx struct {
+	in *Instance
+	id packet.NodeID
+	// extDeg is the node's external link count; a cube's quadrant q is
+	// router port extDeg+q.
+	extDeg int
+	isCube bool
+	// rehomed is set while the cube is dead; spare is then the
+	// surviving cube serving its address range. Chains are collapsed as
+	// cubes die, so a spare is never itself dead.
+	rehomed bool
+	spare   packet.NodeID
+}
+
+// Route returns the port a packet leaves the node's router through:
+// its quadrant when it has reached its destination cube, else the next
+// hop of the live route tables for its path class. A request that
+// reaches a cube whose memory died after it departed is bounced to the
+// spare now serving its address range.
+func (c *nodeCtx) Route(pk *packet.Packet) int {
+	in := c.in
+	if c.isCube && pk.Dst == c.id {
+		if !c.rehomed || !pk.Kind.IsRequest() {
+			return c.extDeg + in.Mapper.QuadrantOf(pk.Addr)
+		}
+		pk.Dst = c.spare
+		pk.Distance = in.live.Dist(topology.PathShort, packet.HostNode, c.spare)
+		in.fc.Bounced++
+	}
+	port := in.live.NextPort(topology.PathClass(pk.Class), c.id, pk.Dst)
+	if port < 0 {
+		panic(fmt.Sprintf("core: no route from %d to %d", c.id, pk.Dst))
+	}
+	return port
+}
+
+// ReturnDist is the hop distance from the cube back to a request's
+// source: responses travel the short (shortest-path) table.
+func (c *nodeCtx) ReturnDist(pk *packet.Packet) int {
+	return c.in.live.Dist(topology.PathShort, c.id, pk.Src)
+}
 
 // TechOrder returns the per-position cube technologies implied by the
 // system's DRAM fraction and placement. Position 0 is nearest the host.
@@ -366,8 +415,11 @@ func Build(p Params) (*Instance, error) {
 		Meter:     meter,
 		routers:   make([]*router.Router, len(g.Nodes)),
 		quadrants: make([][]vault.Quadrant, len(g.Nodes)),
+		nodes:     make([]nodeCtx, len(g.Nodes)),
 		live:      g,
-		rehome:    make(map[packet.NodeID]packet.NodeID),
+	}
+	for i, n := range g.Nodes {
+		inst.nodes[i] = nodeCtx{in: inst, id: n.ID, extDeg: g.Degree(n.ID), isCube: n.Kind == topology.Cube}
 	}
 
 	// Precompute and validate the fault plan: every scheduled fault's
@@ -425,9 +477,9 @@ func Build(p Params) (*Instance, error) {
 	}, gen, host.Wiring{
 		DestOf: func(a uint64) packet.NodeID {
 			n := mapper.CubeOf(a)
-			if spare, ok := inst.rehome[n]; ok {
+			if c := &inst.nodes[n]; c.rehomed {
 				inst.fc.Rehomed++
-				return spare
+				return c.spare
 			}
 			return n
 		},
@@ -437,29 +489,13 @@ func Build(p Params) (*Instance, error) {
 	}, collector)
 	inst.Port = hostPort
 
-	// Arbitration policy factory: one stateful policy per router. A
-	// scenario can pin an individual router's policy and write
-	// demotion; everything else inherits the run-wide settings.
-	biasHops := techBiasHops(&p.Sys)
-	newPolicy := func(kind arb.Kind, demotion int64) arb.Policy {
-		cfg := arb.Config{WriteDemotion: demotion}
-		if kind == arb.DistanceAugmented {
-			cfg.Bias = func(n packet.NodeID) int64 {
-				if mapper.Tech(n) == config.NVM {
-					return biasHops
-				}
-				return 0
-			}
-		}
-		return arb.New(kind, cfg)
-	}
-
 	// The network's components live in one slice per type, sized from
-	// the graph: a router per non-host node; a direction pair per edge
-	// and per quadrant; an input buffer per external router port, plus
-	// two per quadrant (its request queue and its port on the router);
-	// and every quadrant's banks. take hands out their elements in order;
-	// the slices never grow, so the pointers wired below stay valid.
+	// the graph: a router and its arbiter per non-host node; a direction
+	// pair per edge and per quadrant; an input buffer per external router
+	// port, plus two per quadrant (its request queue and its port on the
+	// router); and every quadrant's banks. take hands out their elements
+	// in order; the slices never grow, so the pointers wired below stay
+	// valid.
 	nRouters, nPorts, nCubes := 0, 0, 0
 	for _, n := range g.Nodes {
 		if n.Kind == topology.Host {
@@ -474,6 +510,7 @@ func Build(p Params) (*Instance, error) {
 	nQuads := nCubes * p.Sys.Quadrants
 	nBanks := p.Sys.BanksPerQuadrant()
 	routerSlab := make([]router.Router, 0, nRouters)
+	arbSlab := make([]arb.Arbiter, 0, nRouters)
 	quadSlab := make([]vault.Quadrant, 0, nQuads)
 	bankSlab := make([]mem.Bank, nQuads*nBanks)
 	dirSlab := make([]link.Direction, 0, 2*len(g.Edges)+2*nQuads)
@@ -489,7 +526,11 @@ func Build(p Params) (*Instance, error) {
 		return b
 	}
 
-	// Routers for every non-host node.
+	// Routers for every non-host node, each with a stateful arbiter. A
+	// scenario can pin an individual router's policy and write
+	// demotion; everything else inherits the run-wide settings. The
+	// augmented arbiters share one technology-bias table.
+	var bias []int64
 	for _, n := range g.Nodes {
 		if n.Kind == topology.Host {
 			continue
@@ -514,8 +555,14 @@ func Build(p Params) (*Instance, error) {
 				xbar = *rs.SwitchBandwidthBps
 			}
 		}
+		if aKind == arb.DistanceAugmented && bias == nil {
+			bias = techBias(mapper, len(g.Nodes), &p.Sys)
+		}
+		a := take(&arbSlab)
+		a.Init(aKind, demotion, bias)
 		r := take(&routerSlab)
-		r.Init(eng, n.ID, newPolicy(aKind, demotion), xbar)
+		r.Init(eng, n.ID, a, xbar)
+		r.SetRouting(&inst.nodes[n.ID])
 		if spans != nil {
 			label := fmt.Sprintf("r%d", n.ID)
 			r.OnForward = func(pk *packet.Packet, port int, wait sim.Time) {
@@ -652,12 +699,7 @@ func Build(p Params) (*Instance, error) {
 			continue
 		}
 		r := inst.routers[n.ID]
-		extDeg := g.Degree(n.ID)
 		node := n.ID
-		retDist := func(pk *packet.Packet) int {
-			// Responses travel the short (shortest-path) table.
-			return inst.live.Dist(topology.PathShort, node, pk.Src)
-		}
 		inflight := p.Tuning.VaultMaxInflight
 		if n.Tech == config.NVM && p.Tuning.NVMMaxInflight > 0 {
 			inflight = p.Tuning.NVMMaxInflight
@@ -670,14 +712,14 @@ func Build(p Params) (*Instance, error) {
 				Tech:        n.Tech,
 				Timing:      p.Sys.Timing(n.Tech),
 				Index:       qi,
-				ExtPorts:    extDeg,
+				ExtPorts:    inst.nodes[node].extDeg,
 				Penalty:     p.Sys.WrongQuadrantPenalty,
 				Banks:       nBanks,
 				MaxInflight: inflight,
 				BankMap:     bankMap,
-				ReturnDist:  retDist,
 				Meter:       meter,
 			}, bankSlab[:nBanks:nBanks])
+			q.SetReturnPath(&inst.nodes[node])
 			bankSlab = bankSlab[nBanks:]
 			q.Attach(newBuf(p.Tuning.VaultQueueDepth, toQuad), fromQuad)
 			toQuad.SetReceiver(q)
@@ -694,35 +736,6 @@ func Build(p Params) (*Instance, error) {
 			}
 		}
 		inst.quadrants[n.ID] = quadSlab[first:len(quadSlab):len(quadSlab)]
-	}
-
-	// Routing functions, closing over the host's shortcut state.
-	for _, n := range g.Nodes {
-		if n.Kind == topology.Host {
-			continue
-		}
-		node := n.ID
-		extDeg := g.Degree(node)
-		isCube := n.Kind == topology.Cube
-		inst.routers[node].SetRoute(func(pk *packet.Packet) int {
-			if isCube && pk.Dst == node {
-				if spare, ok := inst.rehome[node]; ok && pk.Kind.IsRequest() {
-					// This cube's memory died after the packet departed:
-					// bounce it to the spare now serving the address range.
-					pk.Dst = spare
-					pk.Distance = inst.live.Dist(topology.PathShort, packet.HostNode, spare)
-					inst.fc.Bounced++
-				} else {
-					_, quad, _, _ := mapper.Decompose(pk.Addr)
-					return extDeg + quad
-				}
-			}
-			port := inst.live.NextPort(topology.PathClass(pk.Class), node, pk.Dst)
-			if port < 0 {
-				panic(fmt.Sprintf("core: no route from %d to %d", node, pk.Dst))
-			}
-			return port
-		})
 	}
 
 	inst.Spans = spans
@@ -916,7 +929,10 @@ func (in *Instance) applyFault(i int) {
 		}
 		// New injections target the repaired cube again; packets
 		// already bounced to the spare complete there.
-		delete(in.rehome, ev.Node)
+		if c := &in.nodes[ev.Node]; c.rehomed {
+			c.rehomed = false
+			in.rehomed--
+		}
 		in.fc.CubesRepaired++
 	case fault.EvKillLink:
 		in.live = in.planGraphs[i]
@@ -934,32 +950,41 @@ func (in *Instance) applyFault(i int) {
 		}
 		spare := in.planSpares[i]
 		// Collapse chains: victims previously re-homed onto this cube
-		// move with it, so lookups stay single-level. Collect and sort
-		// the victims before rewriting so the sweep order (and any
-		// future side effects hung off it) stays deterministic.
-		var victims []packet.NodeID
-		for k, v := range in.rehome {
-			if v != ev.Node {
-				continue
+		// move with it, so lookups stay single-level. The sweep runs in
+		// node order.
+		for j := range in.nodes {
+			if c := &in.nodes[j]; c.rehomed && c.spare == ev.Node {
+				c.spare = spare
 			}
-			victims = append(victims, k)
 		}
-		sort.Slice(victims, func(a, b int) bool { return victims[a] < victims[b] })
-		for _, k := range victims {
-			in.rehome[k] = spare
-		}
-		in.rehome[ev.Node] = spare
+		c := &in.nodes[ev.Node]
+		c.rehomed, c.spare = true, spare
+		in.rehomed++
 		in.fc.CubesKilled++
 	}
 	// Kick in deterministic node order: sweep scheduling order is part
 	// of the reproducibility guarantee for faulty runs. The route tables
-	// or the re-home map changed, so every head is routed again.
+	// or the re-home spares changed, so every head is routed again.
 	for _, n := range in.Graph.Nodes {
 		if r := in.routers[n.ID]; r != nil {
 			r.InvalidateRoutes()
 			r.Kick()
 		}
 	}
+}
+
+// techBias is the augmented arbitration's per-node technology bias for
+// nodes 0 to n-1: techBiasHops for a node the mapper places on NVM, 0
+// for every other node.
+func techBias(m *addr.Mapper, n int, sys *config.System) []int64 {
+	hops := techBiasHops(sys)
+	b := make([]int64, n)
+	for id := range b {
+		if m.Tech(packet.NodeID(id)) == config.NVM {
+			b[id] = hops
+		}
+	}
+	return b
 }
 
 // techBiasHops converts the NVM-vs-DRAM read latency gap into

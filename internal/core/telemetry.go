@@ -207,7 +207,7 @@ func buildTelemetry(in *Instance, cfg *obs.Config) {
 		return n
 	})
 	reg.Gauge("fault.cubes_rehomed", func() int64 {
-		return int64(len(in.rehome))
+		return int64(in.rehomed)
 	})
 
 	t.Sampler = reg.StartSampler(eng, cfg.Interval())

@@ -138,18 +138,22 @@ func New(eng *sim.Engine, cfg Config, gen workload.Generator, wire Wiring, colle
 	if cfg.ShortcutWindow <= 0 {
 		cfg.ShortcutWindow = 64
 	}
+	// A write holds a window slot until it retires, and a packet ID
+	// maps to its wavefront only while in flight, so pendingWrites and
+	// wfOf never hold more than a window of entries: sized for one, they
+	// never grow in a run.
 	p := &Port{
 		eng:           eng,
 		cfg:           cfg,
 		gen:           gen,
 		wire:          wire,
 		collector:     collector,
-		pendingWrites: make(map[uint64]int),
+		pendingWrites: make(map[uint64]int, cfg.MaxOutstanding),
 		parkedReads:   make(map[uint64][]parked),
 		recent:        make([]bool, cfg.ShortcutWindow),
 		wfLeft:        make(map[uint64]int),
 		wfSize:        make(map[uint64]int),
-		wfOf:          make(map[uint64]uint64),
+		wfOf:          make(map[uint64]uint64, cfg.MaxOutstanding),
 	}
 	// The window bounds the packets in flight, so a run whose packets
 	// all come back allocates none after this.

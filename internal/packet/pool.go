@@ -42,6 +42,9 @@ func (pl *Pool) Get() *Packet {
 func (pl *Pool) Reserve(n int) {
 	slab := make([]Packet, n)
 	pl.free = slices.Grow(pl.free, n)
+	if poolDebug {
+		pl.debugReserve(n)
+	}
 	for i := range slab {
 		if poolDebug {
 			pl.debugPut(&slab[i])

@@ -24,6 +24,14 @@ func (pl *Pool) debugPut(p *Packet) {
 	pl.inPool[p] = struct{}{}
 }
 
+// debugReserve sizes a new guard for the n packets Reserve is about to
+// pool, so a reserve grows the guard once, not by rehashing.
+func (pl *Pool) debugReserve(n int) {
+	if pl.inPool == nil {
+		pl.inPool = make(map[*Packet]struct{}, n)
+	}
+}
+
 // debugGet clears p's pooled mark when it is reissued.
 func (pl *Pool) debugGet(p *Packet) {
 	delete(pl.inPool, p)

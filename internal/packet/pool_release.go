@@ -9,3 +9,5 @@ const poolDebug = false
 func (pl *Pool) debugPut(*Packet) {}
 
 func (pl *Pool) debugGet(*Packet) {}
+
+func (pl *Pool) debugReserve(int) {}

@@ -33,7 +33,6 @@ type sweeper interface {
 	Deliver(i int) func(*packet.Packet)
 	Reinject(p *packet.Packet)
 	Kick()
-	SetRoute(fn RouteFunc)
 }
 
 // twinRecord is one grant (out < 0) or one delivery at output out.
@@ -70,6 +69,20 @@ type twinSide struct {
 	shift   packet.NodeID
 }
 
+// Route is the side's route table: a packet leaves through port
+// (Dst+shift) mod n+1, where port n is out of range and matches no
+// output. Salvaged packets (Class salvaged) always route in range, as
+// a router indexes its outputs with their route unchecked. The router
+// under test reaches it through its Routing; the reference through a
+// function.
+func (s *twinSide) Route(p *packet.Packet) int {
+	n := len(s.outs)
+	if p.Class == salvaged {
+		return int(p.Dst+s.shift) % n
+	}
+	return int(p.Dst+s.shift) % (n + 1)
+}
+
 func newTwinSide(r sweeper, eng *sim.Engine, n int, cfg link.Config) *twinSide {
 	s := &twinSide{eng: eng, r: r, held: make([][]packet.VC, n), stalled: make([]bool, n)}
 	for o := 0; o < n; o++ {
@@ -89,15 +102,6 @@ func newTwinSide(r sweeper, eng *sim.Engine, n int, cfg link.Config) *twinSide {
 		s.outs = append(s.outs, out)
 		r.AttachPort(in, out)
 	}
-	// Port n is out of range: such heads match no output. Salvaged
-	// packets (Class salvaged) always route in range, as a router
-	// indexes its outputs with their route unchecked.
-	r.SetRoute(func(p *packet.Packet) int {
-		if p.Class == salvaged {
-			return int(p.Dst+s.shift) % n
-		}
-		return int(p.Dst+s.shift) % (n + 1)
-	})
 	return s
 }
 
@@ -137,18 +141,30 @@ func (s *twinSide) toggleLink(o int) {
 	d.CompleteRetrain()
 }
 
-// twinPolicy builds arbitration policy k (mod 3); each side needs its
-// own, as policies keep state.
-func twinPolicy(k byte) arb.Policy {
-	switch k % 3 {
-	case 0:
-		return arb.New(arb.RoundRobin, arb.Config{})
-	case 1:
-		return arb.New(arb.Distance, arb.Config{})
+// twinBias is the augmented policy's technology bias of sources 0-63
+// (every source an arrival can carry): n%3.
+var twinBias = func() []int64 {
+	b := make([]int64, 64)
+	for n := range b {
+		b[n] = int64(n % 3)
 	}
-	return arb.New(arb.DistanceAugmented, arb.Config{
+	return b
+}()
+
+// twinPolicy builds arbitration policy k (mod 3); each side needs its
+// own, as policies keep state. The router under test gets an arbiter
+// initialized as a build's slab does, reading twinBias; the reference
+// gets New's, reading the same bias through a function.
+func twinPolicy(k byte, slab bool) arb.Policy {
+	kind := [...]arb.Kind{arb.RoundRobin, arb.Distance, arb.DistanceAugmented}[k%3]
+	if slab {
+		a := new(arb.Arbiter)
+		a.Init(kind, 2, twinBias)
+		return a
+	}
+	return arb.New(kind, arb.Config{
 		WriteDemotion: 2,
-		Bias:          func(n packet.NodeID) int64 { return int64(n % 3) },
+		Bias:          func(n packet.NodeID) int64 { return twinBias[n] },
 	})
 }
 
@@ -190,10 +206,12 @@ func checkRouterTwin(t *testing.T, data []byte) {
 		QueueDepth: 1 + int(lb%3), Credits: 1 + int(lb>>2)%4}
 
 	engN, engR := sim.NewEngine(), sim.NewEngine()
-	rn := New(engN, 1, twinPolicy(xb>>2), bps)
-	rr := newRefRouter(engR, 1, twinPolicy(xb>>2), bps)
+	rn := New(engN, 1, twinPolicy(xb>>2, true), bps)
+	rr := newRefRouter(engR, 1, twinPolicy(xb>>2, false), bps)
 	sn := newTwinSide(rn, engN, n, cfg)
 	sr := newTwinSide(rr, engR, n, cfg)
+	rn.SetRouting(sn)
+	rr.SetRoute(sr.Route)
 	rn.OnForward, rr.OnForward = sn.onForward, sr.onForward
 	sn.state = func() twinState {
 		// A retry whose place has passed is settled at the router's next

@@ -21,20 +21,28 @@ import (
 	"memnet/internal/sim"
 )
 
-// RouteFunc returns the output-port index a packet should leave through
-// at this router. It encapsulates the topology's next-hop tables, the
+// Routing chooses the output port a packet leaves through at this
+// router. It encapsulates the topology's next-hop tables, the
 // read/write path differentiation of the skip list, and local-quadrant
 // delivery for packets that have reached their destination cube.
 //
-// A RouteFunc must be pure between invalidations: the router routes
-// each input head once, when it becomes the head, and keeps the answer
-// until InvalidateRoutes (or SetRoute) asks for every head to be routed
-// again. Whoever changes what the function returns — a fault swapping
-// the route tables — must invalidate. The function may rewrite the
-// packet it routes (core's re-home bounce), as long as a second call
-// then returns the same port. Salvaged packets (Reinject) are routed
-// afresh on every sweep.
+// A Routing must be pure between invalidations: the router routes each
+// input head once, when it becomes the head, and keeps the answer until
+// InvalidateRoutes (or SetRouting) asks for every head to be routed
+// again. Whoever changes what Route returns — a fault swapping the
+// route tables — must invalidate. Route may rewrite the packet it
+// routes (core's re-home bounce), as long as a second call then returns
+// the same port. Salvaged packets (Reinject) are routed afresh on every
+// sweep.
+type Routing interface {
+	Route(p *packet.Packet) int
+}
+
+// RouteFunc adapts a function to a Routing.
 type RouteFunc func(p *packet.Packet) int
+
+// Route implements Routing.
+func (f RouteFunc) Route(p *packet.Packet) int { return f(p) }
 
 // Router is an input-buffered switch with N ports. Port i consists of an
 // input buffer (filled by the neighbor's link direction toward us) and
@@ -52,7 +60,7 @@ type RouteFunc func(p *packet.Packet) int
 type Router struct {
 	eng    *sim.Engine
 	node   packet.NodeID
-	route  RouteFunc
+	route  Routing
 	policy arb.Policy
 
 	in  []*link.Buffer
@@ -182,14 +190,17 @@ func retryEvent(arg any) {
 	r.sweep()
 }
 
-// SetRoute installs the routing function and invalidates every route
-// taken so far.
-func (r *Router) SetRoute(fn RouteFunc) {
-	r.route = fn
+// SetRouting installs the routing and invalidates every route taken so
+// far.
+func (r *Router) SetRouting(rt Routing) {
+	r.route = rt
 	if r.rs != nil {
 		r.InvalidateRoutes()
 	}
 }
+
+// SetRoute is SetRouting with a function.
+func (r *Router) SetRoute(fn RouteFunc) { r.SetRouting(fn) }
 
 // InvalidateRoutes has every input head routed again at the next
 // sweep. Call it whenever the route function's answers change.
@@ -383,7 +394,7 @@ func (r *Router) touch() {
 // so no port is structurally favored within a priority class.
 func (r *Router) sweep() {
 	if r.route == nil {
-		panic(fmt.Sprintf("router %d: no route function", r.node))
+		panic(fmt.Sprintf("router %d: no routing", r.node))
 	}
 	r.settle()
 	r.drainReroutes()
@@ -500,7 +511,7 @@ func (r *Router) routeHead(i int, vc packet.VC) {
 	if head == nil {
 		return
 	}
-	if o := r.route(head); o >= 0 && o < len(r.out) {
+	if o := r.route.Route(head); o >= 0 && o < len(r.out) {
 		rs := r.rs
 		rs.routes[vc][o*rs.words+i/64] |= 1 << (i % 64)
 		rs.live[vc]++
@@ -517,7 +528,7 @@ func (r *Router) drainReroutes() {
 	}
 	kept := r.reroutes[:0]
 	for _, p := range r.reroutes {
-		o := r.route(p)
+		o := r.route.Route(p)
 		vc := packet.VCOf(p.Kind)
 		if o >= 0 && r.out[o].CanAccept(vc) {
 			r.Rerouted++

@@ -298,7 +298,7 @@ func TestManyPortsDrainAscending(t *testing.T) {
 	}
 }
 
-// countRoutes wraps r's route function to count its calls per packet
+// countRoutes wraps r's routing to count its calls per packet
 // and returns a loop that runs eng dry, one Step at a time: each event
 // starts with fresh counts and check runs after it. A sweep, whether
 // kicked or a crossbar retry, is one event, so check sees the counts of
@@ -308,7 +308,7 @@ func countRoutes(eng *sim.Engine, r *Router, check func(calls map[*packet.Packet
 	route := r.route
 	r.SetRoute(func(p *packet.Packet) int {
 		calls[p]++
-		return route(p)
+		return route.Route(p)
 	})
 	return func() {
 		for {
@@ -377,7 +377,7 @@ func TestBusyCrossbarAbortRoutesNothing(t *testing.T) {
 	route := r.route
 	r.SetRoute(func(p *packet.Packet) int {
 		routes++
-		return route(p)
+		return route.Route(p)
 	})
 	for id := uint64(1); id <= 3; id++ {
 		r.InputBuffer(0).Push(&packet.Packet{ID: id, Kind: packet.ReadReq}, eng.Now())

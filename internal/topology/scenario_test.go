@@ -196,3 +196,22 @@ func TestBuildScenarioAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateAllocs: a generator names its nodes out of one buffer and
+// sizes its slices up front, so a spec of 32 cubes takes as many
+// allocations as one of 16.
+func TestGenerateAllocs(t *testing.T) {
+	allocs := func(k Kind, cubes int) float64 {
+		techs := make([]config.MemTech, cubes)
+		return testing.AllocsPerRun(10, func() {
+			if _, err := Generate(k, techs, 4); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, k := range AllKinds {
+		if small, large := allocs(k, 16), allocs(k, 32); large != small {
+			t.Errorf("%v: %v allocations at 16 cubes, %v at 32", k, small, large)
+		}
+	}
+}

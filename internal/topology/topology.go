@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 
 	"memnet/internal/config"
 	"memnet/internal/packet"
@@ -263,16 +264,19 @@ type builder struct {
 	links []scenario.Link
 	deg   []int // external links per node ID, host included
 	pos   []int // backs every cube's Node.Pos, indexed by position
+	// names holds every node name back to back; each Node.Name is a
+	// slice of it, so naming the nodes allocates once.
+	names strings.Builder
 }
 
 func (b *builder) addNode(kind NodeKind, tech config.MemTech, pos int) packet.NodeID {
 	id := packet.NodeID(len(b.nodes) + 1)
 	var n scenario.Node
 	if kind == Iface {
-		n = scenario.Node{Name: "if" + strconv.Itoa(int(id)), Kind: "iface"}
+		n = scenario.Node{Name: b.newName("if", id), Kind: "iface"}
 	} else {
 		b.pos[pos] = pos
-		n = scenario.Node{Name: "c" + strconv.Itoa(int(id)), Kind: "cube", Tech: "dram", Pos: &b.pos[pos]}
+		n = scenario.Node{Name: b.newName("c", id), Kind: "cube", Tech: "dram", Pos: &b.pos[pos]}
 		if tech == config.NVM {
 			n.Tech = "nvm"
 		}
@@ -280,6 +284,17 @@ func (b *builder) addNode(kind NodeKind, tech config.MemTech, pos int) packet.No
 	b.nodes = append(b.nodes, n)
 	b.deg = append(b.deg, 0)
 	return id
+}
+
+// newName appends prefix and id's digits to the name buffer and
+// returns them as a string. Strings the buffer returned earlier stay
+// valid: it only ever appends.
+func (b *builder) newName(prefix string, id packet.NodeID) string {
+	start := b.names.Len()
+	b.names.WriteString(prefix)
+	var digits [20]byte
+	b.names.Write(strconv.AppendInt(digits[:0], int64(id), 10))
+	return b.names.String()[start:]
 }
 
 // name returns the spec name of node id.
@@ -339,6 +354,8 @@ func Generate(kind Kind, techs []config.MemTech, metaGroup int) (*scenario.Spec,
 		deg:   make([]int, 1, nodes+1),
 		pos:   make([]int, len(techs)),
 	}
+	// A name is at most "if" and the digits of the highest ID.
+	b.names.Grow(nodes * (2 + len(strconv.Itoa(nodes))))
 	switch kind {
 	case Chain:
 		b.buildChain(techs)

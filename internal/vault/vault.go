@@ -27,10 +27,18 @@ const AccessBits = 64 * 8
 // row.
 type BankMap func(addr uint64) (bank int, row int64)
 
-// ReturnDist computes the hop distance of the response path back to the
+// ReturnPath computes the hop distance of the response path back to a
 // packet's source; it is stamped into the response header for the
 // distance-based arbitration downstream.
+type ReturnPath interface {
+	ReturnDist(p *packet.Packet) int
+}
+
+// ReturnDist adapts a function to a ReturnPath.
 type ReturnDist func(p *packet.Packet) int
+
+// ReturnDist implements ReturnPath.
+func (f ReturnDist) ReturnDist(p *packet.Packet) int { return f(p) }
 
 // Stats aggregates quadrant counters.
 type Stats struct {
@@ -54,7 +62,7 @@ type Quadrant struct {
 
 	banks   mem.Controller
 	bankMap BankMap
-	retDist ReturnDist
+	ret     ReturnPath
 	meter   *energy.Meter
 
 	in  *link.Buffer
@@ -87,8 +95,10 @@ type Config struct {
 	Banks       int
 	MaxInflight int
 	BankMap     BankMap
-	ReturnDist  ReturnDist
-	Meter       *energy.Meter
+	// ReturnDist, when non-nil, is the quadrant's return path;
+	// SetReturnPath installs one that is not a function.
+	ReturnDist ReturnDist
+	Meter      *energy.Meter
 }
 
 // New builds a quadrant with its banks.
@@ -114,7 +124,10 @@ func (q *Quadrant) Init(eng *sim.Engine, cfg Config, banks []mem.Bank) {
 	q.eng = eng
 	q.tech, q.index = cfg.Tech, cfg.Index
 	q.extPorts, q.penalty = cfg.ExtPorts, cfg.Penalty
-	q.bankMap, q.retDist, q.meter = cfg.BankMap, cfg.ReturnDist, cfg.Meter
+	q.bankMap, q.meter = cfg.BankMap, cfg.Meter
+	if cfg.ReturnDist != nil {
+		q.ret = cfg.ReturnDist
+	}
 	q.maxInflight = cfg.MaxInflight
 	if q.maxInflight <= 0 {
 		q.maxInflight = 16
@@ -122,6 +135,10 @@ func (q *Quadrant) Init(eng *sim.Engine, cfg Config, banks []mem.Bank) {
 	q.banks = mem.NewControllerIn(banks, cfg.Timing,
 		sim.Time(cfg.Index*cfg.Banks)*97*sim.Nanosecond, 97*sim.Nanosecond)
 }
+
+// SetReturnPath installs the return path whose distances responses
+// carry.
+func (q *Quadrant) SetReturnPath(rp ReturnPath) { q.ret = rp }
 
 // pumpEvent is every quadrant's pump scheduled by kick; its argument is
 // the Quadrant.
@@ -241,7 +258,7 @@ func completeEvent(arg any) {
 // complete converts the finished request into a response and emits it,
 // or parks it when the response path is full.
 func (q *Quadrant) complete(p *packet.Packet) {
-	p.MakeResponse(q.retDist(p))
+	p.MakeResponse(q.ret.ReturnDist(p))
 	if q.out.CanAccept(packet.VCResponse) && q.done.Len() == 0 {
 		q.emit(p)
 	} else {

@@ -5,10 +5,7 @@
 // Runs can be backed by a persistent content-addressed result cache
 // (-cache): every simulation already present in the cache is served
 // from disk, so interrupted campaigns resume and repeated invocations
-// are free. Long campaigns can be split across machines with -shard
-// k/n, which executes one partition of the full grid into the cache
-// and exits; -merge joins shard caches and regenerates every table
-// from the combined results.
+// are free. Independent runs fan out over -shards worker goroutines.
 //
 // Examples:
 //
@@ -17,9 +14,6 @@
 //	mnexp -quick                           # reduced trace length (fast)
 //	mnexp -format csv -out out             # write CSV files per experiment
 //	mnexp -cache results/cache -out results
-//	mnexp -shard 1/2 -cache shard1         # machine 1 of a 2-way campaign
-//	mnexp -shard 2/2 -cache shard2         # machine 2
-//	mnexp -merge shard1,shard2 -cache results/cache -out results
 //	mnexp -scenario examples/scenario/twopod.json -quick
 package main
 
@@ -47,8 +41,6 @@ func main() {
 		format   = flag.String("format", "text", "text | csv | chart")
 		outDir   = flag.String("out", "", "directory for per-experiment output files plus experiments.json (default stdout)")
 		cacheDir = flag.String("cache", "", "content-addressed result cache directory; hits skip simulation")
-		shardStr = flag.String("shard", "", "run partition k/n of the full campaign grid into -cache and exit (ignores -exp)")
-		mergeStr = flag.String("merge", "", "comma-separated shard cache directories to merge into -cache before generating tables")
 		maniOut  = flag.String("manifest", "", "also write the campaign manifest JSON to this file")
 		shards   = flag.Int("shards", 0, "worker goroutines fanning out independent simulation runs; tables are identical for every value (0 = GOMAXPROCS)")
 		spansOut = flag.String("spans-out", "", "write causal spans from every simulated run as one NDJSON file (one block per run, sorted by run key; byte-identical for every -shards value); bypasses -cache")
@@ -57,10 +49,6 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-
-	if *spansOut != "" && *shardStr != "" {
-		fatal(fmt.Errorf("-spans-out is not supported with -shard (shard campaigns only fill the cache)"))
-	}
 
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
@@ -90,14 +78,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-	}
-
-	if *shardStr != "" {
-		runShard(opts, store, *shardStr)
-		return
-	}
-	if *mergeStr != "" {
-		mergeShards(store, *mergeStr)
 	}
 
 	runner := experiments.NewRunner(opts)
@@ -207,52 +187,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Println("wrote", path)
-	}
-}
-
-// runShard executes one campaign partition into the cache and exits.
-func runShard(opts experiments.Options, store *campaign.Store, shardStr string) {
-	if store == nil {
-		fatal(fmt.Errorf("-shard requires -cache"))
-	}
-	shard, err := campaign.ParseShard(shardStr)
-	if err != nil {
-		fatal(err)
-	}
-	stats, err := campaign.RunShard(opts, store, shard, func(p campaign.Progress) {
-		verb := "ran"
-		if p.Hit {
-			verb = "hit"
-		}
-		fmt.Fprintf(os.Stderr, "mnexp: shard %s [%d/%d] %s %s/%s\n",
-			shard, p.Done, p.Total, verb, p.Key.Label, p.Key.Workload)
-	})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("shard %s: %d of %d grid units; %d cached, %d simulated\n",
-		shard, stats.ShardSize, stats.GridSize, stats.Hits, stats.Simulated)
-}
-
-// mergeShards joins the listed shard caches into the main cache.
-func mergeShards(store *campaign.Store, mergeStr string) {
-	if store == nil {
-		fatal(fmt.Errorf("-merge requires -cache"))
-	}
-	for _, dir := range strings.Split(mergeStr, ",") {
-		dir = strings.TrimSpace(dir)
-		if dir == "" {
-			continue
-		}
-		src, err := campaign.Open(dir)
-		if err != nil {
-			fatal(err)
-		}
-		added, skipped, err := store.Merge(src)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "mnexp: merged %s: %d added, %d skipped\n", dir, added, skipped)
 	}
 }
 

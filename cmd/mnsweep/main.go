@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -45,16 +46,23 @@ func main() {
 	topo, err := topology.ParseKind(*topoFlag)
 	check(err)
 
-	fmt.Printf("param,value,finish_ns,mean_latency_ns,to_mem_ns,in_mem_ns,from_mem_ns,energy_uj\n")
-	for _, v := range parseValues(*values) {
-		sys := memnet.DefaultSystem()
-		cfg := memnet.DefaultConfig()
-		cfg.Topology = topo
-		cfg.Workload = *wlFlag
-		cfg.DRAMFraction = *dramPct / 100
-		cfg.Transactions = *txns
+	base := memnet.DefaultConfig()
+	base.Topology = topo
+	base.Workload = *wlFlag
+	base.DRAMFraction = *dramPct / 100
+	base.Transactions = *txns
+	check(sweep(os.Stdout, *param, parseValues(*values), base, *cacheDir))
+}
 
-		switch *param {
+// sweep writes the CSV header and one row per value, each row a run of
+// base with param set to that value.
+func sweep(w io.Writer, param string, values []int64, base memnet.Config, cacheDir string) error {
+	fmt.Fprintln(w, "param,value,finish_ns,mean_latency_ns,to_mem_ns,in_mem_ns,from_mem_ns,energy_uj")
+	for _, v := range values {
+		sys := memnet.DefaultSystem()
+		cfg := base
+
+		switch param {
 		case "serdes":
 			sys.SerDesLatency = memnet.Time(v) * memnet.Nanosecond
 		case "interleave":
@@ -70,15 +78,16 @@ func main() {
 		case "seed":
 			cfg.Seed = uint64(v)
 		default:
-			fmt.Fprintf(os.Stderr, "mnsweep: unknown param %q\n", *param)
-			os.Exit(2)
+			return fmt.Errorf("unknown param %q", param)
 		}
 		cfg.System = &sys
 
-		res, _, err := memnet.RunCached(cfg, *cacheDir)
-		check(err)
-		fmt.Printf("%s,%d,%.1f,%.2f,%.2f,%.2f,%.2f,%.2f\n",
-			*param, v,
+		res, _, err := memnet.RunCached(cfg, cacheDir)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%s,%d,%.1f,%.2f,%.2f,%.2f,%.2f,%.2f\n",
+			param, v,
 			res.FinishTime.Nanoseconds(),
 			res.MeanLatency.Nanoseconds(),
 			res.Breakdown.ToMem.Nanoseconds(),
@@ -86,6 +95,7 @@ func main() {
 			res.Breakdown.FromMem.Nanoseconds(),
 			res.Energy.TotalPJ()/1e6)
 	}
+	return nil
 }
 
 // parseValues parses the comma-separated -values list, dropping

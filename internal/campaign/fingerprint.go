@@ -1,17 +1,13 @@
-// Package campaign is the sharded, resumable campaign layer over
-// internal/experiments: a persistent, content-addressed store of
-// simulation results (keyed by a canonical fingerprint of the complete
-// run configuration), a deterministic enumeration of the full
-// figure/table grid, a k-of-n shard partition of that grid, and a
-// cache-backed simulation hook that lets every experiment harness skip
-// runs whose results are already on disk.
+// Package campaign is the persistent result cache behind
+// internal/experiments: a content-addressed store of simulation results
+// keyed by a canonical fingerprint of the complete run configuration,
+// and CachedSim, a simulation hook that serves every cacheable run
+// already on disk without simulating it and writes each new one back.
 //
-// The workflow mirrors a publication campaign: `mnexp -shard k/n`
-// executes one machine's partition of the grid into a cache directory,
-// `mnexp -merge` joins shard caches and regenerates every table and the
-// machine-readable experiments.json without simulating anything, and
-// cmd/mndocs renders the measured columns of EXPERIMENTS.md from that
-// artifact. See DESIGN.md, "Campaigns & result cache".
+// `mnexp -cache DIR` installs CachedSim in the experiment runner, so an
+// interrupted campaign resumes and a repeated one simulates nothing;
+// memnet.RunCached (and through it `mnsweep -cache`) uses the same hook
+// for single runs. See DESIGN.md, "Campaigns & result cache".
 package campaign
 
 import (
@@ -33,7 +29,7 @@ import (
 // same configuration. The fingerprint coverage test
 // (TestFingerprintCoverage) forces a review of this constant whenever a
 // fingerprinted configuration struct changes shape.
-const CacheSchema = "memnet/result-cache/v4"
+const CacheSchema = "memnet/result-cache/v5"
 
 // Fingerprint is the content address of one simulation run: an FNV-1a
 // hash of the canonical encoding of everything that determines its

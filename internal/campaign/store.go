@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 
 	"memnet/internal/core"
 	"memnet/internal/fnv"
@@ -81,7 +79,7 @@ func resultsChecksum(res core.Results) (string, []byte, error) {
 
 // Store is a persistent, content-addressed result cache: one JSON
 // envelope per fingerprint under a single directory. Writes are
-// atomic (temp file + rename), so concurrent writers — shard workers,
+// atomic (temp file + rename), so concurrent writers — fan-out workers,
 // parallel mnexp invocations over the same directory — can never
 // produce a torn entry; the worst race outcome is both writing the
 // same bytes. Reads treat any malformed, mis-addressed, corrupt, or
@@ -182,65 +180,4 @@ func (s *Store) Put(fp Fingerprint, key Key, res core.Results) error {
 		return fmt.Errorf("campaign: %w", err)
 	}
 	return nil
-}
-
-// Len counts the valid entries in the store.
-func (s *Store) Len() int { return len(s.Fingerprints()) }
-
-// Fingerprints returns the fingerprints of every well-named entry file,
-// sorted; it does not validate entry contents (Get does).
-func (s *Store) Fingerprints() []Fingerprint {
-	names, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil
-	}
-	var out []Fingerprint
-	for _, e := range names {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") || len(name) != 16+len(".json") {
-			continue
-		}
-		var v uint64
-		if _, err := fmt.Sscanf(name[:16], "%016x", &v); err != nil {
-			continue
-		}
-		out = append(out, Fingerprint(v))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Merge copies every valid entry of src into s, in sorted fingerprint
-// order. Entries already present are kept (content addressing makes
-// both sides byte-equivalent for the same schema version); invalid or
-// stale-schema entries in src are skipped and counted. It returns the
-// number of entries added and skipped. Merging shard caches in any
-// order yields the same store: content addresses make the operation
-// commutative and idempotent.
-func (s *Store) Merge(src *Store) (added, skipped int, err error) {
-	for _, fp := range src.Fingerprints() {
-		res, ok := src.Get(fp)
-		if !ok {
-			skipped++
-			continue
-		}
-		if _, exists := s.Get(fp); exists {
-			continue
-		}
-		var env envelope
-		raw, rerr := os.ReadFile(src.path(fp))
-		if rerr != nil {
-			skipped++
-			continue
-		}
-		if jerr := json.Unmarshal(raw, &env); jerr != nil {
-			skipped++
-			continue
-		}
-		if perr := s.Put(fp, env.Key, res); perr != nil {
-			return added, skipped, perr
-		}
-		added++
-	}
-	return added, skipped, nil
 }

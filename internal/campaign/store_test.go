@@ -48,9 +48,6 @@ func TestStoreRoundTrip(t *testing.T) {
 	if got != want {
 		t.Fatalf("round trip changed the results:\n  got  %+v\n  want %+v", got, want)
 	}
-	if n := s.Len(); n != 1 {
-		t.Fatalf("Len = %d, want 1", n)
-	}
 }
 
 // TestStoreCorruptEntry checks every corruption mode reads as a miss,
@@ -149,63 +146,6 @@ func TestStoreVersionBump(t *testing.T) {
 	}
 	if _, ok := s.Get(fp); ok {
 		t.Fatal("stale-schema entry served as a hit")
-	}
-}
-
-// TestStoreMergeOrderIndependent checks merging shard stores in any
-// order produces the same set of entries, byte for byte.
-func TestStoreMergeOrderIndependent(t *testing.T) {
-	p1 := testParams()
-	p2 := testParams()
-	p2.Seed = 2
-	p3 := testParams()
-	p3.Transactions = 2000
-	mk := func(t *testing.T, params ...core.Params) *Store {
-		s, err := Open(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range params {
-			r := testResults()
-			r.Transactions = p.Transactions
-			if err := s.Put(FingerprintParams(p), KeyOf(p), r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return s
-	}
-	// Shards overlap on p2 deliberately: merge must be idempotent.
-	shardA := mk(t, p1, p2)
-	shardB := mk(t, p2, p3)
-
-	ab := mk(t)
-	if _, _, err := ab.Merge(shardA); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ab.Merge(shardB); err != nil {
-		t.Fatal(err)
-	}
-	ba := mk(t)
-	if _, _, err := ba.Merge(shardB); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ba.Merge(shardA); err != nil {
-		t.Fatal(err)
-	}
-
-	fpsA, fpsB := ab.Fingerprints(), ba.Fingerprints()
-	if len(fpsA) != 3 || len(fpsB) != 3 {
-		t.Fatalf("merged sizes = %d, %d; want 3, 3", len(fpsA), len(fpsB))
-	}
-	for i := range fpsA {
-		if fpsA[i] != fpsB[i] {
-			t.Fatalf("merge order changed contents: %v vs %v", fpsA, fpsB)
-		}
-		rawA, _ := os.ReadFile(ab.path(fpsA[i]))
-		rawB, _ := os.ReadFile(ba.path(fpsB[i]))
-		if string(rawA) != string(rawB) {
-			t.Fatalf("entry %s differs between merge orders", fpsA[i])
-		}
 	}
 }
 

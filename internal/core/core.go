@@ -450,7 +450,7 @@ func Build(p Params) (*Instance, error) {
 	if len(p.Replay) > 0 {
 		gen = workload.NewReplay(p.Replay)
 	} else {
-		gen = workload.New(spec, p.Sys.PortCapacity(), p.Seed|1)
+		gen = workload.New(spec, p.Sys.PortCapacity(), p.Seed)
 	}
 	if p.Record {
 		rec := workload.NewRecorder(gen)

@@ -30,11 +30,16 @@ func TestDeterminism(t *testing.T) {
 func TestSeedsChangeResults(t *testing.T) {
 	wl, _ := workload.ByName("DCT")
 	p := testParams(topology.Tree, 1.0, config.NVMLast, arb.RoundRobin, wl)
-	a, _ := Simulate(p)
-	p.Seed = 99
-	b, _ := Simulate(p)
-	if a.FinishTime == b.FinishTime && a.Events == b.Events {
-		t.Fatal("different seeds produced identical runs")
+	// Adjacent seeds are independent streams too: an even seed must not
+	// alias the odd one above it.
+	for _, pair := range [][2]uint64{{42, 99}, {2, 3}} {
+		p.Seed = pair[0]
+		a, _ := Simulate(p)
+		p.Seed = pair[1]
+		b, _ := Simulate(p)
+		if a == b {
+			t.Fatalf("seeds %d and %d produced identical runs", pair[0], pair[1])
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ var chaosTopos = []topology.Kind{
 // horizon is a pure function of the options (about half the
 // injection-limited finish time), so the generated schedule — and
 // therefore the campaign fingerprint — is identical whether the run is
-// simulated, cached, or dry-run enumerated.
+// simulated or served from the cache.
 func chaosSpec(opts Options, wl workload.Spec) fault.ChaosSpec {
 	return fault.ChaosSpec{
 		Seed:      opts.Seed,
@@ -108,10 +108,9 @@ func chaosFault(p core.Params, opts Options, wl workload.Spec) (fault.Config, er
 	return fault.Chaos(g, chaosSpec(opts, wl))
 }
 
-// checkChaos enforces the harness invariants on one faulty run. All
-// fault-counter checks are gated on Fault.Any() so a campaign grid
-// dry-run (which fabricates Results without simulating) passes
-// trivially; conservation and determinism hold for those too.
+// checkChaos enforces the harness invariants on one faulty run. The
+// fault-counter checks apply only when some fault fired (Fault.Any());
+// conservation and determinism hold for every run.
 func checkChaos(p core.Params, fcfg fault.Config, res, replay core.Results) error {
 	if res != replay {
 		return fmt.Errorf("nondeterministic: identical seeds produced different Results\n first: %#v\nsecond: %#v", res, replay)

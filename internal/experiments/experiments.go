@@ -98,10 +98,9 @@ var ratios = []ratio{
 
 // SimFunc executes one simulation run. It is the Runner's pluggable
 // backend: the default is core.Simulate; internal/campaign substitutes
-// a content-addressed-cache wrapper, and campaign grid enumeration
-// substitutes a recorder that never simulates at all. A SimFunc must be
-// safe for concurrent calls (Warm invokes it from worker goroutines)
-// and must be a pure function of its Params.
+// a content-addressed-cache wrapper, and mnexp -spans-out a span
+// collector. A SimFunc must be safe for concurrent calls (Warm invokes
+// it from worker goroutines) and must be a pure function of its Params.
 type SimFunc func(core.Params) (core.Results, error)
 
 // Runner executes and memoizes simulation runs. It is not safe for
@@ -114,7 +113,7 @@ type Runner struct {
 	// Sim, when non-nil, replaces core.Simulate as the backend executing
 	// each run (see SimFunc). Figure harnesses that build sub-runners
 	// (Fig13's four-port system, Fig14's half-capacity system) propagate
-	// it, so a cache or recorder hook observes every simulation of a
+	// it, so a cache or collector hook observes every simulation of a
 	// campaign.
 	Sim   SimFunc
 	cache map[runKey]core.Results

@@ -342,8 +342,8 @@ type Figure struct {
 // the paper's presentation order. Table 1 and Table 2 are excluded:
 // they are derived from the DDR bus model and the static configuration,
 // with no simulation behind them. cmd/mnexp drives this list directly,
-// and internal/campaign enumerates the full simulation grid from it, so
-// a new figure added here is automatically sharded, cached, and merged.
+// so a new figure added here is automatically run, cached (-cache) and
+// written to the campaign manifest.
 func (r *Runner) Figures() []Figure {
 	return []Figure{
 		{"fig4", r.Fig4},

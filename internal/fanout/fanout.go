@@ -1,8 +1,8 @@
 // Package fanout runs independent jobs on a bounded set of worker
 // goroutines and hands their results back in index order. It is the
 // one fan-out primitive of the simulator: whole-machine runs (one job
-// per host port), the experiment runner's warm-up, and campaign shards
-// all go through Run.
+// per host port) and the experiment runner's warm-up both go through
+// Run.
 //
 // Run behaves like the sequential loop
 //

@@ -470,14 +470,14 @@ func RunMachine(c Config) (MachineResults, error) {
 // -cache). A run whose fingerprint is already stored is returned
 // without simulating (cached=true); otherwise it simulates and writes
 // the result back. Runs that produce side artifacts (trace replay or
-// recording, packet tracing, telemetry) bypass the cache, as does an
+// recording, telemetry, span tracing) bypass the cache, as does an
 // empty cacheDir.
 func RunCached(c Config, cacheDir string) (res Results, cached bool, err error) {
 	p, err := c.params()
 	if err != nil {
 		return Results{}, false, err
 	}
-	if cacheDir == "" || !campaign.Cacheable(p) {
+	if cacheDir == "" {
 		res, err = core.Simulate(p)
 		return res, false, err
 	}
@@ -485,18 +485,9 @@ func RunCached(c Config, cacheDir string) (res Results, cached bool, err error) 
 	if err != nil {
 		return Results{}, false, err
 	}
-	fp := campaign.FingerprintParams(p)
-	if res, ok := store.Get(fp); ok {
-		return res, true, nil
-	}
-	res, err = core.Simulate(p)
-	if err != nil {
-		return Results{}, false, err
-	}
-	if err := store.Put(fp, campaign.KeyOf(p), res); err != nil {
-		return Results{}, false, err
-	}
-	return res, false, nil
+	var n campaign.Counter
+	res, err = campaign.CachedSim(store, nil, &n)(p)
+	return res, n.Hits() == 1, err
 }
 
 // Speedup runs two configurations and returns a's speedup over b

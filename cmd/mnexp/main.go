@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 
 	"memnet/internal/campaign"
@@ -50,16 +52,6 @@ func main() {
 	)
 	flag.Parse()
 
-	stopProf, err := prof.Start(*cpuProf, *memProf)
-	if err != nil {
-		fatal(err)
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "mnexp:", err)
-		}
-	}()
-
 	opts := experiments.DefaultOptions()
 	if *quick {
 		opts = experiments.QuickOptions()
@@ -71,6 +63,22 @@ func main() {
 	if *shards > 0 {
 		opts.Parallel = *shards
 	}
+	runner := experiments.NewRunner(opts)
+	selected, err := selectExps(experimentsOf(runner), *expFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mnexp:", err)
+		os.Exit(2)
+	}
+
+	stopProf, err := prof.Start(*cpuProf, *memProf)
+	if err != nil {
+		fatal(err)
+	}
+	defer func() {
+		if err := stopProf(); err != nil {
+			fmt.Fprintln(os.Stderr, "mnexp:", err)
+		}
+	}()
 
 	var store *campaign.Store
 	if *cacheDir != "" {
@@ -80,7 +88,6 @@ func main() {
 		}
 	}
 
-	runner := experiments.NewRunner(opts)
 	var counter campaign.Counter
 	if store != nil {
 		runner.Sim = campaign.CachedSim(store, nil, &counter)
@@ -117,34 +124,8 @@ func main() {
 		return
 	}
 
-	type exp struct {
-		id string
-		fn func() (*experiments.Table, error)
-	}
-	all := []exp{
-		{"table1", func() (*experiments.Table, error) { return experiments.Table1() }},
-		{"table2", nil}, // special-cased text
-	}
-	for _, f := range runner.Figures() {
-		all = append(all, exp{f.ID, f.Fn})
-	}
-
-	want := map[string]bool{}
-	if *expFlag == "all" {
-		for _, e := range all {
-			want[e.id] = true
-		}
-	} else {
-		for _, id := range strings.Split(*expFlag, ",") {
-			want[strings.TrimSpace(id)] = true
-		}
-	}
-
 	manifest := experiments.NewRunManifest(opts)
-	for _, e := range all {
-		if !want[e.id] {
-			continue
-		}
+	for _, e := range selected {
 		if e.id == "table2" {
 			emit(e.id, experiments.Table2Text(), *outDir, "txt")
 			continue
@@ -188,6 +169,60 @@ func main() {
 		}
 		fmt.Println("wrote", path)
 	}
+}
+
+// exp is one experiment mnexp can run: its -exp id and the harness that
+// regenerates its table (nil for Table 2, which is static text).
+type exp struct {
+	id string
+	fn func() (*experiments.Table, error)
+}
+
+// experimentsOf lists every experiment in output order: Table 1, Table 2
+// and then runner's figures.
+func experimentsOf(runner *experiments.Runner) []exp {
+	all := []exp{
+		{"table1", func() (*experiments.Table, error) { return experiments.Table1() }},
+		{"table2", nil},
+	}
+	for _, f := range runner.Figures() {
+		all = append(all, exp{f.ID, f.Fn})
+	}
+	return all
+}
+
+// selectExps returns the experiments of all that spec names, in all's
+// order and each once. spec is "all" or a comma-separated list of ids;
+// an id that names no experiment is an error that lists the known ones.
+func selectExps(all []exp, spec string) ([]exp, error) {
+	if spec == "all" {
+		return all, nil
+	}
+	want := map[string]bool{}
+	for _, id := range strings.Split(spec, ",") {
+		want[strings.TrimSpace(id)] = true
+	}
+	var sel []exp
+	for _, e := range all {
+		if want[e.id] {
+			sel = append(sel, e)
+			delete(want, e.id)
+		}
+	}
+	if len(want) > 0 {
+		unknown := make([]string, 0, len(want))
+		for id := range want {
+			unknown = append(unknown, strconv.Quote(id))
+		}
+		sort.Strings(unknown)
+		known := make([]string, len(all))
+		for i, e := range all {
+			known[i] = e.id
+		}
+		return nil, fmt.Errorf("-exp: unknown experiment %s; known: %s, all",
+			strings.Join(unknown, ", "), strings.Join(known, ", "))
+	}
+	return sel, nil
 }
 
 // writeManifest writes the campaign manifest JSON to path.

@@ -1,0 +1,55 @@
+package main
+
+import (
+	"strings"
+	"testing"
+
+	"memnet/internal/experiments"
+)
+
+// TestSelectExps: -exp picks experiments in output order, each once, and
+// an unknown id fails the whole selection with an error that names it
+// and lists the known ids, so a typo cannot pass for a shorter run.
+func TestSelectExps(t *testing.T) {
+	all := experimentsOf(experiments.NewRunner(experiments.QuickOptions()))
+	for _, tc := range []struct {
+		spec string
+		want string // selected ids, or the error's unknown ids
+		err  bool
+	}{
+		{"all", "table1 table2 fig4 fig5 fig7 fig10 fig11 fig12 fig13 fig14 fig15 mesh resilience chaos", false},
+		{"fig4", "fig4", false},
+		{" fig7 , fig4,table2", "table2 fig4 fig7", false},
+		{"fig4,fig4", "fig4", false},
+		{"fig99", `"fig99"`, true},
+		{"table1,fig99", `"fig99"`, true},
+		{"fig98,fig4,fig97", `"fig97", "fig98"`, true},
+		{"", `""`, true},
+		{"fig4,", `""`, true},
+	} {
+		sel, err := selectExps(all, tc.spec)
+		if tc.err {
+			if err == nil {
+				t.Errorf("-exp %q: selected %d experiments, want an error", tc.spec, len(sel))
+				continue
+			}
+			msg := err.Error()
+			if !strings.Contains(msg, "unknown experiment "+tc.want+";") ||
+				!strings.Contains(msg, "known: table1, table2, fig4,") {
+				t.Errorf("-exp %q: error %q, want it to name %s and list the known ids", tc.spec, msg, tc.want)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("-exp %q: %v", tc.spec, err)
+			continue
+		}
+		ids := make([]string, len(sel))
+		for i, e := range sel {
+			ids[i] = e.id
+		}
+		if got := strings.Join(ids, " "); got != tc.want {
+			t.Errorf("-exp %q selected %q, want %q", tc.spec, got, tc.want)
+		}
+	}
+}

@@ -65,6 +65,30 @@ type MemTiming struct {
 	RefDuration sim.Time
 }
 
+// MaxTRAS is the largest TRAS a timing set may have: a bank keeps the
+// part of its tRAS window still ahead of it in 32 bits of picoseconds.
+const MaxTRAS = sim.Time(1<<32 - 1)
+
+// validate checks the timing set held in the System field name: no
+// parameter is negative and TRAS is at most MaxTRAS.
+func (m *MemTiming) validate(name string) error {
+	for _, f := range []struct {
+		field string
+		v     sim.Time
+	}{
+		{"TRCD", m.TRCD}, {"TCL", m.TCL}, {"TRP", m.TRP}, {"TRAS", m.TRAS}, {"TWR", m.TWR},
+		{"Burst", m.Burst}, {"RefInterval", m.RefInterval}, {"RefDuration", m.RefDuration},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("config: %s.%s must not be negative, got %d ps", name, f.field, int64(f.v))
+		}
+	}
+	if m.TRAS > MaxTRAS {
+		return fmt.Errorf("config: %s.TRAS %d ps exceeds the %d ps limit", name, int64(m.TRAS), int64(MaxTRAS))
+	}
+	return nil
+}
+
 // Energy captures the pJ/bit accounting constants of Section 5.
 type Energy struct {
 	NetworkPJPerBitHop float64 // 5 pJ/bit/hop
@@ -238,7 +262,10 @@ func (s *System) ValidateBase() error {
 		return fmt.Errorf("config: TotalCapacity %d not divisible by Ports %d",
 			s.TotalCapacity, s.Ports)
 	}
-	return nil
+	if err := s.DRAMTiming.validate("DRAMTiming"); err != nil {
+		return err
+	}
+	return s.NVMTiming.validate("NVMTiming")
 }
 
 // PortCapacity returns the capacity served by one memory port.

@@ -121,6 +121,41 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
+// TestValidateTiming: both timing sets are checked, every parameter
+// must be non-negative and TRAS must fit a bank's 32-bit window, and the
+// error names the offending field.
+func TestValidateTiming(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		f    func(*System)
+		want string // error prefix, "" for valid
+	}{
+		{"default", func(s *System) {}, ""},
+		{"TRAS 0", func(s *System) { s.DRAMTiming.TRAS = 0 }, ""},
+		{"TRAS at limit", func(s *System) { s.NVMTiming.TRAS = MaxTRAS }, ""},
+		{"DRAM TRAS negative", func(s *System) { s.DRAMTiming.TRAS = -1 }, "config: DRAMTiming.TRAS "},
+		{"NVM TRAS negative", func(s *System) { s.NVMTiming.TRAS = -sim.Nanosecond }, "config: NVMTiming.TRAS "},
+		{"DRAM TRAS 2^32", func(s *System) { s.DRAMTiming.TRAS = MaxTRAS + 1 }, "config: DRAMTiming.TRAS "},
+		{"NVM TRAS 2^32", func(s *System) { s.NVMTiming.TRAS = 1 << 32 }, "config: NVMTiming.TRAS "},
+		{"NVM TWR negative", func(s *System) { s.NVMTiming.TWR = -1 }, "config: NVMTiming.TWR "},
+		{"DRAM RefDuration negative", func(s *System) { s.DRAMTiming.RefDuration = -1 }, "config: DRAMTiming.RefDuration "},
+	} {
+		sys := Default()
+		tc.f(&sys)
+		for _, v := range []struct {
+			fn  string
+			err error
+		}{{"Validate", sys.Validate()}, {"ValidateBase", sys.ValidateBase()}} {
+			switch {
+			case tc.want == "" && v.err != nil:
+				t.Errorf("%s: %s: %v", tc.name, v.fn, v.err)
+			case tc.want != "" && (v.err == nil || !strings.HasPrefix(v.err.Error(), tc.want)):
+				t.Errorf("%s: %s = %v, want an error starting %q", tc.name, v.fn, v.err, tc.want)
+			}
+		}
+	}
+}
+
 func TestDerivedQuantities(t *testing.T) {
 	sys := Default()
 	if sys.PortCapacity() != 256<<30 {

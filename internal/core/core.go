@@ -493,9 +493,10 @@ func Build(p Params) (*Instance, error) {
 	// the graph: a router and its arbiter per non-host node; a direction
 	// pair per edge and per quadrant; an input buffer per external router
 	// port, plus two per quadrant (its request queue and its port on the
-	// router); and every quadrant's banks. take hands out their elements
-	// in order; the slices never grow, so the pointers wired below stay
-	// valid.
+	// router); and every quadrant's banks, which are ready to use as
+	// allocated (a zero mem.Bank is closed, clean and unrefreshed). take
+	// hands out their elements in order; the slices never grow, so the
+	// pointers wired below stay valid.
 	nRouters, nPorts, nCubes := 0, 0, 0
 	for _, n := range g.Nodes {
 		if n.Kind == topology.Host {

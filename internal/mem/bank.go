@@ -6,14 +6,18 @@
 // until when is the bank busy?
 //
 // A Controller owns a set of banks. Only what differs between banks (open
-// row, dirty bit, activate time, busy-until, refresh phase) lives in each
-// Bank; the timing parameters and the counters are the controller's, held
-// once. A cube has hundreds of banks, so keeping the per-bank record small
-// keeps a network build small, and reading a controller's counters costs
-// the same however many banks it has.
+// row, dirty bit, busy-until, what is left of the tRAS window, refreshes
+// done) lives in each Bank; the timing parameters, refresh phases and
+// counters are the controller's, held once. A cube has hundreds of
+// banks, so keeping the per-bank record small keeps a network build
+// small, and reading a controller's counters costs the same however many
+// banks it has.
 package mem
 
 import (
+	"fmt"
+	"math"
+
 	"memnet/internal/config"
 	"memnet/internal/sim"
 )
@@ -43,47 +47,67 @@ type BankStats struct {
 	BusyTime sim.Time
 }
 
-// Bank is the state of one independent memory bank.
+// Bank is the state of one independent memory bank, packed into 24 B
+// because a cube has hundreds of them and they are most of a network
+// build. The zero Bank is a closed, clean bank that has seen no
+// refresh, so a freshly allocated slice of banks needs no
+// initialization.
+//
+// Rows must lie in [0, 2^63-1): row holds the open row plus one, so the
+// 63 low bits cover every row the address mapper produces (below 2^58)
+// and bit 63 is left for the dirty flag.
 type Bank struct {
-	openRow      int64 // -1 = closed (precharged)
-	lastActivate sim.Time
-	busy         sim.Resource
-	nextRefresh  sim.Time // 0 disabled
-	dirty        bool     // open row has unwritten-back modifications
+	busy sim.Resource
+	// row is the open row plus one (0 = closed, precharged); bit 63 is
+	// set while the open row has modifications not yet written back. A
+	// refresh closes the row but leaves the flag, which the next row
+	// conflict then pays for.
+	row uint64
+	// rasLeft is how far the last activate's tRAS window reaches past
+	// busy.FreeAt(), 0 once the window has closed. Every access starts
+	// at or after FreeAt, so this is all of the activate time the model
+	// needs. It fits because TRAS is at most config.MaxTRAS.
+	rasLeft uint32
+	// refs counts the refreshes applied; the controller derives the next
+	// refresh time from it and the bank's refresh phase.
+	refs uint32
 }
 
+// dirtyBit is Bank.row's dirty flag.
+const dirtyBit = 1 << 63
+
 // Controller is the bank array behind one memory controller: its banks,
-// their shared timing parameters and their summed counters.
+// their shared timing parameters and refresh phases, and their summed
+// counters.
 type Controller struct {
-	timing config.MemTiming
-	banks  []Bank
-	stats  BankStats
+	timing         config.MemTiming
+	phase, stagger sim.Time
+	banks          []Bank
+	stats          BankStats
 }
 
 // NewController returns a controller of n banks. Bank i's refresh phase
 // is phase + i*stagger, so that the banks do not refresh in lockstep; the
 // phases are ignored for timings without refresh. It returns a value so
 // the owner can embed it.
+//
+// A bank counts its refreshes in 32 bits and panics at the 2^32nd, which
+// is 33,500 s of simulated time at the default 7.8 µs interval. It
+// panics if timing.TRAS is outside [0, config.MaxTRAS], which
+// config.(*System).Validate rules out.
 func NewController(timing config.MemTiming, n int, phase, stagger sim.Time) Controller {
 	return NewControllerIn(make([]Bank, n), timing, phase, stagger)
 }
 
 // NewControllerIn is NewController for len(banks) banks laid out in
 // banks, so that an owner can carve many controllers' banks from one
-// slice. The controller owns banks from then on.
+// slice. The banks must be zero, as a fresh slice is; the controller
+// owns them from then on.
 func NewControllerIn(banks []Bank, timing config.MemTiming, phase, stagger sim.Time) Controller {
-	c := Controller{timing: timing, banks: banks}
-	for i := range c.banks {
-		b := &c.banks[i]
-		b.openRow = -1
-		if timing.RefInterval > 0 {
-			b.nextRefresh = (phase + sim.Time(i)*stagger) % timing.RefInterval
-			if b.nextRefresh == 0 {
-				b.nextRefresh = timing.RefInterval
-			}
-		}
+	if timing.TRAS < 0 || timing.TRAS > config.MaxTRAS {
+		panic(fmt.Sprintf("mem: TRAS %d ps outside [0, %d]", int64(timing.TRAS), int64(config.MaxTRAS)))
 	}
-	return c
+	return Controller{timing: timing, phase: phase, stagger: stagger, banks: banks}
 }
 
 // Banks reports the number of banks.
@@ -96,31 +120,42 @@ func (c *Controller) Stats() BankStats { return c.stats }
 // time now. It returns done, the time at which the access completes (data
 // available for a read; write committed — and therefore acknowledgeable
 // — for a write). The bank's data path is reserved internally, so
-// back-to-back calls to one bank naturally queue.
+// back-to-back calls to one bank naturally queue. It panics if row is
+// outside [0, 2^63-1).
 func (c *Controller) Access(now sim.Time, bank int, row int64, kind AccessKind) (done sim.Time) {
+	if uint64(row) >= dirtyBit-1 {
+		panic(fmt.Sprintf("mem: row %d outside [0, 2^63-1)", row))
+	}
 	b := &c.banks[bank]
 	t := &c.timing
 	start := now
 	if f := b.busy.FreeAt(); f > start {
 		start = f
 	}
-	start = c.applyRefresh(b, start)
+	// rasEnd is when the open row may first be precharged; once the
+	// window has closed it is FreeAt, which no access starts before.
+	rasEnd := b.busy.FreeAt() + sim.Time(b.rasLeft)
+	if next := c.nextRefresh(b, bank); next > 0 && next <= start {
+		start = c.refresh(b, bank, next, start)
+	}
 
+	key := uint64(row) + 1
 	var lat, background sim.Time
-	switch {
-	case b.openRow == row:
+	switch open := b.row &^ dirtyBit; {
+	case open == key:
 		c.stats.RowHits++
 		lat = t.TCL + t.Burst
-	case b.openRow < 0:
+	case open == 0:
 		c.stats.RowMisses++
-		b.lastActivate = start
+		rasEnd = start + t.TRAS
+		b.row |= key
 		lat = t.TRCD + t.TCL + t.Burst
 	default:
 		c.stats.RowConflicts++
 		// Precharge may not begin before tRAS has elapsed since the
 		// previous activate.
-		if earliest := b.lastActivate + t.TRAS; earliest > start {
-			start = earliest
+		if rasEnd > start {
+			start = rasEnd
 		}
 		// Evicting a dirty row requires committing its modified data to
 		// the array — for PCM this is where the expensive cell-write
@@ -131,7 +166,7 @@ func (c *Controller) Access(now sim.Time, bank int, row int64, kind AccessKind) 
 		// the bank afterwards, throttling write bursts to one bank at
 		// one row writeback per tWR. Idle time already spent cleaning
 		// the row eagerly is credited.
-		if b.dirty {
+		if b.row&dirtyBit != 0 {
 			background = t.TWR
 			if idle := start - b.busy.FreeAt(); idle > 0 {
 				background -= idle
@@ -140,15 +175,14 @@ func (c *Controller) Access(now sim.Time, bank int, row int64, kind AccessKind) 
 				background = 0
 			}
 		}
-		b.dirty = false
-		b.lastActivate = start + t.TRP
+		rasEnd = start + t.TRP + t.TRAS
+		b.row = key
 		lat = t.TRP + t.TRCD + t.TCL + t.Burst
 	}
-	b.openRow = row
 
 	if kind == Write {
 		c.stats.Writes++
-		b.dirty = true
+		b.row |= dirtyBit
 	} else {
 		c.stats.Reads++
 	}
@@ -156,25 +190,47 @@ func (c *Controller) Access(now sim.Time, bank int, row int64, kind AccessKind) 
 	done = start + lat
 	b.busy.ReserveAt(start, done-start+background)
 	c.stats.BusyTime += done - start + background
+	b.rasLeft = 0
+	if left := rasEnd - b.busy.FreeAt(); left > 0 {
+		b.rasLeft = uint32(left)
+	}
 	return done
 }
 
-// applyRefresh advances start past any of bank b's refresh windows that
-// are due, and schedules subsequent windows. Refresh is modeled per-bank:
-// every RefInterval the bank is unavailable for RefDuration.
-func (c *Controller) applyRefresh(b *Bank, start sim.Time) sim.Time {
-	if b.nextRefresh <= 0 {
-		return start
+// nextRefresh reports when bank i, whose state is b, next refreshes, or
+// 0 for timings without refresh. Bank i first refreshes at its phase
+// (phase + i*stagger) modulo the interval, or a whole interval in if
+// that is 0, and then every interval.
+func (c *Controller) nextRefresh(b *Bank, i int) sim.Time {
+	iv := c.timing.RefInterval
+	if iv <= 0 {
+		return 0
 	}
-	for b.nextRefresh <= start {
-		end := b.nextRefresh + c.timing.RefDuration
-		if end > start {
+	first := (c.phase + sim.Time(i)*c.stagger) % iv
+	if first == 0 {
+		first = iv
+	}
+	return first + sim.Time(b.refs)*iv
+}
+
+// refresh advances start past bank b's (bank i's) refresh windows from
+// next, which is due by start, and counts them. Refresh is modeled
+// per-bank: every RefInterval the bank is unavailable for RefDuration.
+// Access checks that one is due first, keeping this loop off its common
+// path.
+func (c *Controller) refresh(b *Bank, i int, next, start sim.Time) sim.Time {
+	for next <= start {
+		if end := next + c.timing.RefDuration; end > start {
 			start = end
 		}
-		b.nextRefresh += c.timing.RefInterval
+		if b.refs == math.MaxUint32 {
+			panic(fmt.Sprintf("mem: bank %d refresh count overflows at %v", i, next))
+		}
+		b.refs++
+		next += c.timing.RefInterval
 		c.stats.Refreshes++
 		// Refresh closes the row.
-		b.openRow = -1
+		b.row &= dirtyBit
 	}
 	return start
 }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math"
 	"testing"
 
 	"memnet/internal/config"
@@ -36,7 +37,7 @@ func TestRowMissTiming(t *testing.T) {
 	if done != want {
 		t.Fatalf("closed-row read done at %v, want %v", done, want)
 	}
-	if b.banks[0].openRow != 5 {
+	if openRow(&b.banks[0]) != 5 {
 		t.Fatal("row should stay open")
 	}
 	s := b.Stats()
@@ -207,5 +208,64 @@ func TestBusyTimeAccounting(t *testing.T) {
 	d := b.access(0, 1, Read)
 	if b.Stats().BusyTime != d {
 		t.Fatalf("busy %v != done %v", b.Stats().BusyTime, d)
+	}
+}
+
+// panics reports whether f panics.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
+}
+
+// TestRefreshCountLimit: a bank counts refreshes in 32 bits and panics
+// at the 2^32nd rather than wrap to its first refresh time.
+func TestRefreshCountLimit(t *testing.T) {
+	tm := config.Default().DRAMTiming
+	for _, tc := range []struct {
+		refs  uint32
+		panic bool
+	}{
+		{0, false},
+		{math.MaxUint32 - 1, false},
+		{math.MaxUint32, true},
+	} {
+		c := oneBank(tm)
+		c.banks[0].refs = tc.refs
+		at := c.nextRefresh(&c.banks[0], 0)
+		if got := panics(func() { c.access(at, 1, Read) }); got != tc.panic {
+			t.Errorf("%d refreshes done, refresh at %v: panic %v, want %v", tc.refs, at, got, tc.panic)
+		}
+		if !tc.panic && c.banks[0].refs != tc.refs+1 {
+			t.Errorf("%d refreshes done: count %d after one more", tc.refs, c.banks[0].refs)
+		}
+	}
+}
+
+// TestControllerGuards: a controller refuses a TRAS its banks cannot
+// hold and rows the packed record cannot hold.
+func TestControllerGuards(t *testing.T) {
+	withTRAS := func(tras sim.Time) config.MemTiming {
+		tm := dramTiming()
+		tm.TRAS = tras
+		return tm
+	}
+	for _, tc := range []struct {
+		name  string
+		f     func()
+		panic bool
+	}{
+		{"TRAS 0", func() { NewController(withTRAS(0), 1, 0, 0) }, false},
+		{"TRAS at limit", func() { NewController(withTRAS(config.MaxTRAS), 1, 0, 0) }, false},
+		{"TRAS negative", func() { NewController(withTRAS(-1), 1, 0, 0) }, true},
+		{"TRAS 2^32", func() { NewController(withTRAS(config.MaxTRAS+1), 1, 0, 0) }, true},
+		{"row 0", func() { oneBank(dramTiming()).access(0, 0, Read) }, false},
+		{"row 2^63-2", func() { oneBank(dramTiming()).access(0, math.MaxInt64-1, Read) }, false},
+		{"row 2^63-1", func() { oneBank(dramTiming()).access(0, math.MaxInt64, Read) }, true},
+		{"row -1", func() { oneBank(dramTiming()).access(0, -1, Read) }, true},
+	} {
+		if got := panics(tc.f); got != tc.panic {
+			t.Errorf("%s: panic %v, want %v", tc.name, got, tc.panic)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"memnet/internal/config"
@@ -8,9 +10,11 @@ import (
 )
 
 // refBank is a test-only copy of the bank model as it was before timing
-// and counters moved to the Controller: every bank carries its own copy
-// of the timing parameters and its own counters. TestControllerMatchesRef
-// runs it beside a Controller.
+// and counters moved to the Controller and the bank record was packed:
+// every bank carries its own copy of the timing parameters, its own
+// counters, its open row as a signed row number, its last activate time
+// and its next refresh time. TestControllerMatchesRef and
+// FuzzControllerRef run it beside a Controller.
 type refBank struct {
 	timing config.MemTiming
 
@@ -100,6 +104,55 @@ func (b *refBank) applyRefresh(start sim.Time) sim.Time {
 	return start
 }
 
+// openRow reports b's open row, -1 when closed.
+func openRow(b *Bank) int64 { return int64(b.row&^dirtyBit) - 1 }
+
+// dirty reports whether b's open row has unwritten-back modifications.
+func dirty(b *Bank) bool { return b.row&dirtyBit != 0 }
+
+// diffRef compares bank i of c with its reference r on the state the
+// packed record encodes: open row, dirty flag, busy-until, the last
+// activate time while its tRAS window is open (and that it is closed
+// when rasLeft is 0), and the next refresh time. It returns "" when they
+// agree.
+func diffRef(c *Controller, i int, r *refBank) string {
+	type state struct {
+		row               int64
+		dirty             bool
+		busy, nextRefresh sim.Time
+	}
+	b := &c.banks[i]
+	free := b.busy.FreeAt()
+	got := state{openRow(b), dirty(b), free, c.nextRefresh(b, i)}
+	want := state{r.openRow, r.dirty, r.busy.FreeAt(), r.nextRefresh}
+	if got != want {
+		return fmt.Sprintf("bank %d: %+v, reference %+v", i, got, want)
+	}
+	rasEnd := r.lastActivate + c.timing.TRAS
+	if b.rasLeft > 0 && free+sim.Time(b.rasLeft) != rasEnd ||
+		b.rasLeft == 0 && rasEnd > free {
+		return fmt.Sprintf("bank %d: tRAS window %v past busy %v, reference activate %v + tRAS %v",
+			i, b.rasLeft, free, r.lastActivate, c.timing.TRAS)
+	}
+	return ""
+}
+
+// sumStats adds up the reference banks' counters.
+func sumStats(refs []refBank) BankStats {
+	var sum BankStats
+	for i := range refs {
+		s := refs[i].stats
+		sum.Reads += s.Reads
+		sum.Writes += s.Writes
+		sum.RowHits += s.RowHits
+		sum.RowMisses += s.RowMisses
+		sum.RowConflicts += s.RowConflicts
+		sum.Refreshes += s.Refreshes
+		sum.BusyTime += s.BusyTime
+	}
+	return sum
+}
+
 // TestControllerMatchesRef drives random read/write sequences, spanning
 // many refresh intervals, through a Controller and through one refBank
 // per bank. Every completion time and every bank's state must agree, and
@@ -134,6 +187,10 @@ func TestControllerMatchesRef(t *testing.T) {
 				}
 				bank := rng.Intn(n)
 				row := rng.Int63n(rows)
+				if seed%2 == 0 {
+					// Rows that differ only above bit 31.
+					row = 1<<40 | row<<32
+				}
 				kind := Read
 				if rng.Intn(3) == 0 {
 					kind = Write
@@ -144,24 +201,11 @@ func TestControllerMatchesRef(t *testing.T) {
 					t.Fatalf("%s seed %d step %d: bank %d row %d %v done %v, reference %v",
 						tc.name, seed, step, bank, row, kind, got, want)
 				}
-				b, r := &c.banks[bank], &refs[bank]
-				if b.openRow != r.openRow || b.dirty != r.dirty || b.lastActivate != r.lastActivate ||
-					b.busy != r.busy || b.nextRefresh != r.nextRefresh {
-					t.Fatalf("%s seed %d step %d: bank %d state %+v, reference %+v",
-						tc.name, seed, step, bank, *b, *r)
+				if d := diffRef(&c, bank, &refs[bank]); d != "" {
+					t.Fatalf("%s seed %d step %d: %s", tc.name, seed, step, d)
 				}
 			}
-			var sum BankStats
-			for i := range refs {
-				s := refs[i].stats
-				sum.Reads += s.Reads
-				sum.Writes += s.Writes
-				sum.RowHits += s.RowHits
-				sum.RowMisses += s.RowMisses
-				sum.RowConflicts += s.RowConflicts
-				sum.Refreshes += s.Refreshes
-				sum.BusyTime += s.BusyTime
-			}
+			sum := sumStats(refs)
 			if got := c.Stats(); got != sum {
 				t.Fatalf("%s seed %d: controller stats %+v, sum of reference banks %+v",
 					tc.name, seed, got, sum)
@@ -174,4 +218,94 @@ func TestControllerMatchesRef(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzControllerRef runs a Controller beside one refBank per bank under
+// arbitrary timings (TRAS up to config.MaxTRAS, refresh intervals down to
+// 1 ps), refresh phases and staggers, and 64-bit rows. ops is a list of
+// 3-byte accesses: the bank; a byte whose low two bits pick one of the
+// four rows, whose bit 2 makes it a write and whose high five bits are a
+// shift; and a gap mantissa, so the access arrives gap<<shift after the
+// previous one.
+func FuzzControllerRef(f *testing.F) {
+	d, v := config.Default().DRAMTiming, config.Default().NVMTiming
+	for _, tm := range []config.MemTiming{d, v} {
+		f.Add(uint64(tm.TRCD), uint64(tm.TCL), uint64(tm.TRP), uint64(tm.TRAS), uint64(tm.TWR),
+			uint64(tm.Burst), uint64(tm.RefInterval), uint64(tm.RefDuration),
+			uint64(3*sim.Microsecond), uint64(97*sim.Nanosecond), uint8(4),
+			uint64(0), uint64(1), uint64(1<<40), uint64(1<<62),
+			[]byte("\x00\x04\x10\x01\x01\x30\x00\x02\x60\x02\x07\x20\x01\xa3\xff\x03\x00\x01"))
+	}
+	f.Fuzz(func(t *testing.T, trcd, tcl, trp, tras, twr, burst, refInt, refDur, phase, stagger uint64,
+		nBanks uint8, r0, r1, r2, r3 uint64, ops []byte) {
+		const timingCap = 1 << 33
+		tm := config.MemTiming{
+			TRCD:  sim.Time(trcd % timingCap),
+			TCL:   sim.Time(tcl % timingCap),
+			TRP:   sim.Time(trp % timingCap),
+			TRAS:  sim.Time(tras % (uint64(config.MaxTRAS) + 1)),
+			TWR:   sim.Time(twr % timingCap),
+			Burst: sim.Time(burst % timingCap),
+		}
+		if refInt%timingCap != 0 {
+			// A refresh must end before the next begins, or the
+			// reference never leaves its refresh loop.
+			tm.RefInterval = sim.Time(refInt % timingCap)
+			tm.RefDuration = sim.Time(refDur % uint64(tm.RefInterval))
+		}
+		n := 1 + int(nBanks%16)
+		// Keep phase + (n-1)*stagger well inside int64.
+		ph, st := sim.Time(phase>>3), sim.Time(stagger>>7)
+		var rows [4]int64
+		for i, r := range []uint64{r0, r1, r2, r3} {
+			rows[i] = int64(r &^ dirtyBit)
+			if rows[i] == math.MaxInt64 {
+				rows[i]-- // the one int64 row the packed record cannot hold
+			}
+		}
+		if len(ops) > 3*512 {
+			ops = ops[:3*512]
+		}
+		ops = ops[:len(ops)/3*3]
+
+		// Each access can wait out every timing once, so the run ends
+		// before this horizon; both models step through every refresh
+		// up to it, so keep that count bounded.
+		perAccess := tm.TRCD + tm.TCL + tm.TRP + tm.TRAS + tm.TWR + tm.Burst + tm.RefDuration
+		horizon := sim.Time(len(ops)/3) * perAccess
+		for i := 0; i < len(ops); i += 3 {
+			horizon += sim.Time(ops[i+2]) << (ops[i+1] >> 3)
+		}
+		if tm.RefInterval > 0 && horizon/tm.RefInterval > 1<<16 {
+			return
+		}
+
+		c := NewController(tm, n, ph, st)
+		refs := make([]refBank, n)
+		for i := range refs {
+			refs[i] = newRefBank(tm, ph+sim.Time(i)*st)
+		}
+		var now sim.Time
+		for i := 0; i < len(ops); i += 3 {
+			now += sim.Time(ops[i+2]) << (ops[i+1] >> 3)
+			bank := int(ops[i]) % n
+			row := rows[ops[i+1]&3]
+			kind := Read
+			if ops[i+1]&4 != 0 {
+				kind = Write
+			}
+			got := c.Access(now, bank, row, kind)
+			want := refs[bank].Access(now, row, kind)
+			if got != want {
+				t.Fatalf("access %d: bank %d row %d %v at %v done %v, reference %v (timing %+v)",
+					i/3, bank, row, kind, now, got, want, tm)
+			}
+			if d := diffRef(&c, bank, &refs[bank]); d != "" {
+				t.Fatalf("access %d at %v: %s (timing %+v)", i/3, now, d, tm)
+			}
+		}
+		if got, want := c.Stats(), sumStats(refs); got != want {
+			t.Fatalf("controller stats %+v, sum of reference banks %+v", got, want)
+		}
+	})
 }

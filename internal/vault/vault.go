@@ -109,8 +109,8 @@ func New(eng *sim.Engine, cfg Config) *Quadrant {
 }
 
 // Init makes the zero Quadrant q a quadrant whose cfg.Banks banks live
-// in banks, as New does, so that a network can lay out all its
-// quadrants, and all their banks, in one slice each. Refresh phases are
+// in banks, which must be zero, as New does, so that a network can lay
+// out all its quadrants, and all their banks, in one slice each. Refresh phases are
 // staggered by bank index so a cube's banks do not refresh in lockstep.
 // It panics if q was already initialized or banks does not hold
 // cfg.Banks banks.

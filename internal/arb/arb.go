@@ -17,6 +17,9 @@
 package arb
 
 import (
+	"fmt"
+	"math"
+
 	"memnet/internal/packet"
 )
 
@@ -106,7 +109,9 @@ func New(kind Kind, cfg Config) Policy {
 // allocated at the first contended pick, whole when the router has
 // told the arbiter its port count (SetPorts), so an arbiter allocates
 // once; past that size they grow to fit, and steady-state picks never
-// allocate.
+// allocate. Both tables hold 32-bit counters, and a pick panics rather
+// than overflow one: a key's rotation at its 2^31st pick, a smooth
+// counter if it would leave the int32 range.
 type Arbiter struct {
 	kind   Kind
 	demote int64
@@ -119,8 +124,8 @@ type Arbiter struct {
 	ports int
 	keys  int
 	width int
-	rot   []int
-	state []int64
+	rot   []int32
+	state []int32
 }
 
 // Init makes the zero Arbiter a policy of the given kind, so that a
@@ -185,12 +190,12 @@ func (a *Arbiter) fit(key, last int) {
 	}
 	keys := max(key+1, a.keys, a.ports*int(packet.NumVCs))
 	if strict {
-		a.rot = append(a.rot, make([]int, keys-a.keys)...)
+		a.rot = append(a.rot, make([]int32, keys-a.keys)...)
 		a.keys = keys
 		return
 	}
 	width := max(last+1, a.width, a.ports)
-	state := make([]int64, keys*width)
+	state := make([]int32, keys*width)
 	for k := 0; k < a.keys; k++ {
 		copy(state[k*width:], a.state[k*a.width:(k+1)*a.width])
 	}
@@ -206,10 +211,13 @@ func (a *Arbiter) Pick(out int, vc packet.VC, candidates []int, heads []*packet.
 	a.fit(key, candidates[len(candidates)-1])
 	if a.strict() {
 		rot := a.rot[key]
+		if rot == math.MaxInt32 {
+			panic(fmt.Sprintf("arb: rotation of output %d VC %d overflows int32", out, vc))
+		}
 		best := -1
 		var bestVal int64
 		for k := 0; k < len(candidates); k++ {
-			j := (rot + k) % len(candidates)
+			j := (int(rot) + k) % len(candidates)
 			w := a.weight(heads[j])
 			if best == -1 || w > bestVal {
 				best = candidates[j]
@@ -226,13 +234,23 @@ func (a *Arbiter) Pick(out int, vc packet.VC, candidates []int, heads []*packet.
 	var bestVal int64
 	for k, c := range candidates {
 		w := a.weight(heads[k])
-		cur[c] += w
+		v := int64(cur[c]) + w
+		cur[c] = counter(v, out, vc)
 		total += w
-		if best == -1 || cur[c] > bestVal {
+		if best == -1 || v > bestVal {
 			best = c
-			bestVal = cur[c]
+			bestVal = v
 		}
 	}
-	cur[best] -= total
+	cur[best] = counter(bestVal-total, out, vc)
 	return best
+}
+
+// counter narrows smooth counter v of output out's vc to its table's
+// 32 bits, panicking if it does not fit.
+func counter(v int64, out int, vc packet.VC) int32 {
+	if v != int64(int32(v)) {
+		panic(fmt.Sprintf("arb: smooth counter %d of output %d VC %d overflows int32", v, out, vc))
+	}
+	return int32(v)
 }

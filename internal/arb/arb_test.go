@@ -1,6 +1,7 @@
 package arb
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -207,4 +208,38 @@ func TestPickAllocationFree(t *testing.T) {
 			t.Errorf("%v: %v allocations per Pick, want 0", k, n)
 		}
 	}
+}
+
+// TestCounterOverflowPanics: the 32-bit tables panic instead of
+// wrapping, for a strict rotation at its limit and for a smooth counter
+// pushed past it; a pick just below either limit succeeds.
+func TestCounterOverflowPanics(t *testing.T) {
+	a, b := &packet.Packet{Kind: packet.ReadResp}, &packet.Packet{Kind: packet.ReadResp}
+	pick := func(p *Arbiter) { p.Pick(0, packet.VCResponse, []int{0, 1}, heads(a, b)) }
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	key := int(packet.VCResponse)
+
+	strict := New(Distance, Config{}).(*Arbiter)
+	pick(strict)
+	strict.rot[key] = math.MaxInt32 - 1
+	pick(strict)
+	if strict.rot[key] != math.MaxInt32 {
+		t.Fatalf("rotation %d, want %d", strict.rot[key], math.MaxInt32)
+	}
+	mustPanic("a pick at the rotation limit", func() { pick(strict) })
+
+	smooth := New(RoundRobin, Config{}).(*Arbiter)
+	pick(smooth)
+	smooth.state[key*smooth.width+1] = math.MaxInt32 - 1
+	pick(smooth) // input 1 reaches the limit and wins
+	smooth.state[key*smooth.width+1] = math.MaxInt32
+	mustPanic("a smooth counter past the limit", func() { pick(smooth) })
 }

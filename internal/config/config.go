@@ -65,6 +65,10 @@ type MemTiming struct {
 	RefDuration sim.Time
 }
 
+// MaxBufferPackets is the deepest per-VC link buffer, in packets: a
+// link direction counts its credits in 32 bits.
+const MaxBufferPackets = 1 << 30
+
 // MaxTRAS is the largest TRAS a timing set may have: a bank keeps the
 // part of its tRAS window still ahead of it in 32 bits of picoseconds.
 const MaxTRAS = sim.Time(1<<32 - 1)
@@ -135,7 +139,8 @@ type System struct {
 	// quadrant (1ns).
 	WrongQuadrantPenalty sim.Time
 	// LinkBufferPackets is the per-VC input buffer depth at each link
-	// endpoint, in packets; this is what credits count.
+	// endpoint, in packets; this is what credits count. At most
+	// MaxBufferPackets.
 	LinkBufferPackets int
 
 	// InterleaveBytes is the address-to-port interleaving granularity
@@ -252,8 +257,8 @@ func (s *System) ValidateBase() error {
 			s.BanksPerCube, s.Quadrants)
 	case s.LinkLanes <= 0 || s.LaneRateBps <= 0:
 		return fmt.Errorf("config: link bandwidth must be positive")
-	case s.LinkBufferPackets <= 0:
-		return fmt.Errorf("config: LinkBufferPackets must be positive")
+	case s.LinkBufferPackets <= 0 || s.LinkBufferPackets > MaxBufferPackets:
+		return fmt.Errorf("config: LinkBufferPackets %d outside [1, %d]", s.LinkBufferPackets, MaxBufferPackets)
 	case s.InterleaveBytes == 0 || s.InterleaveBytes&(s.InterleaveBytes-1) != 0:
 		return fmt.Errorf("config: InterleaveBytes must be a power of two, got %d", s.InterleaveBytes)
 	case s.MaxOutstanding <= 0:

@@ -110,6 +110,7 @@ func TestValidateErrors(t *testing.T) {
 		{"banks%quad", func(s *System) { s.BanksPerCube = 255 }},
 		{"link bw", func(s *System) { s.LaneRateBps = 0 }},
 		{"buffers", func(s *System) { s.LinkBufferPackets = 0 }},
+		{"deep buffers", func(s *System) { s.LinkBufferPackets = MaxBufferPackets + 1 }},
 		{"interleave pow2", func(s *System) { s.InterleaveBytes = 257 }},
 		{"window", func(s *System) { s.MaxOutstanding = 0 }},
 		{"cap%ports", func(s *System) { s.Ports = 7 }},

@@ -8,8 +8,11 @@ import (
 
 	"memnet/internal/arb"
 	"memnet/internal/config"
+	"memnet/internal/link"
 	"memnet/internal/mem"
+	"memnet/internal/sim"
 	"memnet/internal/topology"
+	"memnet/internal/vault"
 	"memnet/internal/workload"
 )
 
@@ -112,8 +115,10 @@ func buildCases(tb testing.TB) []buildCase {
 // bytes and allocations, most of them the modelled network rather than
 // bank bookkeeping. Each budget is a value measured on go1.24/amd64
 // plus 10%, and budgets are only ever tightened; a tree build measures
-// 269 KB. A 40 B bank record, with its activate and next refresh times
-// in full, would put the tree build near 335 KB; banks that each carried
+// 237 KB. Link directions that each carried their fault record, a
+// wakeup holding its handler, and quadrants holding a copy of their
+// timing would put it near 269 KB; a 40 B bank record, with its activate
+// and next refresh times in full, near 335 KB; banks that each carried
 // a timing copy and counters near 850 KB; a heap object and bound
 // closures per link direction, buffer, router and quadrant near 1,700
 // allocations; a bank slice and completion closure per quadrant and a
@@ -124,17 +129,29 @@ func TestBuildFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	// 256 banks per cube: the per-bank record is most of a build.
-	if sz := unsafe.Sizeof(mem.Bank{}); sz > 24 {
-		t.Errorf("mem.Bank is %d B, want <= 24", sz)
+	// The records a build makes hundreds of: 256 banks per cube, eight
+	// link directions and four quadrants per cube, and a wakeup in every
+	// direction and router.
+	for _, c := range []struct {
+		name     string
+		sz, want uintptr
+	}{
+		{"mem.Bank", unsafe.Sizeof(mem.Bank{}), 24},
+		{"link.Direction", unsafe.Sizeof(link.Direction{}), 304},
+		{"sim.Wakeup", unsafe.Sizeof(sim.Wakeup{}), 40},
+		{"vault.Quadrant", unsafe.Sizeof(vault.Quadrant{}), 296},
+	} {
+		if c.sz > c.want {
+			t.Errorf("%s is %d B, want <= %d", c.name, c.sz, c.want)
+		}
 	}
 	budgets := map[string]struct{ bytes, allocs uint64 }{ // per build
-		"tree":           {296_100, 91},
-		"skiplist-nvm50": {205_200, 92},
-		"chain":          {296_000, 88},
-		"ring":           {296_400, 92},
-		"metacube":       {314_500, 93},
-		"mesh":           {310_000, 99},
+		"tree":           {260_800, 88},
+		"skiplist-nvm50": {182_000, 89},
+		"chain":          {260_700, 85},
+		"ring":           {270_100, 89},
+		"metacube":       {280_100, 90},
+		"mesh":           {274_800, 96},
 	}
 	for _, tc := range buildCases(t) {
 		const builds = 20
@@ -156,6 +173,37 @@ func TestBuildFootprint(t *testing.T) {
 		}
 		if allocs > b.allocs {
 			t.Errorf("%s: %d allocations per build, budget %d", tc.name, allocs, b.allocs)
+		}
+	}
+}
+
+// TestNoFaultRecordsWithoutFaults: without a fault plan no link
+// direction has a fault record, before or after a run: only a direction
+// given a CRC model, failed or down-bound makes one.
+func TestNoFaultRecordsWithoutFaults(t *testing.T) {
+	for _, tc := range buildCases(t) {
+		p := tc.p
+		p.Transactions = 2000
+		in, err := Build(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := in.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var dirs []*link.Direction
+		for _, e := range in.dirs {
+			dirs = append(dirs, e.ab, e.ba)
+		}
+		for _, r := range in.routers {
+			for i := 0; r != nil && i < r.NumPorts(); i++ {
+				dirs = append(dirs, r.Output(i))
+			}
+		}
+		for i, d := range dirs {
+			if d.HasFaults() {
+				t.Errorf("%s: direction %d of %d has a fault record", tc.name, i, len(dirs))
+			}
 		}
 	}
 }

@@ -200,6 +200,9 @@ type Instance struct {
 	// the host, and a cube's quadrants in index order.
 	routers   []*router.Router
 	quadrants [][]vault.Quadrant
+	// timing holds the build's DRAM and NVM timing sets, indexed by
+	// config.MemTech, which every quadrant of the technology shares.
+	timing [2]config.MemTiming
 
 	// nodes is the build's per-node table, indexed by node ID: every
 	// router routes through its node's entry, every quadrant takes its
@@ -421,6 +424,7 @@ func Build(p Params) (*Instance, error) {
 	for i, n := range g.Nodes {
 		inst.nodes[i] = nodeCtx{in: inst, id: n.ID, extDeg: g.Degree(n.ID), isCube: n.Kind == topology.Cube}
 	}
+	inst.timing[config.DRAM], inst.timing[config.NVM] = p.Sys.DRAMTiming, p.Sys.NVMTiming
 
 	// Precompute and validate the fault plan: every scheduled fault's
 	// degraded routing graph and re-home target is built here, so an
@@ -494,8 +498,10 @@ func Build(p Params) (*Instance, error) {
 	// pair per edge and per quadrant; an input buffer per external router
 	// port, plus two per quadrant (its request queue and its port on the
 	// router); and every quadrant's banks, which are ready to use as
-	// allocated (a zero mem.Bank is closed, clean and unrefreshed). take
-	// hands out their elements in order; the slices never grow, so the
+	// allocated (a zero mem.Bank is closed, clean and unrefreshed). With
+	// a fault plan, every edge direction also takes a fault record from
+	// one more slab; without one no direction has a record. take hands
+	// out their elements in order; the slices never grow, so the
 	// pointers wired below stay valid.
 	nRouters, nPorts, nCubes := 0, 0, 0
 	for _, n := range g.Nodes {
@@ -516,6 +522,10 @@ func Build(p Params) (*Instance, error) {
 	bankSlab := make([]mem.Bank, nQuads*nBanks)
 	dirSlab := make([]link.Direction, 0, 2*len(g.Edges)+2*nQuads)
 	bufSlab := make([]link.Buffer, 0, nPorts+2*nQuads)
+	var faultSlab []link.Faults
+	if faultOn {
+		faultSlab = make([]link.Faults, 0, 2*len(g.Edges))
+	}
 	newDir := func(cfg link.Config) *link.Direction {
 		d := take(&dirSlab)
 		d.Init(eng, cfg, meter)
@@ -610,6 +620,10 @@ func Build(p Params) (*Instance, error) {
 			cfg.NoVCPriority = *l.VCs == 1
 		}
 		dirs[ei] = edgeDirs{ab: newDir(cfg), ba: newDir(cfg)}
+		if faultOn {
+			dirs[ei].ab.SetFaults(take(&faultSlab))
+			dirs[ei].ba.SetFaults(take(&faultSlab))
+		}
 		// Bit errors afflict package-to-package SerDes channels; the
 		// wide parallel interposer traces inside a MetaCube are exempt.
 		if faultOn && !e.Interposer {
@@ -711,7 +725,6 @@ func Build(p Params) (*Instance, error) {
 			q := take(&quadSlab)
 			q.Init(eng, vault.Config{
 				Tech:        n.Tech,
-				Timing:      p.Sys.Timing(n.Tech),
 				Index:       qi,
 				ExtPorts:    inst.nodes[node].extDeg,
 				Penalty:     p.Sys.WrongQuadrantPenalty,
@@ -719,7 +732,7 @@ func Build(p Params) (*Instance, error) {
 				MaxInflight: inflight,
 				BankMap:     bankMap,
 				Meter:       meter,
-			}, bankSlab[:nBanks:nBanks])
+			}, bankSlab[:nBanks:nBanks], &inst.timing[n.Tech])
 			q.SetReturnPath(&inst.nodes[node])
 			bankSlab = bankSlab[nBanks:]
 			q.Attach(newBuf(p.Tuning.VaultQueueDepth, toQuad), fromQuad)

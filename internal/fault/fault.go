@@ -189,40 +189,40 @@ func (c *Config) Validate() error {
 	case c.RetryBackoff < 0:
 		return fmt.Errorf("fault: negative RetryBackoff %v", c.RetryBackoff)
 	case c.WatchdogInterval < 0 || c.WatchdogStale < 0:
-		return fmt.Errorf("fault: negative watchdog parameters")
+		return fmt.Errorf("fault: negative WatchdogInterval %v or WatchdogStale %d", c.WatchdogInterval, c.WatchdogStale)
 	}
-	for _, k := range c.KillLinks {
+	for i, k := range c.KillLinks {
 		if k.At < 0 || k.Edge < 0 {
-			return fmt.Errorf("fault: invalid link kill %+v", k)
+			return fmt.Errorf("fault: KillLinks[%d]: invalid link kill %+v", i, k)
 		}
 	}
-	for _, k := range c.KillCubes {
+	for i, k := range c.KillCubes {
 		if k.At < 0 || k.Node <= packet.HostNode {
-			return fmt.Errorf("fault: invalid cube kill %+v", k)
+			return fmt.Errorf("fault: KillCubes[%d]: invalid cube kill %+v", i, k)
 		}
 	}
-	for _, k := range c.LaneFails {
+	for i, k := range c.LaneFails {
 		if k.At < 0 || k.Edge < 0 {
-			return fmt.Errorf("fault: invalid lane failure %+v", k)
+			return fmt.Errorf("fault: LaneFails[%d]: invalid lane failure %+v", i, k)
 		}
 	}
-	for _, r := range c.RepairLinks {
+	for i, r := range c.RepairLinks {
 		if r.At < 0 || r.Edge < 0 {
-			return fmt.Errorf("fault: invalid link repair %+v", r)
+			return fmt.Errorf("fault: RepairLinks[%d]: invalid link repair %+v", i, r)
 		}
 	}
-	for _, r := range c.RepairCubes {
+	for i, r := range c.RepairCubes {
 		if r.At < 0 || r.Node <= packet.HostNode {
-			return fmt.Errorf("fault: invalid cube repair %+v", r)
+			return fmt.Errorf("fault: RepairCubes[%d]: invalid cube repair %+v", i, r)
 		}
 	}
-	for _, f := range c.LaneFlaps {
+	for i, f := range c.LaneFlaps {
 		if f.Down < 0 || f.Edge < 0 {
-			return fmt.Errorf("fault: invalid lane flap %+v", f)
+			return fmt.Errorf("fault: LaneFlaps[%d]: invalid lane flap %+v", i, f)
 		}
 		if f.Up <= f.Down {
-			return fmt.Errorf("fault: lane flap on edge %d ends at %v, at or before its start %v",
-				f.Edge, f.Up, f.Down)
+			return fmt.Errorf("fault: LaneFlaps[%d]: lane flap on edge %d ends at %v, at or before its start %v",
+				i, f.Edge, f.Up, f.Down)
 		}
 	}
 	if c.RetrainWindow < 0 {
@@ -349,18 +349,18 @@ func (c *Config) Build() ([]Event, error) {
 	}
 	for _, k := range c.KillLinks {
 		if len(flapEdges[k.Edge]) > 0 {
-			return nil, fmt.Errorf("fault: edge %d has both a kill and a lane flap", k.Edge)
+			return nil, fmt.Errorf("fault: KillLinks and LaneFlaps: edge %d has both a kill and a lane flap", k.Edge)
 		}
 	}
 	for _, k := range c.LaneFails {
 		if len(flapEdges[k.Edge]) > 0 {
-			return nil, fmt.Errorf("fault: edge %d has both a permanent lane failure and a lane flap", k.Edge)
+			return nil, fmt.Errorf("fault: LaneFails and LaneFlaps: edge %d has both a permanent lane failure and a lane flap", k.Edge)
 		}
 		// Retraining re-binds the full lane set, which would silently
 		// heal a permanent lane failure on the same edge.
 		for _, r := range c.RepairLinks {
 			if r.Edge == k.Edge {
-				return nil, fmt.Errorf("fault: edge %d has both a permanent lane failure and a link repair", k.Edge)
+				return nil, fmt.Errorf("fault: LaneFails and RepairLinks: edge %d has both a permanent lane failure and a link repair", k.Edge)
 			}
 		}
 	}
@@ -374,7 +374,7 @@ func (c *Config) Build() ([]Event, error) {
 		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Down < sorted[j].Down })
 		for i := 1; i < len(sorted); i++ {
 			if sorted[i].Down <= sorted[i-1].Up {
-				return nil, fmt.Errorf("fault: overlapping lane flaps on edge %d ([%v,%v] and [%v,%v])",
+				return nil, fmt.Errorf("fault: LaneFlaps: overlapping lane flaps on edge %d ([%v,%v] and [%v,%v])",
 					edge, sorted[i-1].Down, sorted[i-1].Up, sorted[i].Down, sorted[i].Up)
 			}
 		}
@@ -389,35 +389,35 @@ func (c *Config) Build() ([]Event, error) {
 		switch ev.Kind {
 		case EvKillLink:
 			if linkDown[ev.Edge] {
-				return nil, fmt.Errorf("fault: edge %d killed at %v while already down (repair it first)",
+				return nil, fmt.Errorf("fault: KillLinks: edge %d killed at %v while already down or retraining (it must be up)",
 					ev.Edge, ev.At)
 			}
 			linkDown[ev.Edge] = true
 			linkKillAt[ev.Edge] = ev.At
 		case EvRepairLink:
 			if !linkDown[ev.Edge] {
-				return nil, fmt.Errorf("fault: repair of edge %d at %v, which is not down (no earlier kill)",
+				return nil, fmt.Errorf("fault: RepairLinks: repair of edge %d at %v, which is not down (no earlier kill)",
 					ev.Edge, ev.Start)
 			}
 			if ev.Start <= linkKillAt[ev.Edge] {
-				return nil, fmt.Errorf("fault: repair of edge %d at %v, at or before its kill at %v",
+				return nil, fmt.Errorf("fault: RepairLinks: repair of edge %d at %v, at or before its kill at %v",
 					ev.Edge, ev.Start, linkKillAt[ev.Edge])
 			}
 			linkDown[ev.Edge] = false
 		case EvKillCube:
 			if cubeDown[ev.Node] {
-				return nil, fmt.Errorf("fault: cube %d killed at %v while already dead (repair it first)",
+				return nil, fmt.Errorf("fault: KillCubes: cube %d killed at %v while already dead (repair it first)",
 					ev.Node, ev.At)
 			}
 			cubeDown[ev.Node] = true
 			cubeKillAt[ev.Node] = ev.At
 		case EvRepairCube:
 			if !cubeDown[ev.Node] {
-				return nil, fmt.Errorf("fault: repair of cube %d at %v, which is not dead (no earlier kill)",
+				return nil, fmt.Errorf("fault: RepairCubes: repair of cube %d at %v, which is not dead (no earlier kill)",
 					ev.Node, ev.At)
 			}
 			if ev.At <= cubeKillAt[ev.Node] {
-				return nil, fmt.Errorf("fault: repair of cube %d at %v, at or before its kill at %v",
+				return nil, fmt.Errorf("fault: RepairCubes: repair of cube %d at %v, at or before its kill at %v",
 					ev.Node, ev.At, cubeKillAt[ev.Node])
 			}
 			cubeDown[ev.Node] = false

@@ -90,10 +90,9 @@ type Port struct {
 	// of them, injection allocates no packet.
 	pool packet.Pool
 
-	// Bound callbacks, built once so Kick/armTimer/retireSlots schedule
-	// without per-call closure allocations.
-	pumpFn   sim.Handler
-	timerFn  sim.Handler
+	// retireFn is retireSlots' event, bound once so that scheduling it
+	// allocates nothing; its argument is the slot count. Kick and
+	// armTimer schedule the package-level pumpEvent and timerEvent.
 	retireFn sim.ArgHandler
 
 	// spanHook, if set (SetSpanHook), observes every injection with the
@@ -158,14 +157,6 @@ func New(eng *sim.Engine, cfg Config, gen workload.Generator, wire Wiring, colle
 	// The window bounds the packets in flight, so a run whose packets
 	// all come back allocates none after this.
 	p.pool.Reserve(cfg.MaxOutstanding)
-	p.pumpFn = func() {
-		p.kickPending = false
-		p.pump()
-	}
-	p.timerFn = func() {
-		p.timerSet = false
-		p.pump()
-	}
 	p.retireFn = func(arg any) {
 		p.inflight -= arg.(int)
 		p.Kick()
@@ -173,12 +164,31 @@ func New(eng *sim.Engine, cfg Config, gen workload.Generator, wire Wiring, colle
 	return p
 }
 
-// Attach wires the port's outgoing direction (toward the root cube) and
-// registers for its space callbacks.
+// pumpEvent is every port's injection attempt scheduled by Kick; its
+// argument is the Port.
+func pumpEvent(arg any) {
+	p := arg.(*Port)
+	p.kickPending = false
+	p.pump()
+}
+
+// timerEvent is every port's pump at a staged transaction's arrival
+// time, scheduled by armTimer; its argument is the Port.
+func timerEvent(arg any) {
+	p := arg.(*Port)
+	p.timerSet = false
+	p.pump()
+}
+
+// Attach wires the port's outgoing direction (toward the root cube);
+// the port is its space listener.
 func (p *Port) Attach(out *link.Direction) {
 	p.out = out
-	out.SetOnSpace(func(packet.VC) { p.Kick() })
+	out.SetSpaceListener(p)
 }
+
+// OnSpace resumes injection when the outgoing direction frees a slot.
+func (p *Port) OnSpace(packet.VC) { p.Kick() }
 
 // SetSpanHook wires the span tracer's injection observer: fn sees every
 // packet right after its header is built, with the window/coherence/
@@ -274,7 +284,7 @@ func (p *Port) Kick() {
 		return
 	}
 	p.kickPending = true
-	p.eng.Schedule(0, p.pumpFn)
+	p.eng.ScheduleArg(0, pumpEvent, p)
 }
 
 // pump injects as many transactions as the window, link credits, arrival
@@ -407,5 +417,5 @@ func (p *Port) armTimer(at sim.Time) {
 		return
 	}
 	p.timerSet = true
-	p.eng.At(at, p.timerFn)
+	p.eng.AtArg(at, timerEvent, p)
 }

@@ -15,6 +15,7 @@ package link
 import (
 	"fmt"
 
+	"memnet/internal/config"
 	"memnet/internal/fault"
 	"memnet/internal/packet"
 	"memnet/internal/sim"
@@ -76,7 +77,8 @@ type Config struct {
 	// QueueDepth bounds the per-VC output queue on the sending side.
 	QueueDepth int
 	// Credits is the per-VC receiver buffer depth this direction may
-	// consume; transmission of a packet requires (and consumes) one.
+	// consume; transmission of a packet requires (and consumes) one. At
+	// most config.MaxBufferPackets.
 	Credits int
 	// NoVCPriority disables the default response-over-request
 	// prioritization, falling back to round-robin between VCs. Used by
@@ -134,6 +136,12 @@ func (s State) String() string {
 // Direction is one half of a full-duplex link: a bounded per-VC output
 // queue, a serially-reusable wire, and a credit counter for the remote
 // input buffer.
+//
+// A Direction holds only what every transmission touches. What only a
+// faulted direction needs lives in a separate Faults record, which a
+// direction has only once it is given a CRC fault model (AttachFault),
+// fails (Fail) or down-binds (Downbind). Most directions of a network,
+// the cube-internal router<->vault connections, never have one.
 type Direction struct {
 	eng   *sim.Engine
 	cfg   Config
@@ -142,8 +150,7 @@ type Direction struct {
 	wire sim.Resource
 	// queue holds each VC's waiting packets, stamped with their enqueue
 	// time.
-	queue   [packet.NumVCs]packet.Queue
-	credits [packet.NumVCs]int
+	queue [packet.NumVCs]packet.Queue
 	// landing holds the packets on the wire, in the order they land:
 	// the wire is serial and the SerDes latency fixed, so each
 	// arriveEvent lands the head.
@@ -157,48 +164,41 @@ type Direction struct {
 	// packets out of its input buffers.
 	onSpace SpaceListener
 
-	pumpScheduled bool
-	// pumpEvents counts pump events in the queue. pumpEvent clears
-	// pumpScheduled whichever pump fires, so a CRC retry-ready pump
-	// landing before a pending wire-free pump lets a second wire-free
-	// pump be scheduled: pump events can overlap, and the wire-free pump
-	// is deferred (pumpWake) only when none is queued.
-	pumpEvents int
 	// pumpWake is the wire-free pump deferred when nothing is left to
 	// send: fired untouched it would only clear pumpScheduled.
 	pumpWake sim.Wakeup
-	lastVC   packet.VC // round-robin state when NoVCPriority
-	// stalled marks a VC whose head packet has already been counted in
-	// Stats.CreditStall, so pump re-probes don't inflate the counter; the
-	// flag clears when that VC next transmits.
-	stalled [packet.NumVCs]bool
 
-	// flt, when non-nil, injects CRC failures on every transmission; the
-	// corrupted packet is held in retryQ (the HMC-style link retry
-	// buffer) and retransmitted after an ack round-trip plus exponential
-	// backoff. Nil keeps the hot path schedule-identical to a fault-free
-	// link.
-	flt    *fault.LinkFault
-	retryQ []retryEntry
+	// credits holds each VC's transmit credits, in [0, cfg.Credits].
+	credits [packet.NumVCs]int32
+	// outstanding counts, per VC, packets launched toward the receiver
+	// whose credit will eventually come back via ReturnCredit (in
+	// flight on the wire or parked in the remote input buffer), in
+	// [0, cfg.Credits]. It is what CompleteRetrain subtracts when it
+	// re-arms the credit counters, so stale returns arriving after
+	// recovery cannot overflow them.
+	outstanding [packet.NumVCs]int32
+
+	// pumpEvents counts pump events in the queue: at most one wire-free
+	// pump plus one per retry-buffer entry, and each entry holds a
+	// credit. pumpEvent clears pumpScheduled whichever pump fires, so a
+	// CRC retry-ready pump landing before a pending wire-free pump lets
+	// a second wire-free pump be scheduled: pump events can overlap, and
+	// the wire-free pump is deferred (pumpWake) only when none is
+	// queued.
+	pumpEvents    int32
+	pumpScheduled bool
+	lastVC        packet.VC // round-robin state when NoVCPriority
 	// state is the service-state machine. Its only transitions are
 	// up->down (Fail), down->retraining (BeginRetrain) and
 	// retraining->up (CompleteRetrain), each guarded by a panic.
 	state State
+	// stalled has bit vc set while VC vc's head packet has already been
+	// counted in Stats.CreditStall, so pump re-probes don't inflate the
+	// counter; the bit clears when that VC next transmits.
+	stalled uint8
 
-	// origBps is the full-width serialization bandwidth bound at
-	// construction; retraining and flap recovery re-bind to it.
-	origBps int64
-	// outstanding counts, per VC, packets launched toward the receiver
-	// whose credit will eventually come back via ReturnCredit (in
-	// flight on the wire or parked in the remote input buffer). It is
-	// what CompleteRetrain subtracts when it re-arms the credit
-	// counters, so stale returns arriving after recovery cannot
-	// overflow them.
-	outstanding [packet.NumVCs]int
-	// healedBits counts bits sent after the direction's first
-	// completed retraining — the route-back evidence FaultCounters
-	// exposes as HealedBits.
-	healedBits uint64
+	// fs is the fault record, nil until the direction needs one.
+	fs *Faults
 
 	// onShip, when set (SetOnShip), observes every transmission that
 	// will land: enq/pop bound the output-queue residence, start/end the
@@ -206,7 +206,42 @@ type Direction struct {
 	// span tracer arms it; nil keeps the transmit path hook-free.
 	onShip func(p *packet.Packet, enq, pop, start, end sim.Time)
 
-	stats Stats
+	stats trafficStats
+}
+
+// trafficStats are the counters every transmission updates: the part
+// of Stats a fault-free direction moves.
+type trafficStats struct {
+	Sent        [packet.NumVCs]uint64
+	BitsSent    uint64
+	QueueWait   sim.Time
+	BusyTime    sim.Time
+	CreditStall uint64
+}
+
+// Faults is the part of a Direction that only a faulted direction
+// needs: the CRC fault model and the retry buffer it fills, the
+// bandwidth a down-bound or retrained direction re-binds to, and the
+// fault counters. A Direction makes its own when it first needs one,
+// unless given one first (SetFaults).
+type Faults struct {
+	// flt, when non-nil, injects CRC failures on every transmission; the
+	// corrupted packet is held in retryQ (the HMC-style link retry
+	// buffer) and retransmitted after an ack round-trip plus exponential
+	// backoff. Nil keeps the hot path schedule-identical to a fault-free
+	// link.
+	flt    *fault.LinkFault
+	retryQ []retryEntry
+	// origBps is the full-width serialization bandwidth the direction
+	// had when it took the record, which only a down-bind changes;
+	// retraining and flap recovery re-bind to it.
+	origBps int64
+	// healedBits counts bits sent after the direction's first
+	// completed retraining — the route-back evidence FaultCounters
+	// exposes as HealedBits.
+	healedBits uint64
+
+	crcErrors, retries, dropped, retrains uint64
 }
 
 // retryEntry is one packet parked in the retry buffer. It still holds
@@ -242,6 +277,9 @@ func (d *Direction) Init(eng *sim.Engine, cfg Config, meter Meter) {
 		panic(fmt.Sprintf("link: non-positive queue depth %d or credits %d",
 			cfg.QueueDepth, cfg.Credits))
 	}
+	if cfg.Credits > config.MaxBufferPackets {
+		panic(fmt.Sprintf("link: %d credits, more than %d", cfg.Credits, config.MaxBufferPackets))
+	}
 	if cfg.BandwidthBps <= 0 {
 		panic(fmt.Sprintf("link: non-positive bandwidth %d bps", cfg.BandwidthBps))
 	}
@@ -251,11 +289,31 @@ func (d *Direction) Init(eng *sim.Engine, cfg Config, meter Meter) {
 	if meter == nil {
 		meter = nopMeter{}
 	}
-	d.eng, d.cfg, d.meter, d.origBps = eng, cfg, meter, cfg.BandwidthBps
+	d.eng, d.cfg, d.meter = eng, cfg, meter
 	for vc := range d.credits {
-		d.credits[vc] = cfg.Credits
+		d.credits[vc] = int32(cfg.Credits)
 	}
-	d.pumpWake.Init(eng, pumpEvent, d)
+	d.pumpWake.Init(eng)
+}
+
+// SetFaults gives d the zero record f to hold its fault state, so that
+// a network can lay out the records of all the directions that may
+// fault in one slice. It panics if d is not initialized or already has
+// a record.
+func (d *Direction) SetFaults(f *Faults) {
+	if d.eng == nil || d.fs != nil {
+		panic("link: fault record for an uninitialized direction or a second one")
+	}
+	f.origBps = d.cfg.BandwidthBps
+	d.fs = f
+}
+
+// faults returns d's fault record, making one if d has none.
+func (d *Direction) faults() *Faults {
+	if d.fs == nil {
+		d.SetFaults(new(Faults))
+	}
+	return d.fs
 }
 
 // pumpEvent is every Direction's pump event; its argument is the
@@ -298,11 +356,32 @@ func (d *Direction) SetOnShip(fn func(p *packet.Packet, enq, pop, start, end sim
 func (d *Direction) SerDes() sim.Time { return d.cfg.SerDesLatency }
 
 // AttachFault arms CRC-failure injection on this direction. Call before
-// traffic flows; a nil model leaves the direction fault-free.
-func (d *Direction) AttachFault(f *fault.LinkFault) { d.flt = f }
+// traffic flows; a nil model leaves the direction fault-free and makes
+// no fault record.
+func (d *Direction) AttachFault(f *fault.LinkFault) {
+	if f == nil && d.fs == nil {
+		return
+	}
+	d.faults().flt = f
+}
+
+// HasFaults reports whether the direction has a fault record.
+func (d *Direction) HasFaults() bool { return d.fs != nil }
 
 // Stats returns a copy of the direction's counters.
-func (d *Direction) Stats() Stats { return d.stats }
+func (d *Direction) Stats() Stats {
+	s := Stats{
+		Sent:        d.stats.Sent,
+		BitsSent:    d.stats.BitsSent,
+		QueueWait:   d.stats.QueueWait,
+		BusyTime:    d.stats.BusyTime,
+		CreditStall: d.stats.CreditStall,
+	}
+	if f := d.fs; f != nil {
+		s.CRCErrors, s.Retries, s.Dropped, s.Retrains = f.crcErrors, f.retries, f.dropped, f.retrains
+	}
+	return s
+}
 
 // CanAccept reports whether the output queue of vc has room. A failed
 // or retraining direction accepts nothing.
@@ -314,10 +393,15 @@ func (d *Direction) CanAccept(vc packet.VC) bool {
 func (d *Direction) QueueLen(vc packet.VC) int { return d.queue[vc].Len() }
 
 // Credits reports the transmit credits currently available for vc.
-func (d *Direction) Credits(vc packet.VC) int { return d.credits[vc] }
+func (d *Direction) Credits(vc packet.VC) int { return int(d.credits[vc]) }
 
 // RetryLen reports how many packets sit in the retry buffer.
-func (d *Direction) RetryLen() int { return len(d.retryQ) }
+func (d *Direction) RetryLen() int {
+	if d.fs == nil {
+		return 0
+	}
+	return len(d.fs.retryQ)
+}
 
 // Bandwidth reports the current serialization bandwidth, after any
 // down-binding.
@@ -337,12 +421,18 @@ func (d *Direction) State() State { return d.state }
 // HealedBits reports the bits transmitted since the direction's first
 // completed retraining: nonzero exactly when traffic routed back onto
 // this direction after a repair.
-func (d *Direction) HealedBits() uint64 { return d.healedBits }
+func (d *Direction) HealedBits() uint64 {
+	if d.fs == nil {
+		return 0
+	}
+	return d.fs.healedBits
+}
 
 // Downbind halves the serialization bandwidth, modeling an HMC link
 // dropping to half width after a SerDes lane failure. Transmissions
 // already on the wire finish at the old rate.
 func (d *Direction) Downbind() {
+	d.faults() // holds the full width Rebind restores
 	if d.cfg.BandwidthBps > 1 {
 		d.cfg.BandwidthBps /= 2
 	}
@@ -350,9 +440,12 @@ func (d *Direction) Downbind() {
 
 // Rebind restores the full-width serialization bandwidth bound at
 // construction — the Up half of a lane flap, where the lane retrains
-// while the link keeps running at reduced width.
+// while the link keeps running at reduced width. A direction without a
+// fault record was never down-bound, so it is at full width already.
 func (d *Direction) Rebind() {
-	d.cfg.BandwidthBps = d.origBps
+	if d.fs != nil {
+		d.cfg.BandwidthBps = d.fs.origBps
+	}
 }
 
 // Fail kills the direction. Every packet waiting in the output queues or
@@ -365,16 +458,17 @@ func (d *Direction) Fail(drain func(*packet.Packet)) {
 		panic(fmt.Sprintf("link: Fail on a direction already %v", d.state))
 	}
 	d.state = Down
+	f := d.faults() // counts the retraining that restores d
 	for vc := range d.queue {
 		for d.queue[vc].Len() > 0 {
 			p, _ := d.queue[vc].Pop()
 			drain(p)
 		}
 	}
-	for _, r := range d.retryQ {
+	for _, r := range f.retryQ {
 		drain(r.p)
 	}
-	d.retryQ = nil
+	f.retryQ = nil
 }
 
 // BeginRetrain moves a failed direction into the retraining state: the
@@ -400,14 +494,15 @@ func (d *Direction) CompleteRetrain() {
 	if d.state != Retraining {
 		panic(fmt.Sprintf("link: CompleteRetrain on a direction that is %v, not retraining", d.state))
 	}
+	f := d.fs // made by Fail
 	d.state = Up
-	d.cfg.BandwidthBps = d.origBps
-	d.retryQ = nil
-	d.stats.Retrains++
+	d.cfg.BandwidthBps = f.origBps
+	f.retryQ = nil
+	f.retrains++
 	for vc := packet.VC(0); vc < packet.NumVCs; vc++ {
-		d.credits[vc] = d.cfg.Credits - d.outstanding[vc]
-		d.stalled[vc] = false
+		d.credits[vc] = int32(d.cfg.Credits) - d.outstanding[vc]
 	}
+	d.stalled = 0
 	if d.onSpace != nil {
 		for vc := packet.VC(0); vc < packet.NumVCs; vc++ {
 			d.onSpace.OnSpace(vc)
@@ -435,7 +530,7 @@ func (d *Direction) Send(p *packet.Packet) {
 func (d *Direction) ReturnCredit(vc packet.VC) {
 	d.credits[vc]++
 	d.outstanding[vc]--
-	if d.credits[vc] > d.cfg.Credits || d.outstanding[vc] < 0 {
+	if int(d.credits[vc]) > d.cfg.Credits || d.outstanding[vc] < 0 {
 		panic("link: credit overflow")
 	}
 	d.pump()
@@ -457,7 +552,7 @@ func (d *Direction) pump() {
 		d.pumpScheduled = false
 	} else if d.pumpWake.Deferred() && d.hasWork() {
 		d.pumpEvents++
-		d.pumpWake.Commit()
+		d.pumpWake.Commit(pumpEvent, d)
 	}
 	if d.state != Up || d.pumpScheduled {
 		return
@@ -490,7 +585,7 @@ func (d *Direction) pump() {
 // hasWork reports whether a packet waits in an output queue or the
 // retry buffer.
 func (d *Direction) hasWork() bool {
-	return d.queue[packet.VCRequest].Len()+d.queue[packet.VCResponse].Len()+len(d.retryQ) > 0
+	return d.queue[packet.VCRequest].Len()+d.queue[packet.VCResponse].Len()+d.RetryLen() > 0
 }
 
 // pickVC chooses the next virtual channel to serve: responses first by
@@ -504,8 +599,8 @@ func (d *Direction) pickVC() (packet.VC, bool) {
 			// One stall per deferred packet: the flag holds until this
 			// VC transmits, so pump re-probes of the same stuck head
 			// don't recount it.
-			if !d.stalled[vc] {
-				d.stalled[vc] = true
+			if d.stalled&(1<<vc) == 0 {
+				d.stalled |= 1 << vc
 				d.stats.CreditStall++
 			}
 			return false
@@ -536,7 +631,7 @@ func (d *Direction) pickVC() (packet.VC, bool) {
 func (d *Direction) transmit(vc packet.VC) {
 	p, enqueued := d.queue[vc].Pop()
 	d.credits[vc]--
-	d.stalled[vc] = false
+	d.stalled &^= 1 << vc
 
 	now := d.eng.Now()
 	d.stats.QueueWait += now - enqueued
@@ -546,8 +641,8 @@ func (d *Direction) transmit(vc packet.VC) {
 	d.stats.BusyTime += end - now
 	d.stats.Sent[vc]++
 	d.stats.BitsSent += uint64(bits)
-	if d.stats.Retrains > 0 {
-		d.healedBits += uint64(bits)
+	if f := d.fs; f != nil && f.retrains > 0 {
+		f.healedBits += uint64(bits)
 	}
 
 	d.finishTransmit(p, vc, 1, end, bits, enqueued, now)
@@ -564,10 +659,10 @@ func (d *Direction) transmit(vc packet.VC) {
 // trip (two SerDes traversals) plus an exponential backoff that doubles
 // per consecutive error, capped at 64x.
 func (d *Direction) finishTransmit(p *packet.Packet, vc packet.VC, attempts int, end sim.Time, bits int, enq, pop sim.Time) {
-	if d.flt != nil && d.flt.Corrupt(bits) {
-		d.stats.CRCErrors++
-		if d.flt.MaxRetries > 0 && attempts > d.flt.MaxRetries {
-			d.stats.Dropped++
+	if f := d.fs; f != nil && f.flt != nil && f.flt.Corrupt(bits) {
+		f.crcErrors++
+		if f.flt.MaxRetries > 0 && attempts > f.flt.MaxRetries {
+			f.dropped++
 			d.credits[vc]++ // the receiver slot was never filled
 			return
 		}
@@ -575,8 +670,8 @@ func (d *Direction) finishTransmit(p *packet.Packet, vc packet.VC, attempts int,
 		if shift > 6 {
 			shift = 6
 		}
-		readyAt := end + 2*d.cfg.SerDesLatency + d.flt.Backoff<<shift
-		d.retryQ = append(d.retryQ, retryEntry{p: p, vc: vc, bits: bits, attempts: attempts, readyAt: readyAt, enq: enq, pop: pop})
+		readyAt := end + 2*d.cfg.SerDesLatency + f.flt.Backoff<<shift
+		f.retryQ = append(f.retryQ, retryEntry{p: p, vc: vc, bits: bits, attempts: attempts, readyAt: readyAt, enq: enq, pop: pop})
 		d.pumpEvents++
 		d.eng.AtArg(readyAt, pumpEvent, d)
 		return
@@ -599,21 +694,25 @@ func (d *Direction) finishTransmit(p *packet.Packet, vc packet.VC, attempts int,
 // elapsed, if any. The wire must be idle. The entry keeps its original
 // credit, so no new credit is consumed.
 func (d *Direction) sendRetry(now sim.Time) bool {
-	for i, r := range d.retryQ {
+	f := d.fs
+	if f == nil {
+		return false
+	}
+	for i, r := range f.retryQ {
 		if r.readyAt > now {
 			continue
 		}
-		n := len(d.retryQ)
-		copy(d.retryQ[i:], d.retryQ[i+1:])
-		d.retryQ[n-1] = retryEntry{} // drop the vacated slot's packet reference
-		d.retryQ = d.retryQ[:n-1]
+		n := len(f.retryQ)
+		copy(f.retryQ[i:], f.retryQ[i+1:])
+		f.retryQ[n-1] = retryEntry{} // drop the vacated slot's packet reference
+		f.retryQ = f.retryQ[:n-1]
 		ser := sim.BitTime(r.bits, d.cfg.BandwidthBps)
 		_, end := d.wire.Reserve(now, ser)
 		d.stats.BusyTime += end - now
-		d.stats.Retries++
+		f.retries++
 		d.stats.BitsSent += uint64(r.bits)
-		if d.stats.Retrains > 0 {
-			d.healedBits += uint64(r.bits)
+		if f.retrains > 0 {
+			f.healedBits += uint64(r.bits)
 		}
 		d.finishTransmit(r.p, r.vc, r.attempts+1, end, r.bits, r.enq, r.pop)
 		return true

@@ -3,6 +3,7 @@ package link
 import (
 	"testing"
 
+	"memnet/internal/config"
 	"memnet/internal/packet"
 	"memnet/internal/sim"
 )
@@ -261,6 +262,7 @@ func TestNewValidatesBandwidthAndLatency(t *testing.T) {
 		{"zero bandwidth", func(c *Config) { c.BandwidthBps = 0 }},
 		{"negative bandwidth", func(c *Config) { c.BandwidthBps = -1 }},
 		{"negative serdes", func(c *Config) { c.SerDesLatency = -sim.Nanosecond }},
+		{"credits beyond MaxBufferPackets", func(c *Config) { c.Credits = config.MaxBufferPackets + 1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testCfg()
@@ -394,5 +396,61 @@ func TestInitTwicePanics(t *testing.T) {
 	eng.Run()
 	if b.Len(packet.VCRequest) != 2 || d.Credits(packet.VCRequest) != testCfg().Credits-2 {
 		t.Fatalf("after the panics: %d buffered, %d credits", b.Len(packet.VCRequest), d.Credits(packet.VCRequest))
+	}
+}
+
+// TestFaultFreeSteadyState drives a direction through sends on both
+// VCs, credit stalls, credit returns from its receiver's buffer and
+// pumps, with the fault calls a fault-free build makes (a nil model, a
+// re-bind), and checks that it never makes a fault record and that its
+// steady state allocates nothing.
+func TestFaultFreeSteadyState(t *testing.T) {
+	eng := sim.NewEngine()
+	cfg := testCfg()
+	cfg.Credits = 2 // fewer credits than queue slots: heads stall
+	d := New(eng, cfg, nil)
+	d.AttachFault(nil)
+	d.Rebind()
+	buf := NewBuffer(cfg.Credits, d.ReturnCredit)
+	d.SetReceiver(receiverFunc(func(p *packet.Packet) { buf.Push(p, eng.Now()) }))
+	free := make([]*packet.Packet, 0, 2*(cfg.QueueDepth+cfg.Credits))
+	for i := 0; i < cap(free); i++ {
+		free = append(free, mkPacket(uint64(i), packet.ReadReq))
+	}
+	kinds := [packet.NumVCs][2]packet.Kind{
+		packet.VCRequest:  {packet.ReadReq, packet.WriteReq},
+		packet.VCResponse: {packet.ReadResp, packet.WriteAck},
+	}
+	delivered, n := 0, 0
+	step := func() {
+		for vc := packet.VC(0); vc < packet.NumVCs; vc++ {
+			for d.CanAccept(vc) && len(free) > 0 {
+				p := free[len(free)-1]
+				free = free[:len(free)-1]
+				n++
+				p.Kind = kinds[vc][n%2]
+				d.Send(p)
+			}
+		}
+		eng.RunUntil(eng.Now() + 3*sim.Nanosecond)
+		for vc := packet.VC(0); vc < packet.NumVCs; vc++ {
+			for buf.Len(vc) > 0 {
+				free = append(free, buf.Pop(vc, eng.Now()))
+				delivered++
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+		t.Errorf("%v allocations per step, want 0", allocs)
+	}
+	st := d.Stats()
+	if delivered < 200 || st.CreditStall == 0 || st.Sent[packet.VCRequest] == 0 || st.Sent[packet.VCResponse] == 0 {
+		t.Fatalf("%d delivered, stats %+v: want traffic on both VCs and credit stalls", delivered, st)
+	}
+	if d.fs != nil || d.HasFaults() {
+		t.Fatal("a fault-free direction made a fault record")
+	}
+	if st.CRCErrors+st.Retries+st.Dropped+st.Retrains != 0 || d.RetryLen() != 0 || d.HealedBits() != 0 {
+		t.Fatalf("fault counters moved on a fault-free direction: %+v", st)
 	}
 }

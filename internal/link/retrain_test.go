@@ -89,7 +89,7 @@ func TestRetrainResetsRetryState(t *testing.T) {
 	}
 	// The healed direction is fault-free here on out only because the
 	// test detaches the model; a fresh send must deliver cleanly.
-	d.flt = nil
+	d.AttachFault(nil)
 	delivered := 0
 	d.SetDeliver(func(*packet.Packet) { delivered++ })
 	d.Send(mkPacket(2, packet.ReadReq))

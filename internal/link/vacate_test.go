@@ -71,7 +71,7 @@ func TestVacatedSlotsZeroed(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		departed[buf.Pop(packet.VCRequest, eng.Now())] = true
 	}
-	for i, r := range d.retryQ[:cap(d.retryQ)] {
+	for i, r := range d.fs.retryQ[:cap(d.fs.retryQ)] {
 		if r.p != nil {
 			t.Errorf("retry buffer slot %d still holds packet %d", i, r.p.ID)
 		}
@@ -136,8 +136,8 @@ func TestFailDrainUnlinks(t *testing.T) {
 			t.Errorf("output queue %v keeps %d packets after Fail", packet.VC(vc), d.queue[vc].Len())
 		}
 	}
-	if len(d.retryQ) != 0 {
-		t.Errorf("retry buffer keeps %d packets after Fail", len(d.retryQ))
+	if d.RetryLen() != 0 {
+		t.Errorf("retry buffer keeps %d packets after Fail", d.RetryLen())
 	}
 	eng.Run()
 	if len(landed)+len(drained) != 16 {

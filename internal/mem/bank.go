@@ -7,8 +7,9 @@
 //
 // A Controller owns a set of banks. Only what differs between banks (open
 // row, dirty bit, busy-until, what is left of the tRAS window, refreshes
-// done) lives in each Bank; the timing parameters, refresh phases and
-// counters are the controller's, held once. A cube has hundreds of
+// done) lives in each Bank; the refresh phases and counters are the
+// controller's, held once, and the timing parameters are shared by every
+// controller of a technology. A cube has hundreds of
 // banks, so keeping the per-bank record small keeps a network build
 // small, and reading a controller's counters costs the same however many
 // banks it has.
@@ -77,10 +78,10 @@ type Bank struct {
 const dirtyBit = 1 << 63
 
 // Controller is the bank array behind one memory controller: its banks,
-// their shared timing parameters and refresh phases, and their summed
-// counters.
+// their refresh phases and summed counters, and the timing parameters
+// they share.
 type Controller struct {
-	timing         config.MemTiming
+	timing         *config.MemTiming
 	phase, stagger sim.Time
 	banks          []Bank
 	stats          BankStats
@@ -96,14 +97,16 @@ type Controller struct {
 // panics if timing.TRAS is outside [0, config.MaxTRAS], which
 // config.(*System).Validate rules out.
 func NewController(timing config.MemTiming, n int, phase, stagger sim.Time) Controller {
-	return NewControllerIn(make([]Bank, n), timing, phase, stagger)
+	return NewControllerIn(make([]Bank, n), &timing, phase, stagger)
 }
 
 // NewControllerIn is NewController for len(banks) banks laid out in
-// banks, so that an owner can carve many controllers' banks from one
-// slice. The banks must be zero, as a fresh slice is; the controller
-// owns them from then on.
-func NewControllerIn(banks []Bank, timing config.MemTiming, phase, stagger sim.Time) Controller {
+// banks and the timing parameters in *timing, so that an owner can carve
+// many controllers' banks from one slice and share one timing set among
+// the controllers of a technology. The banks must be zero, as a fresh
+// slice is; the controller owns them from then on. *timing must not
+// change while the controller is in use.
+func NewControllerIn(banks []Bank, timing *config.MemTiming, phase, stagger sim.Time) Controller {
 	if timing.TRAS < 0 || timing.TRAS > config.MaxTRAS {
 		panic(fmt.Sprintf("mem: TRAS %d ps outside [0, %d]", int64(timing.TRAS), int64(config.MaxTRAS)))
 	}
@@ -127,7 +130,7 @@ func (c *Controller) Access(now sim.Time, bank int, row int64, kind AccessKind) 
 		panic(fmt.Sprintf("mem: row %d outside [0, 2^63-1)", row))
 	}
 	b := &c.banks[bank]
-	t := &c.timing
+	t := c.timing
 	start := now
 	if f := b.busy.FreeAt(); f > start {
 		start = f

@@ -171,7 +171,7 @@ func (r *Router) Init(eng *sim.Engine, node packet.NodeID, policy arb.Policy, sw
 	}
 	r.eng, r.node, r.policy, r.switchBps = eng, node, policy, switchBps
 	r.in, r.out, r.ports = r.inArr[:0], r.outArr[:0], r.portArr[:0]
-	r.retry.Init(eng, retryEvent, r)
+	r.retry.Init(eng)
 }
 
 // sweepEvent is every router's sweep scheduled by Kick; its argument
@@ -382,7 +382,7 @@ func (r *Router) settle() {
 func (r *Router) touch() {
 	r.settle()
 	if r.retry.Deferred() {
-		r.retry.Commit()
+		r.retry.Commit(retryEvent, r)
 	}
 }
 

@@ -32,6 +32,7 @@ import (
 	"sort"
 
 	"memnet/internal/arb"
+	"memnet/internal/config"
 	"memnet/internal/obs"
 	"memnet/internal/sim"
 	"memnet/internal/workload"
@@ -410,6 +411,8 @@ func (s *Spec) validateLinks() error {
 			return fmt.Errorf("scenario: links[%d].serdes_ps: must be non-negative, got %d", i, *l.SerDesPs)
 		case l.BufferPackets != nil && *l.BufferPackets <= 0:
 			return fmt.Errorf("scenario: links[%d].buffer_packets: must be positive, got %d", i, *l.BufferPackets)
+		case l.BufferPackets != nil && *l.BufferPackets > config.MaxBufferPackets:
+			return fmt.Errorf("scenario: links[%d].buffer_packets: at most %d, got %d", i, config.MaxBufferPackets, *l.BufferPackets)
 		case l.VCs != nil && (*l.VCs < 1 || *l.VCs > 2):
 			return fmt.Errorf("scenario: links[%d].vcs: got %d, the router supports 1 or 2", i, *l.VCs)
 		case l.MaxRetries != nil && *l.MaxRetries < 0:

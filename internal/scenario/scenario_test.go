@@ -136,6 +136,9 @@ func TestDecodeRejects(t *testing.T) {
 		{"link-bad-buffer", func(d map[string]any) {
 			d["links"].([]any)[1].(map[string]any)["buffer_packets"] = 0
 		}, "links[1].buffer_packets: must be positive"},
+		{"link-deep-buffer", func(d map[string]any) {
+			d["links"].([]any)[1].(map[string]any)["buffer_packets"] = 1<<30 + 1
+		}, "links[1].buffer_packets: at most 1073741824"},
 		{"link-bad-vcs", func(d map[string]any) {
 			d["links"].([]any)[1].(map[string]any)["vcs"] = 3
 		}, "links[1].vcs: got 3"},

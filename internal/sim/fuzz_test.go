@@ -115,14 +115,16 @@ func checkEngineOrder(t *testing.T, data []byte) {
 	var wakeups [numWakeups]Wakeup
 	var res, com [numWakeups]int
 	wake, ran := map[int]bool{}, map[int]bool{}
+	// wakeFn is every wakeup's event, committed with its wakeup index.
+	wakeFn := func(arg any) {
+		k := arg.(int)
+		id := com[k]
+		com[k] = -1
+		fire(id)
+	}
 	for k := range wakeups {
 		res[k], com[k] = -1, -1
-		wakeups[k].Init(e, func(arg any) {
-			k := arg.(int)
-			id := com[k]
-			com[k] = -1
-			fire(id)
-		}, k)
+		wakeups[k].Init(e)
 	}
 	// touch settles wakeup k the way an owner does; commit false only
 	// takes a lapse.
@@ -142,7 +144,7 @@ func checkEngineOrder(t *testing.T, data []byte) {
 			t.Fatalf("wakeup %d: Deferred %v, reservation %d", k, w.Deferred(), res[k])
 		}
 		if commit && res[k] >= 0 {
-			w.Commit()
+			w.Commit(wakeFn, k)
 			com[k], res[k] = res[k], -1
 			ran[com[k]] = true
 		}

@@ -10,8 +10,9 @@ import "fmt"
 // exactly as At would, but queues nothing. Then either
 //
 //   - work reaches the owner before the place is passed, and the owner
-//     Commits the wakeup, which queues it at exactly the reserved place
-//     (so it fires as the eagerly scheduled event would have), or
+//     Commits the wakeup with the event, which queues it at exactly the
+//     reserved place (so it fires as the eagerly scheduled event would
+//     have), or
 //   - the place is passed untouched, and the owner, on its next entry,
 //     finds the wakeup Lapsed and applies the event's no-op outcome
 //     itself.
@@ -21,13 +22,13 @@ import "fmt"
 // exact; letting a wakeup lapse is exact only when nothing the event
 // would have read changed in between, which is the owner's invariant.
 //
-// A Wakeup is held by value in its owner and linked into its engine by
-// Init; it must not be copied afterwards. One Wakeup holds at most one
-// reservation at a time.
+// A Wakeup is only the reserved place: the owner names the event when it
+// commits, so the wakeup stores no handler and every owner of one kind
+// passes the same package-level one. It is held by value in its owner
+// and linked into its engine by Init; it must not be copied afterwards.
+// One Wakeup holds at most one reservation at a time.
 type Wakeup struct {
 	eng  *Engine
-	fn   ArgHandler
-	arg  any
 	next *Wakeup // the engine's list of every initialized wakeup
 	at   Time
 	seq  uint64
@@ -36,18 +37,13 @@ type Wakeup struct {
 	deferred bool
 }
 
-// Init binds the wakeup to e with the event a commit queues: fn(arg).
-// Owners pass a package-level handler and themselves as arg, so binding
-// a wakeup allocates nothing. It links the wakeup into e, so Fired,
+// Init binds the wakeup to e. It links the wakeup into e, so Fired,
 // Pending and Step can account for it.
-func (w *Wakeup) Init(e *Engine, fn ArgHandler, arg any) {
+func (w *Wakeup) Init(e *Engine) {
 	if w.eng != nil {
 		panic("sim: Wakeup initialized twice")
 	}
-	if fn == nil {
-		panic("sim: nil handler")
-	}
-	w.eng, w.fn, w.arg = e, fn, arg
+	w.eng = e
 	w.next = e.wakeups
 	e.wakeups = w
 }
@@ -92,19 +88,23 @@ func (w *Wakeup) Lapsed() bool {
 	return false
 }
 
-// Commit queues the wakeup's handler at its reserved place and releases
-// the reservation. The wakeup must be deferred and its place not yet
-// passed.
-func (w *Wakeup) Commit() {
+// Commit queues the event fn(arg) at the wakeup's reserved place and
+// releases the reservation. The wakeup must be deferred and its place
+// not yet passed. Owners pass a package-level handler and themselves as
+// arg, so committing allocates nothing.
+func (w *Wakeup) Commit(fn ArgHandler, arg any) {
 	e := w.eng
 	if e.inProbe {
 		panic("sim: scheduling from inside a probe")
+	}
+	if fn == nil {
+		panic("sim: nil handler")
 	}
 	if !w.deferred || e.passed(w.at, w.seq) {
 		panic("sim: Commit of a wakeup that is not deferred or has passed")
 	}
 	w.deferred = false
-	e.insert(w.at, w.seq, w.fn, w.arg)
+	e.insert(w.at, w.seq, fn, arg)
 }
 
 // passed reports whether the place (at, seq) is at or before the event

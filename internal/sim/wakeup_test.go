@@ -9,11 +9,11 @@ func TestWakeupCommitKeepsReservedPlace(t *testing.T) {
 	e := NewEngine()
 	var order []string
 	var w Wakeup
-	w.Init(e, func(arg any) { order = append(order, arg.(string)) }, "wakeup")
+	w.Init(e)
 	e.Schedule(10, func() { order = append(order, "before") })
 	w.Defer(10)
 	e.Schedule(10, func() { order = append(order, "after") })
-	e.Schedule(5, func() { w.Commit() })
+	e.Schedule(5, func() { w.Commit(func(arg any) { order = append(order, arg.(string)) }, "wakeup") })
 	e.Run()
 	if len(order) != 3 || order[0] != "before" || order[1] != "wakeup" || order[2] != "after" {
 		t.Fatalf("order %v, want [before wakeup after]", order)
@@ -29,7 +29,7 @@ func TestWakeupCommitKeepsReservedPlace(t *testing.T) {
 func TestWakeupLapseCountsAsFired(t *testing.T) {
 	e := NewEngine()
 	var w Wakeup
-	w.Init(e, func(any) { t.Fatal("a lapsed wakeup ran") }, nil)
+	w.Init(e)
 	w.Defer(10)
 	e.Schedule(10, func() {})
 	if e.Pending() != 2 || e.Fired() != 0 {
@@ -58,8 +58,8 @@ func TestWakeupLapseCountsAsFired(t *testing.T) {
 func TestWakeupDrainAndRunUntil(t *testing.T) {
 	e := NewEngine()
 	var a, b Wakeup
-	a.Init(e, func(any) {}, nil)
-	b.Init(e, func(any) {}, nil)
+	a.Init(e)
+	b.Init(e)
 	a.Defer(30)
 	b.Defer(20)
 	if !e.Step() || e.Now() != 20 || e.Fired() != 1 {
@@ -76,8 +76,9 @@ func TestWakeupDrainAndRunUntil(t *testing.T) {
 	}
 }
 
-// TestWakeupMisusePanics: deferring into the past or twice, and
-// committing a wakeup that is not deferred or has passed, panic.
+// TestWakeupMisusePanics: deferring into the past or twice, committing
+// a wakeup that is not deferred or has passed, and committing a nil
+// handler, panic.
 func TestWakeupMisusePanics(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
@@ -89,15 +90,18 @@ func TestWakeupMisusePanics(t *testing.T) {
 		fn()
 	}
 	e := NewEngine()
+	nop := func(any) {}
 	var w Wakeup
-	w.Init(e, func(any) {}, nil)
+	w.Init(e)
 	mustPanic("Defer(now)", func() { w.Defer(0) })
-	mustPanic("Commit without Defer", func() { w.Commit() })
+	mustPanic("Commit without Defer", func() { w.Commit(nop, nil) })
 	w.Defer(10)
 	mustPanic("second Defer", func() { w.Defer(20) })
+	mustPanic("nil handler", func() { w.Commit(nil, nil) })
+	if !w.Deferred() {
+		t.Fatal("a nil-handler Commit released the reservation")
+	}
 	e.RunUntil(10)
-	mustPanic("Commit after the place", func() { w.Commit() })
-	mustPanic("second Init", func() { w.Init(e, func(any) {}, nil) })
-	var v Wakeup
-	mustPanic("nil handler", func() { v.Init(e, nil, nil) })
+	mustPanic("Commit after the place", func() { w.Commit(nop, nil) })
+	mustPanic("second Init", func() { w.Init(e) })
 }

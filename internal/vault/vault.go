@@ -51,13 +51,15 @@ type Stats struct {
 
 // Quadrant is one vault controller.
 type Quadrant struct {
-	eng   *sim.Engine
-	tech  config.MemTech
-	index int
-	// extPorts is the owning cube's external-link count; quadrant q is
-	// associated with external link q mod extPorts for the
-	// wrong-quadrant penalty.
-	extPorts int
+	eng         *sim.Engine
+	tech        config.MemTech
+	pumpPending bool
+	// index and extPorts, the owning cube's external-link count, count
+	// quadrants and links a build lays out, so they fit in 32 bits.
+	// Quadrant q is associated with external link q mod extPorts for
+	// the wrong-quadrant penalty.
+	index    int32
+	extPorts int32
 	penalty  sim.Time
 
 	banks   mem.Controller
@@ -76,8 +78,7 @@ type Quadrant struct {
 	service packet.Queue
 	done    packet.Queue
 
-	pumpPending bool
-	stats       Stats
+	stats Stats
 
 	// OnIssue, when non-nil, observes every bank issue with the request
 	// packet and its vault input-queue wait (arrival to issue). The span
@@ -104,17 +105,20 @@ type Config struct {
 // New builds a quadrant with its banks.
 func New(eng *sim.Engine, cfg Config) *Quadrant {
 	q := new(Quadrant)
-	q.Init(eng, cfg, make([]mem.Bank, cfg.Banks))
+	timing := cfg.Timing
+	q.Init(eng, cfg, make([]mem.Bank, cfg.Banks), &timing)
 	return q
 }
 
-// Init makes the zero Quadrant q a quadrant whose cfg.Banks banks live
-// in banks, which must be zero, as New does, so that a network can lay
-// out all its quadrants, and all their banks, in one slice each. Refresh phases are
-// staggered by bank index so a cube's banks do not refresh in lockstep.
-// It panics if q was already initialized or banks does not hold
-// cfg.Banks banks.
-func (q *Quadrant) Init(eng *sim.Engine, cfg Config, banks []mem.Bank) {
+// Init makes the zero Quadrant q a quadrant, as New does, whose
+// cfg.Banks banks live in banks, which must be zero, and whose timing
+// parameters are *timing in place of cfg.Timing, so that a network can
+// lay out all its quadrants, and all their banks, in one slice each and
+// share one timing set per technology. *timing must not change while q
+// is in use. Refresh phases are staggered by bank index so a cube's
+// banks do not refresh in lockstep. It panics if q was already
+// initialized or banks does not hold cfg.Banks banks.
+func (q *Quadrant) Init(eng *sim.Engine, cfg Config, banks []mem.Bank, timing *config.MemTiming) {
 	if q.eng != nil {
 		panic("vault: Quadrant initialized twice")
 	}
@@ -122,8 +126,8 @@ func (q *Quadrant) Init(eng *sim.Engine, cfg Config, banks []mem.Bank) {
 		panic(fmt.Sprintf("vault: %d banks for a %d-bank quadrant", len(banks), cfg.Banks))
 	}
 	q.eng = eng
-	q.tech, q.index = cfg.Tech, cfg.Index
-	q.extPorts, q.penalty = cfg.ExtPorts, cfg.Penalty
+	q.tech, q.index = cfg.Tech, int32(cfg.Index)
+	q.extPorts, q.penalty = int32(cfg.ExtPorts), cfg.Penalty
 	q.bankMap, q.meter = cfg.BankMap, cfg.Meter
 	if cfg.ReturnDist != nil {
 		q.ret = cfg.ReturnDist
@@ -132,7 +136,7 @@ func (q *Quadrant) Init(eng *sim.Engine, cfg Config, banks []mem.Bank) {
 	if q.maxInflight <= 0 {
 		q.maxInflight = 16
 	}
-	q.banks = mem.NewControllerIn(banks, cfg.Timing,
+	q.banks = mem.NewControllerIn(banks, timing,
 		sim.Time(cfg.Index*cfg.Banks)*97*sim.Nanosecond, 97*sim.Nanosecond)
 }
 
@@ -225,7 +229,7 @@ func (q *Quadrant) start(p *packet.Packet) {
 		q.OnIssue(p, now-p.ArrivedMem)
 	}
 	start := now
-	if q.extPorts > 0 && int(p.EnterPort)%max(1, q.extPorts) != q.index%max(1, q.extPorts) {
+	if ext := int(q.extPorts); ext > 0 && int(p.EnterPort)%ext != int(q.index)%ext {
 		// The request entered the cube through a link belonging to a
 		// different quadrant: 1 ns intra-cube re-route (§5).
 		start += q.penalty

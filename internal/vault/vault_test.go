@@ -200,7 +200,7 @@ func TestInitTwicePanics(t *testing.T) {
 				t.Fatal("second Init did not panic")
 			}
 		}()
-		h.q.Init(h.eng, Config{Tech: config.NVM, Index: 3}, nil)
+		h.q.Init(h.eng, Config{Tech: config.NVM, Index: 3}, nil, nil)
 	}()
 	h.send(1, packet.ReadReq, 0x40, 1)
 	h.eng.Run()

@@ -65,10 +65,14 @@ func main() {
 	}
 	runner := experiments.NewRunner(opts)
 	selected, err := selectExps(experimentsOf(runner), *expFlag)
+	if err == nil {
+		err = checkFormat(*format)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mnexp:", err)
 		os.Exit(2)
 	}
+	out := formats[*format]
 
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
@@ -109,14 +113,7 @@ func main() {
 		fatalIf(err)
 		tab, err := runner.Scenario(spec)
 		fatalIf(err)
-		switch *format {
-		case "csv":
-			emit(tab.ID, tab.CSV(), *outDir, "csv")
-		case "chart":
-			emit(tab.ID, tab.Chart(), *outDir, "txt")
-		default:
-			emit(tab.ID, tab.Text(), *outDir, "txt")
-		}
+		emit(tab.ID, out.render(tab), *outDir, out.ext)
 		if store != nil {
 			fmt.Fprintf(os.Stderr, "mnexp: cache %s: %d hits, %d simulated\n",
 				store.Dir(), counter.Hits(), counter.Misses())
@@ -136,14 +133,7 @@ func main() {
 			os.Exit(1)
 		}
 		manifest.Add(tab)
-		switch *format {
-		case "csv":
-			emit(e.id, tab.CSV(), *outDir, "csv")
-		case "chart":
-			emit(e.id, tab.Chart(), *outDir, "txt")
-		default:
-			emit(e.id, tab.Text(), *outDir, "txt")
-		}
+		emit(e.id, out.render(tab), *outDir, out.ext)
 	}
 	if store != nil {
 		fmt.Fprintf(os.Stderr, "mnexp: cache %s: %d hits, %d simulated\n",
@@ -241,6 +231,25 @@ func writeManifest(m *experiments.RunManifest, path string) error {
 		err = cerr
 	}
 	return err
+}
+
+// formats maps each -format value to its table renderer and the
+// extension of its output file.
+var formats = map[string]struct {
+	render func(*experiments.Table) string
+	ext    string
+}{
+	"text":  {(*experiments.Table).Text, "txt"},
+	"csv":   {(*experiments.Table).CSV, "csv"},
+	"chart": {(*experiments.Table).Chart, "txt"},
+}
+
+// checkFormat rejects a -format value formats does not hold.
+func checkFormat(format string) error {
+	if _, ok := formats[format]; !ok {
+		return fmt.Errorf("-format: unknown format %q (text | csv | chart)", format)
+	}
+	return nil
 }
 
 // emit writes content to a file in dir (if set) or to stdout.

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -50,6 +51,23 @@ func TestSelectExps(t *testing.T) {
 		}
 		if got := strings.Join(ids, " "); got != tc.want {
 			t.Errorf("-exp %q selected %q, want %q", tc.spec, got, tc.want)
+		}
+	}
+}
+
+// TestCheckFormat: -format takes text, csv or chart; any other value is
+// an error naming it, which mnexp reports with exit status 2 before it
+// simulates anything.
+func TestCheckFormat(t *testing.T) {
+	for _, ok := range []string{"text", "csv", "chart"} {
+		if err := checkFormat(ok); err != nil {
+			t.Errorf("-format %s: %v", ok, err)
+		}
+	}
+	for _, bad := range []string{"json", "", "TEXT", "txt"} {
+		err := checkFormat(bad)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("-format: unknown format %q", bad)) {
+			t.Errorf("-format %q: error %v, want one naming it", bad, err)
 		}
 	}
 }

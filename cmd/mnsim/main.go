@@ -20,8 +20,10 @@ import (
 	"time"
 
 	"memnet"
+	"memnet/internal/config"
 	"memnet/internal/obs"
 	"memnet/internal/prof"
+	"memnet/internal/scenario"
 	"memnet/internal/span"
 	"memnet/internal/topology"
 )
@@ -119,12 +121,11 @@ func main() {
 			*wlFlag = ""
 		}
 	}
-	cfg.Arbitration, err = parseArb(*arbFlag)
+	cfg.Arbitration, err = scenario.ParseArb(*arbFlag)
 	check(err)
 	cfg.DRAMFraction = *dramPct / 100
-	if strings.HasPrefix(strings.ToLower(*placeFlag), "f") {
-		cfg.Placement = memnet.NVMFirst
-	}
+	cfg.Placement, err = config.ParsePlacement(*placeFlag)
+	check(err)
 	cfg.Workload = *wlFlag
 	cfg.Transactions = *txns
 	cfg.Seed = *seed
@@ -360,19 +361,6 @@ func failLinkScenario(cfg memnet.Config, n int) (*memnet.Scenario, error) {
 		return nil, fmt.Errorf("-fail-link %d (links[%d] %s-%s): %w", n, n, cut.A, cut.B, err)
 	}
 	return s, nil
-}
-
-func parseArb(s string) (memnet.Arbitration, error) {
-	switch strings.ToLower(s) {
-	case "rr", "round-robin", "roundrobin":
-		return memnet.RoundRobin, nil
-	case "distance", "dist":
-		return memnet.Distance, nil
-	case "augmented", "distance-augmented", "aug":
-		return memnet.DistanceAugmented, nil
-	default:
-		return 0, fmt.Errorf("unknown arbitration %q", s)
-	}
 }
 
 // parseFault assembles the fault configuration from the CLI knobs, or

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"memnet"
+	"memnet/internal/config"
+	"memnet/internal/scenario"
 	"memnet/internal/topology"
 )
 
@@ -130,5 +132,34 @@ func TestFailLinkScenario(t *testing.T) {
 func TestTopologyUsageCurrent(t *testing.T) {
 	if want := strings.Join(topology.KindNames(), " | "); topoUsage != want {
 		t.Errorf("-topology usage %q is stale; want %q", topoUsage, want)
+	}
+}
+
+// TestPlacementAndArbFlags pins the values -placement and -arb accept:
+// exactly the ones their help text lists. Anything else, a prefix or
+// an old alias included, is an error that names the value, so a typo
+// cannot run the other placement or policy.
+func TestPlacementAndArbFlags(t *testing.T) {
+	for in, want := range map[string]memnet.Placement{"last": memnet.NVMLast, "first": memnet.NVMFirst} {
+		if got, err := config.ParsePlacement(in); err != nil || got != want {
+			t.Errorf("-placement %s = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, bad := range []string{"banana", "fast", "f", "FIRST", "Last", ""} {
+		if got, err := config.ParsePlacement(bad); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q (last | first)", bad)) {
+			t.Errorf("-placement %q = %v, %v; want an error naming it", bad, got, err)
+		}
+	}
+	for in, want := range map[string]memnet.Arbitration{
+		"rr": memnet.RoundRobin, "distance": memnet.Distance, "augmented": memnet.DistanceAugmented,
+	} {
+		if got, err := scenario.ParseArb(in); err != nil || got != want {
+			t.Errorf("-arb %s = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, bad := range []string{"round-robin", "roundrobin", "dist", "aug", "distance-augmented", "RR"} {
+		if got, err := scenario.ParseArb(bad); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", bad)) {
+			t.Errorf("-arb %q = %v, %v; want an error naming it", bad, got, err)
+		}
 	}
 }

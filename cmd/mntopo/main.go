@@ -45,10 +45,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var (
-		spec *scenario.Spec
-		err  error
-	)
+	place, err := config.ParsePlacement(*placeFlag)
+	check(err)
+	var spec *scenario.Spec
 	if *scenFlag != "" {
 		spec, err = loadScenario(*scenFlag)
 		check(err)
@@ -63,9 +62,7 @@ func main() {
 		} else {
 			sys := config.Default()
 			sys.DRAMFraction = *dramPct / 100
-			if strings.HasPrefix(strings.ToLower(*placeFlag), "f") {
-				sys.Placement = config.NVMFirst
-			}
+			sys.Placement = place
 			techs, err = core.TechOrder(&sys)
 			check(err)
 		}

@@ -45,8 +45,10 @@ func (c *Counter) miss() {
 // cacheable run whose fingerprint is present is served from disk
 // without simulating; a miss simulates through next (core.Simulate when
 // nil) and writes the result back. Uncacheable runs pass straight
-// through. The counter, when non-nil, observes hits and misses — the
-// run-count hook the warm-cache regression test asserts on.
+// through, and so does a run whose fingerprint cannot be computed
+// (FingerprintParams). The counter, when non-nil, observes hits and
+// misses — the run-count hook the warm-cache regression test asserts
+// on.
 func CachedSim(store *Store, next experiments.SimFunc, c *Counter) experiments.SimFunc {
 	if next == nil {
 		next = core.Simulate
@@ -56,7 +58,11 @@ func CachedSim(store *Store, next experiments.SimFunc, c *Counter) experiments.S
 			c.miss()
 			return next(p)
 		}
-		fp := FingerprintParams(p)
+		fp, err := FingerprintParams(p)
+		if err != nil {
+			c.miss()
+			return next(p)
+		}
 		if res, ok := store.Get(fp); ok {
 			c.hit()
 			return res, nil

@@ -1,7 +1,10 @@
 package campaign
 
 import (
+	"math"
+	"os"
 	"reflect"
+	"slices"
 	"testing"
 
 	"memnet/internal/config"
@@ -39,11 +42,21 @@ func testScenario() *scenario.Spec {
 	}
 }
 
+// mustFingerprint is FingerprintParams for runs whose view encodes.
+func mustFingerprint(t *testing.T, p core.Params) Fingerprint {
+	t.Helper()
+	fp, err := FingerprintParams(p)
+	if err != nil {
+		t.Fatalf("fingerprint: %v", err)
+	}
+	return fp
+}
+
 // TestFingerprintStable checks the fingerprint is a pure function of
 // the parameters.
 func TestFingerprintStable(t *testing.T) {
-	a := FingerprintParams(testParams())
-	b := FingerprintParams(testParams())
+	a := mustFingerprint(t, testParams())
+	b := mustFingerprint(t, testParams())
 	if a != b {
 		t.Fatalf("identical params fingerprint differently: %s vs %s", a, b)
 	}
@@ -52,25 +65,23 @@ func TestFingerprintStable(t *testing.T) {
 // TestFingerprintSensitivity checks that every class of configuration
 // change moves the content address.
 func TestFingerprintSensitivity(t *testing.T) {
-	base := FingerprintParams(testParams())
+	base := mustFingerprint(t, testParams())
 	mutations := map[string]func(*core.Params){
-		"topology":          func(p *core.Params) { p.Topo = topology.Ring },
-		"arbitration":       func(p *core.Params) { p.Arb++ },
-		"transactions":      func(p *core.Params) { p.Transactions++ },
-		"seed":              func(p *core.Params) { p.Seed++ },
-		"workload":          func(p *core.Params) { p.Workload.MeanGap += sim.Nanosecond },
-		"ports":             func(p *core.Params) { p.Sys.Ports = 4 },
-		"dram-frac":         func(p *core.Params) { p.Sys.DRAMFraction = 0.5 },
-		"placement":         func(p *core.Params) { p.Sys.Placement = config.NVMFirst },
-		"capacity":          func(p *core.Params) { p.Sys.TotalCapacity /= 2 },
-		"banks":             func(p *core.Params) { p.Sys.BanksPerCube /= 2 },
-		"serdes":            func(p *core.Params) { p.Sys.SerDesLatency += sim.Nanosecond },
-		"nvm-timing":        func(p *core.Params) { p.Sys.NVMTiming.TWR += sim.Nanosecond },
-		"energy":            func(p *core.Params) { p.Sys.Energy.NVMWritePJPerBit++ },
-		"tuning":            func(p *core.Params) { p.Tuning.WavefrontSize++ },
-		"keepsamples":       func(p *core.Params) { p.KeepSamples = true },
-		"fault-nil-vs-zero": func(p *core.Params) { p.Fault = &fault.Config{} },
-		"fault-ber":         func(p *core.Params) { p.Fault = &fault.Config{LinkBER: 1e-6} },
+		"topology":     func(p *core.Params) { p.Topo = topology.Ring },
+		"arbitration":  func(p *core.Params) { p.Arb++ },
+		"transactions": func(p *core.Params) { p.Transactions++ },
+		"seed":         func(p *core.Params) { p.Seed++ },
+		"workload":     func(p *core.Params) { p.Workload.MeanGap += sim.Nanosecond },
+		"ports":        func(p *core.Params) { p.Sys.Ports = 4 },
+		"dram-frac":    func(p *core.Params) { p.Sys.DRAMFraction = 0.5 },
+		"placement":    func(p *core.Params) { p.Sys.Placement = config.NVMFirst },
+		"capacity":     func(p *core.Params) { p.Sys.TotalCapacity /= 2 },
+		"banks":        func(p *core.Params) { p.Sys.BanksPerCube /= 2 },
+		"serdes":       func(p *core.Params) { p.Sys.SerDesLatency += sim.Nanosecond },
+		"nvm-timing":   func(p *core.Params) { p.Sys.NVMTiming.TWR += sim.Nanosecond },
+		"energy":       func(p *core.Params) { p.Sys.Energy.NVMWritePJPerBit++ },
+		"tuning":       func(p *core.Params) { p.Tuning.WavefrontSize++ },
+		"fault-ber":    func(p *core.Params) { p.Fault = &fault.Config{LinkBER: 1e-6} },
 		"fault-kill": func(p *core.Params) {
 			p.Fault = &fault.Config{KillCubes: []fault.CubeKill{{Node: 3, At: sim.Microsecond}}}
 		},
@@ -84,7 +95,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 			p.Fault = &fault.Config{LaneFlaps: []fault.LaneFlap{{Edge: 1, Down: sim.Microsecond, Up: 2 * sim.Microsecond}}}
 		},
 		"fault-retrain": func(p *core.Params) {
-			p.Fault = &fault.Config{RetrainWindow: sim.Microsecond}
+			p.Fault = &fault.Config{LinkBER: 1e-6, RetrainWindow: sim.Microsecond}
 		},
 		"scenario-nil-vs-set": func(p *core.Params) { p.Scenario = testScenario() },
 		"scenario-name": func(p *core.Params) {
@@ -113,7 +124,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 	for name, mut := range mutations {
 		p := testParams()
 		mut(&p)
-		fp := FingerprintParams(p)
+		fp := mustFingerprint(t, p)
 		if fp == base {
 			t.Errorf("mutation %q does not change the fingerprint", name)
 		}
@@ -131,13 +142,13 @@ func TestFingerprintSensitivity(t *testing.T) {
 	for _, kind := range topology.AllKinds {
 		p := testParams()
 		p.Topo = kind
-		builtin := FingerprintParams(p)
+		builtin := mustFingerprint(t, p)
 		s, err := core.GraphSpec(&p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p.Scenario = s
-		if fp := FingerprintParams(p); fp != builtin {
+		if fp := mustFingerprint(t, p); fp != builtin {
 			t.Errorf("%v: exported-scenario run fingerprints %s, built-in run %s", kind, fp, builtin)
 		}
 		if prev, dup := byKind[builtin]; dup {
@@ -175,7 +186,7 @@ func TestFingerprintScenarioReload(t *testing.T) {
 		p := testParams()
 		p.Topo = topology.Scenario
 		p.Scenario = s
-		return FingerprintParams(p)
+		return mustFingerprint(t, p)
 	}
 	a, b, c := fp(sparse), fp(sparse), fp(verbose)
 	if a != b {
@@ -215,70 +226,230 @@ func TestCacheable(t *testing.T) {
 	}
 }
 
-// TestFingerprintCoverage pins the shapes of every struct the
-// fingerprint folds. If this test fails, a configuration struct gained,
-// lost, or renamed a field: extend the corresponding hash function in
-// fingerprint.go to cover it (or consciously exclude it), bump
-// CacheSchema if the change alters simulation semantics, and then
-// update the pinned list here.
-func TestFingerprintCoverage(t *testing.T) {
-	pinned := []struct {
-		v    any
-		want []string
+// TestFingerprintAliases checks that Params which resolve to the same
+// run (core.Params.Resolved) share one address and simulate to equal
+// Results: a zero Tuning and DefaultTuning(), KeepSamples (no Results
+// field depends on it), a nil and a disabled fault config, and an
+// enabled fault config with and without its defaults spelled out.
+func TestFingerprintAliases(t *testing.T) {
+	faulty := func(p *core.Params) { p.Fault = &fault.Config{LinkBER: 1e-6} }
+	cases := []struct {
+		name   string
+		before func(*core.Params) // applied to both runs
+		alias  func(*core.Params) // applied to the second run only
 	}{
-		{core.Params{}, []string{
-			"Sys", "Topo", "Arb", "Workload", "Transactions", "Seed",
-			"KeepSamples", "Replay", "Record", "Fault", "Obs", "Spans",
-			"Scenario", "Tuning",
+		{"tuning-default", nil, func(p *core.Params) { p.Tuning = core.DefaultTuning() }},
+		{"keepsamples", nil, func(p *core.Params) { p.KeepSamples = true }},
+		{"fault-nil-vs-zero", nil, func(p *core.Params) { p.Fault = &fault.Config{} }},
+		{"fault-disabled", nil, func(p *core.Params) {
+			p.Fault = &fault.Config{Seed: 7, MaxRetries: 3, RetrainWindow: sim.Microsecond}
 		}},
-		{config.System{}, []string{
-			"Ports", "TotalCapacity", "DRAMCubeCapacity", "NVMCubeCapacity",
-			"DRAMFraction", "Placement", "BanksPerCube", "Quadrants",
-			"RowBytes", "LinkLanes", "LaneRateBps", "SerDesLatency",
-			"WrongQuadrantPenalty", "LinkBufferPackets", "InterleaveBytes",
-			"MaxOutstanding", "HostLatency", "DRAMTiming", "NVMTiming", "Energy",
+		{"fault-defaults", faulty, func(p *core.Params) {
+			f := p.Fault.WithDefaults()
+			p.Fault = &f
 		}},
-		{config.MemTiming{}, []string{
-			"TRCD", "TCL", "TRP", "TRAS", "TWR", "Burst", "RefInterval", "RefDuration",
-		}},
-		{config.Energy{}, []string{
-			"NetworkPJPerBitHop", "DRAMReadPJPerBit", "DRAMWritePJPerBit",
-			"NVMReadPJPerBit", "NVMWritePJPerBit",
-		}},
-		{workload.Spec{}, []string{
-			"Name", "ReadFraction", "MeanGap", "SeqProb", "SeqStride",
-			"HotFraction", "HotRegion", "RMWFraction", "BurstProb",
-			"BurstLen", "BurstWriteFrac", "Window",
-		}},
-		{core.Tuning{}, []string{
-			"VaultQueueDepth", "VaultMaxInflight", "InternalBandwidthX",
-			"SwitchBandwidthBps", "IfaceSwitchBandwidthBps",
-			"InterposerBandwidthX", "InterposerSerDes", "ShortcutHi",
-			"ShortcutLo", "ShortcutWindow", "NVMMaxInflight",
-			"MetaCubeGroup", "WavefrontSize", "WriteDemotion", "NoVCPriority",
-		}},
-		{fault.Config{}, []string{
-			"Seed", "LinkBER", "MaxRetries", "RetryBackoff", "KillLinks",
-			"KillCubes", "LaneFails", "RepairLinks", "RepairCubes",
-			"LaneFlaps", "RetrainWindow", "Watchdog", "WatchdogInterval",
-			"WatchdogStale",
-		}},
-		{fault.LinkKill{}, []string{"Edge", "At"}},
-		{fault.CubeKill{}, []string{"Node", "At", "Full"}},
-		{fault.LaneFail{}, []string{"Edge", "At"}},
-		{fault.LinkRepair{}, []string{"Edge", "At"}},
-		{fault.CubeRepair{}, []string{"Node", "At"}},
-		{fault.LaneFlap{}, []string{"Edge", "Down", "Up"}},
 	}
-	for _, pin := range pinned {
-		rt := reflect.TypeOf(pin.v)
-		var got []string
-		for i := 0; i < rt.NumField(); i++ {
-			got = append(got, rt.Field(i).Name)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a := testParams()
+			if tc.before != nil {
+				tc.before(&a)
+			}
+			b := a
+			tc.alias(&b)
+			if fa, fb := mustFingerprint(t, a), mustFingerprint(t, b); fa != fb {
+				t.Errorf("addresses differ: %s vs %s", fa, fb)
+			}
+			ra, err := core.Simulate(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rb, err := core.Simulate(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ra != rb {
+				t.Errorf("one address, different Results:\n  %+v\n  %+v", ra, rb)
+			}
+		})
+	}
+}
+
+// TestFingerprintUnencodable checks that a run whose view cannot be
+// built (a graph that cannot be generated) or encoded (a NaN) has no
+// address, and that CachedSim simulates it without touching the store.
+func TestFingerprintUnencodable(t *testing.T) {
+	cases := map[string]func(*core.Params){
+		"graph-error": func(p *core.Params) { p.Sys.DRAMFraction = 0.37 },
+		"nan":         func(p *core.Params) { p.Workload.HotFraction = math.NaN() },
+	}
+	for name, mut := range cases {
+		t.Run(name, func(t *testing.T) {
+			p := testParams()
+			mut(&p)
+			if fp, err := FingerprintParams(p); err == nil {
+				t.Fatalf("got address %s, want an error", fp)
+			}
+			store, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var c Counter
+			calls := 0
+			next := func(core.Params) (core.Results, error) {
+				calls++
+				return testResults(), nil
+			}
+			if _, err := CachedSim(store, next, &c)(p); err != nil {
+				t.Fatal(err)
+			}
+			entries, err := os.ReadDir(store.Dir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if calls != 1 || c.Misses() != 1 || len(entries) != 0 {
+				t.Errorf("backend calls %d, misses %d, store entries %d; want 1, 1, 0",
+					calls, c.Misses(), len(entries))
+			}
+		})
+	}
+}
+
+// leafParams is the base of the leaf walk: a scenario run, so that
+// changing a system field cannot make the graph fail to generate, with
+// a fault config whose tunables are already at their defaults and with
+// one entry in each schedule, so that every leaf is present and a
+// changed leaf cannot resolve back to the base value.
+func leafParams() core.Params {
+	p := testParams()
+	p.Scenario = testScenario()
+	p.Tuning = core.DefaultTuning()
+	f := fault.Config{
+		LinkBER:     1e-6,
+		KillLinks:   []fault.LinkKill{{Edge: 1, At: sim.Microsecond}},
+		KillCubes:   []fault.CubeKill{{Node: 2, At: sim.Microsecond}},
+		LaneFails:   []fault.LaneFail{{Edge: 1, At: sim.Microsecond}},
+		RepairLinks: []fault.LinkRepair{{Edge: 1, At: 2 * sim.Microsecond}},
+		RepairCubes: []fault.CubeRepair{{Node: 2, At: 2 * sim.Microsecond}},
+		LaneFlaps:   []fault.LaneFlap{{Edge: 1, Down: sim.Microsecond, Up: 2 * sim.Microsecond}},
+		Watchdog:    true,
+	}.WithDefaults()
+	p.Fault = &f
+	return p
+}
+
+// leafPaths appends the path of every exported leaf under t to out. A
+// path step is a field index, or -1 to step through a pointer or into
+// a slice's first element.
+func leafPaths(t reflect.Type, prefix []int, out *[][]int) {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if t.Field(i).IsExported() {
+				leafPaths(t.Field(i).Type, append(slices.Clone(prefix), i), out)
+			}
 		}
-		if !reflect.DeepEqual(got, pin.want) {
-			t.Errorf("%s fields changed:\n  got  %v\n  want %v\nextend the fingerprint coverage (fingerprint.go), consider a CacheSchema bump, then update this pin",
-				rt, got, pin.want)
+	case reflect.Pointer, reflect.Slice:
+		leafPaths(t.Elem(), append(slices.Clone(prefix), -1), out)
+	default:
+		*out = append(*out, prefix)
+	}
+}
+
+// leafAt follows a leafPaths path from v.
+func leafAt(v reflect.Value, path []int) (reflect.Value, string) {
+	name := v.Type().Name()
+	for _, i := range path {
+		switch {
+		case i >= 0:
+			name += "." + v.Type().Field(i).Name
+			v = v.Field(i)
+		case v.Kind() == reflect.Pointer:
+			v = v.Elem()
+		default:
+			name += "[0]"
+			v = v.Index(0)
+		}
+	}
+	return v, name
+}
+
+// TestFingerprintLeaves walks every exported leaf of every Params field
+// the view holds (system, workload, tuning and fault config, their
+// nested structs and schedule entries, and the scalar fields) and
+// checks that changing it alone moves the address. A field added to
+// any of these structs is covered without editing this test.
+func TestFingerprintLeaves(t *testing.T) {
+	base := mustFingerprint(t, leafParams())
+	pt := reflect.TypeOf(core.Params{})
+	vt := reflect.TypeOf(view{})
+	walked := 0
+	for i := 0; i < vt.NumField(); i++ {
+		f, ok := pt.FieldByName(vt.Field(i).Name)
+		if !ok {
+			continue // Graph: covered by TestFingerprintSensitivity
+		}
+		var paths [][]int
+		leafPaths(f.Type, []int{f.Index[0]}, &paths)
+		for _, path := range paths {
+			p := leafParams()
+			leaf, name := leafAt(reflect.ValueOf(&p).Elem(), path)
+			switch leaf.Kind() {
+			case reflect.Bool:
+				leaf.SetBool(!leaf.Bool())
+			case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+				leaf.SetInt(leaf.Int() + 1)
+			case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+				leaf.SetUint(leaf.Uint() + 1)
+			case reflect.Float32, reflect.Float64:
+				leaf.SetFloat(leaf.Float()*2 + 0.125)
+			case reflect.String:
+				leaf.SetString(leaf.String() + "x")
+			default:
+				t.Errorf("%s: no mutation for a %s leaf", name, leaf.Kind())
+				continue
+			}
+			walked++
+			if mustFingerprint(t, p) == base {
+				t.Errorf("changing %s does not move the address", name)
+			}
+		}
+	}
+	if walked < 80 {
+		t.Errorf("walked %d leaves; the view's structs hold more", walked)
+	}
+}
+
+// TestFingerprintCoverage partitions core.Params' own fields: each is
+// in the view under its own name, enters it as the graph, or is left
+// out because no Results field depends on it or its runs are not
+// Cacheable. A Params field added, removed or renamed fails here until
+// it is placed.
+func TestFingerprintCoverage(t *testing.T) {
+	roles := map[string]string{
+		"Sys": "view", "Arb": "view", "Workload": "view",
+		"Transactions": "view", "Seed": "view", "Fault": "view", "Tuning": "view",
+		"Topo": "graph", "Scenario": "graph",
+		"KeepSamples": "no-result", "Replay": "uncacheable", "Record": "uncacheable",
+		"Obs": "uncacheable", "Spans": "uncacheable",
+	}
+	pt := reflect.TypeOf(core.Params{})
+	if pt.NumField() != len(roles) {
+		t.Errorf("core.Params has %d fields, the pin places %d", pt.NumField(), len(roles))
+	}
+	for i := 0; i < pt.NumField(); i++ {
+		name := pt.Field(i).Name
+		role, ok := roles[name]
+		if !ok {
+			t.Errorf("core.Params.%s is not placed: add it to the view (fingerprint.go) or say here why it is left out", name)
+			continue
+		}
+		vf, inView := reflect.TypeOf(view{}).FieldByName(name)
+		if inView != (role == "view") {
+			t.Errorf("core.Params.%s has role %q but in-view=%v", name, role, inView)
+		}
+		if inView && vf.Type != pt.Field(i).Type {
+			t.Errorf("view.%s is %s, core.Params.%s is %s", name, vf.Type, name, pt.Field(i).Type)
 		}
 	}
 }

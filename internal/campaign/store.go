@@ -2,13 +2,14 @@ package campaign
 
 import (
 	_ "embed"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 
 	"memnet/internal/core"
-	"memnet/internal/fnv"
 	"memnet/internal/obs"
 )
 
@@ -65,7 +66,8 @@ type envelope struct {
 }
 
 // resultsChecksum is the integrity hash of a cached result: FNV-1a over
-// the compact canonical JSON encoding of core.Results. Encoding the
+// the compact canonical JSON encoding of core.Results, prefixed with
+// its length as 8 little-endian bytes. Encoding the
 // decoded struct (rather than hashing stored bytes) makes the checksum
 // sensitive to field drift: an entry written by a binary whose Results
 // type differed fails verification instead of deserializing partially.
@@ -74,7 +76,10 @@ func resultsChecksum(res core.Results) (string, []byte, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	return fmt.Sprintf("%016x", fnv.New().Bytes(raw).Sum()), raw, nil
+	h := fnv.New64a()
+	h.Write(binary.LittleEndian.AppendUint64(nil, uint64(len(raw))))
+	h.Write(raw)
+	return fmt.Sprintf("%016x", h.Sum64()), raw, nil
 }
 
 // Store is a persistent, content-addressed result cache: one JSON

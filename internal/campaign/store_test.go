@@ -33,7 +33,7 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := testParams()
-	fp := FingerprintParams(p)
+	fp := mustFingerprint(t, p)
 	if _, ok := s.Get(fp); ok {
 		t.Fatal("empty store reported a hit")
 	}
@@ -54,7 +54,7 @@ func TestStoreRoundTrip(t *testing.T) {
 // never as data.
 func TestStoreCorruptEntry(t *testing.T) {
 	p := testParams()
-	fp := FingerprintParams(p)
+	fp := mustFingerprint(t, p)
 	entry := func(t *testing.T) (*Store, string) {
 		s, err := Open(t.TempDir())
 		if err != nil {
@@ -127,7 +127,7 @@ func TestStoreVersionBump(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := testParams()
-	fp := FingerprintParams(p)
+	fp := mustFingerprint(t, p)
 	if err := s.Put(fp, KeyOf(p), testResults()); err != nil {
 		t.Fatal(err)
 	}
@@ -159,5 +159,17 @@ func TestCacheEntrySchemaValid(t *testing.T) {
 	var v any
 	if err := json.Unmarshal(CacheEntrySchemaJSON(), &v); err != nil {
 		t.Fatalf("embedded schema is not JSON: %v", err)
+	}
+}
+
+// TestResultsChecksumStable pins the checksum of a known record, so the
+// integrity hash stays FNV-1a over the length-prefixed encoding.
+func TestResultsChecksumStable(t *testing.T) {
+	sum, _, err := resultsChecksum(testResults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "480361912a82d84b"; sum != want {
+		t.Errorf("checksum %s, want %s", sum, want)
 	}
 }

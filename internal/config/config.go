@@ -48,6 +48,18 @@ func (p Placement) String() string {
 	return "NVM-L"
 }
 
+// ParsePlacement maps a -placement flag value, "last" (-L) or "first"
+// (-F), to the Placement.
+func ParsePlacement(s string) (Placement, error) {
+	switch s {
+	case "last":
+		return NVMLast, nil
+	case "first":
+		return NVMFirst, nil
+	}
+	return 0, fmt.Errorf("unknown placement %q (last | first)", s)
+}
+
 // MemTiming captures the array timing parameters of one technology
 // (Table 2 "DRAM Timings" / "NVM Timings" rows).
 type MemTiming struct {

@@ -154,6 +154,24 @@ type Params struct {
 	Tuning   Tuning
 }
 
+// Resolved returns p as Build runs it, with the defaults Build applies
+// made explicit: an all-zero Tuning becomes DefaultTuning(), and Fault
+// is nil unless it is Enabled, in which case it points at a copy with
+// WithDefaults applied. Build and the result cache's fingerprint both
+// start from it, so Params that resolve alike are one run.
+func (p Params) Resolved() Params {
+	if p.Tuning == (Tuning{}) {
+		p.Tuning = DefaultTuning()
+	}
+	if p.Fault.Enabled() {
+		f := p.Fault.WithDefaults()
+		p.Fault = &f
+	} else {
+		p.Fault = nil
+	}
+	return p
+}
+
 // Label renders the configuration the way the paper labels its bars,
 // e.g. "100%-T", "50%-SL (NVM-L)", "0%-MC". A free-form scenario run
 // is labeled by its scenario name; a scenario that declares a built-in
@@ -175,6 +193,8 @@ func (p *Params) Label() string {
 
 // Instance is a built, runnable simulation.
 type Instance struct {
+	// Params is the run's parameters as Build resolved them
+	// (Params.Resolved): Fault is non-nil exactly when faults are armed.
 	Params    Params
 	Eng       *sim.Engine
 	Graph     *topology.Graph
@@ -221,11 +241,10 @@ type Instance struct {
 	// Graph.Edges, for scheduled faults to down-bind or kill.
 	dirs []edgeDirs
 
-	// Fault plan, precomputed and validated at Build time: one entry per
-	// scheduled event; planGraphs[i] is the routing graph after event i
-	// (nil when routing is unchanged), planSpares[i] the re-home target
-	// of a cube kill.
-	faultCfg   fault.Config
+	// Fault plan of Params.Fault, precomputed and validated at Build
+	// time: one entry per scheduled event; planGraphs[i] is the routing
+	// graph after event i (nil when routing is unchanged), planSpares[i]
+	// the re-home target of a cube kill.
 	planEvents []fault.Event
 	planGraphs []*topology.Graph
 	planSpares []packet.NodeID
@@ -346,9 +365,7 @@ func Build(p Params) (*Instance, error) {
 	if p.Transactions == 0 {
 		return nil, fmt.Errorf("core: zero transactions")
 	}
-	if p.Tuning == (Tuning{}) {
-		p.Tuning = DefaultTuning()
-	}
+	p = p.Resolved()
 	scen, err := GraphSpec(&p)
 	if err != nil {
 		return nil, err
@@ -430,10 +447,9 @@ func Build(p Params) (*Instance, error) {
 	// degraded routing graph and re-home target is built here, so an
 	// unsurvivable scenario (a chain cut, a Full cube kill with no
 	// redundancy, a kill leaving no memory) fails at Build, not mid-run.
-	faultOn := p.Fault.Enabled()
+	faultOn := p.Fault != nil
 	if faultOn {
-		inst.faultCfg = p.Fault.WithDefaults()
-		if err := inst.faultCfg.Validate(); err != nil {
+		if err := p.Fault.Validate(); err != nil {
 			return nil, err
 		}
 		if err := inst.planFaults(); err != nil {
@@ -627,8 +643,8 @@ func Build(p Params) (*Instance, error) {
 		// Bit errors afflict package-to-package SerDes channels; the
 		// wide parallel interposer traces inside a MetaCube are exempt.
 		if faultOn && !e.Interposer {
-			fa := inst.faultCfg.LinkFault(ei, 0)
-			fb := inst.faultCfg.LinkFault(ei, 1)
+			fa := p.Fault.LinkFault(ei, 0)
+			fb := p.Fault.LinkFault(ei, 1)
 			if l.MaxRetries != nil {
 				if fa != nil {
 					fa.MaxRetries = *l.MaxRetries
@@ -772,7 +788,7 @@ func Build(p Params) (*Instance, error) {
 			eng.At(ev.At, func() { inst.applyFault(i) })
 		}
 		inst.Watchdog = sim.NewWatchdog(eng,
-			inst.faultCfg.WatchdogInterval, inst.faultCfg.WatchdogStale,
+			p.Fault.WatchdogInterval, p.Fault.WatchdogStale,
 			collector.Completed,
 			func() bool { return hostPort.Inflight() > 0 })
 		inst.Watchdog.Arm()
@@ -805,7 +821,7 @@ func take[T any](slab *[]T) *T {
 // effective link-up instant (retraining end), so the cumulative order
 // here equals the order routing actually changes mid-run.
 func (in *Instance) planFaults() error {
-	evs, err := in.faultCfg.Build()
+	evs, err := in.Params.Fault.Build()
 	if err != nil {
 		return err
 	}
@@ -1067,7 +1083,7 @@ func (in *Instance) Run() (Results, error) {
 	if in.Watchdog != nil && in.Watchdog.Tripped() {
 		return Results{}, fmt.Errorf(
 			"core: watchdog: no forward progress over %v with packets in flight in %s/%s (%d/%d transactions at %v)\n%s",
-			sim.Time(in.faultCfg.WatchdogStale)*in.faultCfg.WatchdogInterval,
+			sim.Time(in.Params.Fault.WatchdogStale)*in.Params.Fault.WatchdogInterval,
 			in.Params.Label(), in.Params.Workload.Name,
 			in.Collector.Completed(), in.Params.Transactions, in.Eng.Now(),
 			in.WedgeDump())

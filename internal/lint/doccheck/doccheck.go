@@ -2,8 +2,8 @@
 // public surface of the documentation-bearing packages documented.
 //
 // The campaign/result-cache layer (internal/campaign), the experiment
-// harnesses (internal/experiments), the telemetry layer (internal/obs),
-// and the shared hashing helper (internal/fnv) are the packages other
+// harnesses (internal/experiments), the telemetry layer (internal/obs)
+// and the scenario format (internal/scenario) are the packages other
 // code programs against and the packages DESIGN.md points readers into;
 // an exported identifier without a doc comment there is an API change
 // that shipped without its contract. The analyzer requires a leading
@@ -28,14 +28,14 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "doccheck",
 	Doc: "flag undocumented exported identifiers in the documented-API " +
-		"packages (campaign, experiments, obs, fnv, scenario)",
+		"packages (campaign, experiments, obs, scenario)",
 	Run: run,
 }
 
 // docPackages are the internal packages whose exported surface must be
 // fully documented (path segment under internal/, as in
 // lintutil.SimPackage).
-var docPackages = []string{"campaign", "experiments", "obs", "fnv", "scenario"}
+var docPackages = []string{"campaign", "experiments", "obs", "scenario"}
 
 // docPackage reports whether the import path names a package held to
 // full godoc coverage.

@@ -11,7 +11,7 @@
 //	schedcheck no possibly-negative or float-derived event delays
 //	statskey   no fmt-built stat keys or string-keyed counters on hot paths
 //	doccheck   no undocumented exported identifiers in the documented-API
-//	           packages (campaign, experiments, obs, fnv, scenario)
+//	           packages (campaign, experiments, obs, scenario)
 //
 // See DESIGN.md ("Determinism rules" and "Dataflow linting") for the
 // rationale and the //lint: annotation escape hatches. cmd/mnlint is

@@ -13,7 +13,7 @@ func TestLoadModulePackages(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := New()
-	units, err := l.Load(root, "./internal/fnv", "./internal/packet")
+	units, err := l.Load(root, "./internal/fanout", "./internal/packet")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestLoadModulePackages(t *testing.T) {
 			t.Errorf("%s: unnamed types.Package", u.PkgPath)
 		}
 	}
-	if got := units[0].PkgPath; got != "memnet/internal/fnv" {
-		t.Errorf("first package = %s, want memnet/internal/fnv", got)
+	if got := units[0].PkgPath; got != "memnet/internal/fanout" {
+		t.Errorf("first package = %s, want memnet/internal/fanout", got)
 	}
 }

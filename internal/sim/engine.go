@@ -14,17 +14,20 @@ type Handler func()
 // the arg is allocation-free.
 type ArgHandler func(arg any)
 
-// event is a scheduled callback. Events with equal times fire in the
-// order they were scheduled (seq provides the stable tie-break), which
-// makes whole-system simulations deterministic. Exactly one of fn/afn is
-// set.
+// event is a scheduled callback, fn(arg). Events with equal times fire
+// in the order they were scheduled (seq provides the stable tie-break),
+// which makes whole-system simulations deterministic.
 type event struct {
 	at  Time
 	seq uint64
-	fn  Handler
-	afn ArgHandler
+	fn  ArgHandler
 	arg any
 }
+
+// callHandler is the ArgHandler of every Schedule/At event: its
+// argument is the Handler. A func value is pointer-shaped, so boxing it
+// into the arg allocates nothing.
+func callHandler(fn any) { fn.(Handler)() }
 
 // Engine is a single-threaded discrete-event scheduler.
 //
@@ -144,7 +147,7 @@ func (e *Engine) At(t Time, fn Handler) {
 	if fn == nil {
 		panic("sim: nil handler")
 	}
-	e.enqueue(t, fn, nil, nil)
+	e.enqueue(t, callHandler, fn)
 }
 
 // ScheduleArg is Schedule for a bound ArgHandler: fn(arg) runs after
@@ -162,7 +165,7 @@ func (e *Engine) AtArg(t Time, fn ArgHandler, arg any) {
 	if fn == nil {
 		panic("sim: nil handler")
 	}
-	e.enqueue(t, nil, fn, arg)
+	e.enqueue(t, fn, arg)
 }
 
 // SetProbe arms fn to run at every multiple of every that the clock
@@ -203,7 +206,7 @@ func (e *Engine) runProbe(upTo Time) {
 // enqueue stamps the sequence number and routes the event to the fast
 // lane (same-instant), the wheel (future, within the horizon) or the
 // overflow heap. The event is written straight into the slot it gets.
-func (e *Engine) enqueue(t Time, fn Handler, afn ArgHandler, arg any) {
+func (e *Engine) enqueue(t Time, fn ArgHandler, arg any) {
 	if e.inProbe {
 		panic("sim: scheduling from inside a probe")
 	}
@@ -219,28 +222,27 @@ func (e *Engine) enqueue(t Time, fn Handler, afn ArgHandler, arg any) {
 		slot = e.wheel.push(t, e.seq)
 	}
 	if slot == nil {
-		e.heapPush(event{at: t, seq: e.seq, fn: fn, afn: afn, arg: arg})
+		e.heapPush(event{at: t, seq: e.seq, fn: fn, arg: arg})
 		return
 	}
 	// Field by field: the slot is zero, and a composite literal would be
 	// built on the stack and copied with wider loads than its stores.
-	slot.at, slot.seq = t, e.seq
-	slot.fn, slot.afn, slot.arg = fn, afn, arg
+	slot.at, slot.seq, slot.fn, slot.arg = t, e.seq, fn, arg
 }
 
-// insert queues afn(arg) at a place reserved earlier, (t, seq), into the
+// insert queues fn(arg) at a place reserved earlier, (t, seq), into the
 // wheel or the overflow heap. It never uses the lane: every lane event
 // at t was scheduled at t, after the reservation, so it has a newer seq.
-func (e *Engine) insert(t Time, seq uint64, afn ArgHandler, arg any) {
+func (e *Engine) insert(t Time, seq uint64, fn ArgHandler, arg any) {
 	var slot *event
 	if inHorizon(e.now, t) {
 		slot = e.wheel.push(t, seq)
 	}
 	if slot == nil {
-		e.heapPush(event{at: t, seq: seq, afn: afn, arg: arg})
+		e.heapPush(event{at: t, seq: seq, fn: fn, arg: arg})
 		return
 	}
-	slot.at, slot.seq, slot.afn, slot.arg = t, seq, afn, arg
+	slot.at, slot.seq, slot.fn, slot.arg = t, seq, fn, arg
 }
 
 // Step executes the single earliest pending event and returns true, or
@@ -270,11 +272,7 @@ func (e *Engine) Step() bool {
 	}
 	e.cur = ev.seq
 	e.fired++
-	if ev.fn != nil {
-		ev.fn()
-	} else {
-		ev.afn(ev.arg)
-	}
+	ev.fn(ev.arg)
 	return true
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEngineOrdering(t *testing.T) {
@@ -179,5 +180,38 @@ func TestResourceNoOverlap(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEventSize pins the one-handler event form: an event is its place
+// (time, seq), an ArgHandler and its argument, 40 B, and a wheel node
+// adds its link, 48 B.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got > 40 {
+		t.Errorf("event is %d B, want <= 40", got)
+	}
+	if got := unsafe.Sizeof(wnode{}); got > 48 {
+		t.Errorf("wheel node is %d B, want <= 48", got)
+	}
+}
+
+// TestScheduleHandlerAllocs checks that Schedule and At box their
+// Handler into the event's argument without allocating, on the lane,
+// the wheel and the overflow heap alike.
+func TestScheduleHandlerAllocs(t *testing.T) {
+	e := NewEngine()
+	n := 0
+	fn := Handler(func() { n++ })
+	allocs := testing.AllocsPerRun(100, func() {
+		e.Schedule(0, fn)
+		e.Schedule(Nanosecond, fn)
+		e.At(e.Now()+Millisecond, fn)
+		e.Run()
+	})
+	if allocs != 0 {
+		t.Errorf("Schedule/At with a stored Handler: %v allocs per run, want 0", allocs)
+	}
+	if n != 3*101 {
+		t.Errorf("handler ran %d times, want %d", n, 3*101)
 	}
 }

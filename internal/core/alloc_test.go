@@ -10,6 +10,7 @@ import (
 	"memnet/internal/config"
 	"memnet/internal/link"
 	"memnet/internal/mem"
+	"memnet/internal/router"
 	"memnet/internal/sim"
 	"memnet/internal/topology"
 	"memnet/internal/vault"
@@ -115,9 +116,11 @@ func buildCases(tb testing.TB) []buildCase {
 // bytes and allocations, most of them the modelled network rather than
 // bank bookkeeping. Each budget is a value measured on go1.24/amd64
 // plus 10%, and budgets are only ever tightened; a tree build measures
-// 237 KB. Link directions that each carried their fault record, a
-// wakeup holding its handler, and quadrants holding a copy of their
-// timing would put it near 269 KB; a 40 B bank record, with its activate
+// 227 KB in 79 allocations. Routers each holding inline storage for
+// eight ports and an engine whose wheel kept 1024 head and tail pairs
+// would put it near 237 KB; link directions that each carried their
+// fault record, a wakeup holding its handler, and quadrants holding a
+// copy of their timing near 269 KB; a 40 B bank record, with its activate
 // and next refresh times in full, near 335 KB; banks that each carried
 // a timing copy and counters near 850 KB; a heap object and bound
 // closures per link direction, buffer, router and quadrant near 1,700
@@ -131,7 +134,9 @@ func TestBuildFootprint(t *testing.T) {
 	}
 	// The records a build makes hundreds of: 256 banks per cube, eight
 	// link directions and four quadrants per cube, and a wakeup in every
-	// direction and router.
+	// direction and router; and its routers, whose port storage is
+	// carved by port count, and the engine, whose wheel slots are one
+	// int32 each.
 	for _, c := range []struct {
 		name     string
 		sz, want uintptr
@@ -140,18 +145,20 @@ func TestBuildFootprint(t *testing.T) {
 		{"link.Direction", unsafe.Sizeof(link.Direction{}), 304},
 		{"sim.Wakeup", unsafe.Sizeof(sim.Wakeup{}), 40},
 		{"vault.Quadrant", unsafe.Sizeof(vault.Quadrant{}), 296},
+		{"router.Router", unsafe.Sizeof(router.Router{}), 320},
+		{"sim.Engine", unsafe.Sizeof(sim.Engine{}), 4408},
 	} {
 		if c.sz > c.want {
 			t.Errorf("%s is %d B, want <= %d", c.name, c.sz, c.want)
 		}
 	}
 	budgets := map[string]struct{ bytes, allocs uint64 }{ // per build
-		"tree":           {260_800, 88},
-		"skiplist-nvm50": {182_000, 89},
-		"chain":          {260_700, 85},
-		"ring":           {270_100, 89},
-		"metacube":       {280_100, 90},
-		"mesh":           {274_800, 96},
+		"tree":           {249_400, 86},
+		"skiplist-nvm50": {173_100, 88},
+		"chain":          {249_300, 83},
+		"ring":           {259_100, 88},
+		"metacube":       {265_500, 89},
+		"mesh":           {265_000, 94},
 	}
 	for _, tc := range buildCases(t) {
 		const builds = 20
@@ -195,9 +202,9 @@ func TestNoFaultRecordsWithoutFaults(t *testing.T) {
 		for _, e := range in.dirs {
 			dirs = append(dirs, e.ab, e.ba)
 		}
-		for _, r := range in.routers {
-			for i := 0; r != nil && i < r.NumPorts(); i++ {
-				dirs = append(dirs, r.Output(i))
+		for _, c := range in.nodes {
+			for i := 0; c.router != nil && i < c.router.NumPorts(); i++ {
+				dirs = append(dirs, c.router.Output(i))
 			}
 		}
 		for i, d := range dirs {
@@ -209,8 +216,8 @@ func TestNoFaultRecordsWithoutFaults(t *testing.T) {
 }
 
 // TestBuildAllocsFlat: a build's allocation count does not grow with
-// the network. Every router, arbiter, link direction, buffer, quadrant
-// and bank comes from a slab, and routes, return distances and the
+// the network. Every router, arbiter, router port, link direction,
+// buffer, quadrant and bank comes from a slab, and routes, return distances and the
 // augmented arbiters' technology bias from per-build tables, so a build
 // of twice the cubes makes no more allocations. Faults, telemetry and
 // spans, which are off here, add per-component labels and series.

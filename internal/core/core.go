@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"memnet/internal/addr"
 	"memnet/internal/arb"
@@ -39,6 +40,9 @@ import (
 // Tuning holds the microarchitectural constants that are not part of the
 // paper's Table 2 but that the model needs; defaults reproduce the
 // paper's qualitative behavior and are exercised by the ablation benches.
+// A run with an all-zero Tuning runs DefaultTuning(). Any other Tuning
+// is taken as given, field by field, so every field must be in the range
+// Validate accepts: start from DefaultTuning() and change fields.
 type Tuning struct {
 	// VaultQueueDepth is the per-quadrant request queue (packets).
 	VaultQueueDepth int
@@ -51,6 +55,7 @@ type Tuning struct {
 	// bandwidth. Heavily transited cubes (every cube of a chain, the
 	// root of any topology) contend here before saturating any one
 	// link; this is where response priority backs requests up (§3.2).
+	// Zero models an ideal switch, as it does for the interface chip.
 	SwitchBandwidthBps int64
 	// IfaceSwitchBandwidthBps is the same for a MetaCube interface
 	// chip, whose interposer crossbar is high-radix and wider (§4.3).
@@ -65,7 +70,8 @@ type Tuning struct {
 	ShortcutWindow         int
 	// NVMMaxInflight bounds concurrent array operations per NVM
 	// quadrant; PCM current-delivery limits pipeline far fewer
-	// concurrent array operations than DRAM.
+	// concurrent array operations than DRAM. Zero bounds them by
+	// VaultMaxInflight, as DRAM's.
 	NVMMaxInflight int
 	// MetaCubeGroup is the number of cubes per MetaCube package
 	// (default 4; bounded by interposer size, §4.3).
@@ -97,6 +103,45 @@ func DefaultTuning() Tuning {
 		WavefrontSize:           16,
 		WriteDemotion:           2,
 	}
+}
+
+// maxBandwidthX bounds the bandwidth multipliers, far above any modelled
+// die or interposer and far below overflowing a link's bits per second.
+const maxBandwidthX = 1 << 16
+
+// Validate checks each field of t against the range a build accepts and
+// returns an error naming the first field out of range. Build runs it
+// on the resolved Tuning, so a partly set Tuning fails here, with the
+// first field it left at zero, rather than inside a component.
+func (t *Tuning) Validate() error {
+	for _, f := range [...]struct {
+		name      string
+		v, lo, hi int64
+	}{
+		{"VaultQueueDepth", int64(t.VaultQueueDepth), 1, config.MaxBufferPackets},
+		{"VaultMaxInflight", int64(t.VaultMaxInflight), 1, math.MaxInt32},
+		{"InternalBandwidthX", int64(t.InternalBandwidthX), 1, maxBandwidthX},
+		{"SwitchBandwidthBps", t.SwitchBandwidthBps, 0, math.MaxInt64},
+		{"IfaceSwitchBandwidthBps", t.IfaceSwitchBandwidthBps, 0, math.MaxInt64},
+		{"InterposerBandwidthX", int64(t.InterposerBandwidthX), 1, maxBandwidthX},
+		{"InterposerSerDes", int64(t.InterposerSerDes), 0, math.MaxInt64},
+		{"ShortcutWindow", int64(t.ShortcutWindow), 1, math.MaxInt32},
+		{"NVMMaxInflight", int64(t.NVMMaxInflight), 0, math.MaxInt32},
+		{"MetaCubeGroup", int64(t.MetaCubeGroup), 1, math.MaxInt32},
+		{"WavefrontSize", int64(t.WavefrontSize), 1, math.MaxInt32},
+		{"WriteDemotion", t.WriteDemotion, 1, math.MaxInt64},
+	} {
+		if f.v < f.lo || f.v > f.hi {
+			return fmt.Errorf("core: Tuning.%s is %d, want %d to %d", f.name, f.v, f.lo, f.hi)
+		}
+	}
+	if !(t.ShortcutHi >= 0 && t.ShortcutHi <= 1) {
+		return fmt.Errorf("core: Tuning.ShortcutHi is %v, want 0 to 1", t.ShortcutHi)
+	}
+	if !(t.ShortcutLo >= 0 && t.ShortcutLo <= t.ShortcutHi) {
+		return fmt.Errorf("core: Tuning.ShortcutLo is %v, want 0 to ShortcutHi (%v)", t.ShortcutLo, t.ShortcutHi)
+	}
+	return nil
 }
 
 // Params fully specifies one simulation run.
@@ -216,18 +261,15 @@ type Instance struct {
 	// completed spans are exported with Instance.WriteSpans.
 	Spans *span.Recorder
 
-	// routers and quadrants are indexed by node ID: nil and empty for
-	// the host, and a cube's quadrants in index order.
-	routers   []*router.Router
-	quadrants [][]vault.Quadrant
 	// timing holds the build's DRAM and NVM timing sets, indexed by
 	// config.MemTech, which every quadrant of the technology shares.
 	timing [2]config.MemTiming
 
-	// nodes is the build's per-node table, indexed by node ID: every
-	// router routes through its node's entry, every quadrant takes its
-	// return distances from its cube's, and a dead cube's entry holds
-	// its re-home spare.
+	// nodes is the build's per-node table, indexed by node ID: each
+	// entry holds its node's router and quadrants, every router routes
+	// through its node's entry, every quadrant takes its return
+	// distances from its cube's, and a dead cube's entry holds its
+	// re-home spare.
 	nodes []nodeCtx
 	// rehomed counts the dead cubes whose address ranges are re-homed.
 	rehomed int
@@ -259,7 +301,11 @@ type edgeDirs struct{ ab, ba *link.Direction } // A->B, B->A
 // return path (vault.ReturnPath), so wiring a node allocates nothing.
 type nodeCtx struct {
 	in *Instance
-	id packet.NodeID
+	// router is the node's router, nil for the host; quads are a cube's
+	// quadrants in index order.
+	router *router.Router
+	quads  []vault.Quadrant
+	id     packet.NodeID
 	// extDeg is the node's external link count; a cube's quadrant q is
 	// router port extDeg+q.
 	extDeg int
@@ -269,6 +315,15 @@ type nodeCtx struct {
 	// cubes die, so a spare is never itself dead.
 	rehomed bool
 	spare   packet.NodeID
+}
+
+// ports is the port count of the node's router: its external links,
+// plus quads quadrants for a cube.
+func (c *nodeCtx) ports(quads int) int {
+	if c.isCube {
+		return c.extDeg + quads
+	}
+	return c.extDeg
 }
 
 // Route returns the port a packet leaves the node's router through:
@@ -366,6 +421,9 @@ func Build(p Params) (*Instance, error) {
 		return nil, fmt.Errorf("core: zero transactions")
 	}
 	p = p.Resolved()
+	if err := p.Tuning.Validate(); err != nil {
+		return nil, err
+	}
 	scen, err := GraphSpec(&p)
 	if err != nil {
 		return nil, err
@@ -405,11 +463,9 @@ func Build(p Params) (*Instance, error) {
 	// schedules events, so Results stay bit-identical with spans on.
 	// spanNode/bindShip build every edge label once at wiring time; the
 	// hot path only copies the prebuilt string header into segments of
-	// sampled transactions.
-	var spans *span.Recorder
-	if p.Spans.Enabled() {
-		spans = span.NewRecorder(*p.Spans, p.Seed)
-	}
+	// sampled transactions. spans is assigned once, so the closures
+	// capture its value and it does not move to the heap.
+	spans := spanRecorder(&p)
 	spanNode := func(n packet.NodeID) string {
 		if n == packet.HostNode {
 			return "h"
@@ -433,8 +489,6 @@ func Build(p Params) (*Instance, error) {
 		Mapper:    mapper,
 		Collector: collector,
 		Meter:     meter,
-		routers:   make([]*router.Router, len(g.Nodes)),
-		quadrants: make([][]vault.Quadrant, len(g.Nodes)),
 		nodes:     make([]nodeCtx, len(g.Nodes)),
 		live:      g,
 	}
@@ -510,8 +564,10 @@ func Build(p Params) (*Instance, error) {
 	inst.Port = hostPort
 
 	// The network's components live in one slice per type, sized from
-	// the graph: a router and its arbiter per non-host node; a direction
-	// pair per edge and per quadrant; an input buffer per external router
+	// the graph: a router and its arbiter (one slice of pairs) per
+	// non-host node, and the routers' port storage by their real port
+	// counts (external links plus a cube's quadrants); a direction pair
+	// per edge and per quadrant; an input buffer per external router
 	// port, plus two per quadrant (its request queue and its port on the
 	// router); and every quadrant's banks, which are ready to use as
 	// allocated (a zero mem.Bank is closed, clean and unrefreshed). With
@@ -519,21 +575,22 @@ func Build(p Params) (*Instance, error) {
 	// one more slab; without one no direction has a record. take hands
 	// out their elements in order; the slices never grow, so the
 	// pointers wired below stay valid.
-	nRouters, nPorts, nCubes := 0, 0, 0
+	nRouters, nPorts, nCubes, width := 0, 0, 0, 0
 	for _, n := range g.Nodes {
 		if n.Kind == topology.Host {
 			continue
 		}
 		nRouters++
 		nPorts += g.Degree(n.ID)
+		width = max(width, inst.nodes[n.ID].ports(p.Sys.Quadrants))
 		if n.Kind == topology.Cube {
 			nCubes++
 		}
 	}
 	nQuads := nCubes * p.Sys.Quadrants
+	portSlab := router.NewSlab(nRouters, nPorts+nQuads, width)
 	nBanks := p.Sys.BanksPerQuadrant()
-	routerSlab := make([]router.Router, 0, nRouters)
-	arbSlab := make([]arb.Arbiter, 0, nRouters)
+	switchSlab := make([]switchPair, 0, nRouters)
 	quadSlab := make([]vault.Quadrant, 0, nQuads)
 	bankSlab := make([]mem.Bank, nQuads*nBanks)
 	dirSlab := make([]link.Direction, 0, 2*len(g.Edges)+2*nQuads)
@@ -585,18 +642,20 @@ func Build(p Params) (*Instance, error) {
 		if aKind == arb.DistanceAugmented && bias == nil {
 			bias = techBias(mapper, len(g.Nodes), &p.Sys)
 		}
-		a := take(&arbSlab)
+		c := &inst.nodes[n.ID]
+		sw := take(&switchSlab)
+		a, r := &sw.arb, &sw.router
 		a.Init(aKind, demotion, bias)
-		r := take(&routerSlab)
 		r.Init(eng, n.ID, a, xbar)
-		r.SetRouting(&inst.nodes[n.ID])
+		r.Reserve(&portSlab, c.ports(p.Sys.Quadrants))
+		r.SetRouting(c)
 		if spans != nil {
 			label := fmt.Sprintf("r%d", n.ID)
 			r.OnForward = func(pk *packet.Packet, port int, wait sim.Time) {
 				spans.Seg(pk, span.RouterArb, label, eng.Now()-wait, wait)
 			}
 		}
-		inst.routers[n.ID] = r
+		c.router = r
 	}
 
 	// Per-edge link direction pairs, attached in adjacency order so that
@@ -668,7 +727,7 @@ func Build(p Params) (*Instance, error) {
 		if n.Kind == topology.Host {
 			continue
 		}
-		r := inst.routers[n.ID]
+		r := inst.nodes[n.ID].router
 		for port := 0; port < g.Degree(n.ID); port++ {
 			e := g.EdgeAt(n.ID, port)
 			var out, in *link.Direction
@@ -729,7 +788,7 @@ func Build(p Params) (*Instance, error) {
 		if n.Kind != topology.Cube {
 			continue
 		}
-		r := inst.routers[n.ID]
+		r := inst.nodes[n.ID].router
 		node := n.ID
 		inflight := p.Tuning.VaultMaxInflight
 		if n.Tech == config.NVM && p.Tuning.NVMMaxInflight > 0 {
@@ -765,7 +824,7 @@ func Build(p Params) (*Instance, error) {
 				}
 			}
 		}
-		inst.quadrants[n.ID] = quadSlab[first:len(quadSlab):len(quadSlab)]
+		inst.nodes[n.ID].quads = quadSlab[first:len(quadSlab):len(quadSlab)]
 	}
 
 	inst.Spans = spans
@@ -802,9 +861,21 @@ func Build(p Params) (*Instance, error) {
 	}
 
 	// Prime the injection process.
-	eng.Schedule(0, hostPort.Kick)
+	eng.ScheduleArg(0, kickHost, hostPort)
 	return inst, nil
 }
+
+// switchPair is a router and its arbiter, laid out together in a
+// build's slab.
+type switchPair struct {
+	router router.Router
+	arb    arb.Arbiter
+}
+
+// kickHost is the event that primes a run's injection; its argument is
+// the host port. Unlike the method value hostPort.Kick, it allocates
+// nothing.
+func kickHost(port any) { port.(*host.Port).Kick() }
 
 // take extends slab by one element within its capacity and returns it;
 // it panics if the slab is full, which is a miscount.
@@ -970,7 +1041,7 @@ func (in *Instance) applyFault(i int) {
 		// Drain each direction's queued and retrying packets back into
 		// the router at its sending end for re-routing. The host edge
 		// cannot be killed (it always disconnects), so both ends route.
-		ra, rb := in.routers[e.A], in.routers[e.B]
+		ra, rb := in.nodes[e.A].router, in.nodes[e.B].router
 		in.dirs[ev.Edge].ab.Fail(func(p *packet.Packet) { ra.Reinject(p) })
 		in.dirs[ev.Edge].ba.Fail(func(p *packet.Packet) { rb.Reinject(p) })
 		in.fc.LinksKilled++
@@ -996,7 +1067,7 @@ func (in *Instance) applyFault(i int) {
 	// of the reproducibility guarantee for faulty runs. The route tables
 	// or the re-home spares changed, so every head is routed again.
 	for _, n := range in.Graph.Nodes {
-		if r := in.routers[n.ID]; r != nil {
+		if r := in.nodes[n.ID].router; r != nil {
 			r.InvalidateRoutes()
 			r.Kick()
 		}
@@ -1128,7 +1199,7 @@ func (in *Instance) FaultCounters() stats.FaultCounters {
 		}
 	}
 	for _, n := range in.Graph.Nodes {
-		if r := in.routers[n.ID]; r != nil {
+		if r := in.nodes[n.ID].router; r != nil {
 			fc.Rerouted += r.Rerouted
 		}
 	}

@@ -206,8 +206,8 @@ func TestWrongQuadrantCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wrong, total uint64
-	for _, quads := range in.quadrants {
-		for _, q := range quads {
+	for _, c := range in.nodes {
+		for _, q := range c.quads {
 			s := q.Stats()
 			wrong += s.WrongQuad
 			total += s.Reads + s.Writes

@@ -37,18 +37,18 @@ type NodeReport struct {
 // in graph order (not router-map order) so the report is deterministic
 // end to end.
 func (in *Instance) Report() []NodeReport {
-	out := make([]NodeReport, 0, len(in.routers))
+	out := make([]NodeReport, 0, len(in.nodes))
 	// Every node's PortWait is a slice of one array.
 	nPorts := 0
-	for _, r := range in.routers {
-		if r != nil {
+	for i := range in.nodes {
+		if r := in.nodes[i].router; r != nil {
 			nPorts += r.NumPorts()
 		}
 	}
 	waits := make([]sim.Time, nPorts)
 	for _, node := range in.Graph.Nodes {
 		id := node.ID
-		r := in.routers[id]
+		r := in.nodes[id].router
 		if r == nil {
 			continue
 		}
@@ -63,8 +63,8 @@ func (in *Instance) Report() []NodeReport {
 		for i := range nr.PortWait {
 			nr.PortWait[i] = r.InputBuffer(i).MeanWait()
 		}
-		for qi := range in.quadrants[id] {
-			q := &in.quadrants[id][qi]
+		for qi := range in.nodes[id].quads {
+			q := &in.nodes[id].quads[qi]
 			s := q.Stats()
 			nr.Vault.Reads += s.Reads
 			nr.Vault.Writes += s.Writes
@@ -106,7 +106,7 @@ func (in *Instance) WedgeDump() string {
 	fmt.Fprintf(&b, "wedge dump at %v: %d in flight, %d completed\n",
 		in.Eng.Now(), in.Port.Inflight(), in.Collector.Completed())
 	for _, n := range in.Graph.Nodes {
-		r := in.routers[n.ID]
+		r := in.nodes[n.ID].router
 		if r == nil {
 			continue
 		}

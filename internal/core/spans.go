@@ -8,6 +8,15 @@ import (
 	"memnet/internal/span"
 )
 
+// spanRecorder is the run's span recorder: nil unless p arms span
+// tracing.
+func spanRecorder(p *Params) *span.Recorder {
+	if !p.Spans.Enabled() {
+		return nil
+	}
+	return span.NewRecorder(*p.Spans, p.Seed)
+}
+
 // WriteSpans exports the instance's completed causal spans as NDJSON
 // (schema memnet/spans/v1): one header line carrying the run identity
 // and sampling parameters, then one line per sampled transaction. It is

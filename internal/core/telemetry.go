@@ -83,7 +83,7 @@ func buildTelemetry(in *Instance, cfg *obs.Config) {
 		if n.Kind == topology.Host {
 			continue
 		}
-		r := in.routers[n.ID]
+		r := in.nodes[n.ID].router
 		prefix := fmt.Sprintf("node%d.router", n.ID)
 		reg.Gauge(prefix+".occupancy", func() int64 {
 			var occ int64
@@ -112,7 +112,7 @@ func buildTelemetry(in *Instance, cfg *obs.Config) {
 		if n.Kind != topology.Cube {
 			continue
 		}
-		quads := in.quadrants[n.ID]
+		quads := in.nodes[n.ID].quads
 		prefix := fmt.Sprintf("node%d.vault", n.ID)
 		reg.Gauge(prefix+".inflight", func() int64 {
 			var v int64

@@ -14,8 +14,10 @@ import (
 // persisted across sweeps and before the crossbar retry could be
 // deferred — side by side, each on its own engine, with the same
 // arrivals, salvaged packets, route-table swaps, output stalls, link
-// failures and repairs, port counts (more than 64 included) and
-// crossbar widths. After every operation both must show the same
+// failures and repairs, port counts (either side of the route masks'
+// 64-bit word included) and crossbar widths. The router under test
+// takes its storage from New or, as a build's routers do, from a Slab
+// shared with another router. After every operation both must show the same
 // grants and deliveries, Forwarded and Contended counts, scan rotation
 // (sweepStart), retryArmed, clock and logical event count (Fired).
 func FuzzRouterSweep(f *testing.F) {
@@ -170,8 +172,11 @@ func twinPolicy(k byte, slab bool) arb.Policy {
 
 // checkRouterTwin decodes data into a router configuration and an
 // operation sequence and runs it on both routers. Three header bytes
-// pick the port count (2 + b%7, plus 64 with bit 7 set), the crossbar
-// bandwidth and policy, and the output links' queue depth and credits.
+// pick the port count (2 + b%7, plus 64 with bit 7 set; with bits 5
+// and 6 both set, one of 9, 63, 64 and 65 by the low two bits instead)
+// and the storage of the router under test (a Slab with bit 4 set,
+// else New's), the crossbar bandwidth and policy, and the output
+// links' queue depth and credits.
 // Then each op byte, taken mod 8, is
 //
 //	0 arrival: port, kind, destination and distance from the next bytes
@@ -199,6 +204,9 @@ func checkRouterTwin(t *testing.T, data []byte) {
 	if nb&0x80 != 0 {
 		n += 64
 	}
+	if nb&0x60 == 0x60 {
+		n = [...]int{9, 63, 64, 65}[nb&3]
+	}
 	xb := next()
 	bps := [...]int64{0, 1e9, 20e9, 160e9}[xb&3]
 	lb := next()
@@ -206,7 +214,22 @@ func checkRouterTwin(t *testing.T, data []byte) {
 		QueueDepth: 1 + int(lb%3), Credits: 1 + int(lb>>2)%4}
 
 	engN, engR := sim.NewEngine(), sim.NewEngine()
-	rn := New(engN, 1, twinPolicy(xb>>2, true), bps)
+	// With a slab, a neighbor takes its first three ports' storage,
+	// marked so that any write into it shows at the end.
+	var rn *Router
+	var neighbor Router
+	if nb&0x10 != 0 {
+		slab := NewSlab(2, n+3, max(n, 3))
+		neighbor.Reserve(&slab, 3)
+		for i := range neighbor.rs.masks {
+			neighbor.rs.masks[i] = ^uint64(0)
+		}
+		rn = new(Router)
+		rn.Init(engN, 1, twinPolicy(xb>>2, true), bps)
+		rn.Reserve(&slab, n)
+	} else {
+		rn = New(engN, 1, twinPolicy(xb>>2, true), bps)
+	}
 	rr := newRefRouter(engR, 1, twinPolicy(xb>>2, false), bps)
 	sn := newTwinSide(rn, engN, n, cfg)
 	sr := newTwinSide(rr, engR, n, cfg)
@@ -321,4 +344,9 @@ func checkRouterTwin(t *testing.T, data []byte) {
 		s.eng.Run()
 	}
 	check("drain")
+	ports := neighbor.ports[:cap(neighbor.ports)]
+	if slices.ContainsFunc(ports, func(pt port) bool { return pt != port{} }) ||
+		slices.ContainsFunc(neighbor.rs.masks, func(m uint64) bool { return m != ^uint64(0) }) {
+		t.Fatalf("the slab neighbor's storage was written: ports %v, masks %x", ports, neighbor.rs.masks)
+	}
 }

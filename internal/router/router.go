@@ -58,17 +58,29 @@ func (f RouteFunc) Route(p *packet.Packet) int { return f(p) }
 // priority delays requests and where the arbitration policy decides who
 // ages in the input queues.
 type Router struct {
-	eng    *sim.Engine
-	node   packet.NodeID
+	eng  *sim.Engine
+	node packet.NodeID
+
+	retryArmed   bool
+	sweepPending bool
+	// routed is set while rs is laid out for the attached ports.
+	routed bool
+
 	route  Routing
 	policy arb.Policy
 
-	in  []*link.Buffer
-	out []*link.Direction
+	// ports are the router's ports, each its input buffer, its output
+	// direction and what their links see of it (see port).
+	ports []port
+	// rs holds the routed and unrouted input heads across sweeps.
+	rs routeState
+	// cand and heads carry one output's candidates to the arbiter. A
+	// build's routers share them (see Slab).
+	cand  []int
+	heads []*packet.Packet
 
 	crossbar   sim.Resource
 	switchBps  int64
-	retryArmed bool
 	sweepStart int
 	// retry is the crossbar retry deferred when nothing is routed or
 	// waiting to be routed and no salvaged packet waits: fired
@@ -76,16 +88,10 @@ type Router struct {
 	// scan (the crossbar is idle again at its instant).
 	retry sim.Wakeup
 
-	sweepPending bool
 	// reroutes holds packets handed back by a failed output link
 	// (link.Direction.Fail drains into Reinject); they re-enter the
 	// network through the recomputed route tables at the next sweep.
 	reroutes []*packet.Packet
-
-	// rs holds the routed and unrouted input heads across sweeps. It is
-	// built at the first sweep after the ports are attached, in rsBuf.
-	rs    *routeState
-	rsBuf routeState
 
 	// Forwarded counts packets moved input->output, per VC.
 	Forwarded [packet.NumVCs]uint64
@@ -107,51 +113,87 @@ type Router struct {
 	// (arbitration wait plus crossbar contention). The span tracer arms
 	// it; nil keeps the drain loop hook-free.
 	OnForward func(p *packet.Packet, port int, wait sim.Time)
-
-	// ports are the receivers of the links into each port and the
-	// space listeners of each output (see port).
-	ports []port
-
-	// inArr, outArr and portArr back in, out and ports for the first
-	// inlinePorts ports, so attaching a cube's ports allocates nothing;
-	// append moves a wider router's slices to the heap.
-	inArr   [inlinePorts]*link.Buffer
-	outArr  [inlinePorts]*link.Direction
-	portArr [inlinePorts]port
 }
 
-// port is port i of a router as its links see it: the Receiver of the
-// direction into the port and the SpaceListener of the direction out
-// of it. It never changes after AttachPort, so a pointer handed out
-// stays valid when append moves ports to a larger array.
+// port is port i of a router: its input buffer, its output direction,
+// and, as its links see it, the Receiver of the direction into the port
+// and the SpaceListener of the direction out of it. It never changes
+// after AttachPort, so a pointer handed out stays valid when append
+// moves a router's ports to a larger array.
 type port struct {
-	r *Router
-	i int
+	r   *Router
+	in  *link.Buffer
+	out *link.Direction
+	i   int
 }
 
 // Receive is the arrival entry point of the port. Packets must enter
 // the input buffer through it once the router has swept: it is how the
 // router learns of a new head to route.
 func (pt *port) Receive(p *packet.Packet) {
-	r, i := pt.r, pt.i
-	p.EnterPort = int8(i)
-	if vc := packet.VCOf(p.Kind); r.in[i].Len(vc) == 0 {
+	r := pt.r
+	p.EnterPort = int8(pt.i)
+	if vc := packet.VCOf(p.Kind); pt.in.Len(vc) == 0 {
 		r.touch()
-		if r.rs != nil {
-			r.rs.markDirty(i, vc)
+		if r.routed {
+			r.rs.markDirty(pt.i, vc)
 		}
 	}
-	r.in[i].Push(p, r.eng.Now())
+	pt.in.Push(p, r.eng.Now())
 	r.Kick()
 }
 
 // OnSpace kicks a sweep when the port's output frees a slot.
 func (pt *port) OnSpace(packet.VC) { pt.r.Kick() }
 
-// inlinePorts is the port count a router holds without allocating: a
-// cube's external links plus its four vault quadrants, at most eight in
-// every built-in topology.
-const inlinePorts = 8
+// Slab is the port storage of a network's routers, allocated once per
+// build and sized by their real port counts. Each router given storage
+// by Reserve takes its ports and route masks from one backing array
+// each, and all of them share one candidate scratch: a sweep runs to
+// completion before any other starts. A router given no storage (New)
+// allocates its own as its ports are attached and at its first sweep.
+type Slab struct {
+	ports []port
+	masks []uint64
+	cand  []int
+	heads []*packet.Packet
+}
+
+// NewSlab returns storage for the given number of routers, whose port
+// counts sum to ports and the widest of which has width ports. Route
+// masks are sized for width, so they fit exactly when no router has
+// more than 64 ports.
+func NewSlab(routers, ports, width int) Slab {
+	return Slab{
+		ports: make([]port, 0, ports),
+		masks: make([]uint64, int(packet.NumVCs)*(ports+routers)*maskWords(width)),
+		cand:  make([]int, width),
+		heads: make([]*packet.Packet, width),
+	}
+}
+
+// maskWords is the number of uint64 words a bitmask over n inputs takes.
+func maskWords(n int) int { return (n + 63) / 64 }
+
+// maskLen is the number of route-mask words of a router of n ports: per
+// VC, one candidate mask per output and one dirty mask.
+func maskLen(n int) int { return int(packet.NumVCs) * (n + 1) * maskWords(n) }
+
+// Reserve gives r, initialized and with no port attached yet, storage
+// for n ports from s; it panics if s has too little left, which is a
+// miscount. Attaching more than n ports still works, at the cost of the
+// allocations of a router given no storage.
+func (r *Router) Reserve(s *Slab, n int) {
+	if len(r.ports) > 0 || r.rs.masks != nil {
+		panic(fmt.Sprintf("router %d: storage reserved after ports or twice", r.node))
+	}
+	k := len(s.ports)
+	r.ports = s.ports[k : k : k+n]
+	s.ports = s.ports[:k+n]
+	m := maskLen(n)
+	r.rs.masks, s.masks = s.masks[:m:m], s.masks[m:]
+	r.cand, r.heads = s.cand, s.heads
+}
 
 // New creates a router shell; ports are attached afterwards with
 // AttachPort. switchBps is the centralized switch's internal bandwidth
@@ -170,7 +212,6 @@ func (r *Router) Init(eng *sim.Engine, node packet.NodeID, policy arb.Policy, sw
 		panic(fmt.Sprintf("router %d: initialized twice", r.node))
 	}
 	r.eng, r.node, r.policy, r.switchBps = eng, node, policy, switchBps
-	r.in, r.out, r.ports = r.inArr[:0], r.outArr[:0], r.portArr[:0]
 	r.retry.Init(eng)
 }
 
@@ -194,7 +235,7 @@ func retryEvent(arg any) {
 // far.
 func (r *Router) SetRouting(rt Routing) {
 	r.route = rt
-	if r.rs != nil {
+	if r.routed {
 		r.InvalidateRoutes()
 	}
 }
@@ -206,8 +247,8 @@ func (r *Router) SetRoute(fn RouteFunc) { r.SetRouting(fn) }
 // sweep. Call it whenever the route function's answers change.
 func (r *Router) InvalidateRoutes() {
 	r.touch()
-	if r.rs != nil {
-		r.rs.reset(r.in)
+	if r.routed {
+		r.rs.reset(r.ports)
 	}
 }
 
@@ -215,7 +256,7 @@ func (r *Router) InvalidateRoutes() {
 func (r *Router) Node() packet.NodeID { return r.node }
 
 // NumPorts reports the attached port count.
-func (r *Router) NumPorts() int { return len(r.in) }
+func (r *Router) NumPorts() int { return len(r.ports) }
 
 // AttachPort adds a port and returns its index. in receives packets from
 // the neighbor; out sends toward the neighbor. The router registers
@@ -223,11 +264,9 @@ func (r *Router) NumPorts() int { return len(r.in) }
 // flows; the route state is built for the final port count at the
 // first sweep.
 func (r *Router) AttachPort(in *link.Buffer, out *link.Direction) int {
-	r.rs = nil
-	idx := len(r.in)
-	r.in = append(r.in, in)
-	r.out = append(r.out, out)
-	r.ports = append(r.ports, port{r: r, i: idx})
+	r.routed = false
+	idx := len(r.ports)
+	r.ports = append(r.ports, port{r: r, in: in, out: out, i: idx})
 	out.SetSpaceListener(&r.ports[idx])
 	return idx
 }
@@ -242,10 +281,10 @@ func (r *Router) Receiver(i int) link.Receiver { return &r.ports[i] }
 func (r *Router) Deliver(i int) func(*packet.Packet) { return r.Receiver(i).Receive }
 
 // InputBuffer exposes port i's input buffer (for wiring and stats).
-func (r *Router) InputBuffer(i int) *link.Buffer { return r.in[i] }
+func (r *Router) InputBuffer(i int) *link.Buffer { return r.ports[i].in }
 
 // Output exposes port i's output direction (for wiring and stats).
-func (r *Router) Output(i int) *link.Direction { return r.out[i] }
+func (r *Router) Output(i int) *link.Direction { return r.ports[i].out }
 
 // Reinject hands the router a packet salvaged from a failed output link
 // (or bounced off a dead neighbor). The packet waits in a side queue and
@@ -277,56 +316,56 @@ func (r *Router) Kick() {
 // or a grant's pop exposes it, and every head is after
 // InvalidateRoutes.
 //
-// routes[vc] holds one candidate bitmask of words uint64s per output:
-// bit i of output o's mask is set when input i's vc head routes to o.
-// live[vc] counts the set bits of all outputs. dirty[vc] marks the inputs
-// whose vc head is not yet routed (ndirty[vc] of them); they are routed,
-// in ascending input order, at a sweep's first candidate scan of vc —
-// where a rescan of every head would first route them. cand and heads
-// carry one output's candidates to the arbiter. The arrays back all of
-// these for a router of up to inlinePorts ports, so building the state
-// allocates nothing.
+// masks holds, per VC, n+1 bitmasks of words uint64s each, vc's at
+// offset vc*(n+1)*words, for the n ports the state was laid out for.
+// Mask o < n is output o's candidates: bit i is set when input i's vc
+// head routes to o. Mask n is vc's dirty mask: it marks the inputs
+// whose vc head is not yet routed (ndirty[vc] of them); they are
+// routed, in ascending input order, at a sweep's first candidate scan
+// of vc — where a rescan of every head would first route them. live[vc]
+// counts the set bits of all outputs.
 type routeState struct {
-	words  int
-	routes [packet.NumVCs][]uint64
-	live   [packet.NumVCs]int
-	dirty  [packet.NumVCs][]uint64
-	ndirty [packet.NumVCs]int
-	cand   []int
-	heads  []*packet.Packet
-
-	flatArr  [int(packet.NumVCs) * (inlinePorts + 1)]uint64
-	candArr  [inlinePorts]int
-	headsArr [inlinePorts]*packet.Packet
+	masks  []uint64
+	n      int32
+	words  int32
+	live   [packet.NumVCs]int32
+	ndirty [packet.NumVCs]int32
 }
 
-// routing returns the route state, building it if missing; a new state
-// marks every input head unrouted.
-func (r *Router) routing() *routeState {
-	if r.rs != nil {
-		return r.rs
+// mask returns the words of mask o of vc: output o's candidates, or
+// vc's dirty mask for o == n.
+func (rs *routeState) mask(vc packet.VC, o int) []uint64 {
+	k := (int(vc)*(int(rs.n)+1) + o) * int(rs.words)
+	return rs.masks[k : k+int(rs.words)]
+}
+
+// bit returns the word of mask o of vc holding input i's bit, and the
+// bit.
+func (rs *routeState) bit(vc packet.VC, o, i int) (*uint64, uint64) {
+	return &rs.masks[(int(vc)*(int(rs.n)+1)+o)*int(rs.words)+i/64], 1 << (i % 64)
+}
+
+// routing lays the route state out for the attached ports if it is not,
+// marking every input head unrouted. Storage from Reserve fits; a
+// router given none, or attached past it, allocates here.
+func (r *Router) routing() {
+	if r.routed {
+		return
 	}
-	n := len(r.in)
-	words := (n + 63) / 64
-	rs := &r.rsBuf
-	rs.words = words
-	var flat []uint64
-	if n <= inlinePorts {
-		rs.cand, rs.heads, flat = rs.candArr[:n], rs.headsArr[:n], rs.flatArr[:]
-	} else {
-		rs.cand, rs.heads = make([]int, n), make([]*packet.Packet, n)
-		flat = make([]uint64, int(packet.NumVCs)*(n+1)*words)
+	n := len(r.ports)
+	rs := &r.rs
+	rs.n, rs.words = int32(n), int32(maskWords(n))
+	if m := maskLen(n); len(rs.masks) < m {
+		rs.masks = make([]uint64, m)
 	}
-	for vc := range rs.routes {
-		rs.routes[vc], flat = flat[:n*words], flat[n*words:]
-		rs.dirty[vc], flat = flat[:words], flat[words:]
+	if len(r.cand) < n {
+		r.cand, r.heads = make([]int, n), make([]*packet.Packet, n)
 	}
-	rs.reset(r.in)
-	r.rs = rs
+	rs.reset(r.ports)
+	r.routed = true
 	if ps, ok := r.policy.(portSizer); ok {
 		ps.SetPorts(n)
 	}
-	return rs
 }
 
 // portSizer is a Policy that sizes its state from the router's port
@@ -336,15 +375,12 @@ type portSizer interface {
 }
 
 // reset forgets every route and marks every input head unrouted.
-func (rs *routeState) reset(in []*link.Buffer) {
-	for vc := range rs.routes {
-		clear(rs.routes[vc])
-		clear(rs.dirty[vc])
-		rs.live[vc], rs.ndirty[vc] = 0, 0
-	}
-	for i, b := range in {
+func (rs *routeState) reset(ports []port) {
+	clear(rs.masks)
+	rs.live, rs.ndirty = [packet.NumVCs]int32{}, [packet.NumVCs]int32{}
+	for i := range ports {
 		for vc := packet.VC(0); vc < packet.NumVCs; vc++ {
-			if b.Len(vc) > 0 {
+			if ports[i].in.Len(vc) > 0 {
 				rs.markDirty(i, vc)
 			}
 		}
@@ -353,8 +389,7 @@ func (rs *routeState) reset(in []*link.Buffer) {
 
 // markDirty marks input i's vc head as waiting to be routed.
 func (rs *routeState) markDirty(i int, vc packet.VC) {
-	w, bit := &rs.dirty[vc][i/64], uint64(1)<<(i%64)
-	if *w&bit == 0 {
+	if w, bit := rs.bit(vc, int(rs.n), i); *w&bit == 0 {
 		*w |= bit
 		rs.ndirty[vc]++
 	}
@@ -399,7 +434,7 @@ func (r *Router) sweep() {
 	r.settle()
 	r.drainReroutes()
 	r.routing()
-	n := len(r.out)
+	n := len(r.ports)
 	for _, vc := range [...]packet.VC{packet.VCResponse, packet.VCRequest} {
 		o := r.sweepStart % n
 		for k := 0; k < n; k++ {
@@ -424,7 +459,7 @@ func (r *Router) sweep() {
 // routed or waiting at all and an idle crossbar, a sweep is thus O(1):
 // one scan per VC, then the rotation.
 func (r *Router) exhausted(vc packet.VC) bool {
-	rs := r.rs
+	rs := &r.rs
 	return rs.live[vc] == 0 && rs.ndirty[vc] == 0 &&
 		(r.switchBps == 0 || r.crossbar.Idle(r.eng.Now()))
 }
@@ -433,7 +468,8 @@ func (r *Router) exhausted(vc packet.VC) bool {
 // until space, candidates, credits, or switch bandwidth run out. It
 // returns false when the crossbar is busy (a retry has been armed).
 func (r *Router) drain(o int, vc packet.VC) bool {
-	for r.out[o].CanAccept(vc) {
+	out := r.ports[o].out
+	for out.CanAccept(vc) {
 		if r.switchBps > 0 && !r.crossbar.Idle(r.eng.Now()) {
 			r.armRetry()
 			return false
@@ -445,16 +481,18 @@ func (r *Router) drain(o int, vc packet.VC) bool {
 		if len(candidates) > 1 {
 			r.Contended++
 		}
-		pick := r.policy.Pick(o, vc, candidates, r.rs.heads[:len(candidates)])
+		pick := r.policy.Pick(o, vc, candidates, r.heads[:len(candidates)])
+		in := r.ports[pick].in
 		var since sim.Time
 		if r.OnForward != nil {
-			since = r.in[pick].HeadSince(vc)
+			since = in.HeadSince(vc)
 		}
-		p := r.in[pick].Pop(vc, r.eng.Now())
-		rs := r.rs
-		rs.routes[vc][o*rs.words+pick/64] &^= 1 << (pick % 64)
+		p := in.Pop(vc, r.eng.Now())
+		rs := &r.rs
+		w, bit := rs.bit(vc, o, pick)
+		*w &^= bit
 		rs.live[vc]--
-		if r.in[pick].Len(vc) > 0 {
+		if in.Len(vc) > 0 {
 			rs.markDirty(pick, vc)
 		}
 		r.Forwarded[vc]++
@@ -467,7 +505,7 @@ func (r *Router) drain(o int, vc packet.VC) bool {
 		if r.switchBps > 0 {
 			r.crossbar.Reserve(r.eng.Now(), sim.BitTime(p.Kind.Bits(), r.switchBps))
 		}
-		r.out[o].Send(p)
+		out.Send(p)
 	}
 	return true
 }
@@ -482,21 +520,22 @@ func (r *Router) drain(o int, vc packet.VC) bool {
 // mid-run fault swap a packet caught traveling toward a dead link must
 // U-turn.
 func (r *Router) candidates(o int, vc packet.VC) []int {
-	rs := r.rs
+	rs := &r.rs
 	if rs.ndirty[vc] > 0 {
-		for w, mask := range rs.dirty[vc] {
-			rs.dirty[vc][w] = 0
+		dirty := rs.mask(vc, int(rs.n))
+		for w, mask := range dirty {
+			dirty[w] = 0
 			for ; mask != 0; mask &= mask - 1 {
 				r.routeHead(w*64+bits.TrailingZeros64(mask), vc)
 			}
 		}
 		rs.ndirty[vc] = 0
 	}
-	cand := rs.cand[:0]
-	for w, mask := range rs.routes[vc][o*rs.words : (o+1)*rs.words] {
+	cand := r.cand[:0]
+	for w, mask := range rs.mask(vc, o) {
 		for ; mask != 0; mask &= mask - 1 {
 			i := w*64 + bits.TrailingZeros64(mask)
-			rs.heads[len(cand)] = r.in[i].Head(vc)
+			r.heads[len(cand)] = r.ports[i].in.Head(vc)
 			cand = append(cand, i)
 		}
 	}
@@ -507,14 +546,14 @@ func (r *Router) candidates(o int, vc packet.VC) []int {
 // its output. A route outside the port range matches no output: the
 // head stays put until the routes are invalidated.
 func (r *Router) routeHead(i int, vc packet.VC) {
-	head := r.in[i].Head(vc)
+	head := r.ports[i].in.Head(vc)
 	if head == nil {
 		return
 	}
-	if o := r.route.Route(head); o >= 0 && o < len(r.out) {
-		rs := r.rs
-		rs.routes[vc][o*rs.words+i/64] |= 1 << (i % 64)
-		rs.live[vc]++
+	if o := r.route.Route(head); o >= 0 && o < len(r.ports) {
+		w, bit := r.rs.bit(vc, o, i)
+		*w |= bit
+		r.rs.live[vc]++
 	}
 }
 
@@ -530,9 +569,9 @@ func (r *Router) drainReroutes() {
 	for _, p := range r.reroutes {
 		o := r.route.Route(p)
 		vc := packet.VCOf(p.Kind)
-		if o >= 0 && r.out[o].CanAccept(vc) {
+		if o >= 0 && r.ports[o].out.CanAccept(vc) {
 			r.Rerouted++
-			r.out[o].Send(p)
+			r.ports[o].out.Send(p)
 		} else {
 			kept = append(kept, p)
 		}
@@ -561,8 +600,8 @@ func (r *Router) armRetry() {
 // per-router queuing metric of the §3.2 analysis.
 func (r *Router) TotalInputWait() sim.Time {
 	var t sim.Time
-	for _, b := range r.in {
-		t += b.TotalWait()
+	for i := range r.ports {
+		t += r.ports[i].in.TotalWait()
 	}
 	return t
 }

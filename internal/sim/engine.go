@@ -44,10 +44,10 @@ func callHandler(fn any) { fn.(Handler)() }
 //     dequeue in O(1).
 //
 //   - a timing wheel (see wheel.go) holding future events within about
-//     524 ns of the clock: 1024 slots of 512 ps, each a linked list in
-//     (time, seq) order, with an occupancy bitmap to find the next
-//     non-empty slot. Nearly every link, router and bank delay lands
-//     here, and insert and pop are O(1).
+//     524 ns of the clock: 1024 slots of 512 ps, each a circular linked
+//     list in (time, seq) order named by its tail, with an occupancy
+//     bitmap to find the next non-empty slot. Nearly every link, router
+//     and bank delay lands here, and insert and pop are O(1).
 //
 //   - an overflow 4-ary min-heap over a flat []event slice, ordered by
 //     (time, seq), for events beyond the wheel's horizon and for the rare
@@ -106,7 +106,7 @@ type Engine struct {
 	inProbe    bool
 
 	// wheel holds future events within one horizon of now. It is last
-	// so its 8 KB of slot heads do not split the fields above across
+	// so its 4 KB of slot heads do not split the fields above across
 	// distant cache lines.
 	wheel wheel
 }

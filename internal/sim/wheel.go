@@ -7,8 +7,12 @@ import "math/bits"
 // rest, 99.96% are 256 ps–131 ns ahead (SerDes flits, crossbar hops,
 // DRAM timings), only 11 are below 256 ps, and none reaches 262 ns.
 // 512 ps slots spread that mix over a few hundred slots, each holding an
-// event or two, and 1024 of them give a ~524 ns horizon. Longer delays —
-// fault plans, watchdog ticks, PCM write tails — go to the overflow heap.
+// event or two, and 1024 of them give a ~524 ns horizon, which also
+// holds a PCM write's 320 ns occupancy. Longer delays — fault plans,
+// watchdog ticks — go to the overflow heap. Half the slots would halve
+// the slot heads (each one int32, see wheel) to 2 KB, but a 50% NVM
+// skip list then sent 350 instead of 13 of 1.8M events to the heap, and
+// the Figs. 4, 7 and 11 pass grew its heap 270 more times.
 const (
 	slotShift    = 9
 	slotWidth    = Time(1) << slotShift // 512 ps
@@ -36,8 +40,11 @@ type wnode struct {
 }
 
 // wheel holds future events whose slot lies within numSlots of the
-// clock's slot. Each slot is a singly linked list in (at, seq) order;
-// occ has one bit per non-empty slot. The zero value is an empty wheel.
+// clock's slot. Each slot is a circular singly linked list in (at, seq)
+// order, named by its tail: slots[s] is the tail's node (0 for an empty
+// slot) and the tail's next is the head, so one int32 per slot finds
+// both ends. occ has one bit per non-empty slot. The zero value is an
+// empty wheel.
 type wheel struct {
 	n int // events held
 	// nodes is the slab every slot list lives in; nodes[0] is unused so
@@ -45,7 +52,7 @@ type wheel struct {
 	nodes []wnode
 	free  int32
 	occ   [numSlots / 64]uint64
-	slots [numSlots]struct{ head, tail int32 }
+	slots [numSlots]int32
 }
 
 // slotOf maps a time to its wheel slot.
@@ -66,34 +73,33 @@ func inHorizon(now, t Time) bool { return t>>slotShift-now>>slotShift < numSlots
 // wheel unchanged, when the walk bound is hit.
 func (w *wheel) push(t Time, seq uint64) *event {
 	s := slotOf(t)
-	sl := &w.slots[s]
-	if sl.head == 0 {
+	tail := w.slots[s]
+	if tail == 0 {
 		n := w.alloc()
-		sl.head, sl.tail = n, n
+		w.nodes[n].next = n
+		w.slots[s] = n
 		w.occ[s>>6] |= 1 << (s & 63)
 		w.n++
 		return &w.nodes[n].ev
 	}
-	if tail := &w.nodes[sl.tail].ev; t > tail.at || t == tail.at && seq > tail.seq {
+	if last := &w.nodes[tail].ev; t > last.at || t == last.at && seq > last.seq {
 		n := w.alloc()
-		w.nodes[sl.tail].next = n
-		sl.tail = n
+		w.nodes[n].next = w.nodes[tail].next
+		w.nodes[tail].next = n
+		w.slots[s] = n
 		w.n++
 		return &w.nodes[n].ev
 	}
 	// The tail is after the place, so the walk finds one before the end
-	// of the list.
-	var prev int32
-	cur := sl.head
+	// of the list. Starting from the tail as the head's predecessor makes
+	// an insert at the head like any other.
+	prev := tail
+	cur := w.nodes[tail].next
 	for i := 0; i < maxWalk; i++ {
 		if c := &w.nodes[cur].ev; t < c.at || t == c.at && seq < c.seq {
 			n := w.alloc()
 			w.nodes[n].next = cur
-			if prev == 0 {
-				sl.head = n
-			} else {
-				w.nodes[prev].next = n
-			}
+			w.nodes[prev].next = n
 			w.n++
 			return &w.nodes[n].ev
 		}
@@ -139,8 +145,8 @@ func (w *wheel) first(now Time) int {
 
 // head returns the earliest event of slot s, or nil if s is empty.
 func (w *wheel) head(s int) *event {
-	if n := w.slots[s].head; n != 0 {
-		return &w.nodes[n].ev
+	if tail := w.slots[s]; tail != 0 {
+		return &w.nodes[w.nodes[tail].next].ev
 	}
 	return nil
 }
@@ -149,14 +155,15 @@ func (w *wheel) head(s int) *event {
 // freed node is zeroed so the fired closure and its argument stay
 // GC-able.
 func (w *wheel) pop(s int, ev *event) {
-	sl := &w.slots[s]
-	n := sl.head
+	tail := w.slots[s]
+	n := w.nodes[tail].next
 	nd := &w.nodes[n]
 	*ev = nd.ev
-	sl.head = nd.next
-	if sl.head == 0 {
-		sl.tail = 0
+	if n == tail {
+		w.slots[s] = 0
 		w.occ[s>>6] &^= 1 << (s & 63)
+	} else {
+		w.nodes[tail].next = nd.next
 	}
 	nd.ev = event{}
 	nd.next = w.free

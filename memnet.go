@@ -320,7 +320,13 @@ type Config struct {
 	// Spans, when non-nil, arms causal span tracing (Instance.Spans /
 	// Instance.WriteSpans); see SpanConfig.
 	Spans *SpanConfig
-	// Tuning overrides the microarchitectural tuning (nil = defaults).
+	// Tuning overrides the microarchitectural tuning. Nil, or a zero
+	// Tuning, runs DefaultTuning(). Any other Tuning is taken field by
+	// field and never completed from the defaults: Run, Build and
+	// RunMachine return an error naming the first field outside its
+	// range (Tuning.Validate), e.g. "core: Tuning.VaultQueueDepth is 0,
+	// want 1 to 1073741824" for Tuning{WavefrontSize: 16}. Start from
+	// DefaultTuning() and change fields.
 	Tuning *Tuning
 	// Shards sets the number of worker goroutines RunMachine simulates
 	// ports on (clamped to [1, System.Ports]). Results are bit-identical

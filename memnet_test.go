@@ -1,6 +1,7 @@
 package memnet
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -141,6 +142,44 @@ func TestRecordAndReplay(t *testing.T) {
 	if res.FinishTime != orig.FinishTime || res.Reads != orig.Reads {
 		t.Fatalf("replay diverged: %v/%d vs %v/%d",
 			res.FinishTime, res.Reads, orig.FinishTime, orig.Reads)
+	}
+}
+
+// TestPartialTuningFails: a partly set Tuning is not completed from
+// the defaults. Run, Build and RunMachine return an error naming the
+// first field out of range instead of panicking inside a component,
+// and a Tuning built from DefaultTuning() with one field changed runs.
+func TestPartialTuningFails(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Transactions = 200
+	cfg.Tuning = &Tuning{WavefrontSize: 16}
+	const want = "Tuning.VaultQueueDepth"
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Run: error %v, want one naming %s", err, want)
+	}
+	if _, err := Build(cfg); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Build: error %v, want one naming %s", err, want)
+	}
+	if _, err := RunMachine(cfg); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("RunMachine: error %v, want one naming %s", err, want)
+	}
+	for field, set := range map[string]func(*Tuning){
+		"Tuning.InterposerSerDes": func(tn *Tuning) { tn.InterposerSerDes = -1 },
+		"Tuning.ShortcutLo":       func(tn *Tuning) { tn.ShortcutLo = tn.ShortcutHi + 0.1 },
+		"Tuning.WriteDemotion":    func(tn *Tuning) { tn.WriteDemotion = 0 },
+	} {
+		tn := DefaultTuning()
+		set(&tn)
+		cfg.Tuning = &tn
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("Run: error %v, want one naming %s", err, field)
+		}
+	}
+	tn := DefaultTuning()
+	tn.WavefrontSize = 1
+	cfg.Tuning = &tn
+	if _, err := Run(cfg); err != nil {
+		t.Errorf("DefaultTuning with WavefrontSize 1: %v", err)
 	}
 }
 

@@ -47,9 +47,14 @@ func main() {
 
 	place, err := config.ParsePlacement(*placeFlag)
 	check(err)
-	var spec *scenario.Spec
+	var (
+		spec *scenario.Spec
+		g    *topology.Graph
+	)
 	if *scenFlag != "" {
 		spec, err = loadScenario(*scenFlag)
+		check(err)
+		g, err = topology.BuildScenario(spec)
 		check(err)
 	} else {
 		var kind topology.Kind
@@ -66,11 +71,9 @@ func main() {
 			techs, err = core.TechOrder(&sys)
 			check(err)
 		}
-		spec, err = topology.Generate(kind, techs, core.DefaultTuning().MetaCubeGroup)
+		spec, g, err = core.Network(kind, techs, core.DefaultTuning().MetaCubeGroup)
 		check(err)
 	}
-	g, err := topology.BuildScenario(spec)
-	check(err)
 
 	if *export {
 		out, err := json.MarshalIndent(spec, "", "  ")

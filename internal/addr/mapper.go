@@ -129,6 +129,14 @@ func (m *Mapper) Decompose(a uint64) (node packet.NodeID, quadrant, bank int, ro
 	return s.Node, quadrant, bank, row
 }
 
+// BankMap returns only the bank (within its quadrant) and row
+// coordinates: a cube's quadrants map addresses to banks through it
+// (vault.BankMapper).
+func (m *Mapper) BankMap(a uint64) (bank int, row int64) {
+	_, _, bank, row = m.Decompose(a)
+	return bank, row
+}
+
 // QuadrantOf returns only the quadrant coordinate, used by the router to
 // decide whether the wrong-quadrant penalty applies.
 func (m *Mapper) QuadrantOf(a uint64) int {

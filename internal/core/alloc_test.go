@@ -39,10 +39,11 @@ func runAllocs(t *testing.T, p Params, txns uint64) (allocs, done uint64) {
 // TestSteadyStateAllocs: once built, a run's forwarding path — the
 // engine, links, routers and arbiters, vaults, the host port and the
 // workload generator — is allocation-free in the steady state: a run
-// allocates only while its arbiter tables, wavefront maps and event
-// lanes warm up, so doubling its length adds at most a few allocations. The cases cover both
-// arbiter modes, read-modify-write pairs (BIT) and NVM-first PCM
-// occupancy (the 50% skip list).
+// allocates only while its arbiter tables, the host's stalled-read and
+// ready queues and event lanes warm up, so doubling its length adds at
+// most a few allocations. The cases cover both arbiter modes, read-modify-write pairs (BIT), NVM-first PCM
+// occupancy (the 50% skip list), and a port that parks reads behind
+// writes to their block and retires reads in wavefronts (rawReplay).
 func TestSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -62,11 +63,12 @@ func TestSteadyStateAllocs(t *testing.T) {
 		{"tree-kmeans-da", testParams(topology.Tree, 1.0, config.NVMLast, arb.DistanceAugmented, byName("KMEANS"))},
 		{"tree-bit-da", testParams(topology.Tree, 1.0, config.NVMLast, arb.DistanceAugmented, byName("BIT"))},
 		{"skiplist-nvmf50-bit", testParams(topology.SkipList, 0.5, config.NVMFirst, arb.DistanceAugmented, byName("BIT"))},
+		{"tree-raw-replay", rawReplay(testParams(topology.Tree, 1.0, config.NVMLast, arb.DistanceAugmented, byName("KMEANS")))},
 	}
 	// extra bounds what a 40k-transaction run may allocate beyond a 20k
 	// one: the runtime's own allocations during the run (the host's
-	// coherence and wavefront maps are sized for its window, so they no
-	// longer grow late). The cases measured -2 to +8 on go1.24/amd64,
+	// coherence and wavefront tables are fixed at New, so they never
+	// grow). The cases measured -2 to +8 on go1.24/amd64,
 	// 2 CPUs; one allocation per read-modify-write pair would add
 	// thousands. maxPerTxn holds a 20k run, measured at 16-24
 	// allocations (<= 0.0012 per transaction), with room for the
@@ -87,6 +89,25 @@ func TestSteadyStateAllocs(t *testing.T) {
 			t.Errorf("%s: 40k transactions allocate %d, 20k %d: more than %d apart", tc.name, long, short, extra)
 		}
 	}
+}
+
+// rawReplay makes p replay a trace in which every write is followed at
+// once by reads of its block, so that the host parks reads behind
+// pending writes (a write is pending for at least its network round
+// trip) and releases them, and, with the default wavefront size,
+// retires reads in groups.
+func rawReplay(p Params) Params {
+	var trace []workload.Tx
+	for blk := uint64(0); blk < 64; blk++ {
+		addr := blk * 4096
+		trace = append(trace,
+			workload.Tx{Addr: addr, Write: true, Gap: sim.Nanosecond},
+			workload.Tx{Addr: addr, Gap: sim.Nanosecond},
+			workload.Tx{Addr: addr + 8, Gap: sim.Nanosecond},
+			workload.Tx{Addr: addr + 1<<20, Gap: sim.Nanosecond})
+	}
+	p.Replay = trace
+	return p
 }
 
 type buildCase struct {
@@ -115,8 +136,15 @@ func buildCases(tb testing.TB) []buildCase {
 // TestBuildFootprint: building a network costs a bounded number of
 // bytes and allocations, most of them the modelled network rather than
 // bank bookkeeping. Each budget is a value measured on go1.24/amd64
-// plus 10%, and budgets are only ever tightened; a tree build measures
-// 227 KB in 79 allocations. Routers each holding inline storage for
+// plus 10%, and budgets are only ever tightened; the warm allocation
+// budgets also hold the 4 allocations a build's pool guards add under
+// -tags simdebug, which 10% of 29 does not cover. A cold build, the
+// first of its configuration in a process, generates its topology: a
+// tree measures 228 KB in 67 allocations. A warm build takes the topology
+// from the network memo: a tree measures 217 KB in 29 allocations. The
+// host's coherence and wavefront maps, and closures for its lookups,
+// its response delivery and the quadrants' bank map, each added at
+// least one more. Routers each holding inline storage for
 // eight ports and an engine whose wheel kept 1024 head and tail pairs
 // would put it near 237 KB; link directions that each carried their
 // fault record, a wakeup holding its handler, and quadrants holding a
@@ -152,34 +180,49 @@ func TestBuildFootprint(t *testing.T) {
 			t.Errorf("%s is %d B, want <= %d", c.name, c.sz, c.want)
 		}
 	}
-	budgets := map[string]struct{ bytes, allocs uint64 }{ // per build
-		"tree":           {249_400, 86},
-		"skiplist-nvm50": {173_100, 88},
-		"chain":          {249_300, 83},
-		"ring":           {259_100, 88},
-		"metacube":       {265_500, 89},
-		"mesh":           {265_000, 94},
+	// A cold build generates its topology; a warm one takes it from the
+	// network memo, as every build after a configuration's first does.
+	type budget struct{ bytes, allocs uint64 }
+	budgets := map[string]struct{ cold, warm budget }{ // per build
+		"tree":           {budget{249_400, 74}, budget{239_300, 36}},
+		"skiplist-nvm50": {budget{173_100, 75}, budget{166_700, 36}},
+		"chain":          {budget{249_300, 71}, budget{239_300, 36}},
+		"ring":           {budget{259_100, 75}, budget{248_800, 36}},
+		"metacube":       {budget{265_500, 76}, budget{253_100, 36}},
+		"mesh":           {budget{265_000, 82}, budget{252_400, 36}},
 	}
+	t.Cleanup(resetNetworks)
 	for _, tc := range buildCases(t) {
-		const builds = 20
-		var m0, m1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		for i := 0; i < builds; i++ {
+		for _, cold := range []bool{true, false} {
+			const builds = 20
 			if _, err := Build(tc.p); err != nil {
 				t.Fatal(err)
 			}
-		}
-		runtime.ReadMemStats(&m1)
-		bytes := (m1.TotalAlloc - m0.TotalAlloc) / builds
-		allocs := (m1.Mallocs - m0.Mallocs) / builds
-		t.Logf("%s: %d B, %d allocs per build", tc.name, bytes, allocs)
-		b := budgets[tc.name]
-		if bytes > b.bytes {
-			t.Errorf("%s: %d B per build, budget %d", tc.name, bytes, b.bytes)
-		}
-		if allocs > b.allocs {
-			t.Errorf("%s: %d allocations per build, budget %d", tc.name, allocs, b.allocs)
+			var m0, m1 runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < builds; i++ {
+				if cold {
+					resetNetworks()
+				}
+				if _, err := Build(tc.p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&m1)
+			bytes := (m1.TotalAlloc - m0.TotalAlloc) / builds
+			allocs := (m1.Mallocs - m0.Mallocs) / builds
+			b, name := budgets[tc.name].warm, tc.name+" warm"
+			if cold {
+				b, name = budgets[tc.name].cold, tc.name+" cold"
+			}
+			t.Logf("%s: %d B, %d allocs per build", name, bytes, allocs)
+			if bytes > b.bytes {
+				t.Errorf("%s: %d B per build, budget %d", name, bytes, b.bytes)
+			}
+			if allocs > b.allocs {
+				t.Errorf("%s: %d allocations per build, budget %d", name, allocs, b.allocs)
+			}
 		}
 	}
 }
@@ -225,45 +268,74 @@ func TestBuildAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
+	t.Cleanup(resetNetworks)
 	for _, tc := range buildCases(t) {
-		measure := func(scale uint64) (allocs float64, cubes int) {
-			p := tc.p
-			p.Sys.TotalCapacity *= scale
-			in, err := Build(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cubes = len(in.Graph.CubeIDs())
-			return testing.AllocsPerRun(10, func() {
-				if _, err := Build(p); err != nil {
+		// A cold build generates its topology; a warm one takes it from
+		// the network memo.
+		for _, cold := range []bool{true, false} {
+			measure := func(scale uint64) (allocs float64, cubes int) {
+				p := tc.p
+				p.Sys.TotalCapacity *= scale
+				in, err := Build(p)
+				if err != nil {
 					t.Fatal(err)
 				}
-			}), cubes
-		}
-		small, n := measure(1)
-		large, n2 := measure(2)
-		t.Logf("%s: %v allocations at %d cubes, %v at %d", tc.name, small, n, large, n2)
-		if n2 != 2*n {
-			t.Fatalf("%s: doubling the capacity built %d cubes from %d", tc.name, n2, n)
-		}
-		if large > small {
-			t.Errorf("%s: %v allocations at %d cubes, %v at %d: build allocations grow with the network",
-				tc.name, small, n, large, n2)
+				cubes = len(in.Graph.CubeIDs())
+				return testing.AllocsPerRun(10, func() {
+					if cold {
+						resetNetworks()
+					}
+					if _, err := Build(p); err != nil {
+						t.Fatal(err)
+					}
+				}), cubes
+			}
+			name := tc.name + " warm"
+			if cold {
+				name = tc.name + " cold"
+			}
+			small, n := measure(1)
+			large, n2 := measure(2)
+			t.Logf("%s: %v allocations at %d cubes, %v at %d", name, small, n, large, n2)
+			if n2 != 2*n {
+				t.Fatalf("%s: doubling the capacity built %d cubes from %d", name, n2, n)
+			}
+			if large > small {
+				t.Errorf("%s: %v allocations at %d cubes, %v at %d: build allocations grow with the network",
+					name, small, n, large, n2)
+			}
 		}
 	}
 }
 
 // BenchmarkBuild times and counts the allocations of one core.Build per
-// topology kind.
+// topology kind: cold, generating the topology, and warm, taking it
+// from the network memo.
 func BenchmarkBuild(b *testing.B) {
-	for _, tc := range buildCases(b) {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Build(tc.p); err != nil {
-					b.Fatal(err)
+	b.Cleanup(resetNetworks)
+	for _, cold := range []bool{true, false} {
+		mode := "warm"
+		if cold {
+			mode = "cold"
+		}
+		for _, tc := range buildCases(b) {
+			b.Run(mode+"/"+tc.name, func(b *testing.B) {
+				if !cold {
+					if _, err := Build(tc.p); err != nil {
+						b.Fatal(err)
+					}
+					b.ResetTimer()
 				}
-			}
-		})
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if cold {
+						resetNetworks()
+					}
+					if _, err := Build(tc.p); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

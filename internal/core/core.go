@@ -16,6 +16,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"memnet/internal/addr"
 	"memnet/internal/arb"
@@ -282,6 +283,9 @@ type Instance struct {
 	// dirs holds the two directions of every external edge, indexed like
 	// Graph.Edges, for scheduled faults to down-bind or kill.
 	dirs []edgeDirs
+	// hostIn is the root-to-host direction, whose credits the host side
+	// returns as it consumes responses.
+	hostIn *link.Direction
 
 	// Fault plan of Params.Fault, precomputed and validated at Build
 	// time: one entry per scheduled event; planGraphs[i] is the routing
@@ -354,28 +358,63 @@ func (c *nodeCtx) ReturnDist(pk *packet.Packet) int {
 	return c.in.live.Dist(topology.PathShort, c.id, pk.Src)
 }
 
+// hostSide is an instance as its host port sees it: the network the
+// port injects into (host.Network) and the receiver of the root-to-host
+// direction (link.Receiver), so wiring the host allocates nothing.
+type hostSide Instance
+
+// HomeOf returns the cube serving address a: its home cube, or while
+// that cube is dead the spare its address range is re-homed to.
+func (h *hostSide) HomeOf(a uint64) packet.NodeID {
+	n := h.Mapper.CubeOf(a)
+	if c := &h.nodes[n]; c.rehomed {
+		h.fc.Rehomed++
+		return c.spare
+	}
+	return n
+}
+
+// HostDist is the hop distance from the host to dst in the live route
+// tables of class.
+func (h *hostSide) HostDist(dst packet.NodeID, class topology.PathClass) int {
+	return h.live.Dist(class, packet.HostNode, dst)
+}
+
+// Receive consumes a response at the host and returns its link credit.
+// Telemetry and spans read the response before the port's Receive
+// retires (and may pool) it; Telemetry and Spans stay nil when their
+// layer is off, and their methods no-op on nil.
+func (h *hostSide) Receive(pk *packet.Packet) {
+	vc := packet.VCOf(pk.Kind)
+	now := h.Eng.Now()
+	h.Telemetry.complete(pk, now)
+	h.Spans.Complete(pk, now)
+	h.Port.Receive(pk)
+	h.hostIn.ReturnCredit(vc)
+}
+
 // TechOrder returns the per-position cube technologies implied by the
 // system's DRAM fraction and placement. Position 0 is nearest the host.
 func TechOrder(sys *config.System) ([]config.MemTech, error) {
+	return appendTechOrder(nil, sys)
+}
+
+// appendTechOrder appends TechOrder(sys) to techs.
+func appendTechOrder(techs []config.MemTech, sys *config.System) ([]config.MemTech, error) {
 	nd, nn, err := sys.CubesPerPort()
 	if err != nil {
 		return nil, err
 	}
-	techs := make([]config.MemTech, 0, nd+nn)
+	near, far, nNear, nFar := config.DRAM, config.NVM, nd, nn
 	if sys.Placement == config.NVMFirst {
-		for i := 0; i < nn; i++ {
-			techs = append(techs, config.NVM)
-		}
-		for i := 0; i < nd; i++ {
-			techs = append(techs, config.DRAM)
-		}
-	} else {
-		for i := 0; i < nd; i++ {
-			techs = append(techs, config.DRAM)
-		}
-		for i := 0; i < nn; i++ {
-			techs = append(techs, config.NVM)
-		}
+		near, far, nNear, nFar = config.NVM, config.DRAM, nn, nd
+	}
+	techs = slices.Grow(techs, nd+nn)
+	for i := 0; i < nNear; i++ {
+		techs = append(techs, near)
+	}
+	for i := 0; i < nFar; i++ {
+		techs = append(techs, far)
 	}
 	return techs, nil
 }
@@ -387,8 +426,8 @@ func TechOrder(sys *config.System) ([]config.MemTech, error) {
 // emits for p.Topo over the cube technologies TechOrder assigns,
 // grouped into MetaCube packages of p.Tuning.MetaCubeGroup (default
 // 4). Every graph a run, a fault schedule or an export addresses, and
-// every fingerprint, comes from this spec, so their edge indices
-// always agree.
+// every fingerprint, comes from this spec (NetworkOf builds its graph),
+// so their edge indices always agree. The spec is the caller's own.
 func GraphSpec(p *Params) (*scenario.Spec, error) {
 	if p.Scenario != nil {
 		return p.Scenario.Clone(), nil
@@ -397,11 +436,16 @@ func GraphSpec(p *Params) (*scenario.Spec, error) {
 	if err != nil {
 		return nil, err
 	}
-	group := p.Tuning.MetaCubeGroup
-	if group == 0 {
-		group = DefaultTuning().MetaCubeGroup
+	return topology.Generate(p.Topo, techs, metaCubeGroup(p))
+}
+
+// metaCubeGroup is p's MetaCube package size: p.Tuning.MetaCubeGroup,
+// or the default for an unset Tuning.
+func metaCubeGroup(p *Params) int {
+	if group := p.Tuning.MetaCubeGroup; group != 0 {
+		return group
 	}
-	return topology.Generate(p.Topo, techs, group)
+	return DefaultTuning().MetaCubeGroup
 }
 
 // Build constructs a simulation instance from params on a fresh engine.
@@ -424,11 +468,7 @@ func Build(p Params) (*Instance, error) {
 	if err := p.Tuning.Validate(); err != nil {
 		return nil, err
 	}
-	scen, err := GraphSpec(&p)
-	if err != nil {
-		return nil, err
-	}
-	g, err := topology.BuildScenario(scen)
+	scen, g, err := NetworkOf(&p)
 	if err != nil {
 		return nil, err
 	}
@@ -548,19 +588,7 @@ func Build(p Params) (*Instance, error) {
 		ShortcutLo:     p.Tuning.ShortcutLo,
 		ShortcutWindow: p.Tuning.ShortcutWindow,
 		WavefrontSize:  p.Tuning.WavefrontSize,
-	}, gen, host.Wiring{
-		DestOf: func(a uint64) packet.NodeID {
-			n := mapper.CubeOf(a)
-			if c := &inst.nodes[n]; c.rehomed {
-				inst.fc.Rehomed++
-				return c.spare
-			}
-			return n
-		},
-		DistOf: func(dst packet.NodeID, class topology.PathClass) int {
-			return inst.live.Dist(class, packet.HostNode, dst)
-		},
-	}, collector)
+	}, gen, (*hostSide)(inst), collector)
 	inst.Port = hostPort
 
 	// The network's components live in one slice per type, sized from
@@ -761,16 +789,8 @@ func Build(p Params) (*Instance, error) {
 			spans.Start(pk, eng.Now(), wait)
 		})
 	}
-	hostIn.SetDeliver(func(pk *packet.Packet) {
-		vc := packet.VCOf(pk.Kind)
-		// Telemetry and spans read the response before Receive retires
-		// (and may pool) it; inst.Telemetry/inst.Spans stay nil when the
-		// layer is off and the methods no-op on nil.
-		inst.Telemetry.complete(pk, eng.Now())
-		inst.Spans.Complete(pk, eng.Now())
-		hostPort.Receive(pk)
-		hostIn.ReturnCredit(vc)
-	})
+	inst.hostIn = hostIn
+	hostIn.SetReceiver((*hostSide)(inst))
 
 	// Vault quadrants behind every cube.
 	intLink := link.Config{
@@ -779,10 +799,6 @@ func Build(p Params) (*Instance, error) {
 		QueueDepth:    p.Tuning.VaultQueueDepth,
 		Credits:       p.Tuning.VaultQueueDepth,
 		CountHop:      false,
-	}
-	bankMap := func(a uint64) (int, int64) {
-		_, _, bank, row := mapper.Decompose(a)
-		return bank, row
 	}
 	for _, n := range g.Nodes {
 		if n.Kind != topology.Cube {
@@ -805,9 +821,9 @@ func Build(p Params) (*Instance, error) {
 				Penalty:     p.Sys.WrongQuadrantPenalty,
 				Banks:       nBanks,
 				MaxInflight: inflight,
-				BankMap:     bankMap,
 				Meter:       meter,
 			}, bankSlab[:nBanks:nBanks], &inst.timing[n.Tech])
+			q.SetBankMapper(mapper)
 			q.SetReturnPath(&inst.nodes[node])
 			bankSlab = bankSlab[nBanks:]
 			q.Attach(newBuf(p.Tuning.VaultQueueDepth, toQuad), fromQuad)

@@ -95,13 +95,9 @@ func (r *Runner) Chaos() (*Table, error) {
 }
 
 // chaosFault generates the validated schedule for one configuration
-// over the run's own graph (core.GraphSpec), so edge indices line up.
+// over the run's own graph (core.NetworkOf), so edge indices line up.
 func chaosFault(p core.Params, opts Options, wl workload.Spec) (fault.Config, error) {
-	s, err := core.GraphSpec(&p)
-	if err != nil {
-		return fault.Config{}, err
-	}
-	g, err := topology.BuildScenario(s)
+	_, g, err := core.NetworkOf(&p)
 	if err != nil {
 		return fault.Config{}, err
 	}

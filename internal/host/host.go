@@ -49,7 +49,16 @@ type Config struct {
 	WavefrontSize int
 }
 
-// Wiring carries the system-level lookup functions the port needs.
+// Network is the system-level lookups the port makes for every
+// transaction it injects.
+type Network interface {
+	// HomeOf maps an address to the cube serving it.
+	HomeOf(addr uint64) packet.NodeID
+	// HostDist returns the hop distance from the host to dst in a class.
+	HostDist(dst packet.NodeID, class topology.PathClass) int
+}
+
+// Wiring is a Network made of two lookup functions.
 type Wiring struct {
 	// DestOf maps an address to its destination cube.
 	DestOf func(addr uint64) packet.NodeID
@@ -57,12 +66,20 @@ type Wiring struct {
 	DistOf func(dst packet.NodeID, class topology.PathClass) int
 }
 
+// HomeOf calls w.DestOf.
+func (w Wiring) HomeOf(addr uint64) packet.NodeID { return w.DestOf(addr) }
+
+// HostDist calls w.DistOf.
+func (w Wiring) HostDist(dst packet.NodeID, class topology.PathClass) int {
+	return w.DistOf(dst, class)
+}
+
 // Port is one host memory port driving one memory network.
 type Port struct {
-	eng  *sim.Engine
-	cfg  Config
-	gen  workload.Generator
-	wire Wiring
+	eng *sim.Engine
+	cfg Config
+	gen workload.Generator
+	net Network
 
 	out       *link.Direction
 	collector *stats.Collector
@@ -71,13 +88,14 @@ type Port struct {
 	injected uint64
 	nextID   uint64
 
-	// wavefront completion tracking (reads only): wfLeft[wf] counts
-	// outstanding members, wfSize[wf] injected members, wfOf maps a
-	// packet ID to its group, and wfNext/wfFill assign arriving reads
-	// to groups of WavefrontSize.
-	wfLeft map[uint64]int
-	wfSize map[uint64]int
-	wfOf   map[uint64]uint64
+	// wavefront completion tracking (reads only): wfOf maps an
+	// in-flight read's packet ID to its group; wfs maps an open group
+	// to its injected members (high 32 bits) and outstanding members
+	// (low 32 bits); wfNext/wfFill assign arriving reads to groups of
+	// WavefrontSize. A group is open while a member is in flight, so
+	// both hold at most a window of keys.
+	wfOf   table
+	wfs    table
 	wfNext uint64
 	wfFill int
 
@@ -100,10 +118,14 @@ type Port struct {
 	// and injection credits — the span tracer's host.window source.
 	spanHook func(pk *packet.Packet, wait sim.Time)
 
-	// Coherence ordering point state.
-	pendingWrites map[uint64]int
-	parkedReads   map[uint64][]parked
-	ready         []parked
+	// Coherence ordering point state: writes maps a block to its
+	// outstanding writes (a write holds a window slot, so it holds at
+	// most a window of keys); stalled holds the reads waiting for a
+	// block's writes to drain, oldest first; ready holds released reads,
+	// oldest first, for pump to inject before new work.
+	writes  table
+	stalled []parked
+	ready   []parked
 
 	// Write-burst hysteresis monitor.
 	recent   []bool
@@ -121,38 +143,44 @@ type Port struct {
 	InjectWait sim.Time
 }
 
-// parked is a transaction held at the port (coherence or ready queue).
+// parked is a transaction held at the port (stalled or ready), with the
+// time it arrived.
 type parked struct {
 	tx     workload.Tx
-	since  sim.Time
 	arrive sim.Time
 }
 
-// New creates a port. gen supplies the workload; collector receives
-// completions.
-func New(eng *sim.Engine, cfg Config, gen workload.Generator, wire Wiring, collector *stats.Collector) *Port {
+// New creates a port. gen supplies the workload; net resolves
+// destinations and distances; collector receives completions.
+func New(eng *sim.Engine, cfg Config, gen workload.Generator, net Network, collector *stats.Collector) *Port {
 	if cfg.MaxOutstanding <= 0 {
 		panic("host: non-positive window")
 	}
 	if cfg.ShortcutWindow <= 0 {
 		cfg.ShortcutWindow = 64
 	}
-	// A write holds a window slot until it retires, and a packet ID
-	// maps to its wavefront only while in flight, so pendingWrites and
-	// wfOf never hold more than a window of entries: sized for one, they
-	// never grow in a run.
 	p := &Port{
-		eng:           eng,
-		cfg:           cfg,
-		gen:           gen,
-		wire:          wire,
-		collector:     collector,
-		pendingWrites: make(map[uint64]int, cfg.MaxOutstanding),
-		parkedReads:   make(map[uint64][]parked),
-		recent:        make([]bool, cfg.ShortcutWindow),
-		wfLeft:        make(map[uint64]int),
-		wfSize:        make(map[uint64]int),
-		wfOf:          make(map[uint64]uint64, cfg.MaxOutstanding),
+		eng:       eng,
+		cfg:       cfg,
+		gen:       gen,
+		net:       net,
+		collector: collector,
+		recent:    make([]bool, cfg.ShortcutWindow),
+	}
+	// The coherence table, and with wavefronts the two wavefront
+	// tables, each hold at most a window of keys: carved from one slab
+	// sized for that, they never grow in a run.
+	window := cfg.MaxOutstanding
+	n := tableSlots(window)
+	tables := 1
+	if cfg.WavefrontSize > 1 {
+		tables = 3
+	}
+	slab := make([]slot, tables*n)
+	p.writes.init(slab[:n:n], window)
+	if tables == 3 {
+		p.wfOf.init(slab[n:2*n:2*n], window)
+		p.wfs.init(slab[2*n:], window)
 	}
 	// The window bounds the packets in flight, so a run whose packets
 	// all come back allocates none after this.
@@ -223,20 +251,41 @@ func (p *Port) Receive(pk *packet.Packet) {
 			p.retireSlots(1)
 			return
 		}
-		wf := p.wfOf[id]
-		delete(p.wfOf, id)
-		p.wfLeft[wf]--
-		if p.wfLeft[wf] > 0 {
-			p.Kick() // coherence release may have unblocked reads
+		if size := p.leaveWavefront(id); size > 0 {
+			p.retireSlots(size)
 			return
 		}
-		size := p.wfSize[wf]
-		delete(p.wfLeft, wf)
-		delete(p.wfSize, wf)
-		p.retireSlots(size)
+		p.Kick() // coherence release may have unblocked reads
 		return
 	}
 	p.retireSlots(1)
+}
+
+// joinWavefront adds the injected read id to the filling wavefront.
+func (p *Port) joinWavefront(id uint64) {
+	wf := p.wfNext
+	*p.wfOf.ref(id) = wf
+	*p.wfs.ref(wf) += 1<<32 | 1
+	p.wfFill++
+	if p.wfFill == p.cfg.WavefrontSize {
+		p.wfFill = 0
+		p.wfNext++
+	}
+}
+
+// leaveWavefront retires the completed read id from its wavefront. It
+// returns the wavefront's size when id was its last outstanding member,
+// which closes it, and 0 otherwise.
+func (p *Port) leaveWavefront(id uint64) int {
+	wf := p.wfOf.del(id)
+	members := p.wfs.ref(wf)
+	*members--
+	if uint32(*members) > 0 {
+		return 0
+	}
+	size := int(*members >> 32)
+	p.wfs.del(wf)
+	return size
 }
 
 // retireSlots frees n window slots after the processor-side latency.
@@ -251,17 +300,24 @@ func (p *Port) retireSlots(n int) {
 	p.Kick()
 }
 
-// releaseWrite clears one outstanding write and unparks dependent reads.
+// releaseWrite clears one outstanding write to blk; the last one moves
+// the reads stalled on blk to the ready queue in the order they
+// stalled.
 func (p *Port) releaseWrite(blk uint64) {
-	if n := p.pendingWrites[blk] - 1; n > 0 {
-		p.pendingWrites[blk] = n
-	} else {
-		delete(p.pendingWrites, blk)
-		if waiting := p.parkedReads[blk]; len(waiting) > 0 {
-			p.ready = append(p.ready, waiting...)
-			delete(p.parkedReads, blk)
+	if n := p.writes.ref(blk); *n > 1 {
+		*n--
+		return
+	}
+	p.writes.del(blk)
+	kept := p.stalled[:0]
+	for _, r := range p.stalled {
+		if r.tx.Addr&^63 == blk {
+			p.ready = append(p.ready, r)
+		} else {
+			kept = append(kept, r)
 		}
 	}
+	p.stalled = kept
 }
 
 // Done reports whether the port completed its target trace.
@@ -323,10 +379,9 @@ func (p *Port) pump() {
 		}
 		tx := p.staged
 		blk := tx.Addr &^ 63
-		if !tx.Write && p.pendingWrites[blk] > 0 {
+		if !tx.Write && p.writes.get(blk) > 0 {
 			// Directory stall: park the read until the write acks.
-			p.parkedReads[blk] = append(p.parkedReads[blk],
-				parked{tx: tx, since: now, arrive: p.stagedArrive})
+			p.stalled = append(p.stalled, parked{tx: tx, arrive: p.stagedArrive})
 			p.hasStaged = false
 			continue
 		}
@@ -346,11 +401,11 @@ func (p *Port) inject(tx workload.Tx, arrive sim.Time) {
 	kind := packet.ReadReq
 	if tx.Write {
 		kind = packet.WriteReq
-		p.pendingWrites[tx.Addr&^63]++
+		*p.writes.ref(tx.Addr &^ 63)++
 	}
 	p.observe(tx.Write)
 
-	dst := p.wire.DestOf(tx.Addr)
+	dst := p.net.HomeOf(tx.Addr)
 	class := topology.ClassOf(kind, p.WriteShortcut())
 	p.nextID++
 	pk := p.pool.Get()
@@ -360,7 +415,7 @@ func (p *Port) inject(tx workload.Tx, arrive sim.Time) {
 		Src:          packet.HostNode,
 		Dst:          dst,
 		Addr:         tx.Addr,
-		Distance:     p.wire.DistOf(dst, class),
+		Distance:     p.net.HostDist(dst, class),
 		EnterPort:    -1, // no router ingress yet
 		Injected:     now,
 		ReadModWrite: tx.RMW,
@@ -371,16 +426,8 @@ func (p *Port) inject(tx workload.Tx, arrive sim.Time) {
 	if p.spanHook != nil {
 		p.spanHook(pk, now-arrive)
 	}
-	if g := p.cfg.WavefrontSize; g > 1 && kind == packet.ReadReq {
-		wf := p.wfNext
-		p.wfOf[pk.ID] = wf
-		p.wfLeft[wf]++
-		p.wfSize[wf]++
-		p.wfFill++
-		if p.wfFill == g {
-			p.wfFill = 0
-			p.wfNext++
-		}
+	if p.cfg.WavefrontSize > 1 && kind == packet.ReadReq {
+		p.joinWavefront(pk.ID)
 	}
 	p.out.Send(pk)
 }

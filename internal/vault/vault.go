@@ -10,6 +10,7 @@ package vault
 
 import (
 	"fmt"
+	"math"
 
 	"memnet/internal/config"
 	"memnet/internal/energy"
@@ -23,9 +24,17 @@ import (
 // accounting.
 const AccessBits = 64 * 8
 
-// BankMap resolves a packet address to this quadrant's bank index and
-// row.
+// BankMapper resolves a packet address to this quadrant's bank index
+// and row.
+type BankMapper interface {
+	BankMap(addr uint64) (bank int, row int64)
+}
+
+// BankMap adapts a function to a BankMapper.
 type BankMap func(addr uint64) (bank int, row int64)
+
+// BankMap implements BankMapper.
+func (f BankMap) BankMap(addr uint64) (bank int, row int64) { return f(addr) }
 
 // ReturnPath computes the hop distance of the response path back to a
 // packet's source; it is stamped into the response header for the
@@ -60,18 +69,20 @@ type Quadrant struct {
 	// the wrong-quadrant penalty.
 	index    int32
 	extPorts int32
-	penalty  sim.Time
+	// inflight counts the accesses at the banks, at most maxInflight,
+	// which Init caps at math.MaxInt32.
+	maxInflight int32
+	inflight    int32
+	penalty     sim.Time
 
 	banks   mem.Controller
-	bankMap BankMap
+	bankMap BankMapper
 	ret     ReturnPath
 	meter   *energy.Meter
 
 	in  *link.Buffer
 	out *link.Direction
 
-	maxInflight int
-	inflight    int
 	// service holds the requests at the banks, in order of completion
 	// time with ties in issue order: the order their completeEvents
 	// fire. done holds completed responses awaiting router space.
@@ -95,7 +106,9 @@ type Config struct {
 	Penalty     sim.Time
 	Banks       int
 	MaxInflight int
-	BankMap     BankMap
+	// BankMap, when non-nil, is the quadrant's bank map;
+	// SetBankMapper installs one that is not a function.
+	BankMap BankMap
 	// ReturnDist, when non-nil, is the quadrant's return path;
 	// SetReturnPath installs one that is not a function.
 	ReturnDist ReturnDist
@@ -128,11 +141,14 @@ func (q *Quadrant) Init(eng *sim.Engine, cfg Config, banks []mem.Bank, timing *c
 	q.eng = eng
 	q.tech, q.index = cfg.Tech, int32(cfg.Index)
 	q.extPorts, q.penalty = int32(cfg.ExtPorts), cfg.Penalty
-	q.bankMap, q.meter = cfg.BankMap, cfg.Meter
+	q.meter = cfg.Meter
+	if cfg.BankMap != nil {
+		q.bankMap = cfg.BankMap
+	}
 	if cfg.ReturnDist != nil {
 		q.ret = cfg.ReturnDist
 	}
-	q.maxInflight = cfg.MaxInflight
+	q.maxInflight = int32(min(cfg.MaxInflight, math.MaxInt32))
 	if q.maxInflight <= 0 {
 		q.maxInflight = 16
 	}
@@ -143,6 +159,10 @@ func (q *Quadrant) Init(eng *sim.Engine, cfg Config, banks []mem.Bank, timing *c
 // SetReturnPath installs the return path whose distances responses
 // carry.
 func (q *Quadrant) SetReturnPath(rp ReturnPath) { q.ret = rp }
+
+// SetBankMapper installs the map from addresses to this quadrant's
+// banks and rows.
+func (q *Quadrant) SetBankMapper(m BankMapper) { q.bankMap = m }
 
 // pumpEvent is every quadrant's pump scheduled by kick; its argument is
 // the Quadrant.
@@ -185,7 +205,7 @@ func (q *Quadrant) Stats() Stats { return q.stats }
 
 // Inflight reports the current occupancy of the bank-access window
 // (telemetry gauge).
-func (q *Quadrant) Inflight() int { return q.inflight }
+func (q *Quadrant) Inflight() int { return int(q.inflight) }
 
 // QueueLen reports queued work at the vault: requests waiting for a
 // window slot plus completed responses awaiting router space
@@ -235,7 +255,7 @@ func (q *Quadrant) start(p *packet.Packet) {
 		start += q.penalty
 		q.stats.WrongQuad++
 	}
-	bank, row := q.bankMap(p.Addr)
+	bank, row := q.bankMap.BankMap(p.Addr)
 	kind := mem.Read
 	if p.Kind == packet.WriteReq {
 		kind = mem.Write

@@ -173,11 +173,7 @@ func GenerateChaos(c Config, spec ChaosSpec) (*FaultConfig, error) {
 		return nil, err
 	}
 	// Chaos schedules address edges of the run's own graph.
-	s, err := core.GraphSpec(&p)
-	if err != nil {
-		return nil, err
-	}
-	g, err := topology.BuildScenario(s)
+	_, g, err := core.NetworkOf(&p)
 	if err != nil {
 		return nil, err
 	}

@@ -46,7 +46,7 @@ func (sc *spanCollector) sim(p core.Params) (core.Results, error) {
 		return res, err
 	}
 	key := fmt.Sprintf("%s|%s|ports%d|cap%d|seed%d|txns%d",
-		p.Label(), p.Workload.Name, p.Sys.Ports, p.Sys.TotalCapacity, p.Seed, p.Transactions)
+		res.Label, p.Workload.Name, p.Sys.Ports, p.Sys.TotalCapacity, p.Seed, p.Transactions)
 	sc.mu.Lock()
 	sc.blocks[key] = buf.Bytes()
 	sc.mu.Unlock()

@@ -47,33 +47,24 @@ func main() {
 
 	place, err := config.ParsePlacement(*placeFlag)
 	check(err)
-	var (
-		spec *scenario.Spec
-		g    *topology.Graph
-	)
+	// The network a one-transaction run of the flags would simulate.
+	p := core.Params{Sys: config.Default(), Transactions: 1}
 	if *scenFlag != "" {
-		spec, err = loadScenario(*scenFlag)
-		check(err)
-		g, err = topology.BuildScenario(spec)
+		p.Scenario, err = loadScenario(*scenFlag)
 		check(err)
 	} else {
-		var kind topology.Kind
-		kind, err = topology.ParseKind(*topoFlag)
+		p.Topo, err = topology.ParseKind(*topoFlag)
 		check(err)
-
-		var techs []config.MemTech
+		p.Sys.DRAMFraction = *dramPct / 100
+		p.Sys.Placement = place
 		if *cubes > 0 {
-			techs = make([]config.MemTech, *cubes)
-		} else {
-			sys := config.Default()
-			sys.DRAMFraction = *dramPct / 100
-			sys.Placement = place
-			techs, err = core.TechOrder(&sys)
-			check(err)
+			// N all-DRAM cubes per port.
+			p.Sys.DRAMFraction = 1
+			p.Sys.TotalCapacity = uint64(*cubes) * p.Sys.DRAMCubeCapacity * uint64(p.Sys.Ports)
 		}
-		spec, g, err = core.Network(kind, techs, core.DefaultTuning().MetaCubeGroup)
-		check(err)
 	}
+	spec, g, err := core.NetworkOf(&p)
+	check(err)
 
 	if *export {
 		out, err := json.MarshalIndent(spec, "", "  ")

@@ -44,11 +44,12 @@ func (c *Counter) miss() {
 // CachedSim wraps a simulation backend with the persistent store: a
 // cacheable run whose fingerprint is present is served from disk
 // without simulating; a miss simulates through next (core.Simulate when
-// nil) and writes the result back. Uncacheable runs pass straight
-// through, and so does a run whose fingerprint cannot be computed
-// (FingerprintParams). The counter, when non-nil, observes hits and
-// misses — the run-count hook the warm-cache regression test asserts
-// on.
+// nil) and writes the result back. Each run is resolved once
+// (core.Params.Resolved) for both its address and its key. Uncacheable
+// runs pass straight through, and so do a run that does not resolve
+// and one whose fingerprint cannot be computed (FingerprintParams).
+// The counter, when non-nil, observes hits and misses — the run-count
+// hook the warm-cache regression test asserts on.
 func CachedSim(store *Store, next experiments.SimFunc, c *Counter) experiments.SimFunc {
 	if next == nil {
 		next = core.Simulate
@@ -58,7 +59,12 @@ func CachedSim(store *Store, next experiments.SimFunc, c *Counter) experiments.S
 			c.miss()
 			return next(p)
 		}
-		fp, err := FingerprintParams(p)
+		r, err := p.Resolved()
+		if err != nil {
+			c.miss()
+			return next(p)
+		}
+		fp, err := FingerprintParams(r)
 		if err != nil {
 			c.miss()
 			return next(p)
@@ -72,7 +78,7 @@ func CachedSim(store *Store, next experiments.SimFunc, c *Counter) experiments.S
 		if err != nil {
 			return core.Results{}, err
 		}
-		if err := store.Put(fp, KeyOf(p), res); err != nil {
+		if err := store.Put(fp, KeyOf(r), res); err != nil {
 			return core.Results{}, err
 		}
 		return res, nil

@@ -50,13 +50,12 @@ func Cacheable(p core.Params) bool {
 	return len(p.Replay) == 0 && !p.Record && p.Obs == nil && p.Spans == nil
 }
 
-// view is what core.Build acts on for a cacheable run, with Build's
-// defaults applied (core.Params.Resolved): every field of every struct
-// in it is in the address by construction. Topo and Scenario enter as
-// Graph, the canonical bytes of the spec core.GraphSpec returns, so a
+// view is what core.Build acts on for a cacheable run: the run as
+// core.Params.Resolved completes it, so every field of every struct in
+// it is in the address by construction. Topo and Scenario enter as
+// Graph, the canonical bytes of the spec core.NetworkOf returns, so a
 // built-in run and a run of its exported scenario share an address, as
-// do two spellings of one scenario file. KeepSamples is left out: no
-// Results field depends on it.
+// do two spellings of one scenario file.
 type view struct {
 	Sys          config.System
 	Graph        json.RawMessage
@@ -68,15 +67,21 @@ type view struct {
 	Fault        *fault.Config
 }
 
-// FingerprintParams computes the content address of one run: FNV-1a
-// over CacheSchema and the JSON encoding of the run's view. It fails
-// when the view cannot be built or encoded (a graph that cannot be
-// generated, a NaN); such a run is simulated uncached.
-func FingerprintParams(p core.Params) (Fingerprint, error) {
-	r := p.Resolved()
-	spec, err := core.GraphSpec(&r)
-	if err != nil {
-		return 0, err
+// FingerprintParams computes the content address of the resolved run r
+// (core.Params.Resolved): FNV-1a over CacheSchema and the JSON encoding
+// of its view. It fails when the view cannot be built or encoded (a
+// graph that cannot be generated, a NaN); such a run is simulated
+// uncached.
+func FingerprintParams(r core.Params) (Fingerprint, error) {
+	// A scenario run's own spec canonicalizes to the bytes of the spec
+	// NetworkOf normalizes from it, without building its graph again.
+	spec := r.Scenario
+	if spec == nil {
+		s, _, err := core.NetworkOf(&r)
+		if err != nil {
+			return 0, err
+		}
+		spec = s
 	}
 	b, err := json.Marshal(view{
 		Sys:          r.Sys,

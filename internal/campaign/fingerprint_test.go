@@ -42,10 +42,23 @@ func testScenario() *scenario.Spec {
 	}
 }
 
-// mustFingerprint is FingerprintParams for runs whose view encodes.
+// ringScenario is testScenario with a third cube closing a ring.
+func ringScenario() *scenario.Spec {
+	s := testScenario()
+	s.Nodes = append(s.Nodes, scenario.Node{Name: "c2"})
+	s.Links = append(s.Links, scenario.Link{A: "c1", B: "c2"}, scenario.Link{A: "c2", B: "c0"})
+	return s
+}
+
+// mustFingerprint is the address CachedSim gives p: FingerprintParams
+// of the resolved run, for runs that resolve and whose view encodes.
 func mustFingerprint(t *testing.T, p core.Params) Fingerprint {
 	t.Helper()
-	fp, err := FingerprintParams(p)
+	r, err := p.Resolved()
+	if err != nil {
+		t.Fatalf("resolve: %v", err)
+	}
+	fp, err := FingerprintParams(r)
 	if err != nil {
 		t.Fatalf("fingerprint: %v", err)
 	}
@@ -80,8 +93,11 @@ func TestFingerprintSensitivity(t *testing.T) {
 		"serdes":       func(p *core.Params) { p.Sys.SerDesLatency += sim.Nanosecond },
 		"nvm-timing":   func(p *core.Params) { p.Sys.NVMTiming.TWR += sim.Nanosecond },
 		"energy":       func(p *core.Params) { p.Sys.Energy.NVMWritePJPerBit++ },
-		"tuning":       func(p *core.Params) { p.Tuning.WavefrontSize++ },
-		"fault-ber":    func(p *core.Params) { p.Fault = &fault.Config{LinkBER: 1e-6} },
+		"tuning": func(p *core.Params) {
+			p.Tuning = core.DefaultTuning()
+			p.Tuning.WavefrontSize++
+		},
+		"fault-ber": func(p *core.Params) { p.Fault = &fault.Config{LinkBER: 1e-6} },
 		"fault-kill": func(p *core.Params) {
 			p.Fault = &fault.Config{KillCubes: []fault.CubeKill{{Node: 3, At: sim.Microsecond}}}
 		},
@@ -109,9 +125,13 @@ func TestFingerprintSensitivity(t *testing.T) {
 			s.Links[1].BufferPackets = &depth
 			p.Scenario = s
 		},
+		// A ring of three cubes, and the same ring with a link
+		// deleted: deleting testScenario's c0-c1 link would strand c1,
+		// and a run that does not resolve has no address.
+		"scenario-ring": func(p *core.Params) { p.Scenario = ringScenario() },
 		"scenario-link-deleted": func(p *core.Params) {
-			s := testScenario()
-			s.Links = s.Links[:1]
+			s := ringScenario()
+			s.Links = s.Links[:len(s.Links)-1]
 			p.Scenario = s
 		},
 		"scenario-router-override": func(p *core.Params) {
@@ -135,7 +155,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 
 	// For every kind, a built-in run and the run of its exported
-	// scenario (the spec core.GraphSpec returns, which
+	// scenario (the spec core.NetworkOf returns, which
 	// memnet.ExportScenario hands out) are the same run, so they share
 	// one address; changing Topo moves it.
 	byKind := map[Fingerprint]topology.Kind{}
@@ -143,7 +163,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 		p := testParams()
 		p.Topo = kind
 		builtin := mustFingerprint(t, p)
-		s, err := core.GraphSpec(&p)
+		s, _, err := core.NetworkOf(&p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,9 +248,9 @@ func TestCacheable(t *testing.T) {
 
 // TestFingerprintAliases checks that Params which resolve to the same
 // run (core.Params.Resolved) share one address and simulate to equal
-// Results: a zero Tuning and DefaultTuning(), KeepSamples (no Results
-// field depends on it), a nil and a disabled fault config, and an
-// enabled fault config with and without its defaults spelled out.
+// Results: a zero Tuning and DefaultTuning(), a nil and a disabled
+// fault config, and an enabled fault config with and without its
+// defaults spelled out.
 func TestFingerprintAliases(t *testing.T) {
 	faulty := func(p *core.Params) { p.Fault = &fault.Config{LinkBER: 1e-6} }
 	cases := []struct {
@@ -239,7 +259,6 @@ func TestFingerprintAliases(t *testing.T) {
 		alias  func(*core.Params) // applied to the second run only
 	}{
 		{"tuning-default", nil, func(p *core.Params) { p.Tuning = core.DefaultTuning() }},
-		{"keepsamples", nil, func(p *core.Params) { p.KeepSamples = true }},
 		{"fault-nil-vs-zero", nil, func(p *core.Params) { p.Fault = &fault.Config{} }},
 		{"fault-disabled", nil, func(p *core.Params) {
 			p.Fault = &fault.Config{Seed: 7, MaxRetries: 3, RetrainWindow: sim.Microsecond}
@@ -315,9 +334,10 @@ func TestFingerprintUnencodable(t *testing.T) {
 	}
 }
 
-// leafParams is the base of the leaf walk: a scenario run, so that
-// changing a system field cannot make the graph fail to generate, with
-// a fault config whose tunables are already at their defaults and with
+// leafParams is the base of the leaf walk, a run already in its
+// resolved form: a scenario run, so that changing a system field
+// cannot make the graph fail to generate, with DefaultTuning() and a
+// fault config whose tunables are already at their defaults and with
 // one entry in each schedule, so that every leaf is present and a
 // changed leaf cannot resolve back to the base value.
 func leafParams() core.Params {
@@ -378,9 +398,20 @@ func leafAt(v reflect.Value, path []int) (reflect.Value, string) {
 // the view holds (system, workload, tuning and fault config, their
 // nested structs and schedule entries, and the scalar fields) and
 // checks that changing it alone moves the address. A field added to
-// any of these structs is covered without editing this test.
+// any of these structs is covered without editing this test. The walk
+// fingerprints each changed run as it stands, since a change can make
+// a run that no longer resolves (Sys.Ports 9 does not divide the
+// capacity) and its leaf must still be in the view.
 func TestFingerprintLeaves(t *testing.T) {
-	base := mustFingerprint(t, leafParams())
+	fingerprint := func(p core.Params) Fingerprint {
+		t.Helper()
+		fp, err := FingerprintParams(p)
+		if err != nil {
+			t.Fatalf("fingerprint: %v", err)
+		}
+		return fp
+	}
+	base := fingerprint(leafParams())
 	pt := reflect.TypeOf(core.Params{})
 	vt := reflect.TypeOf(view{})
 	walked := 0
@@ -410,7 +441,7 @@ func TestFingerprintLeaves(t *testing.T) {
 				continue
 			}
 			walked++
-			if mustFingerprint(t, p) == base {
+			if fingerprint(p) == base {
 				t.Errorf("changing %s does not move the address", name)
 			}
 		}
@@ -422,15 +453,14 @@ func TestFingerprintLeaves(t *testing.T) {
 
 // TestFingerprintCoverage partitions core.Params' own fields: each is
 // in the view under its own name, enters it as the graph, or is left
-// out because no Results field depends on it or its runs are not
-// Cacheable. A Params field added, removed or renamed fails here until
+// out because its runs are not Cacheable. A Params field added, removed or renamed fails here until
 // it is placed.
 func TestFingerprintCoverage(t *testing.T) {
 	roles := map[string]string{
 		"Sys": "view", "Arb": "view", "Workload": "view",
 		"Transactions": "view", "Seed": "view", "Fault": "view", "Tuning": "view",
 		"Topo": "graph", "Scenario": "graph",
-		"KeepSamples": "no-result", "Replay": "uncacheable", "Record": "uncacheable",
+		"Replay": "uncacheable", "Record": "uncacheable",
 		"Obs": "uncacheable", "Spans": "uncacheable",
 	}
 	pt := reflect.TypeOf(core.Params{})

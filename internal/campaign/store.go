@@ -41,15 +41,16 @@ type Key struct {
 	Faulty bool `json:"faulty,omitempty"`
 }
 
-// KeyOf summarizes a run's parameters for the envelope.
-func KeyOf(p core.Params) Key {
+// KeyOf summarizes a resolved run (core.Params.Resolved) for the
+// envelope.
+func KeyOf(r core.Params) Key {
 	return Key{
-		Label:        p.Label(),
-		Workload:     p.Workload.Name,
-		Transactions: p.Transactions,
-		Seed:         p.Seed,
-		Ports:        p.Sys.Ports,
-		Faulty:       p.Fault != nil && p.Fault.Enabled(),
+		Label:        r.Label(),
+		Workload:     r.Workload.Name,
+		Transactions: r.Transactions,
+		Seed:         r.Seed,
+		Ports:        r.Sys.Ports,
+		Faulty:       r.Fault != nil,
 	}
 }
 

@@ -6,6 +6,7 @@ package config
 
 import (
 	"fmt"
+	"math"
 
 	"memnet/internal/sim"
 )
@@ -85,22 +86,61 @@ const MaxBufferPackets = 1 << 30
 // part of its tRAS window still ahead of it in 32 bits of picoseconds.
 const MaxTRAS = sim.Time(1<<32 - 1)
 
-// validate checks the timing set held in the System field name: no
-// parameter is negative and TRAS is at most MaxTRAS.
+// Bounds of a System and of the knobs sized or timed from it, far
+// outside what the paper models: past one, a run would allocate
+// without bound or not finish.
+const (
+	// MaxLatency bounds every fixed latency and timing parameter but
+	// TRAS and RefInterval: 30 times PCM's 320 ns write. With
+	// MinBandwidthBps and MaxCubesPerPort it keeps a short run well
+	// inside core's 10 s horizon.
+	MaxLatency = 10 * sim.Microsecond
+	// MinRefInterval is the shortest refresh interval (DDR: 7.8 µs): a
+	// bank steps through its refresh windows one at a time.
+	MinRefInterval = sim.Microsecond
+	// MinBandwidthBps and MaxBandwidthBps bound a link or a switch:
+	// 1/240 and 290,000 times the paper's links. A link times the
+	// largest bandwidth multiplier stays inside 63 bits.
+	MinBandwidthBps = 1e9
+	MaxBandwidthBps = 1 << 46
+	// MaxPorts bounds Ports, which scales a port's injection gap.
+	MaxPorts = 1 << 10
+	// MaxCubesPerPort bounds a built-in network, whose route tables
+	// grow with its square (the paper's largest: 32 cubes).
+	MaxCubesPerPort = 1 << 8
+	// MaxBanksPerCube bounds each cube's bank slab (Table 2: 256).
+	MaxBanksPerCube = 1 << 12
+	// MaxCubeRatio bounds NVMCubeCapacity/DRAMCubeCapacity, the
+	// interleave units an NVM cube takes in the address map (here 4).
+	MaxCubeRatio = 1 << 10
+	// MaxWindow bounds MaxOutstanding and the windows the host sizes
+	// its tables from (the paper's GPU: 64).
+	MaxWindow = 1 << 12
+)
+
+// validate checks the timing set held in the System field name: TRAS
+// is in [0, MaxTRAS], a refresh interval is 0 (none) or at least
+// MinRefInterval and longer than its refresh, and every other
+// parameter is in [0, MaxLatency].
 func (m *MemTiming) validate(name string) error {
 	for _, f := range []struct {
 		field string
-		v     sim.Time
+		v, hi sim.Time
 	}{
-		{"TRCD", m.TRCD}, {"TCL", m.TCL}, {"TRP", m.TRP}, {"TRAS", m.TRAS}, {"TWR", m.TWR},
-		{"Burst", m.Burst}, {"RefInterval", m.RefInterval}, {"RefDuration", m.RefDuration},
+		{"TRCD", m.TRCD, MaxLatency}, {"TCL", m.TCL, MaxLatency}, {"TRP", m.TRP, MaxLatency},
+		{"TRAS", m.TRAS, MaxTRAS}, {"TWR", m.TWR, MaxLatency}, {"Burst", m.Burst, MaxLatency},
+		{"RefInterval", m.RefInterval, math.MaxInt64}, {"RefDuration", m.RefDuration, MaxLatency},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("config: %s.%s must not be negative, got %d ps", name, f.field, int64(f.v))
 		}
+		if f.v > f.hi {
+			return fmt.Errorf("config: %s.%s %d ps exceeds the %d ps limit", name, f.field, int64(f.v), int64(f.hi))
+		}
 	}
-	if m.TRAS > MaxTRAS {
-		return fmt.Errorf("config: %s.TRAS %d ps exceeds the %d ps limit", name, int64(m.TRAS), int64(MaxTRAS))
+	if m.RefInterval > 0 && (m.RefInterval < MinRefInterval || m.RefDuration >= m.RefInterval) {
+		return fmt.Errorf("config: %s.RefInterval %d ps must be at least %d ps and longer than RefDuration %d ps",
+			name, int64(m.RefInterval), int64(MinRefInterval), int64(m.RefDuration))
 	}
 	return nil
 }
@@ -252,32 +292,45 @@ func (s *System) Validate() error {
 // cube count is legal.
 func (s *System) ValidateBase() error {
 	switch {
-	case s.Ports <= 0:
-		return fmt.Errorf("config: Ports must be positive, got %d", s.Ports)
+	case s.Ports <= 0 || s.Ports > MaxPorts:
+		return fmt.Errorf("config: Ports %d outside [1, %d]", s.Ports, MaxPorts)
 	case s.TotalCapacity == 0:
 		return fmt.Errorf("config: TotalCapacity must be positive")
-	case s.DRAMCubeCapacity == 0 || s.NVMCubeCapacity == 0:
-		return fmt.Errorf("config: cube capacities must be positive")
+	case s.DRAMCubeCapacity == 0:
+		return fmt.Errorf("config: DRAMCubeCapacity must be positive")
+	case s.NVMCubeCapacity == 0:
+		return fmt.Errorf("config: NVMCubeCapacity must be positive")
+	case s.NVMCubeCapacity/s.DRAMCubeCapacity > MaxCubeRatio:
+		return fmt.Errorf("config: NVMCubeCapacity %d over %d times DRAMCubeCapacity %d",
+			s.NVMCubeCapacity, MaxCubeRatio, s.DRAMCubeCapacity)
 	case s.DRAMFraction < 0 || s.DRAMFraction > 1:
 		return fmt.Errorf("config: DRAMFraction %v outside [0,1]", s.DRAMFraction)
-	case s.BanksPerCube <= 0:
-		return fmt.Errorf("config: BanksPerCube must be positive")
+	case s.BanksPerCube <= 0 || s.BanksPerCube > MaxBanksPerCube:
+		return fmt.Errorf("config: BanksPerCube %d outside [1, %d]", s.BanksPerCube, MaxBanksPerCube)
 	case s.Quadrants <= 0:
 		return fmt.Errorf("config: Quadrants must be positive")
 	case s.BanksPerCube%s.Quadrants != 0:
 		return fmt.Errorf("config: BanksPerCube %d not divisible by Quadrants %d",
 			s.BanksPerCube, s.Quadrants)
-	case s.LinkLanes <= 0 || s.LaneRateBps <= 0:
-		return fmt.Errorf("config: link bandwidth must be positive")
+	case s.LinkLanes <= 0 || s.LaneRateBps <= 0 || s.LaneRateBps > MaxBandwidthBps/int64(s.LinkLanes) ||
+		s.LinkBandwidthBps() < MinBandwidthBps:
+		return fmt.Errorf("config: LinkLanes %d times LaneRateBps %d outside [%g, %d] bits/s",
+			s.LinkLanes, s.LaneRateBps, float64(MinBandwidthBps), int64(MaxBandwidthBps))
 	case s.LinkBufferPackets <= 0 || s.LinkBufferPackets > MaxBufferPackets:
 		return fmt.Errorf("config: LinkBufferPackets %d outside [1, %d]", s.LinkBufferPackets, MaxBufferPackets)
 	case s.InterleaveBytes == 0 || s.InterleaveBytes&(s.InterleaveBytes-1) != 0:
 		return fmt.Errorf("config: InterleaveBytes must be a power of two, got %d", s.InterleaveBytes)
-	case s.MaxOutstanding <= 0:
-		return fmt.Errorf("config: MaxOutstanding must be positive")
+	case s.RowBytes == 0 || s.RowBytes%s.InterleaveBytes != 0:
+		return fmt.Errorf("config: RowBytes %d is not a positive multiple of InterleaveBytes %d", s.RowBytes, s.InterleaveBytes)
+	case s.MaxOutstanding <= 0 || s.MaxOutstanding > MaxWindow:
+		return fmt.Errorf("config: MaxOutstanding %d outside [1, %d]", s.MaxOutstanding, MaxWindow)
 	case s.TotalCapacity%uint64(s.Ports) != 0:
 		return fmt.Errorf("config: TotalCapacity %d not divisible by Ports %d",
 			s.TotalCapacity, s.Ports)
+	case s.SerDesLatency < 0 || s.WrongQuadrantPenalty < 0 || s.HostLatency < 0 ||
+		max(s.SerDesLatency, s.WrongQuadrantPenalty, s.HostLatency) > MaxLatency:
+		return fmt.Errorf("config: SerDesLatency %d, WrongQuadrantPenalty %d and HostLatency %d ps must be in [0, %d]",
+			int64(s.SerDesLatency), int64(s.WrongQuadrantPenalty), int64(s.HostLatency), int64(MaxLatency))
 	}
 	if err := s.DRAMTiming.validate("DRAMTiming"); err != nil {
 		return err
@@ -304,19 +357,19 @@ func (s *System) CubesPerPort() (dram, nvm int, err error) {
 	nvmBytes := cap - dramBytes
 	if dramBytes%s.DRAMCubeCapacity != 0 {
 		return 0, 0, fmt.Errorf(
-			"config: DRAM capacity %d per port is not a whole number of %d-byte cubes",
-			dramBytes, s.DRAMCubeCapacity)
+			"config: DRAMFraction %v: DRAM capacity %d per port is not a whole number of %d-byte cubes (DRAMCubeCapacity)",
+			s.DRAMFraction, dramBytes, s.DRAMCubeCapacity)
 	}
 	if nvmBytes%s.NVMCubeCapacity != 0 {
 		return 0, 0, fmt.Errorf(
-			"config: NVM capacity %d per port is not a whole number of %d-byte cubes",
-			nvmBytes, s.NVMCubeCapacity)
+			"config: DRAMFraction %v: NVM capacity %d per port is not a whole number of %d-byte cubes (NVMCubeCapacity)",
+			s.DRAMFraction, nvmBytes, s.NVMCubeCapacity)
+	}
+	if n := dramBytes/s.DRAMCubeCapacity + nvmBytes/s.NVMCubeCapacity; n == 0 || n > MaxCubesPerPort {
+		return 0, 0, fmt.Errorf("config: %d cubes per port outside [1, %d] (TotalCapacity, DRAMFraction and the cube capacities)", n, MaxCubesPerPort)
 	}
 	dram = int(dramBytes / s.DRAMCubeCapacity)
 	nvm = int(nvmBytes / s.NVMCubeCapacity)
-	if dram+nvm == 0 {
-		return 0, 0, fmt.Errorf("config: zero cubes per port")
-	}
 	return dram, nvm, nil
 }
 
@@ -330,13 +383,3 @@ func (s *System) Timing(t MemTech) MemTiming {
 
 // BanksPerQuadrant returns the bank count in each quadrant.
 func (s *System) BanksPerQuadrant() int { return s.BanksPerCube / s.Quadrants }
-
-// RatioLabel renders the configuration's DRAM percentage the way the
-// paper labels it, e.g. "100%", "50% (NVM-L)", "0%".
-func (s *System) RatioLabel() string {
-	pct := int(s.DRAMFraction*100 + 0.5)
-	if pct == 100 || pct == 0 {
-		return fmt.Sprintf("%d%%", pct)
-	}
-	return fmt.Sprintf("%d%% (%s)", pct, s.Placement)
-}

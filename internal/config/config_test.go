@@ -114,6 +114,20 @@ func TestValidateErrors(t *testing.T) {
 		{"interleave pow2", func(s *System) { s.InterleaveBytes = 257 }},
 		{"window", func(s *System) { s.MaxOutstanding = 0 }},
 		{"cap%ports", func(s *System) { s.Ports = 7 }},
+		{"many ports", func(s *System) { s.Ports = MaxPorts * 2 }},
+		{"nvm cube ratio", func(s *System) { s.NVMCubeCapacity = s.DRAMCubeCapacity * (MaxCubeRatio + 1) }},
+		{"many banks", func(s *System) { s.BanksPerCube = MaxBanksPerCube * 2 }},
+		{"many cubes", func(s *System) { s.DRAMCubeCapacity = s.PortCapacity() / (2 * MaxCubesPerPort) }},
+		{"slow link", func(s *System) { s.LaneRateBps = 1 }},
+		{"fast link", func(s *System) { s.LaneRateBps = MaxBandwidthBps }},
+		{"lanes overflow", func(s *System) { s.LinkLanes, s.LaneRateBps = 1<<40, 1<<40 }},
+		{"row bytes", func(s *System) { s.RowBytes = 0 }},
+		{"row%interleave", func(s *System) { s.RowBytes = 300 }},
+		{"wide window", func(s *System) { s.MaxOutstanding = MaxWindow + 1 }},
+		{"serdes", func(s *System) { s.SerDesLatency = MaxLatency + 1 }},
+		{"negative serdes", func(s *System) { s.SerDesLatency = -1 }},
+		{"host latency", func(s *System) { s.HostLatency = MaxLatency + 1 }},
+		{"quadrant penalty", func(s *System) { s.WrongQuadrantPenalty = -1 }},
 	}
 	for _, c := range cases {
 		if err := break1(c.f); err == nil {
@@ -140,6 +154,12 @@ func TestValidateTiming(t *testing.T) {
 		{"NVM TRAS 2^32", func(s *System) { s.NVMTiming.TRAS = 1 << 32 }, "config: NVMTiming.TRAS "},
 		{"NVM TWR negative", func(s *System) { s.NVMTiming.TWR = -1 }, "config: NVMTiming.TWR "},
 		{"DRAM RefDuration negative", func(s *System) { s.DRAMTiming.RefDuration = -1 }, "config: DRAMTiming.RefDuration "},
+		{"TRCD at limit", func(s *System) { s.DRAMTiming.TRCD = MaxLatency }, ""},
+		{"DRAM TRCD over", func(s *System) { s.DRAMTiming.TRCD = MaxLatency + 1 }, "config: DRAMTiming.TRCD "},
+		{"NVM Burst over", func(s *System) { s.NVMTiming.Burst = MaxLatency + 1 }, "config: NVMTiming.Burst "},
+		{"RefInterval at limit", func(s *System) { s.DRAMTiming.RefInterval = MinRefInterval }, ""},
+		{"RefInterval short", func(s *System) { s.DRAMTiming.RefInterval = 1 }, "config: DRAMTiming.RefInterval "},
+		{"RefDuration whole interval", func(s *System) { s.DRAMTiming.RefDuration = s.DRAMTiming.RefInterval }, "config: DRAMTiming.RefInterval "},
 	} {
 		sys := Default()
 		tc.f(&sys)
@@ -170,22 +190,6 @@ func TestDerivedQuantities(t *testing.T) {
 	}
 	if sys.Timing(DRAM).TRCD != sys.DRAMTiming.TRCD || sys.Timing(NVM).TWR != sys.NVMTiming.TWR {
 		t.Fatal("Timing dispatch wrong")
-	}
-}
-
-func TestRatioLabel(t *testing.T) {
-	sys := Default()
-	if sys.RatioLabel() != "100%" {
-		t.Errorf("got %q", sys.RatioLabel())
-	}
-	sys.DRAMFraction = 0.5
-	sys.Placement = NVMFirst
-	if sys.RatioLabel() != "50% (NVM-F)" {
-		t.Errorf("got %q", sys.RatioLabel())
-	}
-	sys.DRAMFraction = 0
-	if sys.RatioLabel() != "0%" {
-		t.Errorf("got %q", sys.RatioLabel())
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 
 	"memnet/internal/addr"
 	"memnet/internal/arb"
@@ -111,9 +112,10 @@ func DefaultTuning() Tuning {
 const maxBandwidthX = 1 << 16
 
 // Validate checks each field of t against the range a build accepts and
-// returns an error naming the first field out of range. Build runs it
-// on the resolved Tuning, so a partly set Tuning fails here, with the
-// first field it left at zero, rather than inside a component.
+// returns an error naming the first field out of range. Resolved runs
+// it on the resolved Tuning, so a partly set Tuning fails there, with
+// the first field it left at zero, rather than inside a component. A
+// switch bandwidth may also be 0, an ideal switch.
 func (t *Tuning) Validate() error {
 	for _, f := range [...]struct {
 		name      string
@@ -122,17 +124,18 @@ func (t *Tuning) Validate() error {
 		{"VaultQueueDepth", int64(t.VaultQueueDepth), 1, config.MaxBufferPackets},
 		{"VaultMaxInflight", int64(t.VaultMaxInflight), 1, math.MaxInt32},
 		{"InternalBandwidthX", int64(t.InternalBandwidthX), 1, maxBandwidthX},
-		{"SwitchBandwidthBps", t.SwitchBandwidthBps, 0, math.MaxInt64},
-		{"IfaceSwitchBandwidthBps", t.IfaceSwitchBandwidthBps, 0, math.MaxInt64},
+		{"SwitchBandwidthBps", t.SwitchBandwidthBps, config.MinBandwidthBps, config.MaxBandwidthBps},
+		{"IfaceSwitchBandwidthBps", t.IfaceSwitchBandwidthBps, config.MinBandwidthBps, config.MaxBandwidthBps},
 		{"InterposerBandwidthX", int64(t.InterposerBandwidthX), 1, maxBandwidthX},
-		{"InterposerSerDes", int64(t.InterposerSerDes), 0, math.MaxInt64},
-		{"ShortcutWindow", int64(t.ShortcutWindow), 1, math.MaxInt32},
+		{"InterposerSerDes", int64(t.InterposerSerDes), 0, int64(config.MaxLatency)},
+		{"ShortcutWindow", int64(t.ShortcutWindow), 1, config.MaxWindow},
 		{"NVMMaxInflight", int64(t.NVMMaxInflight), 0, math.MaxInt32},
 		{"MetaCubeGroup", int64(t.MetaCubeGroup), 1, math.MaxInt32},
 		{"WavefrontSize", int64(t.WavefrontSize), 1, math.MaxInt32},
 		{"WriteDemotion", t.WriteDemotion, 1, math.MaxInt64},
 	} {
-		if f.v < f.lo || f.v > f.hi {
+		idealSwitch := f.v == 0 && f.lo == config.MinBandwidthBps
+		if (f.v < f.lo || f.v > f.hi) && !idealSwitch {
 			return fmt.Errorf("core: Tuning.%s is %d, want %d to %d", f.name, f.v, f.lo, f.hi)
 		}
 	}
@@ -145,9 +148,13 @@ func (t *Tuning) Validate() error {
 	return nil
 }
 
-// Params fully specifies one simulation run.
+// Params fully specifies one simulation run. Resolved completes and
+// checks it; Build runs what Resolved returns.
 type Params struct {
-	Sys  config.System
+	Sys config.System
+	// Topo is the built-in topology of a run without a Scenario. For a
+	// scenario run, Resolved sets it from the built graph: the spec's
+	// declared built-in kind, or topology.Scenario.
 	Topo topology.Kind
 	Arb  arb.Kind
 	// Workload drives the port; its MeanGap is automatically rescaled
@@ -159,8 +166,6 @@ type Params struct {
 	// Seed makes runs reproducible; runs differing only in Seed are
 	// statistically independent.
 	Seed uint64
-	// KeepSamples retains latency samples for percentile queries.
-	KeepSamples bool
 	// Replay, when non-empty, drives the port with the given recorded
 	// transaction trace (cycled if shorter than Transactions) instead of
 	// the synthetic workload generator; Workload then only labels the
@@ -188,53 +193,101 @@ type Params struct {
 	// bit-identical with Spans enabled and disabled.
 	Spans *span.Config
 	// Scenario, when non-nil, declares the component graph in place of
-	// the spec topology.Generate emits for Topo (see GraphSpec): the
-	// run applies the spec's per-link and per-router overrides and
-	// skips the capacity equation (the cube population is whatever the
-	// spec declares). Topo is derived from the spec (its built-in kind
-	// label, or topology.Scenario) and any caller-set value is ignored.
-	// The spec's workload and fault blocks are NOT applied here —
-	// callers resolve them into Workload and Fault (see memnet.Config
-	// and ScenarioFault) so precedence stays explicit.
+	// the spec topology.Generate emits for Topo: the run applies the
+	// spec's per-link and per-router overrides and skips the capacity
+	// equation (the cube population is whatever the spec declares).
+	// A caller-set Topo is ignored; Resolved derives it. The spec's
+	// workload and fault blocks are NOT applied here — callers resolve
+	// them into Workload and Fault (see memnet.Config and ScenarioFault)
+	// so precedence stays explicit.
 	Scenario *scenario.Spec
 	Tuning   Tuning
 }
 
-// Resolved returns p as Build runs it, with the defaults Build applies
-// made explicit: an all-zero Tuning becomes DefaultTuning(), and Fault
-// is nil unless it is Enabled, in which case it points at a copy with
-// WithDefaults applied. Build and the result cache's fingerprint both
-// start from it, so Params that resolve alike are one run.
-func (p Params) Resolved() Params {
+// Resolved returns p completed and checked, as Build runs it, or an
+// error naming the first field at fault; it is the one place a run is
+// completed and validated. An all-zero Tuning becomes DefaultTuning(),
+// and Fault is nil unless Enabled, else a copy with WithDefaults
+// applied. Sys must pass System.Validate (ValidateBase for a scenario
+// run, which declares its own cubes), and Transactions, Workload,
+// Tuning and Fault their checks. The run's network is built and Topo
+// set from it. Resolving a resolved run returns it unchanged. Build,
+// RunMachine and the result cache all start from it, so Params that
+// resolve alike are one run.
+func (p Params) Resolved() (Params, error) {
+	r, _, err := p.resolve()
+	return r, err
+}
+
+// resolve is Resolved that also returns the run's network, so Build
+// wires the graph resolution built instead of building it again.
+func (p Params) resolve() (Params, network, error) {
+	var err error
+	if p.Scenario != nil {
+		err = p.Sys.ValidateBase()
+	} else {
+		err = p.Sys.Validate()
+	}
+	if err != nil {
+		return Params{}, network{}, err
+	}
+	if p.Transactions == 0 {
+		return Params{}, network{}, fmt.Errorf("core: Transactions is 0, want at least 1")
+	}
+	if err := p.Workload.Validate(); err != nil {
+		return Params{}, network{}, err
+	}
 	if p.Tuning == (Tuning{}) {
 		p.Tuning = DefaultTuning()
 	}
+	if err := p.Tuning.Validate(); err != nil {
+		return Params{}, network{}, err
+	}
 	if p.Fault.Enabled() {
 		f := p.Fault.WithDefaults()
+		if err := f.Validate(); err != nil {
+			return Params{}, network{}, err
+		}
 		p.Fault = &f
 	} else {
 		p.Fault = nil
 	}
-	return p
+	n, err := networkOf(&p)
+	if err != nil {
+		return Params{}, network{}, err
+	}
+	p.Topo = n.graph.Kind
+	return p, n, nil
 }
 
 // Label renders the configuration the way the paper labels its bars,
 // e.g. "100%-T", "50%-SL (NVM-L)", "0%-MC". A free-form scenario run
 // is labeled by its scenario name; a scenario that declares a built-in
 // topology kind labels exactly like the compiled-in configuration.
+// Topo must be resolved for a scenario run.
 func (p *Params) Label() string {
-	if p.Topo == topology.Scenario {
-		if p.Scenario != nil {
-			return p.Scenario.Name
-		}
-		return "scenario"
+	if p.Topo == topology.Scenario && p.Scenario != nil {
+		return p.Scenario.Name
 	}
-	pct := int(p.Sys.DRAMFraction*100 + 0.5)
-	base := fmt.Sprintf("%d%%-%s", pct, p.Topo.Letter())
+	return ConfigLabel(p.Topo, p.Sys.DRAMFraction, p.Sys.Placement)
+}
+
+// ConfigLabel is the paper's label of a built-in configuration: the
+// DRAM percentage, the topology's letter and, for a mix, the NVM
+// placement, e.g. "100%-T", "50%-SL (NVM-L)". It allocates only the
+// returned string.
+func ConfigLabel(kind topology.Kind, dramFraction float64, place config.Placement) string {
+	pct := int(dramFraction*100 + 0.5)
+	var buf [24]byte
+	b := strconv.AppendInt(buf[:0], int64(pct), 10)
+	b = append(b, "%-"...)
+	b = append(b, kind.Letter()...)
 	if pct > 0 && pct < 100 {
-		return fmt.Sprintf("%s (%s)", base, p.Sys.Placement)
+		b = append(b, " ("...)
+		b = append(b, place.String()...)
+		b = append(b, ')')
 	}
-	return base
+	return string(b)
 }
 
 // Instance is a built, runnable simulation.
@@ -396,11 +449,11 @@ func (h *hostSide) Receive(pk *packet.Packet) {
 // TechOrder returns the per-position cube technologies implied by the
 // system's DRAM fraction and placement. Position 0 is nearest the host.
 func TechOrder(sys *config.System) ([]config.MemTech, error) {
-	return appendTechOrder(nil, sys)
+	return techOrder(nil, sys)
 }
 
-// appendTechOrder appends TechOrder(sys) to techs.
-func appendTechOrder(techs []config.MemTech, sys *config.System) ([]config.MemTech, error) {
+// techOrder appends TechOrder(sys) to techs.
+func techOrder(techs []config.MemTech, sys *config.System) ([]config.MemTech, error) {
 	nd, nn, err := sys.CubesPerPort()
 	if err != nil {
 		return nil, err
@@ -419,60 +472,15 @@ func appendTechOrder(techs []config.MemTech, sys *config.System) ([]config.MemTe
 	return techs, nil
 }
 
-// GraphSpec returns the scenario spec of the graph a run of p
-// simulates, never nil on success. A scenario run gets a clone of
-// p.Scenario (the caller's spec may be shared across concurrently
-// building shards); a built-in run gets the spec topology.Generate
-// emits for p.Topo over the cube technologies TechOrder assigns,
-// grouped into MetaCube packages of p.Tuning.MetaCubeGroup (default
-// 4). Every graph a run, a fault schedule or an export addresses, and
-// every fingerprint, comes from this spec (NetworkOf builds its graph),
-// so their edge indices always agree. The spec is the caller's own.
-func GraphSpec(p *Params) (*scenario.Spec, error) {
-	if p.Scenario != nil {
-		return p.Scenario.Clone(), nil
-	}
-	techs, err := TechOrder(&p.Sys)
-	if err != nil {
-		return nil, err
-	}
-	return topology.Generate(p.Topo, techs, metaCubeGroup(p))
-}
-
-// metaCubeGroup is p's MetaCube package size: p.Tuning.MetaCubeGroup,
-// or the default for an unset Tuning.
-func metaCubeGroup(p *Params) int {
-	if group := p.Tuning.MetaCubeGroup; group != 0 {
-		return group
-	}
-	return DefaultTuning().MetaCubeGroup
-}
-
 // Build constructs a simulation instance from params on a fresh engine.
+// It runs p as Resolved returns it, wiring the graph resolution built.
 func Build(p Params) (*Instance, error) {
-	eng := sim.NewEngine()
-	// Scenario runs skip the capacity equation: their cube population
-	// is whatever the spec declares, not a solution of DRAMFraction
-	// against TotalCapacity.
-	if p.Scenario != nil {
-		if err := p.Sys.ValidateBase(); err != nil {
-			return nil, err
-		}
-	} else if err := p.Sys.Validate(); err != nil {
-		return nil, err
-	}
-	if p.Transactions == 0 {
-		return nil, fmt.Errorf("core: zero transactions")
-	}
-	p = p.Resolved()
-	if err := p.Tuning.Validate(); err != nil {
-		return nil, err
-	}
-	scen, g, err := NetworkOf(&p)
+	p, net, err := p.resolve()
 	if err != nil {
 		return nil, err
 	}
-	p.Topo = g.Kind
+	scen, g := net.spec, net.graph
+	eng := sim.NewEngine()
 
 	// Capacity-proportional interleave slots in cube position order.
 	slots := make([]addr.CubeSlot, 0, len(g.Nodes))
@@ -495,7 +503,7 @@ func Build(p Params) (*Instance, error) {
 	}
 
 	meter := energy.NewMeter(p.Sys.Energy)
-	collector := stats.NewCollector(p.KeepSamples)
+	collector := stats.NewCollector(false)
 
 	// Span recorder and its hook binders: the run's one per-packet
 	// record. Hooks are bound inline at the wiring sites below: each
@@ -543,9 +551,6 @@ func Build(p Params) (*Instance, error) {
 	// redundancy, a kill leaving no memory) fails at Build, not mid-run.
 	faultOn := p.Fault != nil
 	if faultOn {
-		if err := p.Fault.Validate(); err != nil {
-			return nil, err
-		}
 		if err := inst.planFaults(); err != nil {
 			return nil, err
 		}

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"memnet/internal/arb"
 	"memnet/internal/config"
+	"memnet/internal/fault"
 	"memnet/internal/scenario"
 	"memnet/internal/topology"
 	"memnet/internal/workload"
@@ -146,6 +149,41 @@ func TestLabels(t *testing.T) {
 		if got := p.Label(); got != c.want {
 			t.Errorf("Label() = %q, want %q", got, c.want)
 		}
+		// Every run formats its label: only the string is allocated.
+		if n := testing.AllocsPerRun(100, func() { _ = p.Label() }); !raceEnabled && n > 1 {
+			t.Errorf("%s: Label() makes %v allocations, want at most 1", c.want, n)
+		}
+	}
+}
+
+// TestResolvedIdempotent checks resolving a resolved run changes
+// nothing, for a built-in run with a zero Tuning, a run with a fault
+// config to complete, and a scenario run.
+func TestResolvedIdempotent(t *testing.T) {
+	wl, _ := workload.ByName("NW")
+	faulty := testParams(topology.Ring, 1.0, config.NVMLast, arb.RoundRobin, wl)
+	faulty.Fault = &fault.Config{LinkBER: 1e-6}
+	scen := scenarioParams(t, twoPod())
+	scen.Topo = topology.Mesh // ignored: the spec declares no kind
+	for name, p := range map[string]Params{
+		"builtin":  testParams(topology.SkipList, 0.5, config.NVMFirst, arb.DistanceAugmented, wl),
+		"fault":    faulty,
+		"scenario": scen,
+	} {
+		once, err := p.Resolved()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		twice, err := once.Resolved()
+		if err != nil {
+			t.Fatalf("%s: resolving again: %v", name, err)
+		}
+		if !reflect.DeepEqual(once, twice) {
+			t.Errorf("%s: Resolved(Resolved(p)) differs from Resolved(p)\n once: %+v\ntwice: %+v", name, once, twice)
+		}
+	}
+	if got, _ := scen.Resolved(); got.Topo != topology.Scenario {
+		t.Errorf("scenario run resolved to Topo %v, want %v", got.Topo, topology.Scenario)
 	}
 }
 
@@ -230,10 +268,11 @@ func TestWrongQuadrantCounted(t *testing.T) {
 // returns the decode error, as a disconnecting cut returns Build's.
 func simulateCut(t *testing.T, p Params, ei int) (Results, error) {
 	t.Helper()
-	s, err := GraphSpec(&p)
+	spec, _, err := NetworkOf(&p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := spec.Clone()
 	s.Links = append(s.Links[:ei], s.Links[ei+1:]...)
 	if p.Scenario, err = scenario.Decode(s.Canonical()); err != nil {
 		return Results{}, err
@@ -280,5 +319,35 @@ func TestLinkFailureRerouting(t *testing.T) {
 	p = testParams(topology.Ring, 1.0, config.NVMLast, arb.RoundRobin, wl)
 	if _, err := simulateCut(t, p, 0); err == nil {
 		t.Fatal("host link cut must fail")
+	}
+}
+
+// TestTuningValidate: the defaults are valid, and each field out of
+// the range a build accepts fails with an error naming it.
+func TestTuningValidate(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		f    func(*Tuning)
+		want string // field named, "" for valid
+	}{
+		{"default", func(*Tuning) {}, ""},
+		{"ideal switch", func(u *Tuning) { u.SwitchBandwidthBps = 0 }, ""},
+		{"slowest switch", func(u *Tuning) { u.SwitchBandwidthBps = config.MinBandwidthBps }, ""},
+		{"slow switch", func(u *Tuning) { u.SwitchBandwidthBps = 1 }, "SwitchBandwidthBps"},
+		{"fast switch", func(u *Tuning) { u.SwitchBandwidthBps = config.MaxBandwidthBps + 1 }, "SwitchBandwidthBps"},
+		{"slow iface switch", func(u *Tuning) { u.IfaceSwitchBandwidthBps = 1 }, "IfaceSwitchBandwidthBps"},
+		{"wide shortcut window", func(u *Tuning) { u.ShortcutWindow = config.MaxWindow + 1 }, "ShortcutWindow"},
+		{"slow interposer", func(u *Tuning) { u.InterposerSerDes = config.MaxLatency + 1 }, "InterposerSerDes"},
+		{"partial", func(u *Tuning) { *u = Tuning{WavefrontSize: 16} }, "VaultQueueDepth"},
+	} {
+		u := DefaultTuning()
+		tc.f(&u)
+		err := u.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), "Tuning."+tc.want+" ")):
+			t.Errorf("%s: Validate() = %v, want an error naming Tuning.%s", tc.name, err, tc.want)
+		}
 	}
 }

@@ -73,7 +73,7 @@ func TestFuzzFailLinks(t *testing.T) {
 		topo := topos[int(topoSel)%len(topos)]
 		p := testParams(topo, 1.0, config.NVMLast, arb.RoundRobin, wl)
 		p.Transactions = 300
-		s, err := GraphSpec(&p)
+		s, _, err := NetworkOf(&p)
 		if err != nil {
 			return false
 		}

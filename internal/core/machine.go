@@ -78,17 +78,15 @@ type MachineResults struct {
 }
 
 // portParams derives port i's simulation parameters from the machine's
-// base: a strided workload seed and, when faults are on, a strided
-// fault seed, so ports run decorrelated traffic and fault streams.
+// resolved base: a strided workload seed and, when faults are on, a
+// strided fault seed, so ports run decorrelated traffic and fault
+// streams.
 func portParams(base Params, i int) Params {
 	p := base
 	p.Seed = base.Seed + uint64(i)*portSeedStride
 	if p.Fault != nil {
 		// Copy so the derived seed never mutates the caller's config.
 		fc := *p.Fault
-		if fc.Seed == 0 {
-			fc.Seed = 1
-		}
 		fc.Seed += uint64(i) * portSeedStride
 		p.Fault = &fc
 	}
@@ -111,13 +109,14 @@ func RunMachine(mp MachineParams) (MachineResults, error) {
 	if base.Spans.Enabled() {
 		return MachineResults{}, fmt.Errorf("core: machine runs do not support span tracing (per-port span files would need a merge policy; use single-port runs)")
 	}
-	if err := base.Sys.Validate(); err != nil {
+	base, err := base.Resolved()
+	if err != nil {
 		return MachineResults{}, err
 	}
 	ports := base.Sys.Ports
 
 	results := make([]Results, ports)
-	err := fanout.Run(ports, max(mp.Shards, 1), func(i int) (Results, error) {
+	err = fanout.Run(ports, max(mp.Shards, 1), func(i int) (Results, error) {
 		r, err := Simulate(portParams(base, i))
 		if err != nil {
 			return Results{}, fmt.Errorf("core: machine: port %d: %w", i, err)
@@ -166,11 +165,14 @@ func RunMachine(mp MachineParams) (MachineResults, error) {
 }
 
 // MachineManifest assembles the run manifest for a whole-machine run:
-// reproduction inputs, the aggregate results, and the per-port load
-// record (events, finish time, barrier wait).
+// reproduction inputs, the aggregate results, the label its ports'
+// runs report, and the per-port load record (events, finish time,
+// barrier wait).
 func MachineManifest(mp MachineParams, mr MachineResults) *obs.Manifest {
 	m := obs.NewManifest()
-	m.Label = mp.Base.Label()
+	if len(mr.PerPort) > 0 {
+		m.Label = mr.PerPort[0].Label
+	}
 	m.Seed = int64(mp.Base.Seed)
 	m.Workload = mp.Base.Workload.Name
 	m.Config = mp.Base.Sys

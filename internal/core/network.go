@@ -9,7 +9,7 @@ import (
 	"memnet/internal/topology"
 )
 
-// maxNetworks bounds the networks Network keeps. The paper's figures
+// maxNetworks bounds the networks generated keeps. The paper's figures
 // simulate 14 distinct built-in networks; once the memo holds
 // maxNetworks, further networks are built for their caller and not
 // kept, so a sweep over many sizes costs what it did without a memo.
@@ -21,25 +21,24 @@ type network struct {
 	graph *topology.Graph
 }
 
-// networks memoizes Network by its inputs. Entries are never evicted or
+// networks memoizes generated by its inputs. Entries are never evicted or
 // changed: both halves of a network are read-only once built.
 var networks struct {
 	sync.Mutex
 	m map[string]network
 }
 
-// Network returns the normalized spec and the graph of the built-in
-// topology kind over the ordered cube technologies techs, grouped into
-// MetaCube packages of group cubes: topology.Generate's output after
-// topology.BuildScenario. Networks are memoized by those inputs, up to
-// maxNetworks of them, so every run of one configuration in a process
-// shares one spec and one graph. Both are read-only: the graph is
-// immutable (faults route around it on Disable's copies) and the spec
-// must not be modified; call GraphSpec for a spec of one's own. A hit
-// allocates nothing.
-func Network(kind topology.Kind, techs []config.MemTech, group int) (*scenario.Spec, *topology.Graph, error) {
+// generated returns the network of the built-in topology kind over
+// the ordered cube technologies techs, grouped into MetaCube packages
+// of group cubes: topology.Generate's spec after topology.BuildScenario.
+// Networks are memoized by those inputs, up to maxNetworks of them, so
+// every run of one configuration in a process shares one spec and one
+// graph. Both are read-only: the graph is immutable (faults route
+// around it on Disable's copies) and the spec must not be modified:
+// clone it to change it. A hit allocates nothing.
+func generated(kind topology.Kind, techs []config.MemTech, group int) (network, error) {
 	// The key is the kind, the group and the technologies run-length
-	// encoded: two runs for any TechOrder.
+	// encoded: two runs for any techOrder.
 	var buf [32]byte
 	key := append(buf[:0], byte(kind))
 	key = binary.AppendUvarint(key, uint64(group))
@@ -56,15 +55,15 @@ func Network(kind topology.Kind, techs []config.MemTech, group int) (*scenario.S
 	n, ok := networks.m[string(key)]
 	networks.Unlock()
 	if ok {
-		return n.spec, n.graph, nil
+		return n, nil
 	}
 	spec, err := topology.Generate(kind, techs, group)
 	if err != nil {
-		return nil, nil, err
+		return network{}, err
 	}
 	g, err := topology.BuildScenario(spec)
 	if err != nil {
-		return nil, nil, err
+		return network{}, err
 	}
 	n = network{spec, g}
 	networks.Lock()
@@ -72,7 +71,7 @@ func Network(kind topology.Kind, techs []config.MemTech, group int) (*scenario.S
 	// A concurrent caller may have built the same network meanwhile:
 	// keep the first, so every caller shares it.
 	if prev, ok := networks.m[string(key)]; ok {
-		return prev.spec, prev.graph, nil
+		return prev, nil
 	}
 	if len(networks.m) < maxNetworks {
 		if networks.m == nil {
@@ -80,28 +79,31 @@ func Network(kind topology.Kind, techs []config.MemTech, group int) (*scenario.S
 		}
 		networks.m[string(key)] = n
 	}
-	return n.spec, n.graph, nil
+	return n, nil
 }
 
-// NetworkOf returns the normalized spec and the graph a run of p
-// simulates, the pair GraphSpec and topology.BuildScenario make. A
-// built-in run's come from Network and are shared and read-only; a
-// scenario run gets its own, built from a clone of p.Scenario.
+// NetworkOf resolves p (Params.Resolved) and returns the normalized
+// spec and the graph the run simulates. A built-in run's come from the
+// process-wide memo and are shared and read-only; a scenario run gets
+// its own, built from a clone of p.Scenario.
 func NetworkOf(p *Params) (*scenario.Spec, *topology.Graph, error) {
+	_, n, err := p.resolve()
+	return n.spec, n.graph, err
+}
+
+// networkOf builds the network of p, whose Tuning is resolved.
+func networkOf(p *Params) (network, error) {
 	if p.Scenario != nil {
 		s := p.Scenario.Clone()
 		g, err := topology.BuildScenario(s)
-		if err != nil {
-			return nil, nil, err
-		}
-		return s, g, nil
+		return network{s, g}, err
 	}
-	// TechOrder's slice for the common sizes stays on the stack: a
+	// The technologies of the common sizes stay on the stack: a
 	// repeated configuration builds its network with no allocation.
 	var buf [64]config.MemTech
-	techs, err := appendTechOrder(buf[:0], &p.Sys)
+	techs, err := techOrder(buf[:0], &p.Sys)
 	if err != nil {
-		return nil, nil, err
+		return network{}, err
 	}
-	return Network(p.Topo, techs, metaCubeGroup(p))
+	return generated(p.Topo, techs, p.Tuning.MetaCubeGroup)
 }

@@ -64,7 +64,7 @@ func TestBuildSharesGraph(t *testing.T) {
 		if a.Graph != b.Graph {
 			t.Errorf("two builds of one configuration have graphs %p and %p", a.Graph, b.Graph)
 		}
-		spec, err := GraphSpec(&p)
+		spec, _, err := NetworkOf(&p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestBuildSharesGraph(t *testing.T) {
 		// Chains of 1 to maxNetworks cubes fill the memo.
 		techs := make([]config.MemTech, maxNetworks+1)
 		for n := 1; n <= maxNetworks; n++ {
-			if _, _, err := Network(topology.Chain, techs[:n], 4); err != nil {
+			if _, err := generated(topology.Chain, techs[:n], 4); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -183,11 +183,7 @@ func TestBuildSharesGraph(t *testing.T) {
 		if a.Graph == b.Graph {
 			t.Error("a full memo kept a new network")
 		}
-		spec, err := GraphSpec(&p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := topology.BuildScenario(spec)
+		_, want, err := NetworkOf(&p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -63,10 +63,11 @@ func TestScenarioRoundTripGolden(t *testing.T) {
 			t.Fatalf("%v direct: %v", kind, err)
 		}
 
-		spec, err := GraphSpec(&p)
+		shared, _, err := NetworkOf(&p)
 		if err != nil {
 			t.Fatal(err)
 		}
+		spec := shared.Clone()
 		spec.Name = "roundtrip"
 		// Serialize and re-decode: the proof must cover the JSON file
 		// format, not just the in-memory structs.
@@ -294,5 +295,26 @@ func TestScenarioMachineShardsIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got[0], got[1]) {
 		t.Errorf("machine results differ across shard counts:\n%+v\n%+v", got[0], got[1])
+	}
+}
+
+// TestScenarioMachineSkipsCapacity checks a scenario machine run takes
+// its cubes from the spec, as a single scenario run does: a DRAM
+// fraction whose per-port capacity is no whole number of cubes (30% of
+// 256 GB) still runs, and port 0 equals the single-port run.
+func TestScenarioMachineSkipsCapacity(t *testing.T) {
+	base := scenarioParams(t, twoPod())
+	base.Transactions = 400
+	base.Sys.DRAMFraction = 0.3
+	single, err := Simulate(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mr, err := RunMachine(MachineParams{Base: base, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(mr.PerPort[0], single) {
+		t.Errorf("port 0 drifted from the single-port run\n port0: %+v\nsingle: %+v", mr.PerPort[0], single)
 	}
 }

@@ -75,11 +75,7 @@ type MNConfig struct {
 // Label renders the paper-style configuration name (without the
 // arbitration, which figures state separately).
 func (c MNConfig) Label() string {
-	pct := int(c.DRAMFraction*100 + 0.5)
-	if pct > 0 && pct < 100 {
-		return fmt.Sprintf("%d%%-%s (%s)", pct, c.Topo.Letter(), c.Placement)
-	}
-	return fmt.Sprintf("%d%%-%s", pct, c.Topo.Letter())
+	return core.ConfigLabel(c.Topo, c.DRAMFraction, c.Placement)
 }
 
 // ratios are the DRAM:NVM mixes every figure sweeps: 100%, 50% NVM-L,

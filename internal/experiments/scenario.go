@@ -5,7 +5,6 @@ import (
 
 	"memnet/internal/core"
 	"memnet/internal/scenario"
-	"memnet/internal/topology"
 	"memnet/internal/workload"
 )
 
@@ -22,10 +21,6 @@ func (r *Runner) Scenario(spec *scenario.Spec) (*Table, error) {
 	// error instead of mid-table. The caller's spec stays untouched.
 	spec = spec.Clone()
 	if err := spec.Normalize(); err != nil {
-		return nil, err
-	}
-	kind, err := topology.ScenarioKind(spec)
-	if err != nil {
 		return nil, err
 	}
 	fc, err := core.ScenarioFault(spec)
@@ -60,7 +55,6 @@ func (r *Runner) Scenario(spec *scenario.Spec) (*Table, error) {
 	for _, wl := range suite {
 		p := core.Params{
 			Sys:          r.Sys,
-			Topo:         kind,
 			Workload:     wl,
 			Transactions: r.Opts.Transactions,
 			Seed:         r.Opts.Seed,

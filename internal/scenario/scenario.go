@@ -407,8 +407,12 @@ func (s *Spec) validateLinks() error {
 		switch {
 		case l.BandwidthBps != nil && *l.BandwidthBps <= 0:
 			return fmt.Errorf("scenario: links[%d].bandwidth_bps: must be positive, got %d", i, *l.BandwidthBps)
+		case l.BandwidthBps != nil && (*l.BandwidthBps < config.MinBandwidthBps || *l.BandwidthBps > config.MaxBandwidthBps):
+			return fmt.Errorf("scenario: links[%d].bandwidth_bps: %d outside [%g, %d]", i, *l.BandwidthBps, float64(config.MinBandwidthBps), int64(config.MaxBandwidthBps))
 		case l.SerDesPs != nil && *l.SerDesPs < 0:
 			return fmt.Errorf("scenario: links[%d].serdes_ps: must be non-negative, got %d", i, *l.SerDesPs)
+		case l.SerDesPs != nil && *l.SerDesPs > int64(config.MaxLatency):
+			return fmt.Errorf("scenario: links[%d].serdes_ps: at most %d, got %d", i, int64(config.MaxLatency), *l.SerDesPs)
 		case l.BufferPackets != nil && *l.BufferPackets <= 0:
 			return fmt.Errorf("scenario: links[%d].buffer_packets: must be positive, got %d", i, *l.BufferPackets)
 		case l.BufferPackets != nil && *l.BufferPackets > config.MaxBufferPackets:
@@ -447,6 +451,9 @@ func (s *Spec) validateRouters() error {
 		}
 		if r.SwitchBandwidthBps != nil && *r.SwitchBandwidthBps <= 0 {
 			return fmt.Errorf("scenario: routers.%s.switch_bandwidth_bps: must be positive, got %d", name, *r.SwitchBandwidthBps)
+		}
+		if r.SwitchBandwidthBps != nil && (*r.SwitchBandwidthBps < config.MinBandwidthBps || *r.SwitchBandwidthBps > config.MaxBandwidthBps) {
+			return fmt.Errorf("scenario: routers.%s.switch_bandwidth_bps: %d outside [%g, %d]", name, *r.SwitchBandwidthBps, float64(config.MinBandwidthBps), int64(config.MaxBandwidthBps))
 		}
 	}
 	return nil

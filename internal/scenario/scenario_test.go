@@ -133,6 +133,12 @@ func TestDecodeRejects(t *testing.T) {
 		{"link-bad-serdes", func(d map[string]any) {
 			d["links"].([]any)[1].(map[string]any)["serdes_ps"] = -5
 		}, "links[1].serdes_ps: must be non-negative"},
+		{"link-slow", func(d map[string]any) {
+			d["links"].([]any)[1].(map[string]any)["bandwidth_bps"] = 1
+		}, "links[1].bandwidth_bps: 1 outside [1e+09, 70368744177664]"},
+		{"link-slow-serdes", func(d map[string]any) {
+			d["links"].([]any)[1].(map[string]any)["serdes_ps"] = 1 << 40
+		}, "links[1].serdes_ps: at most 10000000"},
 		{"link-bad-buffer", func(d map[string]any) {
 			d["links"].([]any)[1].(map[string]any)["buffer_packets"] = 0
 		}, "links[1].buffer_packets: must be positive"},
@@ -160,6 +166,9 @@ func TestDecodeRejects(t *testing.T) {
 		{"router-bad-demotion", func(d map[string]any) {
 			d["routers"] = map[string]any{"c0": map[string]any{"write_demotion": 0}}
 		}, "routers.c0.write_demotion: must be at least 1"},
+		{"router-slow-switch", func(d map[string]any) {
+			d["routers"] = map[string]any{"c0": map[string]any{"switch_bandwidth_bps": 1000}}
+		}, "routers.c0.switch_bandwidth_bps: 1000 outside [1e+09, 70368744177664]"},
 		{"workload-suite-and-custom", func(d map[string]any) {
 			d["workload"] = map[string]any{"suite": "KMEANS", "read_fraction": 0.5}
 		}, `workload: suite "KMEANS" excludes`},

@@ -7,7 +7,6 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 
 	"memnet/internal/packet"
 	"memnet/internal/sim"
@@ -41,30 +40,15 @@ type Collector struct {
 	sumTo, sumIn, sumFrom sim.Time
 	sumHops               uint64
 
-	// samples retains individual latencies for percentile queries when
-	// enabled: a deterministic strided reservoir (every stride-th
-	// completion, by completion index) bounded at reservoirCap. When the
-	// reservoir fills, it is compacted in place to every 2nd retained
-	// sample and the stride doubles, so the retained set is always
-	// exactly the completions whose index ≡ 0 (mod stride) — an unbiased
-	// thinning of the whole run, not its first window, and identical
-	// across reruns of the same seed.
-	keepSamples bool
-	samples     []sim.Time
-	seen        uint64 // completions offered to the reservoir
-	stride      uint64 // current admission stride (power of two)
-
 	finish sim.Time // completion time of the last transaction
 }
 
-// NewCollector returns an empty collector. If keepSamples is true,
-// individual total latencies are retained (up to a fixed reservoir) for
-// percentile reporting.
-func NewCollector(keepSamples bool) *Collector {
-	return &Collector{keepSamples: keepSamples}
+// NewCollector returns an empty collector. Its argument is unused: the
+// collector keeps no samples, and perfbench's layer bench still passes
+// one.
+func NewCollector(bool) *Collector {
+	return &Collector{}
 }
-
-const reservoirCap = 1 << 16
 
 // Complete records a finished transaction from its response packet. The
 // packet must carry all four timestamps.
@@ -86,41 +70,9 @@ func (c *Collector) Complete(p *packet.Packet) {
 	c.sumIn += in
 	c.sumFrom += from
 	c.sumHops += uint64(p.Hops)
-	if c.keepSamples {
-		c.sample(to + in + from)
-	}
 	if p.Completed > c.finish {
 		c.finish = p.Completed
 	}
-}
-
-// sample admits t into the strided reservoir if its completion index
-// lands on the current stride, halving the retained set (and doubling
-// the stride) whenever the reservoir fills.
-func (c *Collector) sample(t sim.Time) {
-	if c.stride == 0 {
-		c.stride = 1
-	}
-	idx := c.seen
-	c.seen++
-	if idx%c.stride != 0 {
-		return
-	}
-	if len(c.samples) == reservoirCap {
-		// Keep every 2nd retained sample: survivors are the completions
-		// with index ≡ 0 (mod 2*stride), restoring the invariant under
-		// the doubled stride.
-		half := c.samples[:0]
-		for i := 0; i < len(c.samples); i += 2 {
-			half = append(half, c.samples[i])
-		}
-		c.samples = half
-		c.stride *= 2
-		if idx%c.stride != 0 {
-			return
-		}
-	}
-	c.samples = append(c.samples, t)
 }
 
 // Completed reports the number of recorded transactions.
@@ -152,27 +104,4 @@ func (c *Collector) MeanHops() float64 {
 		return 0
 	}
 	return float64(c.sumHops) / float64(c.completed)
-}
-
-// Percentile returns the p-th percentile (0..100) of total latency by
-// rank selection: the retained sample at (floor) rank p/100*(n-1) of
-// the sorted reservoir, with no interpolation between samples. The
-// reservoir is a deterministic stride decimation of the whole run (see
-// sample), so long-run percentiles reflect steady state, not the
-// warm-up window. Requires sample retention; returns 0 otherwise.
-func (c *Collector) Percentile(p float64) sim.Time {
-	if len(c.samples) == 0 {
-		return 0
-	}
-	s := make([]sim.Time, len(c.samples))
-	copy(s, c.samples)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(p / 100 * float64(len(s)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
 }

@@ -54,96 +54,8 @@ func TestCollectorAverages(t *testing.T) {
 
 func TestCollectorEmpty(t *testing.T) {
 	c := NewCollector(true)
-	if c.MeanLatency() != 0 || c.MeanHops() != 0 || c.Percentile(99) != 0 {
+	if c.MeanLatency() != 0 || c.MeanHops() != 0 {
 		t.Fatal("empty collector should report zeros")
-	}
-}
-
-func TestPercentiles(t *testing.T) {
-	c := NewCollector(true)
-	// Latencies 1..100ns.
-	for i := 1; i <= 100; i++ {
-		lat := sim.Time(i) * sim.Nanosecond
-		c.Complete(donePacket(packet.ReadResp, 0, 0, 0, lat, 1))
-	}
-	if p := c.Percentile(50); p < 49*sim.Nanosecond || p > 52*sim.Nanosecond {
-		t.Fatalf("p50 = %v", p)
-	}
-	if p := c.Percentile(99); p < 98*sim.Nanosecond {
-		t.Fatalf("p99 = %v", p)
-	}
-	if p := c.Percentile(0); p != 1*sim.Nanosecond {
-		t.Fatalf("p0 = %v", p)
-	}
-	if p := c.Percentile(100); p != 100*sim.Nanosecond {
-		t.Fatalf("p100 = %v", p)
-	}
-}
-
-// TestStridedReservoir: the reservoir admits every stride-th completion
-// and rebalances by halving, so the retained set is always exactly the
-// completions with index ≡ 0 (mod stride) — spanning the whole run, not
-// just its first window.
-func TestStridedReservoir(t *testing.T) {
-	c := NewCollector(true)
-	n := 3 * reservoirCap // forces two halvings (stride 1 → 2 → 4)
-	for i := 0; i < n; i++ {
-		c.sample(sim.Time(i))
-	}
-	if c.stride != 4 {
-		t.Fatalf("stride = %d, want 4 after %d offers", c.stride, n)
-	}
-	if len(c.samples) > reservoirCap {
-		t.Fatalf("reservoir overflowed: %d > %d", len(c.samples), reservoirCap)
-	}
-	for i, s := range c.samples {
-		if want := sim.Time(i) * sim.Time(c.stride); s != want {
-			t.Fatalf("samples[%d] = %v, want %v (every stride-th value)", i, s, want)
-		}
-	}
-	// The retained window spans the run's tail, not just its head.
-	last := c.samples[len(c.samples)-1]
-	if last < sim.Time(n)-sim.Time(2*c.stride) {
-		t.Fatalf("last retained sample %v does not reach the end of the run (%d)", last, n)
-	}
-	// Determinism: a second pass over the same stream retains the same set.
-	c2 := NewCollector(true)
-	for i := 0; i < n; i++ {
-		c2.sample(sim.Time(i))
-	}
-	if len(c2.samples) != len(c.samples) {
-		t.Fatalf("rerun retained %d samples, first run %d", len(c2.samples), len(c.samples))
-	}
-	for i := range c.samples {
-		if c.samples[i] != c2.samples[i] {
-			t.Fatal("rerun retained a different sample set")
-		}
-	}
-}
-
-// TestStridedPercentileUnbiased: on a run much longer than the
-// reservoir, percentiles reflect the whole distribution. The old
-// first-N reservoir would report the warm-up values only (here: all
-// low), skewing p50 to ~25% of the true median.
-func TestStridedPercentileUnbiased(t *testing.T) {
-	c := NewCollector(true)
-	n := 4 * reservoirCap
-	// Latency ramps linearly over the run: 1..n picoseconds.
-	for i := 1; i <= n; i++ {
-		c.Complete(donePacket(packet.ReadResp, 0, 0, 0, sim.Time(i), 1))
-	}
-	p50 := c.Percentile(50)
-	mid := sim.Time(n / 2)
-	if p50 < mid*9/10 || p50 > mid*11/10 {
-		t.Fatalf("p50 = %v, want ≈%v (whole-run median, not warm-up window)", p50, mid)
-	}
-}
-
-func TestNoSamplesWhenDisabled(t *testing.T) {
-	c := NewCollector(false)
-	c.Complete(donePacket(packet.ReadResp, 0, 1, 2, 3, 1))
-	if c.Percentile(50) != 0 {
-		t.Fatal("samples retained despite keepSamples=false")
 	}
 }
 

@@ -40,19 +40,6 @@ func ParseKind(label string) (Kind, error) {
 		label, strings.Join(KindNames(), " | "))
 }
 
-// ScenarioKind resolves the kind a scenario run reports: the declared
-// built-in kind when the spec names one, Scenario otherwise.
-func ScenarioKind(s *scenario.Spec) (Kind, error) {
-	if s.Topology == "" {
-		return Scenario, nil
-	}
-	k, err := ParseKind(s.Topology)
-	if err != nil {
-		return 0, fmt.Errorf("scenario: topology: %w", err)
-	}
-	return k, nil
-}
-
 // BuildScenario constructs the declared component graph: it validates
 // the port budgets, builds adjacency, and computes the per-class routing
 // tables. The spec is normalized in place (defaults materialized)
@@ -62,9 +49,14 @@ func BuildScenario(s *scenario.Spec) (*Graph, error) {
 	if err := s.Normalize(); err != nil {
 		return nil, err
 	}
-	kind, err := ScenarioKind(s)
-	if err != nil {
-		return nil, err
+	// A run reports the declared built-in kind, or Scenario.
+	kind := Scenario
+	if s.Topology != "" {
+		k, err := ParseKind(s.Topology)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: topology: %w", err)
+		}
+		kind = k
 	}
 	g := &Graph{
 		Kind:  kind,

@@ -74,6 +74,38 @@ type Spec struct {
 	Window int
 }
 
+// MaxMeanGap bounds MeanGap: 400 times the suite's longest (2.5 ns).
+// A port's gap grows with the port count, and a run of gaps past it
+// would outlast core's 10 s horizon.
+const MaxMeanGap = sim.Microsecond
+
+// Validate checks s and returns an error naming the first field out of
+// range: each fraction and probability in [0, 1], MeanGap in [0,
+// MaxMeanGap], and BurstLen and Window not negative.
+func (s *Spec) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"ReadFraction", s.ReadFraction}, {"SeqProb", s.SeqProb}, {"HotFraction", s.HotFraction},
+		{"HotRegion", s.HotRegion}, {"RMWFraction", s.RMWFraction}, {"BurstProb", s.BurstProb},
+		{"BurstWriteFrac", s.BurstWriteFrac},
+	} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return fmt.Errorf("workload: %s is %v, want 0 to 1", f.name, f.v)
+		}
+	}
+	switch {
+	case s.MeanGap < 0 || s.MeanGap > MaxMeanGap:
+		return fmt.Errorf("workload: MeanGap is %d ps, want 0 to %d", int64(s.MeanGap), int64(MaxMeanGap))
+	case s.BurstLen < 0:
+		return fmt.Errorf("workload: BurstLen is %d, want at least 0", s.BurstLen)
+	case s.Window < 0:
+		return fmt.Errorf("workload: Window is %d, want at least 0", s.Window)
+	}
+	return nil
+}
+
 // Suite returns the eight workload proxies in the paper's presentation
 // order.
 func Suite() []Spec {

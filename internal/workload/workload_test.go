@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"memnet/internal/sim"
@@ -243,5 +245,39 @@ func TestNextAllocFree(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("%s: 2,000 draws make %v allocations, want 0", spec.Name, n)
 		}
+	}
+}
+
+// TestSpecValidate: every suite spec is valid, and each field out of
+// range fails with an error naming it.
+func TestSpecValidate(t *testing.T) {
+	for _, s := range Suite() {
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s: %v", s.Name, err)
+		}
+	}
+	for _, tc := range []struct {
+		field string
+		f     func(*Spec)
+	}{
+		{"ReadFraction", func(s *Spec) { s.ReadFraction = 1.5 }},
+		{"SeqProb", func(s *Spec) { s.SeqProb = -0.1 }},
+		{"HotRegion", func(s *Spec) { s.HotRegion = 1e30 }},
+		{"BurstWriteFrac", func(s *Spec) { s.BurstWriteFrac = 2 }},
+		{"MeanGap", func(s *Spec) { s.MeanGap = -1 }},
+		{"MeanGap", func(s *Spec) { s.MeanGap = MaxMeanGap + 1 }},
+		{"BurstLen", func(s *Spec) { s.BurstLen = -1 }},
+		{"Window", func(s *Spec) { s.Window = -1 }},
+	} {
+		s := Suite()[0]
+		tc.f(&s)
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Validate() = %v, want an error naming it", tc.field, err)
+		}
+	}
+	nan := Suite()[0]
+	nan.HotFraction = math.NaN()
+	if err := nan.Validate(); err == nil {
+		t.Error("a NaN HotFraction validated")
 	}
 }

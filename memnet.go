@@ -262,10 +262,11 @@ func ExportScenario(c Config, name string) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := core.GraphSpec(&p)
+	s, _, err := core.NetworkOf(&p)
 	if err != nil {
 		return nil, err
 	}
+	s = s.Clone() // the built-in network's spec is shared
 	if name != "" {
 		s.Name = name
 	}
@@ -299,8 +300,6 @@ type Config struct {
 	Transactions uint64
 	// Seed for the deterministic workload stream (default 1).
 	Seed uint64
-	// KeepSamples retains per-transaction latencies for percentiles.
-	KeepSamples bool
 	// Fault, when non-nil and non-zero, enables mid-run fault injection
 	// (link errors with retry, lane degradation, link/cube kills) and
 	// the progress watchdog.
@@ -318,11 +317,11 @@ type Config struct {
 	Spans *SpanConfig
 	// Tuning overrides the microarchitectural tuning. Nil, or a zero
 	// Tuning, runs DefaultTuning(). Any other Tuning is taken field by
-	// field and never completed from the defaults: Run, Build and
-	// RunMachine return an error naming the first field outside its
-	// range (Tuning.Validate), e.g. "core: Tuning.VaultQueueDepth is 0,
-	// want 1 to 1073741824" for Tuning{WavefrontSize: 16}. Start from
-	// DefaultTuning() and change fields.
+	// field and never completed from the defaults: resolving the run
+	// (core.Params.Resolved, behind Run, Build, RunMachine, RunCached)
+	// fails naming the first field outside its range, e.g. "core:
+	// Tuning.VaultQueueDepth is 0, want 1 to 1073741824" for
+	// Tuning{WavefrontSize: 16}. Start from DefaultTuning().
 	Tuning *Tuning
 	// Shards sets the number of worker goroutines RunMachine simulates
 	// ports on (clamped to [1, System.Ports]). Results are bit-identical
@@ -390,15 +389,7 @@ func (c Config) params() (core.Params, error) {
 		Workload:     spec,
 		Transactions: txns,
 		Seed:         seed,
-		KeepSamples:  c.KeepSamples,
-	}
-	if c.Scenario != nil {
-		p.Scenario = c.Scenario
-		kind, err := topology.ScenarioKind(c.Scenario)
-		if err != nil {
-			return core.Params{}, err
-		}
-		p.Topo = kind
+		Scenario:     c.Scenario,
 	}
 	p.Fault = c.Fault
 	if p.Fault == nil && c.Scenario != nil && c.Scenario.Fault != nil {

@@ -45,7 +45,7 @@ func main() {
 		cacheDir = flag.String("cache", "", "content-addressed result cache directory; hits skip simulation")
 		maniOut  = flag.String("manifest", "", "also write the campaign manifest JSON to this file")
 		shards   = flag.Int("shards", 0, "worker goroutines fanning out independent simulation runs; tables are identical for every value (0 = GOMAXPROCS)")
-		spansOut = flag.String("spans-out", "", "write causal spans from every simulated run as one NDJSON file (one block per run, sorted by run key; byte-identical for every -shards value); bypasses -cache")
+		spansOut = flag.String("spans-out", "", "write causal spans from every simulated run as one NDJSON file (one block per run, sorted by the run's cache address; byte-identical for every -shards value); bypasses -cache")
 		spanSamp = flag.Uint64("span-sample", 0, "span sampling stride per run (default 32 when -spans-out is set)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")

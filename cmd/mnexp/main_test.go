@@ -1,11 +1,20 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"memnet/internal/arb"
+	"memnet/internal/config"
+	"memnet/internal/core"
 	"memnet/internal/experiments"
+	"memnet/internal/span"
+	"memnet/internal/topology"
+	"memnet/internal/workload"
 )
 
 // TestSelectExps: -exp picks experiments in output order, each once, and
@@ -69,5 +78,34 @@ func TestCheckFormat(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("-format: unknown format %q", bad)) {
 			t.Errorf("-format %q: error %v, want one naming it", bad, err)
 		}
+	}
+}
+
+// TestSpanBlocksPerRun: -spans-out keeps one block per run. Two runs that
+// differ only in arbitration share label, workload, ports, capacity,
+// seed and length, and still write a block each.
+func TestSpanBlocksPerRun(t *testing.T) {
+	sc := newSpanCollector(32)
+	wl, _ := workload.ByName("KMEANS")
+	p := core.Params{Sys: config.Default(), Topo: topology.Tree, Workload: wl, Transactions: 300, Seed: 1}
+	for _, a := range []arb.Kind{arb.RoundRobin, arb.Distance} {
+		p.Arb = a
+		if _, err := sc.sim(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "spans.ndjson")
+	if err := sc.writeFile(path); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(b), `{"schema":`); n != 2 {
+		t.Fatalf("%d span blocks for two runs differing in arbitration, want 2", n)
+	}
+	if _, _, err := span.Read(bytes.NewReader(b)); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"reflect"
+	"strings"
 	"testing"
+
+	"memnet/internal/core"
 )
 
 // TestChaosQuick runs the chaos validation harness at reduced scale:
@@ -52,5 +55,24 @@ func TestChaosScheduleStable(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("chaos schedules differ between identical runners:\n a: %+v\n b: %+v", a, b)
+	}
+}
+
+// TestChaosReplayBypassesSim: the determinism replay runs on
+// core.Simulate, not on the Sim backend, so a backend whose Results
+// differ from a fresh simulation (a cache serving a stale entry) fails
+// the check instead of being compared with itself.
+func TestChaosReplayBypassesSim(t *testing.T) {
+	opts := QuickOptions()
+	opts.Transactions = 400
+	opts.Workloads = []string{"KMEANS"}
+	r := NewRunner(opts)
+	r.Sim = func(p core.Params) (core.Results, error) {
+		res, err := core.Simulate(p)
+		res.FinishTime++
+		return res, err
+	}
+	if _, err := r.Chaos(); err == nil || !strings.Contains(err.Error(), "nondeterministic") {
+		t.Fatalf("Chaos over a Sim that disagrees with core.Simulate: err = %v, want nondeterministic", err)
 	}
 }

@@ -7,7 +7,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 
 	"memnet/internal/arb"
 	"memnet/internal/config"
@@ -60,6 +60,18 @@ func (o Options) suite() []workload.Spec {
 	return out
 }
 
+// kmeans returns KMEANS if the suite holds it, else the suite's first
+// workload: the one the fault harnesses run.
+func (o Options) kmeans() workload.Spec {
+	suite := o.suite()
+	for _, s := range suite {
+		if s.Name == "KMEANS" {
+			return s
+		}
+	}
+	return suite[0]
+}
+
 // MNConfig identifies one evaluated memory-network configuration.
 type MNConfig struct {
 	// Topo is the per-port network topology.
@@ -99,7 +111,10 @@ var ratios = []ratio{
 // it from worker goroutines) and must be a pure function of its Params.
 type SimFunc func(core.Params) (core.Results, error)
 
-// Runner executes and memoizes simulation runs. It is not safe for
+// Runner executes and memoizes simulation runs. Every run goes through
+// one memo keyed by the complete run, so a run two figures share — Fig.
+// 13's 8-port baselines are Fig. 11's runs, Fig. 14's 2 TB runs are
+// Fig. 15's — is simulated once per Runner. It is not safe for
 // concurrent use; experiments are run sequentially for determinism.
 type Runner struct {
 	// Opts is the experiment scale every run of this Runner shares.
@@ -107,24 +122,55 @@ type Runner struct {
 	// Sys is the base system configuration each run derives from.
 	Sys config.System
 	// Sim, when non-nil, replaces core.Simulate as the backend executing
-	// each run (see SimFunc). Figure harnesses that build sub-runners
-	// (Fig13's four-port system, Fig14's half-capacity system) propagate
-	// it, so a cache or collector hook observes every simulation of a
-	// campaign.
-	Sim   SimFunc
-	cache map[runKey]core.Results
+	// each run (see SimFunc), so a cache or collector hook observes
+	// every simulation of a campaign.
+	Sim  SimFunc
+	memo *memo
 }
 
+// memo holds a Runner's results. A key names its system and workload by
+// index in systems and workloads: a map stores a key holding the 304-byte
+// System out of line, one allocation per insert.
+type memo struct {
+	systems   []config.System
+	workloads []workload.Spec
+	runs      map[runKey]core.Results
+}
+
+func newMemo() *memo { return &memo{runs: make(map[runKey]core.Results)} }
+
+// runKey is one complete run as params builds it and the figures edit
+// it: system, workload, network, arbitration, length and seed.
 type runKey struct {
-	cfg      MNConfig
-	workload string
-	ports    int
-	capacity uint64
+	sys, wl    int
+	topo       topology.Kind
+	arb        arb.Kind
+	txns, seed uint64
+}
+
+// key returns p's key, interning its system and workload.
+func (m *memo) key(p *core.Params) runKey {
+	return runKey{
+		sys: intern(&m.systems, p.Sys), wl: intern(&m.workloads, p.Workload),
+		topo: p.Topo, arb: p.Arb, txns: p.Transactions, seed: p.Seed,
+	}
+}
+
+// intern returns v's index in *s, appending v when absent. A campaign
+// meets a dozen systems and eight workloads, so a scan suffices.
+func intern[T comparable](s *[]T, v T) int {
+	for i, x := range *s {
+		if x == v {
+			return i
+		}
+	}
+	*s = append(*s, v)
+	return len(*s) - 1
 }
 
 // NewRunner returns a runner over the default Table 2 system.
 func NewRunner(opts Options) *Runner {
-	return &Runner{Opts: opts, Sys: config.Default(), cache: make(map[runKey]core.Results)}
+	return &Runner{Opts: opts, Sys: config.Default(), memo: newMemo()}
 }
 
 // params assembles the core parameters for one pair.
@@ -142,8 +188,20 @@ func (r *Runner) params(cfg MNConfig, wl workload.Spec) core.Params {
 	}
 }
 
-func (r *Runner) key(cfg MNConfig, wl workload.Spec) runKey {
-	return runKey{cfg: cfg, workload: wl.Name, ports: r.Sys.Ports, capacity: r.Sys.TotalCapacity}
+// grid returns the run of every configuration of cfgs on every workload
+// of suite, configuration-major, each passed through edit when non-nil.
+func (r *Runner) grid(cfgs []MNConfig, suite []workload.Spec, edit func(core.Params) core.Params) []core.Params {
+	runs := make([]core.Params, 0, len(cfgs)*len(suite))
+	for _, cfg := range cfgs {
+		for _, wl := range suite {
+			p := r.params(cfg, wl)
+			if edit != nil {
+				p = edit(p)
+			}
+			runs = append(runs, p)
+		}
+	}
+	return runs
 }
 
 // simulate executes one run through the pluggable backend (Sim if set,
@@ -155,60 +213,42 @@ func (r *Runner) simulate(p core.Params) (core.Results, error) {
 	return core.Simulate(p)
 }
 
-// derive returns a fresh Runner with the given options that inherits
-// this Runner's base system and simulation backend (but not its memo
-// cache — the derived runner usually simulates a different system).
-func (r *Runner) derive(opts Options) *Runner {
-	d := NewRunner(opts)
-	d.Sys = r.Sys
-	d.Sim = r.Sim
-	return d
-}
-
-// Run simulates one configuration/workload pair (memoized).
-func (r *Runner) Run(cfg MNConfig, wl workload.Spec) (core.Results, error) {
-	key := r.key(cfg, wl)
-	if res, ok := r.cache[key]; ok {
-		return res, nil
-	}
-	res, err := r.simulate(r.params(cfg, wl))
-	if err != nil {
-		return core.Results{}, fmt.Errorf("%s/%s: %w", cfg.Label(), wl.Name, err)
-	}
-	r.cache[key] = res
-	return res, nil
-}
-
-// pair is one (configuration, workload) simulation.
-type pair struct {
-	cfg MNConfig
-	wl  workload.Spec
-}
-
-// Warm executes all missing (cfg, workload) pairs concurrently on
-// Options.Parallel workers and fills the cache. Each simulation is an
-// independent engine, so parallel scheduling cannot change any result.
-// The first failing pair in enumeration order wins, and no partial
-// results are cached when any run fails.
-func (r *Runner) Warm(cfgs []MNConfig, suite []workload.Spec) error {
-	var todo []pair
-	seen := map[runKey]bool{}
-	for _, cfg := range cfgs {
-		for _, wl := range suite {
-			k := r.key(cfg, wl)
-			if _, ok := r.cache[k]; ok || seen[k] {
-				continue
-			}
-			seen[k] = true
-			todo = append(todo, pair{cfg, wl})
+// Run returns the results of one run, simulating it on a memo miss. p
+// is a run params builds, possibly with its system, length or seed
+// edited; its Tuning, Fault, Scenario and trace fields are not in the
+// memo key and must be zero.
+func (r *Runner) Run(p core.Params) (core.Results, error) {
+	key := r.memo.key(&p)
+	if _, ok := r.memo.runs[key]; !ok {
+		if err := r.Warm([]core.Params{p}); err != nil {
+			return core.Results{}, err
 		}
+	}
+	return r.memo.runs[key], nil
+}
+
+// Warm executes every run of runs missing from the memo concurrently on
+// Options.Parallel workers and memoizes the results. Each simulation is
+// an independent engine, so parallel scheduling cannot change any
+// result. The first failing run in runs' order wins, and no results are
+// memoized when any run fails.
+func (r *Runner) Warm(runs []core.Params) error {
+	var todo []int
+	seen := map[runKey]bool{}
+	for i := range runs {
+		k := r.memo.key(&runs[i])
+		if _, ok := r.memo.runs[k]; ok || seen[k] {
+			continue
+		}
+		seen[k] = true
+		todo = append(todo, i)
 	}
 	results := make([]core.Results, len(todo))
 	err := fanout.Run(len(todo), r.Opts.Parallel, func(i int) (core.Results, error) {
-		p := todo[i]
-		res, err := r.simulate(r.params(p.cfg, p.wl))
+		p := runs[todo[i]]
+		res, err := r.simulate(p)
 		if err != nil {
-			err = fmt.Errorf("%s/%s: %w", p.cfg.Label(), p.wl.Name, err)
+			err = fmt.Errorf("%s/%s: %w", core.ConfigLabel(p.Topo, p.Sys.DRAMFraction, p.Sys.Placement), p.Workload.Name, err)
 		}
 		return res, err
 	}, func(i int, res core.Results) error {
@@ -218,24 +258,10 @@ func (r *Runner) Warm(cfgs []MNConfig, suite []workload.Spec) error {
 	if err != nil {
 		return err
 	}
-	for i, p := range todo {
-		r.cache[r.key(p.cfg, p.wl)] = results[i]
+	for i, ri := range todo {
+		r.memo.runs[r.memo.key(&runs[ri])] = results[i]
 	}
 	return nil
-}
-
-// Speedup computes the paper's speedup metric of cfg over base for one
-// workload: base execution time over cfg execution time, minus one.
-func (r *Runner) Speedup(cfg, base MNConfig, wl workload.Spec) (float64, error) {
-	a, err := r.Run(cfg, wl)
-	if err != nil {
-		return 0, err
-	}
-	b, err := r.Run(base, wl)
-	if err != nil {
-		return 0, err
-	}
-	return float64(b.FinishTime)/float64(a.FinishTime) - 1, nil
 }
 
 // Table is a generic labeled grid: one row per configuration/series, one
@@ -316,38 +342,35 @@ func workloadColumns(suite []workload.Spec) []string {
 }
 
 // speedupTable builds the common figure shape: for each config, the
-// percent speedup over a per-workload baseline, with a trailing average.
+// percent speedup over a per-workload baseline (base execution time
+// over config execution time, minus one), with a trailing average.
 func (r *Runner) speedupTable(id, title string, cfgs []MNConfig, base func(MNConfig) MNConfig) (*Table, error) {
 	suite := r.Opts.suite()
 	warm := append([]MNConfig(nil), cfgs...)
 	for _, cfg := range cfgs {
-		warm = append(warm, base(cfg))
+		if b := base(cfg); !slices.Contains(warm, b) {
+			warm = append(warm, b)
+		}
 	}
-	if err := r.Warm(warm, suite); err != nil {
+	if err := r.Warm(r.grid(warm, suite, nil)); err != nil {
 		return nil, err
 	}
 	t := &Table{ID: id, Title: title, Columns: workloadColumns(suite), Unit: "% speedup"}
 	for _, cfg := range cfgs {
 		vals := make([]float64, 0, len(suite)+1)
 		for _, wl := range suite {
-			s, err := r.Speedup(cfg, base(cfg), wl)
+			a, err := r.Run(r.params(cfg, wl))
 			if err != nil {
 				return nil, err
 			}
-			vals = append(vals, s*100)
+			b, err := r.Run(r.params(base(cfg), wl))
+			if err != nil {
+				return nil, err
+			}
+			vals = append(vals, (float64(b.FinishTime)/float64(a.FinishTime)-1)*100)
 		}
 		vals = append(vals, mean(vals))
 		t.Rows = append(t.Rows, Row{Label: cfg.Label(), Values: vals})
 	}
 	return t, nil
-}
-
-// sortedKeys is a test helper exposing cache coverage.
-func (r *Runner) sortedKeys() []string {
-	keys := make([]string, 0, len(r.cache))
-	for k := range r.cache {
-		keys = append(keys, fmt.Sprintf("%s/%s/p%d", k.cfg.Label(), k.workload, k.ports))
-	}
-	sort.Strings(keys)
-	return keys
 }

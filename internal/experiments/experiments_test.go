@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"memnet/internal/arb"
+	"memnet/internal/core"
 	"memnet/internal/topology"
 	"memnet/internal/workload"
 )
@@ -75,18 +76,23 @@ func TestRenderers(t *testing.T) {
 
 func TestRunnerMemoizes(t *testing.T) {
 	r := NewRunner(Options{Transactions: 500, Seed: 1, Workloads: []string{"NW"}})
+	calls := 0
+	r.Sim = func(p core.Params) (core.Results, error) {
+		calls++
+		return core.Simulate(p)
+	}
 	wl, _ := workload.ByName("NW")
-	cfg := MNConfig{Topo: topology.Tree, DRAMFraction: 1, Arb: arb.RoundRobin}
-	a, err := r.Run(cfg, wl)
+	p := r.params(MNConfig{Topo: topology.Tree, DRAMFraction: 1, Arb: arb.RoundRobin}, wl)
+	a, err := r.Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := r.Run(cfg, wl)
+	b, _ := r.Run(p)
 	if a != b {
 		t.Fatal("memoized result differs")
 	}
-	if len(r.sortedKeys()) != 1 {
-		t.Fatalf("cache keys: %v", r.sortedKeys())
+	if calls != 1 {
+		t.Fatalf("%d simulations of one run, want 1", calls)
 	}
 }
 

@@ -3,7 +3,9 @@ package experiments
 import (
 	"memnet/internal/arb"
 	"memnet/internal/config"
+	"memnet/internal/core"
 	"memnet/internal/topology"
+	"memnet/internal/workload"
 )
 
 // baselineChain is the 100%-Chain round-robin configuration every
@@ -11,6 +13,22 @@ import (
 var baselineChain = MNConfig{
 	Topo: topology.Chain, DRAMFraction: 1.0,
 	Placement: config.NVMLast, Arb: arb.RoundRobin,
+}
+
+// proposed are the topologies the paper proposes and evaluates against
+// the tree: tree, skip list and MetaCube.
+var proposed = []topology.Kind{topology.Tree, topology.SkipList, topology.MetaCube}
+
+// mixes returns every topology of topos at every DRAM:NVM ratio,
+// ratio-major, with arbitration a.
+func mixes(topos []topology.Kind, a arb.Kind) []MNConfig {
+	var cfgs []MNConfig
+	for _, rt := range ratios {
+		for _, topo := range topos {
+			cfgs = append(cfgs, MNConfig{Topo: topo, DRAMFraction: rt.frac, Placement: rt.place, Arb: a})
+		}
+	}
+	return cfgs
 }
 
 // Fig4 regenerates Fig. 4: speedup of all-DRAM ring and tree networks
@@ -36,7 +54,7 @@ func (r *Runner) Fig5() (*Table, error) {
 		{Topo: topology.Ring, DRAMFraction: 1, Arb: arb.RoundRobin},
 		{Topo: topology.Tree, DRAMFraction: 1, Arb: arb.RoundRobin},
 	}
-	if err := r.Warm(fig5Cfgs, suite); err != nil {
+	if err := r.Warm(r.grid(fig5Cfgs, suite, nil)); err != nil {
 		return nil, err
 	}
 	t := &Table{
@@ -46,18 +64,17 @@ func (r *Runner) Fig5() (*Table, error) {
 		Unit:    "fraction of chain total latency",
 	}
 	topos := []topology.Kind{topology.Chain, topology.Ring, topology.Tree}
-	type comp struct{ name string }
-	comps := []comp{{"to-memory"}, {"in-memory"}, {"from-memory"}}
+	comps := []string{"to-memory", "in-memory", "from-memory"}
 	rows := make(map[string][]float64)
 	for _, wl := range suite {
-		base, err := r.Run(baselineChain, wl)
+		base, err := r.Run(r.params(baselineChain, wl))
 		if err != nil {
 			return nil, err
 		}
 		baseTotal := float64(base.Breakdown.Total())
 		for _, topo := range topos {
 			cfg := MNConfig{Topo: topo, DRAMFraction: 1, Arb: arb.RoundRobin}
-			res, err := r.Run(cfg, wl)
+			res, err := r.Run(r.params(cfg, wl))
 			if err != nil {
 				return nil, err
 			}
@@ -67,14 +84,14 @@ func (r *Runner) Fig5() (*Table, error) {
 				float64(res.Breakdown.FromMem) / baseTotal,
 			}
 			for ci, c := range comps {
-				label := topo.String() + "/" + c.name
+				label := topo.String() + "/" + c
 				rows[label] = append(rows[label], parts[ci])
 			}
 		}
 	}
 	for _, topo := range topos {
 		for _, c := range comps {
-			label := topo.String() + "/" + c.name
+			label := topo.String() + "/" + c
 			t.Rows = append(t.Rows, Row{Label: label, Values: rows[label]})
 		}
 	}
@@ -84,16 +101,10 @@ func (r *Runner) Fig5() (*Table, error) {
 // Fig7 regenerates Fig. 7: the tree topology with DRAM:NVM ratios 100%,
 // 50% (NVM-L), 50% (NVM-F) and 0%, as speedup over the 100% chain.
 func (r *Runner) Fig7() (*Table, error) {
-	var cfgs []MNConfig
-	for _, rt := range ratios {
-		cfgs = append(cfgs, MNConfig{
-			Topo: topology.Tree, DRAMFraction: rt.frac,
-			Placement: rt.place, Arb: arb.RoundRobin,
-		})
-	}
 	return r.speedupTable("fig7",
 		"Fig. 7: tree topology with different DRAM:NVM ratios vs 100% chain",
-		cfgs, func(MNConfig) MNConfig { return baselineChain })
+		mixes([]topology.Kind{topology.Tree}, arb.RoundRobin),
+		func(MNConfig) MNConfig { return baselineChain })
 }
 
 // Fig10 regenerates Fig. 10: the naive distance-based arbitration's
@@ -120,85 +131,60 @@ func (r *Runner) Fig10() (*Table, error) {
 // Fig11 regenerates Fig. 11: tree vs skip-list vs MetaCube across the
 // NVM ratios, round-robin arbitration, normalized to the 100% chain.
 func (r *Runner) Fig11() (*Table, error) {
-	var cfgs []MNConfig
-	for _, rt := range ratios {
-		for _, topo := range []topology.Kind{topology.Tree, topology.SkipList, topology.MetaCube} {
-			cfgs = append(cfgs, MNConfig{
-				Topo: topo, DRAMFraction: rt.frac,
-				Placement: rt.place, Arb: arb.RoundRobin,
-			})
-		}
-	}
 	return r.speedupTable("fig11",
 		"Fig. 11: skip-list and MetaCube vs tree (round-robin arbitration), vs 100% chain",
-		cfgs, func(MNConfig) MNConfig { return baselineChain })
+		mixes(proposed, arb.RoundRobin), func(MNConfig) MNConfig { return baselineChain })
 }
 
 // Fig12 regenerates Fig. 12: all techniques combined — the augmented
 // distance-based arbitration applied to tree, skip-list, and MetaCube —
 // normalized to the 100% chain with round-robin.
 func (r *Runner) Fig12() (*Table, error) {
-	var cfgs []MNConfig
-	for _, rt := range ratios {
-		for _, topo := range []topology.Kind{topology.Tree, topology.SkipList, topology.MetaCube} {
-			cfgs = append(cfgs, MNConfig{
-				Topo: topo, DRAMFraction: rt.frac,
-				Placement: rt.place, Arb: arb.DistanceAugmented,
-			})
-		}
-	}
 	return r.speedupTable("fig12",
 		"Fig. 12: all techniques combined (augmented distance arbitration), vs 100% chain",
-		cfgs, func(MNConfig) MNConfig { return baselineChain })
+		mixes(proposed, arb.DistanceAugmented), func(MNConfig) MNConfig { return baselineChain })
+}
+
+// fourPorts is Fig. 13's system: the host drops from eight memory ports
+// to four at fixed 2TB capacity, so each port serves twice the cubes.
+// It also processes twice the per-port trace: the system's total work
+// stays fixed, so the finish-time ratio is the system-throughput ratio.
+func fourPorts(p core.Params) core.Params {
+	p.Sys.Ports = 4
+	p.Transactions *= 2
+	return p
+}
+
+// halfCapacity is Fig. 14's 1TB system: the cube count held, each cube
+// with half the capacity and half the banks.
+func halfCapacity(p core.Params) core.Params {
+	p.Sys.TotalCapacity /= 2
+	p.Sys.DRAMCubeCapacity /= 2
+	p.Sys.NVMCubeCapacity /= 2
+	p.Sys.BanksPerCube /= 2
+	return p
 }
 
 // Fig13 regenerates Fig. 13: the performance change when the host drops
-// from eight memory ports to four at fixed 2TB capacity (each port then
-// serves twice the cubes and twice the traffic).
+// from eight memory ports to four (fourPorts). The 8-port runs are
+// Fig. 11's.
 func (r *Runner) Fig13() (*Table, error) {
 	suite := r.Opts.suite()
+	cfgs := mixes(proposed, arb.RoundRobin)
+	gains, err := r.gains(cfgs, suite, fourPorts)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:      "fig13",
 		Title:   "Fig. 13: speedup of a 4-port system over the 8-port baseline (2TB)",
 		Columns: workloadColumns(suite),
 		Unit:    "% speedup (negative = degradation)",
 	}
-	var cfgs []MNConfig
-	for _, rt := range ratios {
-		for _, topo := range []topology.Kind{topology.Tree, topology.SkipList, topology.MetaCube} {
-			cfgs = append(cfgs, MNConfig{
-				Topo: topo, DRAMFraction: rt.frac,
-				Placement: rt.place, Arb: arb.RoundRobin,
-			})
-		}
-	}
-	base := r.derive(r.Opts)
-	if err := base.Warm(cfgs, suite); err != nil {
-		return nil, err
-	}
-	// Halving the port count doubles each remaining port's share of the
-	// system's (fixed) total work: the 4-port runs process twice the
-	// per-port trace, so the finish-time ratio is the system-throughput
-	// ratio.
-	fourOpts := r.Opts
-	fourOpts.Transactions *= 2
-	four := r.derive(fourOpts)
-	four.Sys.Ports = 4
-	if err := four.Warm(cfgs, suite); err != nil {
-		return nil, err
-	}
-	for _, cfg := range cfgs {
+	for i, cfg := range cfgs {
 		vals := make([]float64, 0, len(suite)+1)
-		for _, wl := range suite {
-			r8, err := base.Run(cfg, wl)
-			if err != nil {
-				return nil, err
-			}
-			r4, err := four.Run(cfg, wl)
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, (float64(r8.FinishTime)/float64(r4.FinishTime)-1)*100)
+		for _, g := range gains[i] {
+			vals = append(vals, g*100)
 		}
 		vals = append(vals, mean(vals))
 		t.Rows = append(t.Rows, Row{Label: cfg.Label(), Values: vals})
@@ -207,64 +193,60 @@ func (r *Runner) Fig13() (*Table, error) {
 }
 
 // Fig14 regenerates Fig. 14: average speedup when system capacity drops
-// from 2TB to 1TB with the cube count held constant (half-capacity,
-// half-bank cubes), per configuration, averaged over the suite.
+// from 2TB to 1TB with the cube count held constant (halfCapacity), per
+// configuration, averaged over the suite. The 2TB runs are Fig. 15's.
 func (r *Runner) Fig14() (*Table, error) {
 	suite := r.Opts.suite()
+	cfgs := mixes(topology.Kinds, arb.RoundRobin)
+	gains, err := r.gains(cfgs, suite, halfCapacity)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:      "fig14",
 		Title:   "Fig. 14: average speedup moving from 2TB to 1TB (same cube count)",
 		Columns: []string{"average"},
 		Unit:    "% speedup",
 	}
-	big := r.derive(r.Opts)
-	small := r.derive(r.Opts)
-	small.Sys.TotalCapacity /= 2
-	small.Sys.DRAMCubeCapacity /= 2
-	small.Sys.NVMCubeCapacity /= 2
-	small.Sys.BanksPerCube /= 2
-
-	var capCfgs []MNConfig
-	for _, rt := range ratios {
-		for _, topo := range topology.Kinds {
-			capCfgs = append(capCfgs, MNConfig{
-				Topo: topo, DRAMFraction: rt.frac,
-				Placement: rt.place, Arb: arb.RoundRobin,
-			})
+	for i, cfg := range cfgs {
+		var sum float64
+		for _, g := range gains[i] {
+			sum += g
 		}
-	}
-	if err := big.Warm(capCfgs, suite); err != nil {
-		return nil, err
-	}
-	if err := small.Warm(capCfgs, suite); err != nil {
-		return nil, err
-	}
-
-	for _, rt := range ratios {
-		for _, topo := range topology.Kinds {
-			cfg := MNConfig{
-				Topo: topo, DRAMFraction: rt.frac,
-				Placement: rt.place, Arb: arb.RoundRobin,
-			}
-			var sum float64
-			for _, wl := range suite {
-				r2, err := big.Run(cfg, wl)
-				if err != nil {
-					return nil, err
-				}
-				r1, err := small.Run(cfg, wl)
-				if err != nil {
-					return nil, err
-				}
-				sum += float64(r2.FinishTime)/float64(r1.FinishTime) - 1
-			}
-			t.Rows = append(t.Rows, Row{
-				Label:  cfg.Label(),
-				Values: []float64{sum / float64(len(suite)) * 100},
-			})
-		}
+		t.Rows = append(t.Rows, Row{
+			Label:  cfg.Label(),
+			Values: []float64{sum / float64(len(suite)) * 100},
+		})
 	}
 	return t, nil
+}
+
+// gains runs every configuration of cfgs on every workload of suite on
+// the base system and on the system edit makes, and returns, per
+// configuration and workload, the base finish time over the edited
+// one, minus one.
+func (r *Runner) gains(cfgs []MNConfig, suite []workload.Spec, edit func(core.Params) core.Params) ([][]float64, error) {
+	if err := r.Warm(r.grid(cfgs, suite, nil)); err != nil {
+		return nil, err
+	}
+	if err := r.Warm(r.grid(cfgs, suite, edit)); err != nil {
+		return nil, err
+	}
+	out := make([][]float64, len(cfgs))
+	for i, cfg := range cfgs {
+		for _, wl := range suite {
+			base, err := r.Run(r.params(cfg, wl))
+			if err != nil {
+				return nil, err
+			}
+			alt, err := r.Run(edit(r.params(cfg, wl)))
+			if err != nil {
+				return nil, err
+			}
+			out[i] = append(out[i], float64(base.FinishTime)/float64(alt.FinishTime)-1)
+		}
+	}
+	return out, nil
 }
 
 // Fig15 regenerates Fig. 15: the all-workload-average energy breakdown
@@ -278,22 +260,15 @@ func (r *Runner) Fig15() (*Table, error) {
 		Columns: []string{"network", "read", "write", "total"},
 		Unit:    "fraction of 100%-C total energy",
 	}
-	var energyCfgs []MNConfig
-	for _, rt := range ratios {
-		for _, topo := range topology.Kinds {
-			energyCfgs = append(energyCfgs, MNConfig{
-				Topo: topo, DRAMFraction: rt.frac,
-				Placement: rt.place, Arb: arb.RoundRobin,
-			})
-		}
-	}
-	if err := r.Warm(append(energyCfgs, baselineChain), suite); err != nil {
+	// The baseline, 100%-C, is the first of cfgs.
+	cfgs := mixes(topology.Kinds, arb.RoundRobin)
+	if err := r.Warm(r.grid(cfgs, suite, nil)); err != nil {
 		return nil, err
 	}
 	// Baseline: average total energy of 100% chain across the suite.
 	var baseTotal float64
 	for _, wl := range suite {
-		res, err := r.Run(baselineChain, wl)
+		res, err := r.Run(r.params(baselineChain, wl))
 		if err != nil {
 			return nil, err
 		}
@@ -301,29 +276,23 @@ func (r *Runner) Fig15() (*Table, error) {
 	}
 	baseTotal /= float64(len(suite))
 
-	for _, rt := range ratios {
-		for _, topo := range topology.Kinds {
-			cfg := MNConfig{
-				Topo: topo, DRAMFraction: rt.frac,
-				Placement: rt.place, Arb: arb.RoundRobin,
+	for _, cfg := range cfgs {
+		var net, rd, wr float64
+		for _, wl := range suite {
+			res, err := r.Run(r.params(cfg, wl))
+			if err != nil {
+				return nil, err
 			}
-			var net, rd, wr float64
-			for _, wl := range suite {
-				res, err := r.Run(cfg, wl)
-				if err != nil {
-					return nil, err
-				}
-				net += res.Energy.NetworkPJ
-				rd += res.Energy.ReadPJ
-				wr += res.Energy.WritePJ
-			}
-			n := float64(len(suite))
-			net, rd, wr = net/n, rd/n, wr/n
-			t.Rows = append(t.Rows, Row{
-				Label:  cfg.Label(),
-				Values: []float64{net / baseTotal, rd / baseTotal, wr / baseTotal, (net + rd + wr) / baseTotal},
-			})
+			net += res.Energy.NetworkPJ
+			rd += res.Energy.ReadPJ
+			wr += res.Energy.WritePJ
 		}
+		n := float64(len(suite))
+		net, rd, wr = net/n, rd/n, wr/n
+		t.Rows = append(t.Rows, Row{
+			Label:  cfg.Label(),
+			Values: []float64{net / baseTotal, rd / baseTotal, wr / baseTotal, (net + rd + wr) / baseTotal},
+		})
 	}
 	return t, nil
 }

@@ -22,20 +22,12 @@ var resilienceBERs = []float64{1e-7, 5e-7, 1e-6, 5e-6}
 // tracks each topology's traffic concentration — chains retransmit on
 // the hot host link, trees spread the exposure.
 //
-// Baseline runs go through the memoizing Run path (they are ordinary
-// healthy configurations, shared with the figure sweeps); the faulty
-// runs bypass it — the in-memory cache key identifies healthy
-// configurations only — but still flow through the pluggable simulate
-// backend, so a campaign cache (which fingerprints the fault scenario)
-// covers them too.
+// The baselines are ordinary runs from the Runner's memo, shared with
+// the figure sweeps. Each faulty run is needed once, so it goes straight
+// to the Sim backend; a campaign cache, which fingerprints the fault
+// config, still covers it.
 func (r *Runner) Resilience() (*Table, error) {
-	suite := r.Opts.suite()
-	wl := suite[0]
-	for _, s := range suite {
-		if s.Name == "KMEANS" {
-			wl = s
-		}
-	}
+	wl := r.Opts.kmeans()
 	topos := []topology.Kind{topology.Chain, topology.Ring, topology.Tree, topology.SkipList}
 
 	cols := make([]string, 0, len(resilienceBERs))
@@ -50,7 +42,7 @@ func (r *Runner) Resilience() (*Table, error) {
 	}
 	for _, topo := range topos {
 		cfg := MNConfig{Topo: topo, DRAMFraction: 1.0, Placement: config.NVMLast, Arb: arb.RoundRobin}
-		base, err := r.Run(cfg, wl)
+		base, err := r.Run(r.params(cfg, wl))
 		if err != nil {
 			return nil, fmt.Errorf("resilience %s baseline: %w", cfg.Label(), err)
 		}

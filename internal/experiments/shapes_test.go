@@ -9,13 +9,20 @@ import (
 // trace length. They are the repository's regression net: calibration
 // changes that break a paper-level conclusion fail here.
 
+// shapeMemo is the memo every shape test's Runner shares, so a run two
+// tests need (Fig. 11 and 12's baselines, Fig. 15's runs behind Fig.
+// 14, ...) is simulated once. Its key is the complete run, so the
+// tests' different Workloads subsets cannot collide.
+var shapeMemo = newMemo()
+
 func shapeRunner(t *testing.T, workloads ...string) *Runner {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("shape sweep")
 	}
-	opts := Options{Transactions: 3000, Seed: 1, Workloads: workloads}
-	return NewRunner(opts)
+	r := NewRunner(Options{Transactions: 3000, Seed: 1, Workloads: workloads})
+	r.memo = shapeMemo
+	return r
 }
 
 // Fig. 4: tree > ring > chain for every workload in the all-DRAM MN.

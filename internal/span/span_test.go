@@ -2,6 +2,8 @@ package span
 
 import (
 	"bytes"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -344,4 +346,31 @@ func TestCheckViolations(t *testing.T) {
 			t.Errorf("%s: Check accepted invalid span", name)
 		}
 	}
+}
+
+// FuzzSpanRead: Read either rejects its input or returns spans that
+// Check, Analyze, WorstN and Narrate process without panicking, and
+// that Write then Read returns unchanged.
+func FuzzSpanRead(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		hdr, spans, err := Read(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		_ = Check(spans)
+		a := Analyze(spans)
+		_, _ = a.Attribution(), a.MeanLatencyPs()
+		Narrate(io.Discard, WorstN(spans, 3))
+		var buf bytes.Buffer
+		if err := Write(&buf, hdr, spans); err != nil {
+			t.Fatal(err)
+		}
+		_, again, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("re-read of a written span file failed: %v\n%s", err, buf.String())
+		}
+		if !reflect.DeepEqual(again, spans) {
+			t.Fatalf("round trip changed the spans:\n got  %+v\n want %+v", again, spans)
+		}
+	})
 }

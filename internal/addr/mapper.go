@@ -85,13 +85,6 @@ func NewMapper(sys *config.System, slots []CubeSlot) (*Mapper, error) {
 	return m, nil
 }
 
-// TotalUnits reports the number of interleave units (DRAM-cube
-// equivalents) in the port slice.
-func (m *Mapper) TotalUnits() int { return m.totalUnits }
-
-// Slots returns the cube slots in interleave order.
-func (m *Mapper) Slots() []CubeSlot { return m.slots }
-
 // Tech reports the technology of the cube with the given node ID; it
 // returns DRAM for unknown nodes (e.g. MetaCube interface chips hold no
 // memory and are never mapping targets).

@@ -36,8 +36,8 @@ func testMapper(t *testing.T, frac float64) (*Mapper, *config.System) {
 func TestMapperUnits(t *testing.T) {
 	m, _ := testMapper(t, 0.5)
 	// 8 DRAM cubes x 1 + 2 NVM cubes x 4 = 16 units.
-	if m.TotalUnits() != 16 {
-		t.Fatalf("units = %d, want 16", m.TotalUnits())
+	if m.totalUnits != 16 {
+		t.Fatalf("units = %d, want 16", m.totalUnits)
 	}
 }
 
@@ -96,7 +96,7 @@ func TestRowLocality(t *testing.T) {
 	n0, q0, b0, r0 := m.Decompose(a0)
 	blocksPerRow := int(sys.RowBytes / sys.InterleaveBytes)
 	for k := 1; k < blocksPerRow; k++ {
-		a := a0 + uint64(k)*sys.InterleaveBytes*uint64(m.TotalUnits())
+		a := a0 + uint64(k)*sys.InterleaveBytes*uint64(m.totalUnits)
 		n, q, b, r := m.Decompose(a)
 		if n != n0 || q != q0 || b != b0 || r != r0 {
 			t.Fatalf("block %d left the row: (%d,%d,%d,%d) vs (%d,%d,%d,%d)",
@@ -104,7 +104,7 @@ func TestRowLocality(t *testing.T) {
 		}
 	}
 	// The next block moves on (different bank, same cube).
-	a := a0 + uint64(blocksPerRow)*sys.InterleaveBytes*uint64(m.TotalUnits())
+	a := a0 + uint64(blocksPerRow)*sys.InterleaveBytes*uint64(m.totalUnits)
 	n, _, b, _ := m.Decompose(a)
 	if n != n0 {
 		t.Fatal("row group change must stay on the cube")
@@ -130,7 +130,7 @@ func TestNoCoordinateCollisions(t *testing.T) {
 			// be within one row's worth of cube-local blocks.
 			blocksPerRow := int64(sys.RowBytes / sys.InterleaveBytes)
 			stride := int64(sys.InterleaveBytes)
-			if (int64(a)-int64(prev))/stride > blocksPerRow*int64(m.TotalUnits()) {
+			if (int64(a)-int64(prev))/stride > blocksPerRow*int64(m.totalUnits) {
 				t.Fatalf("distant addresses %#x and %#x collide on %v", prev, a, key)
 			}
 			continue
@@ -168,8 +168,8 @@ func TestTechLookup(t *testing.T) {
 	if m.Tech(999) != config.DRAM {
 		t.Error("unknown nodes default to DRAM")
 	}
-	if len(m.Slots()) != 10 {
-		t.Errorf("slots = %d, want 10", len(m.Slots()))
+	if len(m.slots) != 10 {
+		t.Errorf("slots = %d, want 10", len(m.slots))
 	}
 }
 

@@ -13,13 +13,12 @@ import (
 	"memnet/internal/obs"
 )
 
+// cacheSchemaJSON is the JSON schema every cache envelope must
+// satisfy, validated with the internal/obs stdlib schema subset on both
+// read and write.
+//
 //go:embed cache.schema.json
 var cacheSchemaJSON []byte
-
-// CacheEntrySchemaJSON returns the embedded JSON schema every cache
-// envelope must satisfy (validated with the internal/obs stdlib schema
-// subset on both read and write).
-func CacheEntrySchemaJSON() []byte { return cacheSchemaJSON }
 
 // Key is the human-readable summary stored alongside a cached result so
 // cache directories can be audited without recomputing fingerprints. It

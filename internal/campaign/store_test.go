@@ -153,11 +153,11 @@ func TestStoreVersionBump(t *testing.T) {
 // by validating a real entry against it (Put already does, but this
 // keeps the failure local if the schema file is edited).
 func TestCacheEntrySchemaValid(t *testing.T) {
-	if len(CacheEntrySchemaJSON()) == 0 {
+	if len(cacheSchemaJSON) == 0 {
 		t.Fatal("embedded schema is empty")
 	}
 	var v any
-	if err := json.Unmarshal(CacheEntrySchemaJSON(), &v); err != nil {
+	if err := json.Unmarshal(cacheSchemaJSON, &v); err != nil {
 		t.Fatalf("embedded schema is not JSON: %v", err)
 	}
 }

@@ -141,7 +141,9 @@ func buildCases(tb testing.TB) []buildCase {
 // -tags simdebug, which 10% of 29 does not cover. A cold build, the
 // first of its configuration in a process, generates its topology: a
 // tree measures 228 KB in 67 allocations. A warm build takes the topology
-// from the network memo: a tree measures 217 KB in 29 allocations. The
+// from the network memo: a tree measures 217 KB in 29 allocations. Each
+// build is in new memory (buildUnpooled), whatever earlier tests left in
+// the pool of recycled arenas. The
 // host's coherence and wavefront maps, and closures for its lookups,
 // its response delivery and the quadrants' bank map, each added at
 // least one more. Routers each holding inline storage for
@@ -195,7 +197,7 @@ func TestBuildFootprint(t *testing.T) {
 	for _, tc := range buildCases(t) {
 		for _, cold := range []bool{true, false} {
 			const builds = 20
-			if _, err := Build(tc.p); err != nil {
+			if _, err := buildUnpooled(tc.p); err != nil {
 				t.Fatal(err)
 			}
 			var m0, m1 runtime.MemStats
@@ -205,7 +207,7 @@ func TestBuildFootprint(t *testing.T) {
 				if cold {
 					resetNetworks()
 				}
-				if _, err := Build(tc.p); err != nil {
+				if _, err := buildUnpooled(tc.p); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -276,7 +278,7 @@ func TestBuildAllocsFlat(t *testing.T) {
 			measure := func(scale uint64) (allocs float64, cubes int) {
 				p := tc.p
 				p.Sys.TotalCapacity *= scale
-				in, err := Build(p)
+				in, err := buildUnpooled(p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -285,7 +287,7 @@ func TestBuildAllocsFlat(t *testing.T) {
 					if cold {
 						resetNetworks()
 					}
-					if _, err := Build(p); err != nil {
+					if _, err := buildUnpooled(p); err != nil {
 						t.Fatal(err)
 					}
 				}), cubes
@@ -321,7 +323,7 @@ func BenchmarkBuild(b *testing.B) {
 		for _, tc := range buildCases(b) {
 			b.Run(mode+"/"+tc.name, func(b *testing.B) {
 				if !cold {
-					if _, err := Build(tc.p); err != nil {
+					if _, err := buildUnpooled(tc.p); err != nil {
 						b.Fatal(err)
 					}
 					b.ResetTimer()
@@ -331,7 +333,7 @@ func BenchmarkBuild(b *testing.B) {
 					if cold {
 						resetNetworks()
 					}
-					if _, err := Build(tc.p); err != nil {
+					if _, err := buildUnpooled(tc.p); err != nil {
 						b.Fatal(err)
 					}
 				}

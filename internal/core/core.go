@@ -26,7 +26,6 @@ import (
 	"memnet/internal/fault"
 	"memnet/internal/host"
 	"memnet/internal/link"
-	"memnet/internal/mem"
 	"memnet/internal/obs"
 	"memnet/internal/packet"
 	"memnet/internal/router"
@@ -319,12 +318,11 @@ type Instance struct {
 	// config.MemTech, which every quadrant of the technology shares.
 	timing [2]config.MemTiming
 
-	// nodes is the build's per-node table, indexed by node ID: each
-	// entry holds its node's router and quadrants, every router routes
-	// through its node's entry, every quadrant takes its return
-	// distances from its cube's, and a dead cube's entry holds its
-	// re-home spare.
-	nodes []nodeCtx
+	// arena is the memory the network is laid out in, including the
+	// per-node table (nodes) and the edge table (dirs). pooled is the
+	// header it came in from the pool, nil when build allocated it.
+	arena
+	pooled *arena
 	// rehomed counts the dead cubes whose address ranges are re-homed.
 	rehomed int
 
@@ -333,9 +331,6 @@ type Instance struct {
 	// scheduled fault recomputes routes. Port indices are preserved
 	// across swaps, so the wired network never changes shape.
 	live *topology.Graph
-	// dirs holds the two directions of every external edge, indexed like
-	// Graph.Edges, for scheduled faults to down-bind or kill.
-	dirs []edgeDirs
 	// hostIn is the root-to-host direction, whose credits the host side
 	// returns as it consumes responses.
 	hostIn *link.Direction
@@ -474,7 +469,17 @@ func techOrder(techs []config.MemTech, sys *config.System) ([]config.MemTech, er
 
 // Build constructs a simulation instance from params on a fresh engine.
 // It runs p as Resolved returns it, wiring the graph resolution built.
+// The network is laid out in memory an earlier Simulate recycled when
+// the pool holds some, and in new memory otherwise. The Instance owns
+// that memory either way and is never recycled, so it stays valid for
+// as long as the caller keeps it.
 func Build(p Params) (*Instance, error) {
+	return build(p, pooledArena())
+}
+
+// build is Build laid out in a, or in new memory when a is nil. a is
+// dropped if the build fails.
+func build(p Params, a *arena) (*Instance, error) {
 	p, net, err := p.resolve()
 	if err != nil {
 		return nil, err
@@ -537,9 +542,13 @@ func Build(p Params) (*Instance, error) {
 		Mapper:    mapper,
 		Collector: collector,
 		Meter:     meter,
-		nodes:     make([]nodeCtx, len(g.Nodes)),
+		pooled:    a,
 		live:      g,
 	}
+	if a != nil {
+		inst.arena = *a
+	}
+	fit(&inst.nodes, len(g.Nodes))
 	for i, n := range g.Nodes {
 		inst.nodes[i] = nodeCtx{in: inst, id: n.ID, extDeg: g.Degree(n.ID), isCube: n.Kind == topology.Cube}
 	}
@@ -605,8 +614,9 @@ func Build(p Params) (*Instance, error) {
 	// router); and every quadrant's banks, which are ready to use as
 	// allocated (a zero mem.Bank is closed, clean and unrefreshed). With
 	// a fault plan, every edge direction also takes a fault record from
-	// one more slab; without one no direction has a record. take hands
-	// out their elements in order; the slices never grow, so the
+	// one more slab; without one no direction has a record. Each slab is
+	// zero memory from the instance's arena (fit), recycled or new, and
+	// take hands out its elements in order. The slices never grow, so the
 	// pointers wired below stay valid.
 	nRouters, nPorts, nCubes, width := 0, 0, 0, 0
 	for _, n := range g.Nodes {
@@ -621,16 +631,19 @@ func Build(p Params) (*Instance, error) {
 		}
 	}
 	nQuads := nCubes * p.Sys.Quadrants
-	portSlab := router.NewSlab(nRouters, nPorts+nQuads, width)
+	ar := &inst.arena
+	portSlab := ar.ports.Fit(nRouters, nPorts+nQuads, width)
 	nBanks := p.Sys.BanksPerQuadrant()
-	switchSlab := make([]switchPair, 0, nRouters)
-	quadSlab := make([]vault.Quadrant, 0, nQuads)
-	bankSlab := make([]mem.Bank, nQuads*nBanks)
-	dirSlab := make([]link.Direction, 0, 2*len(g.Edges)+2*nQuads)
-	bufSlab := make([]link.Buffer, 0, nPorts+2*nQuads)
+	switchSlab := fit(&ar.switches, nRouters)[:0]
+	quadSlab := fit(&ar.quads, nQuads)[:0]
+	bankSlab := fit(&ar.banks, nQuads*nBanks)
+	dirSlab := fit(&ar.links, 2*len(g.Edges)+2*nQuads)[:0]
+	bufSlab := fit(&ar.bufs, nPorts+2*nQuads)[:0]
 	var faultSlab []link.Faults
 	if faultOn {
-		faultSlab = make([]link.Faults, 0, 2*len(g.Edges))
+		faultSlab = fit(&ar.faults, 2*len(g.Edges))[:0]
+	} else {
+		ar.faults = ar.faults[:0] // none in use, so none to clear
 	}
 	newDir := func(cfg link.Config) *link.Direction {
 		d := take(&dirSlab)
@@ -705,7 +718,7 @@ func Build(p Params) (*Instance, error) {
 	ipLink.BandwidthBps *= int64(p.Tuning.InterposerBandwidthX)
 	ipLink.SerDesLatency = p.Tuning.InterposerSerDes
 
-	dirs := make([]edgeDirs, len(g.Edges))
+	dirs := fit(&ar.dirs, len(g.Edges))
 	for ei, e := range g.Edges {
 		cfg := extLink
 		if e.Interposer {
@@ -754,7 +767,6 @@ func Build(p Params) (*Instance, error) {
 			bindShip(dirs[ei].ba, lb+">"+la)
 		}
 	}
-	inst.dirs = dirs
 
 	for _, n := range g.Nodes {
 		if n.Kind == topology.Host {
@@ -886,24 +898,10 @@ func Build(p Params) (*Instance, error) {
 	return inst, nil
 }
 
-// switchPair is a router and its arbiter, laid out together in a
-// build's slab.
-type switchPair struct {
-	router router.Router
-	arb    arb.Arbiter
-}
-
 // kickHost is the event that primes a run's injection; its argument is
 // the host port. Unlike the method value hostPort.Kick, it allocates
 // nothing.
 func kickHost(port any) { port.(*host.Port).Kick() }
-
-// take extends slab by one element within its capacity and returns it;
-// it panics if the slab is full, which is a miscount.
-func take[T any](slab *[]T) *T {
-	*slab = (*slab)[:len(*slab)+1]
-	return &(*slab)[len(*slab)-1]
-}
 
 // planFaults validates the scheduled faults and repairs against the
 // built topology and precomputes, per event, the routing graph in
@@ -1227,11 +1225,18 @@ func (in *Instance) FaultCounters() stats.FaultCounters {
 	return fc
 }
 
-// Simulate is the one-call convenience: build and run.
+// Simulate is the one-call convenience: build, run, and hand the
+// network's memory to the next build. The Instance never leaves
+// Simulate, so nothing can use it after its run: Simulate is the one
+// caller that recycles. A run through it allocates its network only
+// when the pool holds no arena: a process's first runs, one per
+// concurrent worker, and the first runs after two garbage collections.
 func Simulate(p Params) (Results, error) {
 	in, err := Build(p)
 	if err != nil {
 		return Results{}, err
 	}
-	return in.Run()
+	res, err := in.Run()
+	recycle(in.release())
+	return res, err
 }

@@ -97,7 +97,9 @@ func portParams(base Params, i int) Params {
 // MachineParams.Shards worker goroutines, at most that many port
 // networks alive at once. The ports share nothing, so each is an
 // ordinary single-port run and results are bit-identical at every
-// worker count.
+// worker count. Each port runs through Simulate, so a worker lays its
+// next port's network out in the memory of its last one, and a machine
+// run allocates about one network per worker rather than one per port.
 func RunMachine(mp MachineParams) (MachineResults, error) {
 	base := mp.Base
 	if base.Record {

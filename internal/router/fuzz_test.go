@@ -219,7 +219,8 @@ func checkRouterTwin(t *testing.T, data []byte) {
 	var rn *Router
 	var neighbor Router
 	if nb&0x10 != 0 {
-		slab := NewSlab(2, n+3, max(n, 3))
+		var store Slab
+		slab := store.Fit(2, n+3, max(n, 3))
 		neighbor.Reserve(&slab, 3)
 		for i := range neighbor.rs.masks {
 			neighbor.rs.masks[i] = ^uint64(0)

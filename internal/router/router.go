@@ -146,12 +146,14 @@ func (pt *port) Receive(p *packet.Packet) {
 // OnSpace kicks a sweep when the port's output frees a slot.
 func (pt *port) OnSpace(packet.VC) { pt.r.Kick() }
 
-// Slab is the port storage of a network's routers, allocated once per
-// build and sized by their real port counts. Each router given storage
-// by Reserve takes its ports and route masks from one backing array
-// each, and all of them share one candidate scratch: a sweep runs to
-// completion before any other starts. A router given no storage (New)
-// allocates its own as its ports are attached and at its first sweep.
+// Slab is the port storage of a network's routers, sized by their real
+// port counts. A store Slab keeps the arrays from network to network;
+// its Fit returns the Slab a network's routers Reserve from. Each router
+// given storage by Reserve takes its ports and route masks from one
+// backing array each, and all of them share one candidate scratch: a
+// sweep runs to completion before any other starts. A router given no
+// storage (New) allocates its own as its ports are attached and at its
+// first sweep.
 type Slab struct {
 	ports []port
 	masks []uint64
@@ -159,17 +161,39 @@ type Slab struct {
 	heads []*packet.Packet
 }
 
-// NewSlab returns storage for the given number of routers, whose port
-// counts sum to ports and the widest of which has width ports. Route
-// masks are sized for width, so they fit exactly when no router has
-// more than 64 ports.
-func NewSlab(routers, ports, width int) Slab {
-	return Slab{
-		ports: make([]port, 0, ports),
-		masks: make([]uint64, int(packet.NumVCs)*(ports+routers)*maskWords(width)),
-		cand:  make([]int, width),
-		heads: make([]*packet.Packet, width),
+// Fit returns storage for the given number of routers, whose port
+// counts sum to ports and the widest of which has width ports, from the
+// arrays of s, a store that outlives the routers it serves. Each array
+// of s that is large enough is reused and each that is not is replaced
+// by a new one of exactly the size needed, so the zero Slab allocates
+// what the storage takes. Route masks are sized for width, so they fit
+// exactly when no router has more than 64 ports. Every array handed out
+// is cut to its size, so Reserve still panics on a miscount. The arrays
+// must be zero: new, or cleared by Clear.
+func (s *Slab) Fit(routers, ports, width int) Slab {
+	m := int(packet.NumVCs) * (ports + routers) * maskWords(width)
+	if cap(s.ports) < ports {
+		s.ports = make([]port, ports)
 	}
+	if cap(s.masks) < m {
+		s.masks = make([]uint64, m)
+	}
+	if cap(s.cand) < width {
+		s.cand, s.heads = make([]int, width), make([]*packet.Packet, width)
+	}
+	s.ports, s.masks, s.cand, s.heads = s.ports[:ports], s.masks[:m], s.cand[:width], s.heads[:width]
+	return Slab{ports: s.ports[:0:ports], masks: s.masks[:m:m], cand: s.cand[:width:width], heads: s.heads[:width:width]}
+}
+
+// Clear zeroes the storage that the last Fit of s handed out, so that a
+// store whose routers are done holds no pointer into their network and
+// can be fitted again. No router given storage from it may be used
+// afterwards.
+func (s *Slab) Clear() {
+	clear(s.ports)
+	clear(s.masks)
+	clear(s.cand)
+	clear(s.heads)
 }
 
 // maskWords is the number of uint64 words a bitmask over n inputs takes.

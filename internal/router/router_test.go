@@ -498,3 +498,50 @@ func TestInitTwicePanics(t *testing.T) {
 		t.Fatalf("after the panic: %d forwarded, node %d, %d ports", *sunk, r.Node(), r.NumPorts())
 	}
 }
+
+// TestSlabFitRecycles: a store fitted for a larger network serves a
+// smaller one from the same arrays, cut to the smaller counts so that
+// Reserve still panics on a miscount, and Clear leaves it zero.
+func TestSlabFitRecycles(t *testing.T) {
+	var store Slab
+	big := store.Fit(4, 20, 8)
+	words := len(big.masks)
+	var a Router
+	a.Reserve(&big, 8)
+	a.ports = append(a.ports, port{r: &a, i: 0})
+	for i := range a.rs.masks {
+		a.rs.masks[i] = ^uint64(0)
+	}
+	a.cand[0], a.heads[0] = 7, new(packet.Packet)
+	store.Clear()
+	for i, pt := range store.ports[:cap(store.ports)] {
+		if pt != (port{}) {
+			t.Fatalf("port %d is %+v after Clear", i, pt)
+		}
+	}
+	for i, w := range store.masks[:cap(store.masks)] {
+		if w != 0 {
+			t.Fatalf("mask word %d is %x after Clear", i, w)
+		}
+	}
+	if store.cand[0] != 0 || store.heads[0] != nil {
+		t.Fatal("candidate scratch not cleared")
+	}
+
+	small := store.Fit(2, 6, 4)
+	if &small.masks[0] != &store.masks[0] || cap(store.masks) != words {
+		t.Fatal("a smaller fit did not reuse the store's arrays")
+	}
+	if cap(small.ports) != 6 || len(small.masks) != maskLen(4)+maskLen(2) || len(small.cand) != 4 {
+		t.Fatalf("fit for 6 ports of width 4 hands out %d ports, %d mask words, %d candidates",
+			cap(small.ports), len(small.masks), len(small.cand))
+	}
+	var b, c Router
+	b.Reserve(&small, 4)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("reserving 3 ports from the 2 left of a recycled fit did not panic")
+		}
+	}()
+	c.Reserve(&small, 3)
+}

@@ -410,7 +410,9 @@ func (c Config) params() (core.Params, error) {
 }
 
 // Build constructs a simulation instance without running it, exposing
-// the engine and components for instrumentation.
+// the engine and components for instrumentation. The instance is the
+// caller's for as long as it keeps it: unlike Run, Build never recycles
+// its network's memory.
 func Build(c Config) (*Instance, error) {
 	p, err := c.params()
 	if err != nil {
@@ -419,7 +421,8 @@ func Build(c Config) (*Instance, error) {
 	return core.Build(p)
 }
 
-// Run builds and executes the simulation to completion.
+// Run builds and executes the simulation to completion, and hands the
+// network's memory to the next run in the process (core.Simulate).
 func Run(c Config) (Results, error) {
 	p, err := c.params()
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 
 // spanCollector is a SimFunc backend that arms causal span tracing on
 // every simulation it executes and retains each run's NDJSON block,
-// keyed by the run's cache address (campaign.FingerprintParams), so
+// keyed by the run's cache address (campaign.FingerprintOf), so
 // runs that differ in any input — arbitration, faults, any system
 // field — keep a block each. Warm calls the backend from worker
 // goroutines, so the block map is mutex-guarded; the final file is
@@ -30,20 +30,20 @@ func newSpanCollector(stride uint64) *spanCollector {
 	return &spanCollector{stride: stride, blocks: make(map[campaign.Fingerprint][]byte)}
 }
 
-// sim is the experiments.SimFunc: run with spans armed, capture the
-// run's span block, return the Results untouched (span tracing leaves
-// them bit-identical).
+// sim is the experiments.SimFunc: resolve the run with spans armed
+// (Spans is not in its address), build and run it, capture its span
+// block, return the Results untouched (spans leave them bit-identical).
 func (sc *spanCollector) sim(p core.Params) (core.Results, error) {
-	r, err := p.Resolved()
-	if err != nil {
-		return core.Results{}, err
-	}
-	key, err := campaign.FingerprintParams(r)
-	if err != nil {
-		return core.Results{}, err
-	}
 	p.Spans = &span.Config{SampleStride: sc.stride}
-	inst, err := core.Build(p)
+	r, err := core.Resolve(p)
+	if err != nil {
+		return core.Results{}, err
+	}
+	key, err := campaign.FingerprintOf(r)
+	if err != nil {
+		return core.Results{}, err
+	}
+	inst, err := r.Build()
 	if err != nil {
 		return core.Results{}, err
 	}

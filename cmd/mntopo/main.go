@@ -63,8 +63,9 @@ func main() {
 			p.Sys.TotalCapacity = uint64(*cubes) * p.Sys.DRAMCubeCapacity * uint64(p.Sys.Ports)
 		}
 	}
-	spec, g, err := core.NetworkOf(&p)
+	r, err := core.Resolve(p)
 	check(err)
+	spec, g := r.Network()
 
 	if *export {
 		out, err := json.MarshalIndent(spec, "", "  ")

@@ -41,40 +41,41 @@ func (c *Counter) miss() {
 	}
 }
 
-// CachedSim wraps a simulation backend with the persistent store: a
+// CachedSim wraps a simulation backend with the persistent store. Each
+// run is resolved once (core.Resolve), and that one *core.Run is
+// addressed (FingerprintOf), keyed (KeyOf) and, on a miss, handed to
+// next (core.Run.Simulate when nil), whose result is written back. A
 // cacheable run whose fingerprint is present is served from disk
-// without simulating; a miss simulates through next (core.Simulate when
-// nil) and writes the result back. Each run is resolved once
-// (core.Params.Resolved) for both its address and its key. Uncacheable
-// runs pass straight through, and so do a run that does not resolve
-// and one whose fingerprint cannot be computed (FingerprintParams).
-// The counter, when non-nil, observes hits and misses — the run-count
-// hook the warm-cache regression test asserts on.
-func CachedSim(store *Store, next experiments.SimFunc, c *Counter) experiments.SimFunc {
+// without simulating. Uncacheable runs, and runs whose fingerprint
+// cannot be computed, go to next uncached; a run that does not resolve
+// returns Resolve's error. The counter, when non-nil, observes hits and
+// misses — the run-count hook the warm-cache regression test asserts
+// on.
+func CachedSim(store *Store, next func(*core.Run) (core.Results, error), c *Counter) experiments.SimFunc {
 	if next == nil {
-		next = core.Simulate
+		next = (*core.Run).Simulate
 	}
 	return func(p core.Params) (core.Results, error) {
-		if !Cacheable(p) {
-			c.miss()
-			return next(p)
-		}
-		r, err := p.Resolved()
+		r, err := core.Resolve(p)
 		if err != nil {
 			c.miss()
-			return next(p)
+			return core.Results{}, err
 		}
-		fp, err := FingerprintParams(r)
+		if !cacheable(&p) {
+			c.miss()
+			return next(r)
+		}
+		fp, err := FingerprintOf(r)
 		if err != nil {
 			c.miss()
-			return next(p)
+			return next(r)
 		}
 		if res, ok := store.Get(fp); ok {
 			c.hit()
 			return res, nil
 		}
 		c.miss()
-		res, err := next(p)
+		res, err := next(r)
 		if err != nil {
 			return core.Results{}, err
 		}

@@ -65,7 +65,8 @@ func TestWarmCacheByteIdentical(t *testing.T) {
 	}
 
 	var warm Counter
-	forbid := func(p core.Params) (core.Results, error) {
+	forbid := func(r *core.Run) (core.Results, error) {
+		p := r.Params()
 		return core.Results{}, fmt.Errorf("warm cache required a simulation: %s/%s",
 			p.Label(), p.Workload.Name)
 	}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"os"
 	"reflect"
-	"slices"
 	"testing"
 
 	"memnet/internal/config"
@@ -50,15 +49,21 @@ func ringScenario() *scenario.Spec {
 	return s
 }
 
-// mustFingerprint is the address CachedSim gives p: FingerprintParams
-// of the resolved run, for runs that resolve and whose view encodes.
-func mustFingerprint(t *testing.T, p core.Params) Fingerprint {
+// mustRun resolves p (core.Resolve).
+func mustRun(t *testing.T, p core.Params) *core.Run {
 	t.Helper()
-	r, err := p.Resolved()
+	r, err := core.Resolve(p)
 	if err != nil {
 		t.Fatalf("resolve: %v", err)
 	}
-	fp, err := FingerprintParams(r)
+	return r
+}
+
+// mustFingerprint is the address CachedSim gives p: FingerprintOf the
+// resolved run, for runs that resolve and whose spec encodes.
+func mustFingerprint(t *testing.T, p core.Params) Fingerprint {
+	t.Helper()
+	fp, err := FingerprintOf(mustRun(t, p))
 	if err != nil {
 		t.Fatalf("fingerprint: %v", err)
 	}
@@ -155,7 +160,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 
 	// For every kind, a built-in run and the run of its exported
-	// scenario (the spec core.NetworkOf returns, which
+	// scenario (the spec core.Run.Network returns, which
 	// memnet.ExportScenario hands out) are the same run, so they share
 	// one address; changing Topo moves it.
 	byKind := map[Fingerprint]topology.Kind{}
@@ -163,11 +168,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 		p := testParams()
 		p.Topo = kind
 		builtin := mustFingerprint(t, p)
-		s, _, err := core.NetworkOf(&p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Scenario = s
+		p.Scenario, _ = mustRun(t, p).Network()
 		if fp := mustFingerprint(t, p); fp != builtin {
 			t.Errorf("%v: exported-scenario run fingerprints %s, built-in run %s", kind, fp, builtin)
 		}
@@ -222,7 +223,7 @@ func TestFingerprintScenarioReload(t *testing.T) {
 	}
 	p := testParams()
 	p.Scenario = s
-	if !Cacheable(p) {
+	if !cacheable(&p) {
 		t.Error("scenario run must be cacheable")
 	}
 }
@@ -230,7 +231,7 @@ func TestFingerprintScenarioReload(t *testing.T) {
 // TestCacheable checks the side-artifact exclusions.
 func TestCacheable(t *testing.T) {
 	p := testParams()
-	if !Cacheable(p) {
+	if !cacheable(&p) {
 		t.Fatal("plain run should be cacheable")
 	}
 	rp := p
@@ -240,14 +241,14 @@ func TestCacheable(t *testing.T) {
 	sp := p
 	sp.Spans = &span.Config{SampleStride: 4}
 	for name, q := range map[string]core.Params{"replay": rp, "record": rec, "spans": sp} {
-		if Cacheable(q) {
+		if cacheable(&q) {
 			t.Errorf("%s run must not be cacheable", name)
 		}
 	}
 }
 
 // TestFingerprintAliases checks that Params which resolve to the same
-// run (core.Params.Resolved) share one address and simulate to equal
+// run (core.Resolve) share one address and simulate to equal
 // Results: a zero Tuning and DefaultTuning(), a nil and a disabled
 // fault config, and an enabled fault config with and without its
 // defaults spelled out.
@@ -294,20 +295,30 @@ func TestFingerprintAliases(t *testing.T) {
 	}
 }
 
-// TestFingerprintUnencodable checks that a run whose view cannot be
-// built (a graph that cannot be generated) or encoded (a NaN) has no
-// address, and that CachedSim simulates it without touching the store.
+// TestFingerprintUnencodable checks that a run that does not resolve
+// (a graph that cannot be generated, a NaN fraction) has no address
+// and CachedSim returns Resolve's error without calling its backend,
+// and that a resolved run whose spec cannot be encoded (a NaN energy,
+// which Resolve does not check) is simulated without touching the
+// store. Either way the store stays empty and one miss is counted.
 func TestFingerprintUnencodable(t *testing.T) {
-	cases := map[string]func(*core.Params){
-		"graph-error": func(p *core.Params) { p.Sys.DRAMFraction = 0.37 },
-		"nan":         func(p *core.Params) { p.Workload.HotFraction = math.NaN() },
+	cases := map[string]struct {
+		mut   func(*core.Params)
+		calls int
+	}{
+		"graph-error": {func(p *core.Params) { p.Sys.DRAMFraction = 0.37 }, 0},
+		"nan":         {func(p *core.Params) { p.Workload.HotFraction = math.NaN() }, 0},
+		"nan-energy":  {func(p *core.Params) { p.Sys.Energy.NVMWritePJPerBit = math.NaN() }, 1},
 	}
-	for name, mut := range cases {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			p := testParams()
-			mut(&p)
-			if fp, err := FingerprintParams(p); err == nil {
-				t.Fatalf("got address %s, want an error", fp)
+			tc.mut(&p)
+			r, rerr := core.Resolve(p)
+			if rerr == nil {
+				if fp, err := FingerprintOf(r); err == nil {
+					t.Fatalf("got address %s, want an error", fp)
+				}
 			}
 			store, err := Open(t.TempDir())
 			if err != nil {
@@ -315,171 +326,64 @@ func TestFingerprintUnencodable(t *testing.T) {
 			}
 			var c Counter
 			calls := 0
-			next := func(core.Params) (core.Results, error) {
+			next := func(*core.Run) (core.Results, error) {
 				calls++
 				return testResults(), nil
 			}
-			if _, err := CachedSim(store, next, &c)(p); err != nil {
-				t.Fatal(err)
+			_, err = CachedSim(store, next, &c)(p)
+			if (err != nil) != (rerr != nil) {
+				t.Fatalf("CachedSim error %v, Resolve error %v", err, rerr)
 			}
 			entries, err := os.ReadDir(store.Dir())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if calls != 1 || c.Misses() != 1 || len(entries) != 0 {
-				t.Errorf("backend calls %d, misses %d, store entries %d; want 1, 1, 0",
-					calls, c.Misses(), len(entries))
+			if calls != tc.calls || c.Misses() != 1 || len(entries) != 0 {
+				t.Errorf("backend calls %d, misses %d, store entries %d; want %d, 1, 0",
+					calls, c.Misses(), len(entries), tc.calls)
 			}
 		})
 	}
 }
 
-// leafParams is the base of the leaf walk, a run already in its
-// resolved form: a scenario run, so that changing a system field
-// cannot make the graph fail to generate, with DefaultTuning() and a
-// fault config whose tunables are already at their defaults and with
-// one entry in each schedule, so that every leaf is present and a
-// changed leaf cannot resolve back to the base value.
-func leafParams() core.Params {
+// TestCachedSimAddressesOneRun checks that CachedSim resolves a run
+// once and hands that run to its backend: the run the backend gets is
+// the one stored under its address, a scenario run's network included,
+// and a warm call serves it without the backend.
+func TestCachedSimAddressesOneRun(t *testing.T) {
+	store, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := testParams()
-	p.Scenario = testScenario()
-	p.Tuning = core.DefaultTuning()
-	f := fault.Config{
-		LinkBER:     1e-6,
-		KillLinks:   []fault.LinkKill{{Edge: 1, At: sim.Microsecond}},
-		KillCubes:   []fault.CubeKill{{Node: 2, At: sim.Microsecond}},
-		LaneFails:   []fault.LaneFail{{Edge: 1, At: sim.Microsecond}},
-		RepairLinks: []fault.LinkRepair{{Edge: 1, At: 2 * sim.Microsecond}},
-		RepairCubes: []fault.CubeRepair{{Node: 2, At: 2 * sim.Microsecond}},
-		LaneFlaps:   []fault.LaneFlap{{Edge: 1, Down: sim.Microsecond, Up: 2 * sim.Microsecond}},
-		Watchdog:    true,
-	}.WithDefaults()
-	p.Fault = &f
-	return p
-}
-
-// leafPaths appends the path of every exported leaf under t to out. A
-// path step is a field index, or -1 to step through a pointer or into
-// a slice's first element.
-func leafPaths(t reflect.Type, prefix []int, out *[][]int) {
-	switch t.Kind() {
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			if t.Field(i).IsExported() {
-				leafPaths(t.Field(i).Type, append(slices.Clone(prefix), i), out)
-			}
-		}
-	case reflect.Pointer, reflect.Slice:
-		leafPaths(t.Elem(), append(slices.Clone(prefix), -1), out)
-	default:
-		*out = append(*out, prefix)
+	p.Scenario = ringScenario()
+	var got []*core.Run
+	next := func(r *core.Run) (core.Results, error) {
+		got = append(got, r)
+		return r.Simulate()
 	}
-}
-
-// leafAt follows a leafPaths path from v.
-func leafAt(v reflect.Value, path []int) (reflect.Value, string) {
-	name := v.Type().Name()
-	for _, i := range path {
-		switch {
-		case i >= 0:
-			name += "." + v.Type().Field(i).Name
-			v = v.Field(i)
-		case v.Kind() == reflect.Pointer:
-			v = v.Elem()
-		default:
-			name += "[0]"
-			v = v.Index(0)
-		}
+	var c Counter
+	cached := CachedSim(store, next, &c)
+	want, err := cached(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return v, name
-}
-
-// TestFingerprintLeaves walks every exported leaf of every Params field
-// the view holds (system, workload, tuning and fault config, their
-// nested structs and schedule entries, and the scalar fields) and
-// checks that changing it alone moves the address. A field added to
-// any of these structs is covered without editing this test. The walk
-// fingerprints each changed run as it stands, since a change can make
-// a run that no longer resolves (Sys.Ports 9 does not divide the
-// capacity) and its leaf must still be in the view.
-func TestFingerprintLeaves(t *testing.T) {
-	fingerprint := func(p core.Params) Fingerprint {
-		t.Helper()
-		fp, err := FingerprintParams(p)
-		if err != nil {
-			t.Fatalf("fingerprint: %v", err)
-		}
-		return fp
+	if len(got) != 1 {
+		t.Fatalf("backend called %d times, want 1", len(got))
 	}
-	base := fingerprint(leafParams())
-	pt := reflect.TypeOf(core.Params{})
-	vt := reflect.TypeOf(view{})
-	walked := 0
-	for i := 0; i < vt.NumField(); i++ {
-		f, ok := pt.FieldByName(vt.Field(i).Name)
-		if !ok {
-			continue // Graph: covered by TestFingerprintSensitivity
-		}
-		var paths [][]int
-		leafPaths(f.Type, []int{f.Index[0]}, &paths)
-		for _, path := range paths {
-			p := leafParams()
-			leaf, name := leafAt(reflect.ValueOf(&p).Elem(), path)
-			switch leaf.Kind() {
-			case reflect.Bool:
-				leaf.SetBool(!leaf.Bool())
-			case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-				leaf.SetInt(leaf.Int() + 1)
-			case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-				leaf.SetUint(leaf.Uint() + 1)
-			case reflect.Float32, reflect.Float64:
-				leaf.SetFloat(leaf.Float()*2 + 0.125)
-			case reflect.String:
-				leaf.SetString(leaf.String() + "x")
-			default:
-				t.Errorf("%s: no mutation for a %s leaf", name, leaf.Kind())
-				continue
-			}
-			walked++
-			if fingerprint(p) == base {
-				t.Errorf("changing %s does not move the address", name)
-			}
-		}
+	r := got[0]
+	if !reflect.DeepEqual(r.Params(), mustRun(t, p).Params()) {
+		t.Errorf("backend got Params %+v, want the resolved run's", r.Params())
 	}
-	if walked < 80 {
-		t.Errorf("walked %d leaves; the view's structs hold more", walked)
+	fp, err := FingerprintOf(r)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestFingerprintCoverage partitions core.Params' own fields: each is
-// in the view under its own name, enters it as the graph, or is left
-// out because its runs are not Cacheable. A Params field added, removed or renamed fails here until
-// it is placed.
-func TestFingerprintCoverage(t *testing.T) {
-	roles := map[string]string{
-		"Sys": "view", "Arb": "view", "Workload": "view",
-		"Transactions": "view", "Seed": "view", "Fault": "view", "Tuning": "view",
-		"Topo": "graph", "Scenario": "graph",
-		"Replay": "uncacheable", "Record": "uncacheable",
-		"Obs": "uncacheable", "Spans": "uncacheable",
+	if res, ok := store.Get(fp); !ok || res != want {
+		t.Errorf("store at the backend run's address %s holds %+v (%v), want %+v", fp, res, ok, want)
 	}
-	pt := reflect.TypeOf(core.Params{})
-	if pt.NumField() != len(roles) {
-		t.Errorf("core.Params has %d fields, the pin places %d", pt.NumField(), len(roles))
-	}
-	for i := 0; i < pt.NumField(); i++ {
-		name := pt.Field(i).Name
-		role, ok := roles[name]
-		if !ok {
-			t.Errorf("core.Params.%s is not placed: add it to the view (fingerprint.go) or say here why it is left out", name)
-			continue
-		}
-		vf, inView := reflect.TypeOf(view{}).FieldByName(name)
-		if inView != (role == "view") {
-			t.Errorf("core.Params.%s has role %q but in-view=%v", name, role, inView)
-		}
-		if inView && vf.Type != pt.Field(i).Type {
-			t.Errorf("view.%s is %s, core.Params.%s is %s", name, vf.Type, name, pt.Field(i).Type)
-		}
+	if res, err := cached(p); err != nil || res != want || len(got) != 1 || c.Hits() != 1 {
+		t.Errorf("warm call: %+v, %v, backend calls %d, hits %d; want the stored result, 1 call, 1 hit",
+			res, err, len(got), c.Hits())
 	}
 }

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"memnet/internal/arb"
 	"memnet/internal/config"
 	"memnet/internal/core"
 	"memnet/internal/fault"
@@ -24,12 +26,27 @@ const (
 	fuzzEvents = 2_000_000
 )
 
-// FuzzRunSpec decodes bytes as the JSON of a cache view (view) into a
+// view mirrors the run's cache view, whose JSON core.Run.Spec returns;
+// FuzzRunSpec checks the two encode alike.
+type view struct {
+	Sys          config.System
+	Graph        json.RawMessage
+	Arb          arb.Kind
+	Workload     workload.Spec
+	Transactions uint64
+	Seed         uint64
+	Tuning       core.Tuning
+	Fault        *fault.Config
+}
+
+// FuzzRunSpec decodes bytes as the JSON of a run's Spec (view) into a
 // run description, with Graph decoded as a scenario document into
-// Params.Scenario, then resolves it, builds it and runs it. Every input
-// must either fail in Resolved or Build with an error that names a
-// field of the run, or complete all its transactions: no panic, no
-// hang, and no allocation sized by an unbounded field. A run with an
+// Params.Scenario, then resolves it, builds the run it resolved and
+// runs it. Every input must either fail in Resolve or Build with an
+// error that names a field of the run, or complete all its
+// transactions: no panic, no hang, and no allocation sized by an
+// unbounded field. A run that resolves must resolve again from its own
+// Params to the same Params and the same Spec bytes. A run with an
 // enabled fault config runs under the progress watchdog and may also
 // end with the watchdog's error: faults may drop a transaction's
 // packets (fault.Config.MaxRetries) or stall every one of them, and
@@ -42,6 +59,7 @@ func FuzzRunSpec(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	checkMirror(f, core.Params{Sys: config.Default(), Workload: wl, Transactions: fuzzTxns, Seed: 1})
 	for _, mut := range []func(*view){
 		func(*view) {},
 		func(v *view) { v.Sys.DRAMTiming.RefInterval = 1 },
@@ -93,12 +111,13 @@ func FuzzRunSpec(f *testing.F) {
 			}
 			p.Scenario = s
 		}
-		r, err := p.Resolved()
+		r, err := core.Resolve(p)
 		if err != nil {
 			checkFieldError(t, err)
 			return
 		}
-		in, err := core.Build(r)
+		checkResolvesAgain(t, r)
+		in, err := r.Build()
 		if err != nil {
 			checkFieldError(t, err)
 			return
@@ -109,7 +128,7 @@ func FuzzRunSpec(f *testing.F) {
 			return events <= fuzzEvents && !in.Port.Done() && !(faulty && in.Watchdog.Tripped())
 		})
 		if events > fuzzEvents {
-			t.Fatalf("%d of %d transactions after %d events at %v", in.Collector.Completed(), r.Transactions, fuzzEvents, in.Eng.Now())
+			t.Fatalf("%d of %d transactions after %d events at %v", in.Collector.Completed(), p.Transactions, fuzzEvents, in.Eng.Now())
 		}
 		res, err := in.Run()
 		if faulty && in.Watchdog.Tripped() {
@@ -118,14 +137,60 @@ func FuzzRunSpec(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Transactions != r.Transactions {
-			t.Fatalf("completed %d of %d transactions", res.Transactions, r.Transactions)
+		if res.Transactions != p.Transactions {
+			t.Fatalf("completed %d of %d transactions", res.Transactions, p.Transactions)
 		}
 	})
 }
 
+// checkMirror fails unless view decodes the Spec of p's run with no
+// field left over and encodes it back to the same bytes.
+func checkMirror(f *testing.F, p core.Params) {
+	r, err := core.Resolve(p)
+	if err != nil {
+		f.Fatal(err)
+	}
+	spec, err := r.Spec()
+	if err != nil {
+		f.Fatal(err)
+	}
+	var v view
+	dec := json.NewDecoder(bytes.NewReader(spec))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&v); err != nil {
+		f.Fatalf("view does not mirror core.Run.Spec: %v", err)
+	}
+	if b, err := json.Marshal(v); err != nil || !bytes.Equal(b, spec) {
+		f.Fatalf("view encodes %s (%v), core.Run.Spec %s", b, err, spec)
+	}
+}
+
+// checkResolvesAgain fails unless resolving r's Params again gives the
+// same Params and the same Spec bytes.
+func checkResolvesAgain(t *testing.T, r *core.Run) {
+	t.Helper()
+	again, err := core.Resolve(r.Params())
+	if err != nil {
+		t.Fatalf("resolving a resolved run again: %v", err)
+	}
+	if !reflect.DeepEqual(r.Params(), again.Params()) {
+		t.Fatalf("resolving again changed Params\n once: %+v\ntwice: %+v", r.Params(), again.Params())
+	}
+	a, err := r.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := again.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("resolving again changed Spec\n once: %s\ntwice: %s", a, b)
+	}
+}
+
 // runFields is every exported field name in a run description: the
-// fields of Params' structs and of the view's, which an error about
+// fields of Params' structs and of view's, which an error about
 // the run must name.
 var runFields = func() map[string]bool {
 	names := map[string]bool{}

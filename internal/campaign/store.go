@@ -40,9 +40,9 @@ type Key struct {
 	Faulty bool `json:"faulty,omitempty"`
 }
 
-// KeyOf summarizes a resolved run (core.Params.Resolved) for the
-// envelope.
-func KeyOf(r core.Params) Key {
+// KeyOf summarizes a run for the envelope.
+func KeyOf(run *core.Run) Key {
+	r := run.Params()
 	return Key{
 		Label:        r.Label(),
 		Workload:     r.Workload.Name,

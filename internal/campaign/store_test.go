@@ -38,7 +38,7 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatal("empty store reported a hit")
 	}
 	want := testResults()
-	if err := s.Put(fp, KeyOf(p), want); err != nil {
+	if err := s.Put(fp, KeyOf(mustRun(t, p)), want); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := s.Get(fp)
@@ -60,7 +60,7 @@ func TestStoreCorruptEntry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Put(fp, KeyOf(p), testResults()); err != nil {
+		if err := s.Put(fp, KeyOf(mustRun(t, p)), testResults()); err != nil {
 			t.Fatal(err)
 		}
 		return s, s.path(fp)
@@ -108,7 +108,7 @@ func TestStoreCorruptEntry(t *testing.T) {
 			}
 			// The store must recover by recomputation: a fresh Put over
 			// the damaged entry restores service.
-			if err := s.Put(probe, KeyOf(p), testResults()); err != nil {
+			if err := s.Put(probe, KeyOf(mustRun(t, p)), testResults()); err != nil {
 				t.Fatal(err)
 			}
 			if _, ok := s.Get(probe); !ok {
@@ -128,7 +128,7 @@ func TestStoreVersionBump(t *testing.T) {
 	}
 	p := testParams()
 	fp := mustFingerprint(t, p)
-	if err := s.Put(fp, KeyOf(p), testResults()); err != nil {
+	if err := s.Put(fp, KeyOf(mustRun(t, p)), testResults()); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(s.path(fp))

@@ -22,7 +22,17 @@ import (
 
 // buildUnpooled builds p in new memory, as a build that finds the pool
 // empty does, whatever earlier tests left in the pool.
-func buildUnpooled(p Params) (*Instance, error) { return build(p, nil) }
+func buildUnpooled(p Params) (*Instance, error) { return buildIn(p, nil) }
+
+// buildIn resolves p and builds it laid out in a, or in new memory when
+// a is nil.
+func buildIn(p Params, a *arena) (*Instance, error) {
+	var r Run
+	if err := r.resolve(p); err != nil {
+		return nil, err
+	}
+	return r.build(a)
+}
 
 // TestRecycledSlabOvertakePanics: a recycled slab larger than a build
 // needs is handed out cut to the build's count, so taking one element
@@ -82,10 +92,7 @@ func recycleCases(t *testing.T) []buildCase {
 	// A chaos plan on the ring, followed by the same ring fault-free, so
 	// a fault record left in a recycled arena would show.
 	chaos := testParams(topology.Ring, 1.0, config.NVMLast, arb.RoundRobin, wl)
-	_, g, err := NetworkOf(&chaos)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, g := mustNetwork(t, chaos)
 	fc, err := fault.Chaos(g, fault.ChaosSpec{
 		Seed:      3,
 		Horizon:   sim.Time(txns) * wl.MeanGap / 2,
@@ -130,7 +137,7 @@ func TestRecycledBuildIdentical(t *testing.T) {
 	var a *arena
 	for _, i := range order {
 		c := cases[i]
-		in, err := build(c.p, a)
+		in, err := buildIn(c.p, a)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

@@ -111,7 +111,7 @@ func DefaultTuning() Tuning {
 const maxBandwidthX = 1 << 16
 
 // Validate checks each field of t against the range a build accepts and
-// returns an error naming the first field out of range. Resolved runs
+// returns an error naming the first field out of range. Resolve runs
 // it on the resolved Tuning, so a partly set Tuning fails there, with
 // the first field it left at zero, rather than inside a component. A
 // switch bandwidth may also be 0, an ideal switch.
@@ -147,12 +147,12 @@ func (t *Tuning) Validate() error {
 	return nil
 }
 
-// Params fully specifies one simulation run. Resolved completes and
-// checks it; Build runs what Resolved returns.
+// Params fully specifies one simulation run. Resolve completes and
+// checks it into a Run, which holds the network it simulates.
 type Params struct {
 	Sys config.System
 	// Topo is the built-in topology of a run without a Scenario. For a
-	// scenario run, Resolved sets it from the built graph: the spec's
+	// scenario run, Resolve sets it from the built graph: the spec's
 	// declared built-in kind, or topology.Scenario.
 	Topo topology.Kind
 	Arb  arb.Kind
@@ -195,68 +195,12 @@ type Params struct {
 	// the spec topology.Generate emits for Topo: the run applies the
 	// spec's per-link and per-router overrides and skips the capacity
 	// equation (the cube population is whatever the spec declares).
-	// A caller-set Topo is ignored; Resolved derives it. The spec's
+	// A caller-set Topo is ignored; Resolve derives it. The spec's
 	// workload and fault blocks are NOT applied here — callers resolve
 	// them into Workload and Fault (see memnet.Config and ScenarioFault)
 	// so precedence stays explicit.
 	Scenario *scenario.Spec
 	Tuning   Tuning
-}
-
-// Resolved returns p completed and checked, as Build runs it, or an
-// error naming the first field at fault; it is the one place a run is
-// completed and validated. An all-zero Tuning becomes DefaultTuning(),
-// and Fault is nil unless Enabled, else a copy with WithDefaults
-// applied. Sys must pass System.Validate (ValidateBase for a scenario
-// run, which declares its own cubes), and Transactions, Workload,
-// Tuning and Fault their checks. The run's network is built and Topo
-// set from it. Resolving a resolved run returns it unchanged. Build,
-// RunMachine and the result cache all start from it, so Params that
-// resolve alike are one run.
-func (p Params) Resolved() (Params, error) {
-	r, _, err := p.resolve()
-	return r, err
-}
-
-// resolve is Resolved that also returns the run's network, so Build
-// wires the graph resolution built instead of building it again.
-func (p Params) resolve() (Params, network, error) {
-	var err error
-	if p.Scenario != nil {
-		err = p.Sys.ValidateBase()
-	} else {
-		err = p.Sys.Validate()
-	}
-	if err != nil {
-		return Params{}, network{}, err
-	}
-	if p.Transactions == 0 {
-		return Params{}, network{}, fmt.Errorf("core: Transactions is 0, want at least 1")
-	}
-	if err := p.Workload.Validate(); err != nil {
-		return Params{}, network{}, err
-	}
-	if p.Tuning == (Tuning{}) {
-		p.Tuning = DefaultTuning()
-	}
-	if err := p.Tuning.Validate(); err != nil {
-		return Params{}, network{}, err
-	}
-	if p.Fault.Enabled() {
-		f := p.Fault.WithDefaults()
-		if err := f.Validate(); err != nil {
-			return Params{}, network{}, err
-		}
-		p.Fault = &f
-	} else {
-		p.Fault = nil
-	}
-	n, err := networkOf(&p)
-	if err != nil {
-		return Params{}, network{}, err
-	}
-	p.Topo = n.graph.Kind
-	return p, n, nil
 }
 
 // Label renders the configuration the way the paper labels its bars,
@@ -291,8 +235,8 @@ func ConfigLabel(kind topology.Kind, dramFraction float64, place config.Placemen
 
 // Instance is a built, runnable simulation.
 type Instance struct {
-	// Params is the run's parameters as Build resolved them
-	// (Params.Resolved): Fault is non-nil exactly when faults are armed.
+	// Params is the run's parameters as Resolve completed them
+	// (Run.Params): Fault is non-nil exactly when faults are armed.
 	Params    Params
 	Eng       *sim.Engine
 	Graph     *topology.Graph
@@ -467,24 +411,10 @@ func techOrder(techs []config.MemTech, sys *config.System) ([]config.MemTech, er
 	return techs, nil
 }
 
-// Build constructs a simulation instance from params on a fresh engine.
-// It runs p as Resolved returns it, wiring the graph resolution built.
-// The network is laid out in memory an earlier Simulate recycled when
-// the pool holds some, and in new memory otherwise. The Instance owns
-// that memory either way and is never recycled, so it stays valid for
-// as long as the caller keeps it.
-func Build(p Params) (*Instance, error) {
-	return build(p, pooledArena())
-}
-
-// build is Build laid out in a, or in new memory when a is nil. a is
-// dropped if the build fails.
-func build(p Params, a *arena) (*Instance, error) {
-	p, net, err := p.resolve()
-	if err != nil {
-		return nil, err
-	}
-	scen, g := net.spec, net.graph
+// build is Run.Build laid out in a, or in new memory when a is nil. a
+// is dropped if the build fails.
+func (r *Run) build(a *arena) (*Instance, error) {
+	p, scen, g := r.p, r.net.spec, r.net.graph
 	eng := sim.NewEngine()
 
 	// Capacity-proportional interleave slots in cube position order.
@@ -1223,20 +1153,4 @@ func (in *Instance) FaultCounters() stats.FaultCounters {
 		}
 	}
 	return fc
-}
-
-// Simulate is the one-call convenience: build, run, and hand the
-// network's memory to the next build. The Instance never leaves
-// Simulate, so nothing can use it after its run: Simulate is the one
-// caller that recycles. A run through it allocates its network only
-// when the pool holds no arena: a process's first runs, one per
-// concurrent worker, and the first runs after two garbage collections.
-func Simulate(p Params) (Results, error) {
-	in, err := Build(p)
-	if err != nil {
-		return Results{}, err
-	}
-	res, err := in.Run()
-	recycle(in.release())
-	return res, err
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -156,9 +158,10 @@ func TestLabels(t *testing.T) {
 	}
 }
 
-// TestResolvedIdempotent checks resolving a resolved run changes
-// nothing, for a built-in run with a zero Tuning, a run with a fault
-// config to complete, and a scenario run.
+// TestResolvedIdempotent checks that resolving a run's Params again
+// gives the same run: equal Params and the same Spec bytes, for a
+// built-in run with a zero Tuning, a run with a fault config to
+// complete, and a scenario run.
 func TestResolvedIdempotent(t *testing.T) {
 	wl, _ := workload.ByName("NW")
 	faulty := testParams(topology.Ring, 1.0, config.NVMLast, arb.RoundRobin, wl)
@@ -170,21 +173,41 @@ func TestResolvedIdempotent(t *testing.T) {
 		"fault":    faulty,
 		"scenario": scen,
 	} {
-		once, err := p.Resolved()
+		once, err := Resolve(p)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		twice, err := once.Resolved()
-		if err != nil {
-			t.Fatalf("%s: resolving again: %v", name, err)
-		}
-		if !reflect.DeepEqual(once, twice) {
-			t.Errorf("%s: Resolved(Resolved(p)) differs from Resolved(p)\n once: %+v\ntwice: %+v", name, once, twice)
+		if err := sameRun(once); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
-	if got, _ := scen.Resolved(); got.Topo != topology.Scenario {
-		t.Errorf("scenario run resolved to Topo %v, want %v", got.Topo, topology.Scenario)
+	if r, err := Resolve(scen); err != nil || r.Params().Topo != topology.Scenario {
+		t.Errorf("scenario run resolved to %v (%v), want Topo %v", r, err, topology.Scenario)
 	}
+}
+
+// sameRun reports how resolving r's Params again gives a different run
+// than r: other Params or other Spec bytes.
+func sameRun(r *Run) error {
+	again, err := Resolve(r.Params())
+	if err != nil {
+		return fmt.Errorf("resolving again: %v", err)
+	}
+	if !reflect.DeepEqual(r.Params(), again.Params()) {
+		return fmt.Errorf("Resolve(r.Params()) has other Params\n once: %+v\ntwice: %+v", r.Params(), again.Params())
+	}
+	a, err := r.Spec()
+	if err != nil {
+		return err
+	}
+	b, err := again.Spec()
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(a, b) {
+		return fmt.Errorf("Resolve(r.Params()) has another Spec\n once: %s\ntwice: %s", a, b)
+	}
+	return nil
 }
 
 func TestBuildErrors(t *testing.T) {
@@ -268,12 +291,10 @@ func TestWrongQuadrantCounted(t *testing.T) {
 // returns the decode error, as a disconnecting cut returns Build's.
 func simulateCut(t *testing.T, p Params, ei int) (Results, error) {
 	t.Helper()
-	spec, _, err := NetworkOf(&p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec, _ := mustNetwork(t, p)
 	s := spec.Clone()
 	s.Links = append(s.Links[:ei], s.Links[ei+1:]...)
+	var err error
 	if p.Scenario, err = scenario.Decode(s.Canonical()); err != nil {
 		return Results{}, err
 	}

@@ -73,10 +73,7 @@ func TestFuzzFailLinks(t *testing.T) {
 		topo := topos[int(topoSel)%len(topos)]
 		p := testParams(topo, 1.0, config.NVMLast, arb.RoundRobin, wl)
 		p.Transactions = 300
-		s, _, err := NetworkOf(&p)
-		if err != nil {
-			return false
-		}
+		s, _ := mustNetwork(t, p)
 		nEdges := len(s.Links)
 		ei := 1 + int(edgeSel)%(nEdges-1) // never the host link
 		res, err := simulateCut(t, p, ei)

@@ -77,27 +77,28 @@ type MachineResults struct {
 	Shards []ShardLoad
 }
 
-// portParams derives port i's simulation parameters from the machine's
-// resolved base: a strided workload seed and, when faults are on, a
-// strided fault seed, so ports run decorrelated traffic and fault
-// streams.
-func portParams(base Params, i int) Params {
-	p := base
-	p.Seed = base.Seed + uint64(i)*portSeedStride
+// port returns port i of a machine run of r: r with its workload seed
+// and, when faults are on, its fault seed strided, so ports run
+// decorrelated traffic and fault streams over r's network, which every
+// port shares read-only.
+func (r *Run) port(i int) Run {
+	p := r.p
+	p.Seed += uint64(i) * portSeedStride
 	if p.Fault != nil {
-		// Copy so the derived seed never mutates the caller's config.
+		// Copy so the derived seed never mutates the base run's config.
 		fc := *p.Fault
 		fc.Seed += uint64(i) * portSeedStride
 		p.Fault = &fc
 	}
-	return p
+	return Run{p: p, net: r.net}
 }
 
 // RunMachine builds and runs one simulation per host port over
 // MachineParams.Shards worker goroutines, at most that many port
 // networks alive at once. The ports share nothing, so each is an
 // ordinary single-port run and results are bit-identical at every
-// worker count. Each port runs through Simulate, so a worker lays its
+// worker count. The base is resolved once and every port shares its
+// network. Each port runs through Run.Simulate, so a worker lays its
 // next port's network out in the memory of its last one, and a machine
 // run allocates about one network per worker rather than one per port.
 func RunMachine(mp MachineParams) (MachineResults, error) {
@@ -111,21 +112,27 @@ func RunMachine(mp MachineParams) (MachineResults, error) {
 	if base.Spans.Enabled() {
 		return MachineResults{}, fmt.Errorf("core: machine runs do not support span tracing (per-port span files would need a merge policy; use single-port runs)")
 	}
-	base, err := base.Resolved()
+	run, err := Resolve(base)
 	if err != nil {
 		return MachineResults{}, err
 	}
-	ports := base.Sys.Ports
+	return run.machine(mp.Shards)
+}
 
+// machine runs one simulation per port of r (Run.port) over shards
+// worker goroutines: RunMachine of the resolved base.
+func (r *Run) machine(shards int) (MachineResults, error) {
+	ports := r.p.Sys.Ports
 	results := make([]Results, ports)
-	err = fanout.Run(ports, max(mp.Shards, 1), func(i int) (Results, error) {
-		r, err := Simulate(portParams(base, i))
+	err := fanout.Run(ports, max(shards, 1), func(i int) (Results, error) {
+		port := r.port(i)
+		res, err := port.Simulate()
 		if err != nil {
 			return Results{}, fmt.Errorf("core: machine: port %d: %w", i, err)
 		}
-		return r, nil
-	}, func(i int, r Results) error {
-		results[i] = r
+		return res, nil
+	}, func(i int, res Results) error {
+		results[i] = res
 		return nil
 	})
 	if err != nil {
@@ -135,32 +142,32 @@ func RunMachine(mp MachineParams) (MachineResults, error) {
 	mr := MachineResults{PerPort: results}
 	finish := make([]uint64, ports)
 	var latW, hopW float64
-	for i, r := range results {
-		if r.FinishTime > mr.FinishTime {
-			mr.FinishTime = r.FinishTime
+	for i, res := range results {
+		if res.FinishTime > mr.FinishTime {
+			mr.FinishTime = res.FinishTime
 		}
-		finish[i] = uint64(r.FinishTime)
-		latW += float64(r.MeanLatency) * float64(r.Transactions)
-		hopW += r.MeanHops * float64(r.Transactions)
-		mr.Energy.NetworkPJ += r.Energy.NetworkPJ
-		mr.Energy.ReadPJ += r.Energy.ReadPJ
-		mr.Energy.WritePJ += r.Energy.WritePJ
-		mr.Transactions += r.Transactions
-		mr.Reads += r.Reads
-		mr.Writes += r.Writes
-		mr.Events += r.Events
+		finish[i] = uint64(res.FinishTime)
+		latW += float64(res.MeanLatency) * float64(res.Transactions)
+		hopW += res.MeanHops * float64(res.Transactions)
+		mr.Energy.NetworkPJ += res.Energy.NetworkPJ
+		mr.Energy.ReadPJ += res.Energy.ReadPJ
+		mr.Energy.WritePJ += res.Energy.WritePJ
+		mr.Transactions += res.Transactions
+		mr.Reads += res.Reads
+		mr.Writes += res.Writes
+		mr.Events += res.Events
 	}
 	if mr.Transactions > 0 {
 		mr.MeanLatency = sim.Time(latW / float64(mr.Transactions))
 		mr.MeanHops = hopW / float64(mr.Transactions)
 	}
 	mr.Fairness = obs.Jain(finish)
-	for i, r := range results {
+	for i, res := range results {
 		mr.Shards = append(mr.Shards, ShardLoad{
 			Shard:         i,
-			Events:        r.Events,
-			FinishPs:      int64(r.FinishTime),
-			BarrierWaitPs: int64(mr.FinishTime - r.FinishTime),
+			Events:        res.Events,
+			FinishPs:      int64(res.FinishTime),
+			BarrierWaitPs: int64(mr.FinishTime - res.FinishTime),
 		})
 	}
 	return mr, nil

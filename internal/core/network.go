@@ -82,15 +82,6 @@ func generated(kind topology.Kind, techs []config.MemTech, group int) (network, 
 	return n, nil
 }
 
-// NetworkOf resolves p (Params.Resolved) and returns the normalized
-// spec and the graph the run simulates. A built-in run's come from the
-// process-wide memo and are shared and read-only; a scenario run gets
-// its own, built from a clone of p.Scenario.
-func NetworkOf(p *Params) (*scenario.Spec, *topology.Graph, error) {
-	_, n, err := p.resolve()
-	return n.spec, n.graph, err
-}
-
 // networkOf builds the network of p, whose Tuning is resolved.
 func networkOf(p *Params) (network, error) {
 	if p.Scenario != nil {

@@ -8,6 +8,7 @@ import (
 	"memnet/internal/config"
 	"memnet/internal/fault"
 	"memnet/internal/packet"
+	"memnet/internal/scenario"
 	"memnet/internal/sim"
 	"memnet/internal/topology"
 )
@@ -25,6 +26,17 @@ func memoSize() int {
 	networks.Lock()
 	defer networks.Unlock()
 	return len(networks.m)
+}
+
+// mustNetwork resolves p and returns the network it simulates
+// (Run.Network).
+func mustNetwork(t testing.TB, p Params) (*scenario.Spec, *topology.Graph) {
+	t.Helper()
+	r, err := Resolve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.Network()
 }
 
 // routeTables snapshots every NextPort and Dist entry of g, both
@@ -64,10 +76,7 @@ func TestBuildSharesGraph(t *testing.T) {
 		if a.Graph != b.Graph {
 			t.Errorf("two builds of one configuration have graphs %p and %p", a.Graph, b.Graph)
 		}
-		spec, _, err := NetworkOf(&p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		spec, _ := mustNetwork(t, p)
 		sp := p
 		sp.Scenario = spec
 		s1, err := Build(sp)
@@ -126,10 +135,7 @@ func TestBuildSharesGraph(t *testing.T) {
 
 	t.Run("faults leave it untouched", func(t *testing.T) {
 		resetNetworks()
-		_, g, err := NetworkOf(&p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, g := mustNetwork(t, p)
 		before := routeTables(g)
 		fp := faultParams(t, topology.Ring, &fault.Config{
 			KillLinks:   []fault.LinkKill{{Edge: 2, At: 500 * sim.Nanosecond}, {Edge: 2, At: 1500 * sim.Nanosecond}},
@@ -183,10 +189,7 @@ func TestBuildSharesGraph(t *testing.T) {
 		if a.Graph == b.Graph {
 			t.Error("a full memo kept a new network")
 		}
-		_, want, err := NetworkOf(&p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, want := mustNetwork(t, p)
 		if !slices.Equal(routeTables(a.Graph), routeTables(want)) || len(a.Graph.Edges) != len(want.Edges) {
 			t.Error("a network built past the memo's bound differs from its spec's graph")
 		}

@@ -2,10 +2,12 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"memnet/internal/arb"
 	"memnet/internal/config"
+	"memnet/internal/fault"
 	"memnet/internal/scenario"
 	"memnet/internal/sim"
 	"memnet/internal/topology"
@@ -63,10 +65,7 @@ func TestScenarioRoundTripGolden(t *testing.T) {
 			t.Fatalf("%v direct: %v", kind, err)
 		}
 
-		shared, _, err := NetworkOf(&p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		shared, _ := mustNetwork(t, p)
 		spec := shared.Clone()
 		spec.Name = "roundtrip"
 		// Serialize and re-decode: the proof must cover the JSON file
@@ -316,5 +315,69 @@ func TestScenarioMachineSkipsCapacity(t *testing.T) {
 	}
 	if !reflect.DeepEqual(mr.PerPort[0], single) {
 		t.Errorf("port 0 drifted from the single-port run\n port0: %+v\nsingle: %+v", mr.PerPort[0], single)
+	}
+}
+
+// TestScenarioMachineSharesGraph checks a scenario machine run builds
+// its graph once: every port of the resolved base shares the base run's
+// network and leaves the base's Params alone, and a machine run with a
+// fault plan that kills, repairs and kills a link again gives the same
+// results at 1 and 4 workers, equal to RunMachine's, with the faults
+// applied on every port and the shared graph's route tables unchanged.
+func TestScenarioMachineSharesGraph(t *testing.T) {
+	p := scenarioParams(t, twoPod())
+	p.Transactions = 400
+	p.Fault = &fault.Config{
+		LinkBER:     1e-6,
+		KillLinks:   []fault.LinkKill{{Edge: 2, At: 200 * sim.Nanosecond}, {Edge: 2, At: 900 * sim.Nanosecond}},
+		RepairLinks: []fault.LinkRepair{{Edge: 2, At: 400 * sim.Nanosecond}},
+	}
+	base, err := Resolve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolved := base.Params()
+	spec, g := base.Network()
+	seeds := map[uint64]bool{}
+	for i := 0; i < resolved.Sys.Ports; i++ {
+		port := base.port(i)
+		if ps, pg := port.Network(); ps != spec || pg != g {
+			t.Errorf("port %d has network %p/%p, the base run %p/%p", i, ps, pg, spec, g)
+		}
+		seeds[port.p.Fault.Seed] = true
+	}
+	if len(seeds) != resolved.Sys.Ports {
+		t.Errorf("%d ports share %d fault seeds", resolved.Sys.Ports, len(seeds))
+	}
+	if !reflect.DeepEqual(base.Params(), resolved) {
+		t.Error("deriving the ports changed the base run's Params")
+	}
+
+	before := routeTables(g)
+	var got []MachineResults
+	for _, shards := range []int{1, 4} {
+		mr, err := base.machine(shards)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		got = append(got, mr)
+	}
+	if !reflect.DeepEqual(got[0], got[1]) {
+		t.Errorf("machine results differ across shard counts:\n%+v\n%+v", got[0], got[1])
+	}
+	for i, r := range got[0].PerPort {
+		if r.Fault.LinksKilled != 2 || r.Fault.LinksRepaired != 1 {
+			t.Errorf("port %d: kills and repairs not applied: %+v", i, r.Fault)
+		}
+	}
+	if !slices.Equal(routeTables(g), before) {
+		t.Error("a fault machine run changed the shared graph's route tables")
+	}
+	mr, err := RunMachine(MachineParams{Base: p, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(mr, got[0]) {
+		t.Errorf("RunMachine differs from the machine of its resolved base:\n%+v\n%+v", mr, got[0])
 	}
 }

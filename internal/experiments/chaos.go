@@ -92,12 +92,13 @@ func (r *Runner) Chaos() (*Table, error) {
 }
 
 // chaosFault generates the validated schedule for one configuration
-// over the run's own graph (core.NetworkOf), so edge indices line up.
+// over the run's own graph (core.Run.Network), so edge indices line up.
 func chaosFault(p core.Params, opts Options, wl workload.Spec) (fault.Config, error) {
-	_, g, err := core.NetworkOf(&p)
+	r, err := core.Resolve(p)
 	if err != nil {
 		return fault.Config{}, err
 	}
+	_, g := r.Network()
 	return fault.Chaos(g, chaosSpec(opts, wl))
 }
 

@@ -76,19 +76,6 @@ func (s *Sampler) Samples() int {
 	return len(s.times)
 }
 
-// GaugeSeries returns the recorded series for the named gauge, or nil.
-func (s *Sampler) GaugeSeries(name string) []int64 {
-	if s == nil {
-		return nil
-	}
-	for i := range s.gauges {
-		if s.gauges[i].name == name {
-			return s.series[i]
-		}
-	}
-	return nil
-}
-
 // VecRows returns the recorded snapshot rows for the named vector, or
 // nil.
 func (s *Sampler) VecRows(name string) [][]uint64 {

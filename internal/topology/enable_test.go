@@ -34,7 +34,7 @@ func TestEnableRoutesBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dead := g.EdgeBetween(2, 3)
+	dead := g.edgeBetween(2, 3)
 	broken, err := g.Disable([]int{dead}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestEnableRoutesBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if healed.DeadEdge(dead) {
+	if healed.edgeDead(dead) {
 		t.Fatal("repaired edge still masked dead")
 	}
 	if !sameRoutes(g, healed) {
@@ -73,7 +73,7 @@ func TestEnableNodeRoutesBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if healed.DeadNode(victim) {
+	if healed.nodeDead(victim) {
 		t.Fatal("repaired node still masked dead")
 	}
 	if !sameRoutes(g, healed) {
@@ -91,7 +91,7 @@ func TestEnablePartialRepair(t *testing.T) {
 	// The victim is an endpoint of the dead edge, so both faults can
 	// coexist on a ring without stranding anything (the victim stays
 	// reachable as a destination over its surviving link).
-	dead := g.EdgeBetween(2, 3)
+	dead := g.edgeBetween(2, 3)
 	const victim = packet.NodeID(3)
 	broken, err := g.Disable([]int{dead}, []packet.NodeID{victim})
 	if err != nil {
@@ -101,10 +101,10 @@ func TestEnablePartialRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if partial.DeadEdge(dead) {
+	if partial.edgeDead(dead) {
 		t.Fatal("repaired edge still dead")
 	}
-	if !partial.DeadNode(victim) {
+	if !partial.nodeDead(victim) {
 		t.Fatal("unrelated node fault lost by the repair")
 	}
 	if sameRoutes(g, partial) {

@@ -25,7 +25,7 @@ func walk(g *Graph, class PathClass, src, dst packet.NodeID) []packet.NodeID {
 		if port < 0 || len(path) > len(g.Nodes) {
 			return nil
 		}
-		cur = g.Neighbor(cur, port)
+		cur = g.neighbor(cur, port)
 		path = append(path, cur)
 	}
 	return path
@@ -51,12 +51,12 @@ func TestDisablePreservesIndices(t *testing.T) {
 			t.Fatalf("node %d degree changed", n)
 		}
 		for p := 0; p < g.Degree(id); p++ {
-			if g.Neighbor(id, p) != ng.Neighbor(id, p) {
+			if g.neighbor(id, p) != ng.neighbor(id, p) {
 				t.Fatalf("node %d port %d rewired", n, p)
 			}
 		}
 	}
-	if !ng.DeadEdge(2) || ng.DeadEdge(1) {
+	if !ng.edgeDead(2) || ng.edgeDead(1) {
 		t.Fatal("dead-edge mask wrong")
 	}
 }
@@ -70,7 +70,7 @@ func TestDisableRingRoutesAround(t *testing.T) {
 	}
 	// Kill the segment on some cube-to-cube edge and verify every pair
 	// still routes, avoiding that edge.
-	dead := g.EdgeBetween(2, 3)
+	dead := g.edgeBetween(2, 3)
 	if dead < 0 {
 		t.Fatal("ring missing edge 2-3")
 	}
@@ -89,7 +89,7 @@ func TestDisableRingRoutesAround(t *testing.T) {
 			}
 			prev := a.ID
 			for _, hop := range path {
-				if ng.EdgeBetween(prev, hop) == dead {
+				if ng.edgeBetween(prev, hop) == dead {
 					t.Fatalf("route %d->%d crosses dead edge", a.ID, b.ID)
 				}
 				prev = hop
@@ -127,7 +127,7 @@ func TestDisableDeadNodeZombieRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ng.DeadNode(victim) {
+	if !ng.nodeDead(victim) {
 		t.Fatal("dead-node mask not set")
 	}
 	for _, a := range ng.Nodes {
@@ -173,8 +173,8 @@ func TestDisableLayersFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1 := g.EdgeBetween(2, 3)
-	e2 := g.EdgeBetween(5, 6)
+	e1 := g.edgeBetween(2, 3)
+	e2 := g.edgeBetween(5, 6)
 	ng, err := g.Disable([]int{e1}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestDisableLayersFaults(t *testing.T) {
 	if _, err := ng.Disable([]int{e2}, nil); err == nil {
 		t.Fatal("double ring cut must disconnect")
 	}
-	if !ng.DeadEdge(e1) {
+	if !ng.edgeDead(e1) {
 		t.Fatal("first fault lost")
 	}
 }
@@ -198,7 +198,7 @@ func TestDisableSkipListWriteFallback(t *testing.T) {
 	}
 	// Find a chain hop that is bypassed by a skip link: edge 9-10 (the
 	// stride-8 skip 1->9 and 9->13 provide redundancy around it).
-	dead := g.EdgeBetween(9, 10)
+	dead := g.edgeBetween(9, 10)
 	if dead < 0 {
 		t.Fatal("skip list missing chain edge 9-10")
 	}
@@ -218,7 +218,7 @@ func TestDisableSkipListWriteFallback(t *testing.T) {
 	prev := packet.HostNode
 	usedExpress := false
 	for _, hop := range path {
-		ei := ng.EdgeBetween(prev, hop)
+		ei := ng.edgeBetween(prev, hop)
 		if ei == dead {
 			t.Fatalf("write path crosses dead edge: %v", path)
 		}

@@ -13,9 +13,9 @@ import (
 // is the one constructor of a *Graph, for the generated built-in kinds
 // and for irregular shapes no built-in kind expresses alike.
 
-// KindName returns the canonical lowercase scenario/CLI label for a
+// kindName returns the canonical lowercase scenario/CLI label for a
 // buildable kind ("chain", "skiplist", ...).
-func KindName(k Kind) string { return strings.ToLower(k.String()) }
+func kindName(k Kind) string { return strings.ToLower(k.String()) }
 
 // KindNames returns the canonical labels of every buildable kind, in
 // AllKinds order. CLI -topology usage strings and the scenario
@@ -23,7 +23,7 @@ func KindName(k Kind) string { return strings.ToLower(k.String()) }
 func KindNames() []string {
 	names := make([]string, len(AllKinds))
 	for i, k := range AllKinds {
-		names[i] = KindName(k)
+		names[i] = kindName(k)
 	}
 	return names
 }
@@ -32,7 +32,7 @@ func KindNames() []string {
 func ParseKind(label string) (Kind, error) {
 	want := strings.ToLower(label)
 	for _, k := range AllKinds {
-		if want == KindName(k) {
+		if want == kindName(k) {
 			return k, nil
 		}
 	}

@@ -41,10 +41,10 @@ func TestKindNamesRoundTrip(t *testing.T) {
 		if k == Scenario {
 			t.Fatalf("AllKinds contains Scenario")
 		}
-		if names[i] != KindName(k) {
-			t.Errorf("KindNames[%d] = %q, want %q", i, names[i], KindName(k))
+		if names[i] != kindName(k) {
+			t.Errorf("KindNames[%d] = %q, want %q", i, names[i], kindName(k))
 		}
-		for _, label := range []string{KindName(k), strings.ToUpper(KindName(k)), k.String()} {
+		for _, label := range []string{kindName(k), strings.ToUpper(kindName(k)), k.String()} {
 			got, err := ParseKind(label)
 			if err != nil || got != k {
 				t.Errorf("ParseKind(%q) = %v, %v; want %v", label, got, err, k)
@@ -128,7 +128,7 @@ func TestExportScenarioRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if spec.Topology != KindName(kind) {
+		if spec.Topology != kindName(kind) {
 			t.Errorf("%v: generated topology label %q", kind, spec.Topology)
 		}
 		g := build(t, kind, dram(16))

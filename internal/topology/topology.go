@@ -211,11 +211,6 @@ func (g *Graph) CubeIDs() []packet.NodeID {
 // Degree reports the number of links at node n.
 func (g *Graph) Degree(n packet.NodeID) int { return len(g.adj[n]) }
 
-// Neighbor reports the node reached through the given port of n.
-func (g *Graph) Neighbor(n packet.NodeID, port int) packet.NodeID {
-	return g.adj[n][port].to
-}
-
 // EdgeAt returns the edge behind the given port of n.
 func (g *Graph) EdgeAt(n packet.NodeID, port int) Edge {
 	return g.Edges[g.adj[n][port].edge]
@@ -231,22 +226,6 @@ func (g *Graph) EdgeIndex(n packet.NodeID, port int) int {
 // class, or -1 when n == dst or dst is unreachable in that class.
 func (g *Graph) NextPort(class PathClass, n, dst packet.NodeID) int {
 	return int(g.next[class][n][dst])
-}
-
-// DeadEdge reports whether edge ei has been failed by Disable.
-func (g *Graph) DeadEdge(ei int) bool { return g.deadEdge != nil && g.deadEdge[ei] }
-
-// DeadNode reports whether node n has been fully failed by Disable.
-func (g *Graph) DeadNode(n packet.NodeID) bool { return g.deadNode != nil && g.deadNode[n] }
-
-// EdgeBetween returns the index of the edge connecting a and b, or -1.
-func (g *Graph) EdgeBetween(a, b packet.NodeID) int {
-	for ei, e := range g.Edges {
-		if (e.A == a && e.B == b) || (e.A == b && e.B == a) {
-			return ei
-		}
-	}
-	return -1
 }
 
 // Dist returns the hop distance between a and b in the given class, or
@@ -372,7 +351,7 @@ func Generate(kind Kind, techs []config.MemTech, metaGroup int) (*scenario.Spec,
 	default:
 		return nil, fmt.Errorf("topology: unknown kind %v", kind)
 	}
-	label := KindName(kind)
+	label := kindName(kind)
 	return &scenario.Spec{
 		Schema:   scenario.Schema,
 		Name:     label + "-" + strconv.Itoa(len(b.nodes)),

@@ -10,6 +10,27 @@ import (
 
 func dram(n int) []config.MemTech { return make([]config.MemTech, n) }
 
+// neighbor reports the node reached through the given port of n.
+func (g *Graph) neighbor(n packet.NodeID, port int) packet.NodeID {
+	return g.adj[n][port].to
+}
+
+// edgeDead reports whether edge ei has been failed by Disable.
+func (g *Graph) edgeDead(ei int) bool { return g.deadEdge != nil && g.deadEdge[ei] }
+
+// nodeDead reports whether node n has been fully failed by Disable.
+func (g *Graph) nodeDead(n packet.NodeID) bool { return g.deadNode != nil && g.deadNode[n] }
+
+// edgeBetween returns the index of the edge connecting a and b, or -1.
+func (g *Graph) edgeBetween(a, b packet.NodeID) int {
+	for ei, e := range g.Edges {
+		if (e.A == a && e.B == b) || (e.A == b && e.B == a) {
+			return ei
+		}
+	}
+	return -1
+}
+
 func build(t *testing.T, k Kind, techs []config.MemTech) *Graph {
 	t.Helper()
 	g, err := Build(k, techs)
@@ -242,7 +263,7 @@ func TestRoutesReachDestination(t *testing.T) {
 							if port < 0 {
 								t.Fatalf("%v: no route %d->%d", k, cur, dst.ID)
 							}
-							cur = g.Neighbor(cur, port)
+							cur = g.neighbor(cur, port)
 						}
 					}
 				}
@@ -268,7 +289,7 @@ func TestRouteNeverUTurns(t *testing.T) {
 					cur := src.ID
 					for cur != dst.ID {
 						port := g.NextPort(class, cur, dst.ID)
-						next := g.Neighbor(cur, port)
+						next := g.neighbor(cur, port)
 						if next == prev {
 							t.Fatalf("%v class %d: u-turn at %d on path %d->%d",
 								k, class, cur, src.ID, dst.ID)
@@ -290,7 +311,7 @@ func TestDistMatchesWalk(t *testing.T) {
 		for class := PathClass(0); class < NumClasses; class++ {
 			cur, hops := src, 0
 			for cur != dst {
-				cur = g.Neighbor(cur, g.NextPort(class, cur, dst))
+				cur = g.neighbor(cur, g.NextPort(class, cur, dst))
 				hops++
 			}
 			if hops != g.Dist(class, src, dst) {
@@ -313,7 +334,7 @@ func TestLongPathAvoidsExpress(t *testing.T) {
 			if g.EdgeAt(cur, port).Express {
 				t.Fatalf("write path to %d uses skip link at %d", dst, cur)
 			}
-			cur = g.Neighbor(cur, port)
+			cur = g.neighbor(cur, port)
 		}
 	}
 }

@@ -173,10 +173,11 @@ func GenerateChaos(c Config, spec ChaosSpec) (*FaultConfig, error) {
 		return nil, err
 	}
 	// Chaos schedules address edges of the run's own graph.
-	_, g, err := core.NetworkOf(&p)
+	r, err := core.Resolve(p)
 	if err != nil {
 		return nil, err
 	}
+	_, g := r.Network()
 	fc, err := fault.Chaos(g, spec)
 	if err != nil {
 		return nil, err
@@ -262,10 +263,11 @@ func ExportScenario(c Config, name string) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, _, err := core.NetworkOf(&p)
+	r, err := core.Resolve(p)
 	if err != nil {
 		return nil, err
 	}
+	s, _ := r.Network()
 	s = s.Clone() // the built-in network's spec is shared
 	if name != "" {
 		s.Name = name
@@ -318,7 +320,7 @@ type Config struct {
 	// Tuning overrides the microarchitectural tuning. Nil, or a zero
 	// Tuning, runs DefaultTuning(). Any other Tuning is taken field by
 	// field and never completed from the defaults: resolving the run
-	// (core.Params.Resolved, behind Run, Build, RunMachine, RunCached)
+	// (core.Resolve, behind Run, Build, RunMachine, RunCached)
 	// fails naming the first field outside its range, e.g. "core:
 	// Tuning.VaultQueueDepth is 0, want 1 to 1073741824" for
 	// Tuning{WavefrontSize: 16}. Start from DefaultTuning().
